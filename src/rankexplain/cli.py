@@ -1,16 +1,22 @@
 """Command-line surface: index, rank, explain, eval.
 
-Parameters for the explainers can come from a JSON file plus flat
-``--key value`` overrides; every randomized command takes ``--seed``
-(default 0), so repeated runs with the same inputs and seed produce
-byte-identical output. Exit codes: 0 success, 1 I/O or parse failure,
-2 usage error, 3 requested data not found.
+Parameters come from a JSON file plus flat ``--key value`` overrides.
+Both are one flat namespace over the fields of the parameter
+dataclasses (``RankerParams``, ``PointwiseParams`` with its
+``SamplerConfig``, ``ListwiseParams``); a key no field defines, or a
+value of the wrong type, is a usage error. Every randomized command
+takes ``--seed``, the only source of the seed, so repeated runs with the
+same inputs and seed produce byte-identical output. Exit codes: 0
+success, 1 I/O or parse failure, 2 usage error, 3 requested data not
+found.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 
 from .axioms import (
@@ -25,15 +31,8 @@ from .axioms import (
 from .datasets import demo_corpus_path, demo_topics_path
 from .evaluation import jaccard_at_k, kendall_tau, rbo, spearman_rho
 from .index import PositionalIndex, UnknownDocumentError, build_index, read_corpus_jsonl
-from .listwise import LISTWISE_METHODS, ListwiseParams, explain_all, explain_listwise
-from .perturb import SamplerConfig
-from .pointwise import (
-    EXS_VARIANTS,
-    PointwiseParams,
-    exs_explain,
-    lirme_explain,
-    visualize_terms,
-)
+from .listwise import ListwiseParams, explain_all, explain_listwise
+from .pointwise import PointwiseParams, exs_explain, lirme_explain, visualize_terms
 from .rankers import (
     Query,
     RankerParams,
@@ -57,10 +56,6 @@ class UsageError(Exception):
 
 class DataNotFoundError(Exception):
     pass
-
-
-def _load_index(path: str) -> PositionalIndex:
-    return PositionalIndex.load(path)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -93,13 +88,83 @@ def _overrides_from_extras(extras: list[str]) -> dict:
     return overrides
 
 
-def _merged_params(args, extras: list[str]) -> dict:
-    params: dict = {}
-    if getattr(args, "params", None):
+def _coerce(key: str, value, default):
+    """Check ``value`` against the type of the field's default and convert it."""
+    kind = type(default)
+    if kind is float and type(value) is int:
+        value = float(value)
+    if kind is tuple and type(value) is list and all(type(v) is str for v in value):
+        value = tuple(value)
+    if type(value) is kind and (kind is not float or math.isfinite(value)):
+        return value
+    expected = {float: "a finite number", tuple: "a JSON list of strings"}.get(kind, kind.__name__)
+    raise UsageError(f"parameter {key!r} expects {expected}, got {json.dumps(value)}")
+
+
+def params_from_dict(cls, data: dict, fixed: dict):
+    """Build the dataclass ``cls`` from the flat keys of ``data``.
+
+    A leaf field takes ``data[name]`` when present, checked against the
+    type of its default, and keeps its default otherwise. A field whose
+    default is itself a dataclass is built from the same namespace.
+    Fields named in ``fixed`` come from command-line flags and are never
+    read from ``data``. Used keys are popped, so what remains is unknown.
+    """
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name in fixed:
+            kwargs[f.name] = fixed[f.name]
+        elif dataclasses.is_dataclass(f.default):
+            kwargs[f.name] = params_from_dict(type(f.default), data, fixed)
+        elif f.name in data:
+            kwargs[f.name] = _coerce(f.name, data.pop(f.name), f.default)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def param_keys(cls, fixed) -> list[str]:
+    """The flat keys ``params_from_dict`` reads for ``cls``."""
+    keys = []
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.default):
+            keys += param_keys(type(f.default), fixed)
+        elif f.name not in fixed:
+            keys.append(f.name)
+    return keys
+
+
+def _build_params(args, extras: list[str], classes: tuple, extra: dict | None = None) -> list:
+    """Build each of ``classes`` from --params plus the --key value overrides.
+
+    The classes share one flat namespace. ``extra`` maps further keys the
+    command reads itself to their defaults; their checked values follow
+    the built objects. For ``explain``, seed and method come only from
+    their flags; when a flag is absent the field keeps its default. Any
+    other key is a usage error.
+    """
+    data: dict = {}
+    if args.params:
         with open(args.params, encoding="utf-8") as f:
-            params.update(json.load(f))
-    params.update(_overrides_from_extras(extras))
-    return params
+            data = json.load(f)
+        if not isinstance(data, dict):
+            raise UsageError(f"{args.params}: the params file must hold a JSON object")
+    data.update(_overrides_from_extras(extras))
+    flags = {"seed": args.seed, "method": args.method} if args.command == "explain" else {}
+    clash = sorted(data.keys() & flags.keys())
+    if clash:
+        raise UsageError(f"set {clash[0]} with the --{clash[0]} flag, not as a parameter")
+    extra = extra or {}
+    fixed = {key: value for key, value in flags.items() if value is not None}
+    built = [params_from_dict(cls, data, fixed) for cls in classes]
+    built += [_coerce(key, data.pop(key, default), default) for key, default in extra.items()]
+    if data:
+        command = f"{args.command} {getattr(args, 'kind', '')}".strip()
+        valid = sorted({key for cls in classes for key in param_keys(cls, flags)} | set(extra))
+        raise UsageError(f"unknown parameter {', '.join(map(repr, sorted(data)))} for {command}; "
+                         f"valid: {', '.join(valid) or 'none'}")
+    return built
 
 
 def _resolve_topics(path: str | None) -> str | None:
@@ -134,23 +199,16 @@ def cmd_index(args, extras) -> int:
     return EXIT_OK
 
 
-def _ranker_from_args(index, args, params: dict):
-    rp = RankerParams(
-        k1=float(params.get("k1", 0.9)),
-        b=float(params.get("b", 0.4)),
-        jm_lambda=float(params.get("jm_lambda", 0.1)),
-        dirichlet_mu=float(params.get("dirichlet_mu", 1000.0)),
-    )
-    model = getattr(args, "model", None) or "bm25"
+def _ranker(index, model: str, params: RankerParams):
     if model not in SIMPLE_RANKERS:
         raise UsageError(f"unknown model {model!r}; valid: {', '.join(SIMPLE_RANKERS)}")
-    return make_ranker(index, model, rp)
+    return make_ranker(index, model, params)
 
 
 def cmd_rank(args, extras) -> int:
-    params = _merged_params(args, extras)
-    index = _load_index(args.index)
-    ranker = _ranker_from_args(index, args, params)
+    ranker_params, = _build_params(args, extras, (RankerParams,))
+    index = PositionalIndex.load(args.index)
+    ranker = _ranker(index, args.model, ranker_params)
     topics = load_topics(_resolve_topics(args.topics))
     runs = {}
     for qid in sorted(topics):
@@ -161,32 +219,17 @@ def cmd_rank(args, extras) -> int:
     return EXIT_OK
 
 
-def _pointwise_params(params: dict, seed: int) -> PointwiseParams:
-    sampler_cfg = dict(params.get("sampler", {}))
-    sampler_cfg.setdefault("seed", seed)
-    return PointwiseParams(
-        sampler=SamplerConfig(**sampler_cfg),
-        kernel_width=float(params.get("kernel_width", 0.25)),
-        ridge=float(params.get("ridge", 1.0)),
-        n_terms=int(params.get("n_terms", 10)),
-        exs_variant=str(params.get("exs_variant", "topk_binary")),
-        exs_k=int(params.get("exs_k", 10)),
-    )
-
-
 def cmd_explain_pointwise(args, extras) -> int:
-    params = _merged_params(args, extras)
-    index = _load_index(args.index)
-    if args.method not in ("lirme", "exs"):
-        raise UsageError(f"unknown pointwise method {args.method!r}; valid: lirme, exs")
-    if args.method == "exs" and params.get("exs_variant", "topk_binary") not in EXS_VARIANTS:
-        raise UsageError(f"unknown exs_variant; valid: {', '.join(EXS_VARIANTS)}")
+    method = args.method or "lirme"
+    if method not in ("lirme", "exs"):
+        raise UsageError(f"unknown pointwise method {method!r}; valid: lirme, exs")
+    pw, ranker_params = _build_params(args, extras, (PointwiseParams, RankerParams))
+    index = PositionalIndex.load(args.index)
     query = _query_for(args, index)
     if not index.has_doc(args.docid):
         raise DataNotFoundError(f"docid {args.docid!r} not in index")
-    pw = _pointwise_params(params, args.seed)
-    ranker = _ranker_from_args(index, args, params)
-    if args.method == "lirme":
+    ranker = _ranker(index, args.model, ranker_params)
+    if method == "lirme":
         expl = lirme_explain(index, ranker, query, args.docid, pw)
     else:
         base_list = rank(index, ranker, query, depth=max(pw.exs_k, 10))
@@ -199,8 +242,8 @@ def cmd_explain_pointwise(args, extras) -> int:
 
 
 def cmd_explain_pairwise(args, extras) -> int:
-    _merged_params(args, extras)  # accepted for interface parity
-    index = _load_index(args.index)
+    _build_params(args, extras, ())
+    index = PositionalIndex.load(args.index)
     query = _query_for(args, index)
     try:
         d1, d2 = [d.strip() for d in args.docs.split(",")]
@@ -236,34 +279,12 @@ def cmd_explain_pairwise(args, extras) -> int:
     return EXIT_OK
 
 
-def _listwise_params(method: str, params: dict, seed: int) -> ListwiseParams:
-    return ListwiseParams(
-        method=method,
-        simple_rankers=tuple(params.get("simple_rankers", ("bm25", "lmjm", "lmdir"))),
-        top_k=int(params.get("top_k", 10)),
-        n_candidates=int(params.get("n_candidates", 100)),
-        n_pairs=int(params.get("n_pairs", 50)),
-        pair_strategy=str(params.get("pair_strategy", "uniform")),
-        m_min=int(params.get("m_min", 3)),
-        m_max=int(params.get("m_max", 10)),
-        p=float(params.get("p", 0.9)),
-        eval_budget=int(params.get("eval_budget", 1000)),
-        seed=seed,
-        ranker_params=RankerParams(
-            k1=float(params.get("k1", 0.9)),
-            b=float(params.get("b", 0.4)),
-            jm_lambda=float(params.get("jm_lambda", 0.1)),
-            dirichlet_mu=float(params.get("dirichlet_mu", 1000.0)),
-        ),
-    )
-
-
 def cmd_explain_listwise(args, extras) -> int:
-    params = _merged_params(args, extras)
-    index = _load_index(args.index)
-    if args.method not in LISTWISE_METHODS:
-        raise UsageError(f"unknown listwise method {args.method!r}; valid: {', '.join(LISTWISE_METHODS)}")
-    lw = _listwise_params(args.method, params, args.seed)
+    if args.run:
+        lw, = _build_params(args, extras, (ListwiseParams,))
+    else:  # the lists are ranked here, so their depth is a key too
+        lw, depth = _build_params(args, extras, (ListwiseParams,), {"depth": 10})
+    index = PositionalIndex.load(args.index)
     topics_path = _resolve_topics(args.topics)
     if args.run:
         runs = load_from_res(args.run)
@@ -271,11 +292,11 @@ def cmd_explain_listwise(args, extras) -> int:
         if not topics_path:
             raise UsageError("without --run, provide --topics to rank on the fly")
         topics = load_topics(topics_path)
-        ranker = _ranker_from_args(index, args, params)
+        ranker = _ranker(index, args.model, lw.ranker_params)
         runs = {}
         for qid in sorted(topics):
             query = Query.from_text(index, qid, topics[qid])
-            runs[qid] = rank(index, ranker, query, depth=int(params.get("depth", 10)))
+            runs[qid] = rank(index, ranker, query, depth=depth)
     if args.all:
         if not topics_path:
             raise UsageError("--all requires --topics")
@@ -367,12 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_index = sub.add_parser("index", help="build an index from a JSONL corpus")
+    p_index = sub.add_parser("index", allow_abbrev=False, help="build an index from a JSONL corpus")
     p_index.add_argument("--corpus", required=True, help='corpus JSONL path, or "demo"')
     p_index.add_argument("--out", required=True, help="output index file")
     p_index.set_defaults(func=cmd_index)
 
-    p_rank = sub.add_parser("rank", help="rank topics and write a TREC run file")
+    p_rank = sub.add_parser("rank", allow_abbrev=False, help="rank topics and write a TREC run file")
     p_rank.add_argument("--index", required=True)
     p_rank.add_argument("--topics", required=True, help='topics TSV path, or "demo"')
     p_rank.add_argument("--model", default="bm25", choices=SIMPLE_RANKERS)
@@ -381,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--params", help="JSON parameter file")
     p_rank.set_defaults(func=cmd_rank)
 
-    p_explain = sub.add_parser("explain", help="run an explainer")
+    p_explain = sub.add_parser("explain", allow_abbrev=False, help="run an explainer")
     p_explain.add_argument("kind", choices=("pointwise", "pairwise", "listwise"))
     p_explain.add_argument("--index", required=True)
     p_explain.add_argument("--method", default=None, help="explainer within the kind")
@@ -399,11 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("--model", default="bm25", help="ranker being explained")
     p_explain.add_argument("--format", default="json", choices=("text", "json"))
     p_explain.add_argument("--params", help="JSON parameter file")
-    p_explain.add_argument("--seed", type=int, default=0)
+    p_explain.add_argument("--seed", type=int, help="seed of every random draw; the only seed source")
     p_explain.add_argument("--out", help="output path (default stdout)")
     p_explain.set_defaults(func=cmd_explain)
 
-    p_eval = sub.add_parser("eval", help="compare two run files")
+    p_eval = sub.add_parser("eval", allow_abbrev=False, help="compare two run files")
     p_eval.add_argument("measure", choices=_MEASURES)
     p_eval.add_argument("run_a")
     p_eval.add_argument("run_b")
@@ -417,9 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args, extras = parser.parse_known_args(argv)
-    pointwise_default = {"pointwise": "lirme", "listwise": "multiplex"}
-    if getattr(args, "command", None) == "explain" and args.method is None:
-        args.method = pointwise_default.get(args.kind, "")
     try:
         return args.func(args, extras)
     except UsageError as exc:

@@ -12,18 +12,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .index import PositionalIndex
 from .rankers import LMJMRanker, Query, RankedList
-
-
-@dataclass(frozen=True)
-class RankSimilarityReport:
-    measure: str
-    value: float
-    depth: int
-    p: Optional[float] = None
 
 
 def _check_distinct(name: str, items: Sequence) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .analysis import AnalyzerConfig, DEFAULT_CONFIG, TokenizedDocument, tokenize
@@ -134,11 +135,7 @@ class PositionalIndex:
         return TokenizedDocument(docid=docid, tokens=self.doc_tokens(docid))
 
     def doc_term_counts(self, docid: str) -> dict:
-        tokens = self.doc_tokens(docid)
-        counts: dict[str, int] = {}
-        for t in tokens:
-            counts[t] = counts.get(t, 0) + 1
-        return counts
+        return Counter(self.doc_tokens(docid))
 
     # -- serialization ---------------------------------------------------
 

@@ -495,23 +495,18 @@ class ListwiseParams:
         for name in self.simple_rankers:
             if name not in SIMPLE_RANKERS:
                 raise ValueError(f"unknown simple ranker {name!r}; valid: {', '.join(SIMPLE_RANKERS)}")
+        if not self.simple_rankers:
+            raise ValueError("simple_rankers must name at least one ranker")
+        if self.pair_strategy not in PAIR_STRATEGIES:
+            raise ValueError(f"unknown pair_strategy {self.pair_strategy!r}; "
+                             f"valid: {', '.join(PAIR_STRATEGIES)}")
+        for name in ("top_k", "n_candidates", "n_pairs", "eval_budget"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 <= self.m_min <= self.m_max:
+            raise ValueError(f"need 0 <= m_min <= m_max, got m_min={self.m_min}, m_max={self.m_max}")
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must be in (0, 1), got {self.p}")
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "simple_rankers": list(self.simple_rankers),
-            "top_k": self.top_k,
-            "n_candidates": self.n_candidates,
-            "n_pairs": self.n_pairs,
-            "pair_strategy": self.pair_strategy,
-            "m_min": self.m_min,
-            "m_max": self.m_max,
-            "p": self.p,
-            "eval_budget": self.eval_budget,
-            "seed": self.seed,
-        }
 
 
 def explain_listwise(index: PositionalIndex, query: Query, ranked: RankedList,

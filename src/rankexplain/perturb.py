@@ -11,6 +11,7 @@ distance. All randomness flows through the package's portable PRNG, so a
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .analysis import TokenizedDocument
@@ -37,10 +38,6 @@ class SamplerConfig:
             raise ValueError(f"chunk must be >= 1, got {self.chunk}")
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "rate": self.rate, "chunk": self.chunk,
-                "n_samples": self.n_samples, "seed": self.seed}
 
 
 @dataclass
@@ -144,9 +141,7 @@ def tfidf_sampler(doc: TokenizedDocument, index: PositionalIndex, config: Sample
     _check_doc(doc)
     n = len(doc.tokens)
     terms = feature_terms(doc)
-    counts: dict[str, int] = {}
-    for t in doc.tokens:
-        counts[t] = counts.get(t, 0) + 1
+    counts = Counter(doc.tokens)
     weights = [counts[t] * index.idf(t) for t in doc.tokens]
     total = sum(weights)
     fallback = total <= 0.0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -84,16 +84,6 @@ class PointwiseParams:
             raise ValueError(f"unknown exs_variant {self.exs_variant!r}; valid: {', '.join(EXS_VARIANTS)}")
         if self.exs_k < 1:
             raise ValueError(f"exs_k must be >= 1, got {self.exs_k}")
-
-    def to_dict(self) -> dict:
-        return {
-            "sampler": self.sampler.to_dict(),
-            "kernel_width": self.kernel_width,
-            "ridge": self.ridge,
-            "n_terms": self.n_terms,
-            "exs_variant": self.exs_variant,
-            "exs_k": self.exs_k,
-        }
 
 
 @dataclass
@@ -188,7 +178,7 @@ def lirme_explain(index: PositionalIndex, ranker: Ranker, query: Query, docid: s
     fit = fit_weighted_ridge(X, y, kernel, params.ridge, feature_names=terms)
     return ExplanationVector.from_weights(
         fit.weights, n_terms=params.n_terms,
-        qid=query.qid, docid=docid, method="lirme", params=params.to_dict(),
+        qid=query.qid, docid=docid, method="lirme", params=asdict(params),
     )
 
 
@@ -229,7 +219,7 @@ def exs_explain(index: PositionalIndex, ranker: Ranker, query: Query, docid: str
     fit = fit_weighted_ridge(X, y, kernel, params.ridge, feature_names=terms)
     return ExplanationVector.from_weights(
         fit.weights, n_terms=params.n_terms,
-        qid=query.qid, docid=docid, method=f"exs:{params.exs_variant}", params=params.to_dict(),
+        qid=query.qid, docid=docid, method=f"exs:{params.exs_variant}", params=asdict(params),
     )
 
 

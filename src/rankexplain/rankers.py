@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -124,13 +125,6 @@ class Ranker(ABC):
         ...
 
 
-def _counts(tokens: Sequence[str]) -> dict:
-    counts: dict[str, int] = {}
-    for t in tokens:
-        counts[t] = counts.get(t, 0) + 1
-    return counts
-
-
 class _SparseRanker(Ranker):
     """Shared machinery: per-term scoring over tf and document length."""
 
@@ -140,24 +134,15 @@ class _SparseRanker(Ranker):
     def _term_score(self, term: str, tf: int, dl: int) -> float:
         raise NotImplementedError
 
-    def _weighted_terms(self, query: Query) -> list[tuple[str, float]]:
-        return [(t, 1.0) for t in query.terms]
-
     def score(self, query: Query, docid: str) -> float:
         self.index._require_doc(docid)
         dl = self.index.doc_length(docid)
-        return sum(
-            w * self._term_score(t, self.index.tf(t, docid), dl)
-            for t, w in self._weighted_terms(query)
-        )
+        return sum(self._term_score(t, self.index.tf(t, docid), dl) for t in query.terms)
 
     def score_tokens(self, query: Query, tokens: Sequence[str]) -> float:
-        counts = _counts(tokens)
+        counts = Counter(tokens)
         dl = len(tokens)
-        return sum(
-            w * self._term_score(t, counts.get(t, 0), dl)
-            for t, w in self._weighted_terms(query)
-        )
+        return sum(self._term_score(t, counts[t], dl) for t in query.terms)
 
 
 class BM25Ranker(_SparseRanker):
@@ -255,8 +240,8 @@ class LinearScorer(Ranker):
         return sum(c * self.index.tf(t, docid) for t, c in self.coefficients.items())
 
     def score_tokens(self, query: Query, tokens: Sequence[str]) -> float:
-        counts = _counts(tokens)
-        return sum(c * counts.get(t, 0) for t, c in self.coefficients.items())
+        counts = Counter(tokens)
+        return sum(c * counts[t] for t, c in self.coefficients.items())
 
 
 class HiddenIntentRanker(Ranker):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from rankexplain import (
     ListwiseParams,
     PointwiseParams,
     Query,
+    RankerParams,
     SamplerConfig,
     build_index,
     explain_listwise,
@@ -101,13 +103,6 @@ def test_explain_pointwise_exs(workspace, capsys):
     assert payload["method"] == "exs:topk_binary"
 
 
-def test_explain_unknown_method_exit_2(workspace, capsys):
-    _, index_path, _ = workspace
-    assert cli.run(["explain", "pointwise", "--index", str(index_path),
-                    "--method", "bogus", "--query", "thai", "--docid", "T1"]) == 2
-    assert "lirme" in capsys.readouterr().err
-
-
 def test_explain_missing_doc_exit_3(workspace):
     _, index_path, _ = workspace
     assert cli.run(["explain", "pointwise", "--index", str(index_path),
@@ -155,11 +150,6 @@ def test_explain_pairwise_details_match_bruteforce_on_demo(workspace, capsys):
                     (("exon", "definit"), ("exon", "biolog"), ("definit", "biolog"))]
     assert float(rows["total_avg_dist"]["d1"]) == pytest.approx(
         sum(pair_means_1) / 3, abs=0.005)
-
-
-def test_index_rejects_unknown_flags(tmp_path):
-    assert cli.run(["index", "--corpus", "demo", "--out", str(tmp_path / "x.idx"),
-                    "--bogus", "1"]) == 2
 
 
 def test_explain_pairwise_json_preferences(workspace, capsys):
@@ -253,3 +243,144 @@ def test_console_entry_point():
                             capture_output=True, text=True)
     assert result.returncode == 0
     assert "explain" in result.stdout
+
+
+# -- parameters ----------------------------------------------------------------
+
+
+def _base_argv(command, workspace, tmp_path):
+    _, index_path, run_path = workspace
+    explain = ["explain", command, "--index", str(index_path), "--topics", "demo"]
+    return {
+        "index": ["index", "--corpus", "demo", "--out", str(tmp_path / "x.idx")],
+        "rank": ["rank", "--index", str(index_path), "--topics", "demo",
+                 "--out", str(tmp_path / "x.trec")],
+        "pointwise": [*explain, "--qid", "1", "--docid", "T1"],
+        "pairwise": [*explain, "--qid", "2", "--docs", "B1,B2"],
+        "listwise": [*explain, "--run", str(run_path), "--qid", "1"],
+    }[command]
+
+
+def _with_params(argv, params, source, tmp_path):
+    """argv plus ``params`` as --key value overrides or as a --params file."""
+    if source == "file":
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        return [*argv, "--params", str(path)]
+    return [*argv, *(a for key, value in params.items() for a in (f"--{key}", json.dumps(value)))]
+
+
+def _leaves(cls, skip=()):
+    """(name, default) of each leaf field, recursing into dataclass-valued fields."""
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.default):
+            yield from _leaves(type(f.default), skip)
+        elif f.name not in skip:
+            yield f.name, f.default
+
+
+# Leaf fields each command accepts as keys; seed and method come from flags.
+_COMMAND_FIELDS = (
+    [("rank", *leaf) for leaf in _leaves(RankerParams)]
+    + [("pointwise", *leaf) for cls in (PointwiseParams, RankerParams)
+       for leaf in _leaves(cls, skip={"seed"})]
+    + [("listwise", *leaf) for leaf in _leaves(ListwiseParams, skip={"seed", "method"})]
+)
+_OTHER_CHOICE = {"kind": "masking", "exs_variant": "rank_based",
+                 "pair_strategy": "top_vs_rest", "simple_rankers": ["lmdir"]}
+
+
+def _other_value(key, default):
+    """A valid value that differs from the default; halving keeps rates and
+    probabilities in range."""
+    if type(default) is int:
+        return default + 1
+    if type(default) is float:
+        return default / 2
+    return _OTHER_CHOICE[key]
+
+
+def _flatten(params: dict) -> dict:
+    flat = {}
+    for key, value in params.items():
+        flat.update(_flatten(value) if isinstance(value, dict) else {key: value})
+    return flat
+
+
+@pytest.mark.parametrize("source", ["override", "file"])
+@pytest.mark.parametrize("command,key,default", _COMMAND_FIELDS,
+                         ids=[f"{command}-{key}" for command, key, _ in _COMMAND_FIELDS])
+def test_every_field_is_a_key(workspace, tmp_path, monkeypatch, capsys,
+                              command, key, default, source):
+    built = []
+
+    def recording(fn):
+        def wrapper(*args):
+            built.extend(a for a in args
+                         if isinstance(a, (RankerParams, PointwiseParams, ListwiseParams)))
+            return fn(*args)
+        return wrapper
+
+    for name in ("make_ranker", "lirme_explain", "explain_listwise"):
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    value = _other_value(key, default)
+    argv = _with_params(_base_argv(command, workspace, tmp_path), {key: value}, source, tmp_path)
+    assert cli.run(argv) == 0, capsys.readouterr().err
+    seen = {}
+    for params in built:
+        seen.update(_flatten(dataclasses.asdict(params)))
+    assert seen[key] == (tuple(value) if isinstance(value, list) else value)
+    if command == "pointwise":  # the JSON echo shows every non-ranker key
+        echo = _flatten(json.loads(capsys.readouterr().out)["params"])
+        if key not in RankerParams.__dataclass_fields__:
+            assert echo[key] == value
+
+
+@pytest.mark.parametrize("command,source,key", [
+    ("index", "override", "bogus"),
+    ("rank", "override", "dirichlet_m"),
+    ("rank", "file", "dirichlet_m"),
+    ("pointwise", "override", "kernel_widht"),
+    ("pointwise", "file", "kernel_widht"),
+    ("pointwise", "file", "sampler"),
+    ("pairwise", "override", "k1"),
+    ("pairwise", "file", "k1"),
+    ("listwise", "override", "n_candiates"),
+    ("listwise", "file", "n_candiates"),
+    ("listwise", "override", "depth"),  # only a key when ranking without --run
+])
+def test_unknown_keys_exit_2(workspace, tmp_path, capsys, command, source, key):
+    argv = _with_params(_base_argv(command, workspace, tmp_path), {key: 1}, source, tmp_path)
+    assert cli.run(argv) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,extra,params_file,message", [
+    pytest.param("pointwise", ["--method", "bogus"], None, "lirme", id="unknown-method"),
+    pytest.param("pointwise", ["--n_terms", "2.9"], None, "'n_terms' expects int",
+                 id="float-for-int"),
+    pytest.param("pointwise", ["--rate", "NaN"], None, "'rate' expects a finite number",
+                 id="nan-for-float"),
+    pytest.param("pointwise", ["--kind", "bogus"], None, "sampler kind", id="unknown-kind"),
+    pytest.param("listwise", ["--simple_rankers", "bm25"], None,
+                 "'simple_rankers' expects a JSON list", id="string-for-list"),
+    pytest.param("listwise", ["--simple_rankers", "[]"], None, "at least one ranker",
+                 id="no-simple-rankers"),
+    pytest.param("listwise", ["--all", "--pair_strategy", "bogus"], None, "pair_strategy",
+                 id="unknown-pair-strategy"),
+    pytest.param("listwise", ["--all", "--n_pairs", "0"], None, "n_pairs", id="zero-pairs"),
+    pytest.param("listwise", ["--m_min", "4", "--m_max", "3"], None, "m_min <= m_max",
+                 id="m-min-above-m-max"),
+    pytest.param("pointwise", [], {"seed": 5}, "--seed flag", id="pointwise-seed-key"),
+    pytest.param("listwise", [], {"seed": 5}, "--seed flag", id="listwise-seed-key"),
+    pytest.param("listwise", [], {"method": "bfs"}, "--method flag", id="listwise-method-key"),
+    pytest.param("pairwise", [], {"method": "x"}, "--method flag", id="pairwise-method-key"),
+])
+def test_usage_errors_exit_2(workspace, tmp_path, capsys, command, extra, params_file, message):
+    argv = [*_base_argv(command, workspace, tmp_path), *extra]
+    if params_file is not None:
+        argv = _with_params(argv, params_file, "file", tmp_path)
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import json
 import sys
 import tempfile
 from pathlib import Path
@@ -54,7 +53,7 @@ def _cases() -> list[tuple[str, list[str]]]:
                 cases.append((f"pointwise-{name}-{kind}-seed{seed}.json", [
                     "explain", "pointwise", "--index", "{d}/index.idx", "--topics", "demo",
                     "--qid", "1", "--docid", "T1", "--exs_k", "5", "--seed", seed,
-                    "--params", f"{{d}}/sampler-{kind}.json", *method_args]))
+                    "--kind", kind, *method_args]))
 
     pair = ["explain", "pairwise", "--index", "{d}/index.idx", "--topics", "demo",
             "--qid", "2", "--docs", "B1,B2"]
@@ -89,8 +88,6 @@ CASES = _cases()
 
 def run_cases(workdir: Path) -> dict[str, bytes]:
     """Run every case in order under ``workdir``; map golden name -> output bytes."""
-    for kind in SAMPLER_KINDS:
-        (workdir / f"sampler-{kind}.json").write_text(json.dumps({"sampler": {"kind": kind}}))
     outputs = {}
     for name, argv in CASES:
         argv = [a.replace("{d}", str(workdir)) for a in argv]
