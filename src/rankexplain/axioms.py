@@ -218,12 +218,9 @@ def first_phrase_position(view, query_terms: Sequence[str]) -> float:
     """Earliest position where the full query occurs contiguously."""
     if not query_terms:
         return _INF
-    first = query_terms[0]
-    for start in view.positions.get(first, []):
-        if all(
-            start + offset in set(view.positions.get(term, []))
-            for offset, term in enumerate(query_terms)
-        ):
+    position_sets = [set(view.positions.get(term, [])) for term in query_terms]
+    for start in view.positions.get(query_terms[0], []):
+        if all(start + offset in positions for offset, positions in enumerate(position_sets)):
             return start
     return _INF
 

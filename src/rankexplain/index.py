@@ -2,9 +2,11 @@
 
 Holds, per term, the posting list of (docid, positions) plus the global
 statistics every scoring model and axiom in this package needs: document
-lengths, corpus size, average document length, document frequency and
-collection frequency. Built once, then read-only; safe for concurrent
-reads.
+lengths, corpus size, average document length, document frequency,
+collection frequency and idf. The index is immutable, so the collection
+statistics (total tokens, avgdl, and each indexed term's df, cf and idf)
+are computed once at construction. Apart from the token memo that
+``doc_tokens`` fills on first use, nothing is written after that.
 """
 
 from __future__ import annotations
@@ -13,10 +15,14 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice
+
+import numpy as np
 
 from .analysis import AnalyzerConfig, DEFAULT_CONFIG, TokenizedDocument, tokenize
 
 _INDEX_FORMAT_VERSION = 1
+_INT64_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -44,6 +50,10 @@ class PositionalIndex:
         self._df = {t: len(pl) for t, pl in postings.items()}
         self._cf = {t: sum(len(ps) for ps in pl.values()) for t, pl in postings.items()}
         self._total_tokens = sum(self._cf.values())
+        n = len(self._doc_length)
+        self._avgdl = sum(self._doc_length.values()) / n if n else 0.0
+        self._idf = {t: math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+                     for t, df in self._df.items() if df > 0}
         self._doc_tokens_cache: dict[str, tuple[str, ...]] = {}
 
     # -- statistics ------------------------------------------------------
@@ -54,9 +64,7 @@ class PositionalIndex:
 
     @property
     def avgdl(self) -> float:
-        if not self._doc_length:
-            return 0.0
-        return sum(self._doc_length.values()) / len(self._doc_length)
+        return self._avgdl
 
     @property
     def total_tokens(self) -> int:
@@ -92,10 +100,7 @@ class PositionalIndex:
         Always positive for indexed terms, which avoids negative-idf
         pathologies on tiny corpora.
         """
-        df = self.df(term)
-        if df == 0:
-            return 0.0
-        return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
+        return self._idf.get(term, 0.0)
 
     def tf(self, term: str, docid: str) -> int:
         self._require_doc(docid)
@@ -159,17 +164,77 @@ class PositionalIndex:
     def from_dict(cls, data: dict) -> "PositionalIndex":
         if data.get("version") != _INDEX_FORMAT_VERSION:
             raise ValueError(f"unsupported index format version: {data.get('version')!r}")
-        postings = {
-            t: {d: tuple(ps) for d, ps in pl.items()}
-            for t, pl in data["postings"].items()
-        }
+        doc_length, raw_postings = data["doc_length"], data["postings"]
+        if not isinstance(doc_length, dict) or not isinstance(raw_postings, dict):
+            raise ValueError("index doc_length and postings must be JSON objects")
+        for d, dl in doc_length.items():
+            if type(dl) is not int or not 0 <= dl < _INT64_LIMIT:
+                raise ValueError(f"docid {d!r}: doc_length must be a non-negative int, got {dl!r}")
+        _check_postings(doc_length, raw_postings)
+        postings = {t: {d: tuple(ps) for d, ps in pl.items()} for t, pl in raw_postings.items()}
         config = AnalyzerConfig.from_dict(data["config"])
-        return cls(postings, data["doc_length"], config)
+        return cls(postings, doc_length, config)
 
     @classmethod
     def load(cls, path: str) -> "PositionalIndex":
         with open(path, encoding="utf-8") as f:
             return cls.from_dict(json.load(f))
+
+
+def _check_postings(doc_length: dict, postings: dict) -> None:
+    """Reject postings that do not describe each document's token stream.
+
+    Every posting's docid must be in doc_length, and its positions a
+    non-empty, strictly increasing list of ints in [0, doc_length). Every
+    document's term frequencies must sum to its doc_length. The checks
+    run over all postings at once, so loading stays cheap; a failure names
+    the first offending term and docid.
+    """
+    for t, pl in postings.items():
+        if type(pl) is not dict:
+            raise ValueError(f"term {t!r}: postings must be a JSON object")
+    rows = list(postings.values())
+    docids = list(chain.from_iterable(rows))                     # posting i's docid
+    lists = list(chain.from_iterable(map(dict.values, rows)))    # posting i's positions
+    row_ends = np.cumsum([len(pl) for pl in rows])
+
+    def fail(i: int, problem: str):
+        term = next(islice(postings, int(np.searchsorted(row_ends, i, side="right")), None))
+        raise ValueError(f"term {term!r}, docid {docids[i]!r}: {problem}")
+
+    lengths = list(map(doc_length.get, docids))
+    if None in lengths:
+        fail(lengths.index(None), "docid is not in doc_length")
+    shape = "positions must be a non-empty, strictly increasing list of ints in [0, doc_length)"
+    if set(map(type, lists)) - {list}:
+        fail(next(i for i, ps in enumerate(lists) if type(ps) is not list), shape)
+    sizes = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    if not sizes.all():
+        fail(int(np.argmin(sizes)), shape)
+    ends = np.cumsum(sizes)
+
+    def posting_of(j: int) -> int:
+        return int(np.searchsorted(ends, j, side="right"))
+
+    flat = list(chain.from_iterable(lists))                      # every posting's positions
+    if set(map(type, flat)) - {int} or (flat and not 0 <= min(flat) <= max(flat) < _INT64_LIMIT):
+        fail(posting_of(next(j for j, p in enumerate(flat)
+                             if type(p) is not int or not 0 <= p < _INT64_LIMIT)), shape)
+    pos = np.array(flat, dtype=np.int64)
+    del flat                                     # the array replaces it; keeps peak memory down
+    rising = pos[1:] > pos[:-1]
+    rising[ends[:-1] - 1] = True                 # a posting's first position follows no other
+    falls = np.flatnonzero(~rising)
+    if len(falls):
+        fail(posting_of(int(falls[0]) + 1), shape)
+    past_end = np.flatnonzero(pos[ends - 1] >= np.array(lengths, dtype=np.int64))
+    if len(past_end):
+        fail(int(past_end[0]), shape)
+    slot = {d: k for k, d in enumerate(doc_length)}
+    tf_sum = np.bincount(list(map(slot.__getitem__, docids)), weights=sizes, minlength=len(slot))
+    for d, total, dl in zip(doc_length, tf_sum, doc_length.values()):
+        if total != dl:
+            raise ValueError(f"docid {d!r}: term frequencies sum to {int(total)}, doc_length is {dl}")
 
 
 def build_index(corpus: list[Document], config: AnalyzerConfig = DEFAULT_CONFIG) -> PositionalIndex:

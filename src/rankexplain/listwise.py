@@ -30,6 +30,7 @@ from .rankers import (
     Ranker,
     RankerParams,
     SIMPLE_RANKERS,
+    _SparseRanker,
     make_ranker,
     rank,
 )
@@ -181,14 +182,15 @@ def build_preference_matrix(index: PositionalIndex, simple_rankers: Sequence[Ran
     if not pairs:
         raise ValueError("need at least one preference pair")
     docids = sorted({p.upper for p in pairs} | {p.lower for p in pairs})
+    column = {d: i for i, d in enumerate(docids)}
+    upper = np.array([column[p.upper] for p in pairs])
+    lower = np.array([column[p.lower] for p in pairs])
     entries = np.zeros((len(simple_rankers), len(candidates), len(pairs)), dtype=np.int8)
     for r, ranker in enumerate(simple_rankers):
         for t, cand in enumerate(candidates):
-            query = Query.from_terms("", [cand.term])
-            scores = {d: ranker.score(query, d) for d in docids}
-            for p, pair in enumerate(pairs):
-                diff = scores[pair.upper] - scores[pair.lower]
-                entries[r, t, p] = (diff > 0) - (diff < 0)
+            row = np.array(ranker.term_scores(cand.term, docids), dtype=np.float64)
+            diff = row[upper] - row[lower]
+            entries[r, t] = (diff > 0).astype(np.int8) - (diff < 0).astype(np.int8)
     return PreferenceMatrix(
         rankers=[r.name for r in simple_rankers],
         candidates=list(candidates),
@@ -280,6 +282,12 @@ class FidelityEvaluator:
     Re-ranking is confined to the documents of the explained list (the
     pool invariant is asserted on every call), so fidelity is well
     defined even when only a run file is available.
+
+    A sparse ranker's score is a sum of per-term rows, so for one the
+    evaluator scores each term over the pool once, keeps the row, and
+    re-ranks by adding rows in expanded-query order; the sums equal
+    ``rank``'s scores to the bit. Any other ranker is re-ranked through
+    ``rank`` on every call.
     """
 
     def __init__(self, index: PositionalIndex, sm: Ranker, query: Query,
@@ -291,14 +299,32 @@ class FidelityEvaluator:
         self.p = p
         self.pool = set(ranked.docids)
         self.calls = 0
+        self._docids = sorted(self.pool)
+        self._rows: Optional[dict] = None
+        if isinstance(sm, _SparseRanker):
+            for docid in self._docids:
+                sm.index.doc_length(docid)   # unknown docids raise, as in rank
+            self._rows = {}
+
+    def _rerank(self, expanded: Sequence[str]) -> RankedList:
+        if self._rows is None:
+            q_exp = Query.from_terms(self.query.qid, expanded)
+            return rank(self.index, self.sm, q_exp, pool=self.pool, depth=len(self.ranked))
+        totals = [0] * len(self._docids)
+        for term in expanded:
+            row = self._rows.get(term)
+            if row is None:
+                row = self._rows[term] = self.sm.term_scores(term, self._docids)
+            totals = [a + b for a, b in zip(totals, row)]
+        return RankedList.from_scores(self.query.qid, zip(self._docids, totals),
+                                      depth=len(self.ranked), tag=self.sm.name)
 
     def __call__(self, terms: Sequence[str]) -> float:
         expanded = list(self.query.terms)
         for t in terms:
             if t not in expanded:
                 expanded.append(t)
-        q_exp = Query.from_terms(self.query.qid, expanded)
-        approx = rank(self.index, self.sm, q_exp, pool=self.pool, depth=len(self.ranked))
+        approx = self._rerank(expanded)
         assert set(approx.docids) == self.pool, "re-ranking escaped the pool"
         self.calls += 1
         return rbo(approx.docids, self.ranked.docids, self.p)

@@ -104,6 +104,12 @@ class RankerParams:
     jm_lambda: float = 0.1
     dirichlet_mu: float = 1000.0
 
+    def __post_init__(self):
+        if not 0.0 < self.jm_lambda < 1.0:
+            raise ValueError(f"jm_lambda must be in (0, 1), got {self.jm_lambda}")
+        if self.dirichlet_mu <= 0:
+            raise ValueError(f"dirichlet_mu must be positive, got {self.dirichlet_mu}")
+
 
 class Ranker(ABC):
     """Scoring interface: a pure function of (index, query, doc, params).
@@ -124,9 +130,19 @@ class Ranker(ABC):
     def score_tokens(self, query: Query, tokens: Sequence[str]) -> float:
         ...
 
+    def term_scores(self, term: str, docids: Sequence[str]) -> list[float]:
+        """Score of the one-term query ``term`` for each of docids, in order."""
+        query = Query.from_terms("", [term])
+        return [self.score(query, docid) for docid in docids]
+
 
 class _SparseRanker(Ranker):
-    """Shared machinery: per-term scoring over tf and document length."""
+    """Shared machinery: per-term scoring over tf and document length.
+
+    A score is the sum of one ``_term_score`` per query term, added left
+    to right, so a query's ``term_scores`` rows summed in query-term
+    order give ``score`` to the bit.
+    """
 
     def __init__(self, index: PositionalIndex):
         self.index = index
@@ -143,6 +159,10 @@ class _SparseRanker(Ranker):
         counts = Counter(tokens)
         dl = len(tokens)
         return sum(self._term_score(t, counts[t], dl) for t in query.terms)
+
+    def term_scores(self, term: str, docids: Sequence[str]) -> list[float]:
+        index = self.index
+        return [self._term_score(term, index.tf(term, d), index.doc_length(d)) for d in docids]
 
 
 class BM25Ranker(_SparseRanker):
@@ -259,18 +279,18 @@ class HiddenIntentRanker(Ranker):
             if weight <= 0:
                 raise ValueError(f"hidden term {term!r} has non-positive weight {weight}")
         self._base = base
-        self._hidden = tuple(hidden_terms)
+        self._hidden = tuple((Query.from_terms("", [term]), weight) for term, weight in hidden_terms)
 
     def score(self, query: Query, docid: str) -> float:
         total = self._base.score(query, docid)
-        for term, weight in self._hidden:
-            total += weight * self._base.score(Query.from_terms("", [term]), docid)
+        for hidden, weight in self._hidden:
+            total += weight * self._base.score(hidden, docid)
         return total
 
     def score_tokens(self, query: Query, tokens: Sequence[str]) -> float:
         total = self._base.score_tokens(query, tokens)
-        for term, weight in self._hidden:
-            total += weight * self._base.score_tokens(Query.from_terms("", [term]), tokens)
+        for hidden, weight in self._hidden:
+            total += weight * self._base.score_tokens(hidden, tokens)
         return total
 
 
@@ -302,8 +322,8 @@ def load_from_res(path: str) -> dict:
     """Parse a TREC run file into {qid: RankedList}.
 
     Lines are ``qid Q0 docid rank score tag`` separated by whitespace.
-    Malformed lines, duplicate (qid, docid) pairs and rank gaps are
-    rejected with the offending line number where available.
+    Malformed lines, non-finite scores, duplicate (qid, docid) pairs and
+    rank gaps are rejected with the offending line number where available.
     """
     raw: dict[str, list[RunEntry]] = {}
     tags: dict[str, str] = {}
@@ -321,6 +341,8 @@ def load_from_res(path: str) -> dict:
                 score_v = float(score_s)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad rank or score field") from exc
+            if not math.isfinite(score_v):
+                raise ValueError(f"{path}:{lineno}: score must be finite, got {score_s!r}")
             if (qid, docid) in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate (qid, docid) pair ({qid}, {docid})")
             seen.add((qid, docid))

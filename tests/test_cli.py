@@ -59,6 +59,20 @@ def test_index_empty_corpus_error(tmp_path):
     assert cli.run(["index", "--corpus", str(empty), "--out", str(tmp_path / "x.idx")]) == 1
 
 
+def test_inconsistent_index_file_exit_1(workspace, tmp_path, capsys):
+    _, index_path, _ = workspace
+    data = json.loads(index_path.read_text())
+    term = sorted(data["postings"])[0]
+    docid = sorted(data["postings"][term])[0]
+    data["postings"][term][docid] = [data["doc_length"][docid]]
+    bad = tmp_path / "bad.idx"
+    bad.write_text(json.dumps(data))
+    assert cli.run(["rank", "--index", str(bad), "--topics", "demo",
+                    "--out", str(tmp_path / "x.trec")]) == 1
+    err = capsys.readouterr().err
+    assert repr(term) in err and repr(docid) in err
+
+
 def test_rank_output_parses(workspace):
     _, _, run_path = workspace
     runs = load_from_res(str(run_path))
@@ -371,6 +385,10 @@ def test_unknown_keys_exit_2(workspace, tmp_path, capsys, command, source, key):
     pytest.param("listwise", ["--all", "--n_pairs", "0"], None, "n_pairs", id="zero-pairs"),
     pytest.param("listwise", ["--m_min", "4", "--m_max", "3"], None, "m_min <= m_max",
                  id="m-min-above-m-max"),
+    pytest.param("rank", ["--jm_lambda", "5"], None, "jm_lambda must be in (0, 1)",
+                 id="jm-lambda-out-of-range"),
+    pytest.param("rank", ["--dirichlet_mu", "0"], None, "dirichlet_mu must be positive",
+                 id="dirichlet-mu-not-positive"),
     pytest.param("pointwise", [], {"seed": 5}, "--seed flag", id="pointwise-seed-key"),
     pytest.param("listwise", [], {"seed": 5}, "--seed flag", id="listwise-seed-key"),
     pytest.param("listwise", [], {"method": "bfs"}, "--method flag", id="listwise-method-key"),

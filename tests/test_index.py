@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -104,3 +105,56 @@ def test_read_corpus_jsonl_errors(tmp_path):
 def test_demo_corpus_loads(demo_index):
     assert demo_index.n_docs == 20
     assert demo_index.has_doc("T1")
+
+
+def _index_data(postings, doc_length):
+    return {"version": 1, "config": build_index([]).config.to_dict(),
+            "doc_length": doc_length, "postings": postings}
+
+
+@pytest.mark.parametrize("postings,doc_length,message", [
+    pytest.param({"appl": {"a": [5, 1]}}, {"a": 2}, "'appl', docid 'a'", id="position-past-end"),
+    pytest.param({"appl": {"b": [0]}}, {"a": 1}, "'appl', docid 'b': docid is not in doc_length",
+                 id="docid-not-in-doc-length"),
+    pytest.param({"appl": {"a": [1, 0]}}, {"a": 2}, "'appl', docid 'a'", id="decreasing"),
+    pytest.param({"appl": {"a": [0, 0]}}, {"a": 2}, "'appl', docid 'a'", id="repeated"),
+    pytest.param({"appl": {"a": [-1, 0]}}, {"a": 2}, "'appl', docid 'a'", id="negative"),
+    pytest.param({"appl": {"a": [0, 1.0]}}, {"a": 2}, "'appl', docid 'a'", id="float"),
+    pytest.param({"appl": {"a": [True]}}, {"a": 1}, "'appl', docid 'a'", id="bool"),
+    pytest.param({"appl": {"a": "01"}}, {"a": 2}, "'appl', docid 'a'", id="string"),
+    pytest.param({"appl": {"a": []}}, {"a": 0}, "'appl', docid 'a'", id="empty"),
+    pytest.param({"appl": {"a": [0]}}, {"a": 2}, "docid 'a': term frequencies sum to 1",
+                 id="tf-sum-below-length"),
+    pytest.param({"appl": {"a": [0, 1]}, "pear": {"a": [1]}}, {"a": 2},
+                 "docid 'a': term frequencies sum to 3", id="tf-sum-above-length"),
+    pytest.param({"appl": {"a": [2**64]}}, {"a": 1}, "'appl', docid 'a'", id="huge-position"),
+    pytest.param({"appl": {"a": [0]}}, {"a": 1.0}, "docid 'a': doc_length", id="float-length"),
+    pytest.param({"appl": {"a": [0]}}, {"a": 2**64}, "docid 'a': doc_length", id="huge-length"),
+    pytest.param({"appl": ["a"]}, {"a": 1}, "'appl': postings", id="postings-not-object"),
+])
+def test_from_dict_rejects_inconsistent_postings(postings, doc_length, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PositionalIndex.from_dict(_index_data(postings, doc_length))
+
+
+@pytest.mark.parametrize("corpus", [
+    [],
+    [Document("d1", "the of")],
+    [Document("d1", "the of"), Document("d2", "qq ww qq")],
+    random_corpus(XorShift64Star(9), 12, make_vocab(10)),
+])
+def test_from_dict_accepts_built_index(corpus):
+    index = build_index(corpus)
+    loaded = PositionalIndex.from_dict(index.to_dict())
+    assert loaded.to_dict() == index.to_dict()
+    assert loaded.avgdl == index.avgdl
+    assert [loaded.idf(t) for t in index.vocabulary] == [index.idf(t) for t in index.vocabulary]
+
+
+def test_statistics_match_their_formulas():
+    index = build_index(random_corpus(XorShift64Star(4), 30, make_vocab(20)))
+    lengths = [index.doc_length(d) for d in index.doc_ids()]
+    assert index.avgdl == sum(lengths) / len(lengths)
+    for term in index.vocabulary:
+        df = index.df(term)
+        assert index.idf(term) == math.log(1.0 + (index.n_docs - df + 0.5) / (df + 0.5))

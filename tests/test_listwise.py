@@ -7,6 +7,7 @@ import pytest
 from rankexplain import (
     BM25Ranker,
     Document,
+    HiddenIntentRanker,
     LMDirRanker,
     LMJMRanker,
     Query,
@@ -27,6 +28,7 @@ from rankexplain import (
     sample_pairs,
     show_matrix,
 )
+from rankexplain.index import UnknownDocumentError
 from rankexplain.listwise import (
     CandidateTerm,
     FidelityEvaluator,
@@ -339,6 +341,15 @@ def test_greedy_beats_every_single_term():
     best_single = max(evaluate([c.term]) for c in candidates)
     fidelity = expl.fidelity["rbo@0.9"]
     assert fidelity >= best_single
+
+
+@pytest.mark.parametrize("terms", [(), ("qq",)])
+def test_fidelity_rejects_docids_outside_the_index(terms):
+    index = build_index([Document("d1", "qq ww"), Document("d2", "qq")])
+    ranked = RankedList.from_entries("q", [RunEntry("d1", 1, 2.0), RunEntry("nope", 2, 1.0)])
+    for sm in (BM25Ranker(index), HiddenIntentRanker(BM25Ranker(index), [("ww", 1.0)])):
+        with pytest.raises(UnknownDocumentError):
+            FidelityEvaluator(index, sm, Query.from_terms("q", terms), ranked, 0.9)(())
 
 
 def test_greedy_m_max_zero_returns_baseline():

@@ -1,0 +1,145 @@
+"""Property tests over seeded random corpora.
+
+Hypothesis draws a seed and the corpus shape; ``conftest.random_corpus``
+turns them into documents, so every failing example replays from its
+seed. The sparse rankers are drawn with default and non-default
+parameters. Scores are compared with ``==``: the fast paths must give
+the reference values to the bit, not approximately.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from rankexplain import (
+    PositionalIndex,
+    Query,
+    RankerParams,
+    build_index,
+    build_preference_matrix,
+    make_ranker,
+    rank,
+    rbo,
+)
+from rankexplain.listwise import CandidateTerm, FidelityEvaluator, PreferencePair
+from rankexplain.rng import XorShift64Star
+
+from conftest import make_vocab, random_corpus
+
+OOV = "zzoov"
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def indexes(draw, min_docs=1):
+    seed = draw(st.integers(0, 2**64 - 1))
+    n_docs = draw(st.integers(min_docs, 12))
+    vocab = make_vocab(draw(st.integers(2, 12)))
+    min_len = draw(st.integers(1, 6))
+    max_len = draw(st.integers(min_len, 20))
+    corpus = random_corpus(XorShift64Star(seed), n_docs, vocab, min_len=min_len, max_len=max_len)
+    return build_index(corpus), vocab
+
+
+def ranker_params():
+    defaults = RankerParams()
+    return st.builds(
+        RankerParams,
+        k1=st.sampled_from([defaults.k1, 0.0, 1.2, 3.0]),
+        b=st.sampled_from([defaults.b, 0.0, 0.75, 1.0]),
+        jm_lambda=st.sampled_from([defaults.jm_lambda, 0.01, 0.5, 0.99]),
+        dirichlet_mu=st.sampled_from([defaults.dirichlet_mu, 0.5, 10.0, 2500.0]),
+    )
+
+
+rankers = st.tuples(st.sampled_from(["bm25", "lmjm", "lmdir"]), ranker_params())
+
+
+def query_terms(vocab, min_size=0):
+    """Terms of the vocabulary plus one out-of-vocabulary term, repeats allowed."""
+    return st.lists(st.sampled_from(vocab + [OOV]), min_size=min_size, max_size=5)
+
+
+def reference_fidelity(index, sm, query, ranked, p, terms):
+    """The unoptimized evaluation: expand the query, re-rank the pool, take RBO.
+
+    Returns the expanded terms, the re-ranked list and its RBO.
+    """
+    expanded = list(query.terms)
+    for t in terms:
+        if t not in expanded:
+            expanded.append(t)
+    q_exp = Query.from_terms(query.qid, expanded)
+    approx = rank(index, sm, q_exp, pool=ranked.docids, depth=len(ranked))
+    return expanded, approx, rbo(approx.docids, ranked.docids, p)
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), indexes(), rankers)
+def test_term_scores_equal_one_term_query_scores(data, built, ranker_spec):
+    index, vocab = built
+    sm = make_ranker(index, *ranker_spec)
+    docids = data.draw(st.permutations(index.doc_ids()))
+    for term in vocab + [OOV]:
+        expected = [sm.score(Query.from_terms("", [term]), d) for d in docids]
+        assert sm.term_scores(term, docids) == expected
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), indexes(), rankers, st.sampled_from(["bm25", "lmjm", "lmdir"]))
+def test_fidelity_evaluator_equals_reference(data, built, ranker_spec, list_model):
+    index, vocab = built
+    sm = make_ranker(index, *ranker_spec)
+    pool = data.draw(st.lists(st.sampled_from(index.doc_ids()), min_size=1, unique=True))
+    query = Query.from_terms("q", data.draw(query_terms(vocab)))
+    ranked = rank(index, make_ranker(index, list_model), query, pool=pool, depth=len(pool))
+    p = data.draw(st.sampled_from([0.5, 0.9, 0.99]))
+    evaluate = FidelityEvaluator(index, sm, query, ranked, p)
+    for terms in data.draw(st.lists(query_terms(vocab), min_size=1, max_size=6)):
+        expanded, approx, fidelity = reference_fidelity(index, sm, query, ranked, p, terms)
+        assert evaluate(terms) == fidelity
+        # The summed rows are rank's scores to the bit, not only the same order.
+        assert evaluate._rerank(expanded).entries == approx.entries
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), indexes(), rankers)
+def test_score_equals_score_tokens_of_doc_tokens(data, built, ranker_spec):
+    index, vocab = built
+    sm = make_ranker(index, *ranker_spec)
+    query = Query.from_terms("q", data.draw(query_terms(vocab, min_size=1)))
+    for docid in index.doc_ids():
+        assert sm.score(query, docid) == sm.score_tokens(query, index.doc_tokens(docid))
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), indexes(min_docs=2), st.lists(rankers, min_size=1, max_size=3))
+def test_preference_matrix_equals_pairwise_signs(data, built, ranker_specs):
+    index, vocab = built
+    docids = index.doc_ids()
+    simple = [make_ranker(index, *spec) for spec in ranker_specs]
+    terms = data.draw(st.lists(st.sampled_from(vocab + [OOV]), min_size=1, unique=True))
+    candidates = [CandidateTerm(t, 0.0) for t in terms]
+    pair_docs = st.lists(st.sampled_from(docids), min_size=2, max_size=2, unique=True)
+    pairs = [PreferencePair(u, l, 1) for u, l in data.draw(st.lists(pair_docs, min_size=1))]
+    matrix = build_preference_matrix(index, simple, candidates, pairs)
+    for r, ranker in enumerate(simple):
+        for t, term in enumerate(terms):
+            query = Query.from_terms("", [term])
+            for p, pair in enumerate(pairs):
+                diff = ranker.score(query, pair.upper) - ranker.score(query, pair.lower)
+                assert matrix.entries[r, t, p] == (diff > 0) - (diff < 0)
+
+
+@PROPERTY_SETTINGS
+@given(indexes())
+def test_index_round_trip_keeps_statistics(built):
+    index, vocab = built
+    loaded = PositionalIndex.from_dict(index.to_dict())
+    assert loaded.to_dict() == index.to_dict()
+    assert loaded.avgdl == index.avgdl
+    for term in vocab + [OOV]:
+        assert (loaded.df(term), loaded.cf(term), loaded.idf(term)) == \
+            (index.df(term), index.cf(term), index.idf(term))
+    for docid in index.doc_ids():
+        assert loaded.doc_tokens(docid) == index.doc_tokens(docid)
+

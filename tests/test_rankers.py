@@ -11,6 +11,7 @@ from rankexplain import (
     LMJMRanker,
     Query,
     RankedList,
+    RankerParams,
     RunEntry,
     build_index,
     load_from_res,
@@ -101,6 +102,9 @@ def test_lm_parameter_validation():
         LMJMRanker(index, lam=1.0)
     with pytest.raises(ValueError):
         LMDirRanker(index, mu=0.0)
+    for bad in ({"jm_lambda": 0.0}, {"jm_lambda": 5.0}, {"dirichlet_mu": 0.0}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            RankerParams(**bad)
 
 
 def test_rank_singleton_pool(cat_index):
@@ -187,6 +191,18 @@ def test_load_score_inversion_rejected(tmp_path):
         load_from_res(str(path))
 
 
+@pytest.mark.parametrize("lines,lineno", [
+    pytest.param("1 Q0 a 1 nan sys\n1 Q0 b 2 inf sys\n", 1, id="nan"),
+    pytest.param("1 Q0 a 1 inf sys\n1 Q0 b 2 1.0 sys\n", 1, id="inf"),
+    pytest.param("1 Q0 a 1 1.0 sys\n1 Q0 b 2 -inf sys\n", 2, id="-inf"),
+])
+def test_load_non_finite_score_rejected(tmp_path, lines, lineno):
+    path = tmp_path / "run.trec"
+    path.write_text(lines)
+    with pytest.raises(ValueError, match=f"run.trec:{lineno}: score must be finite"):
+        load_from_res(str(path))
+
+
 def test_run_roundtrip_bit_exact(tmp_path, cat_index):
     query = Query.from_text(cat_index, "7", "cat dog")
     runs = {"7": rank(cat_index, BM25Ranker(cat_index), query)}
@@ -237,6 +253,15 @@ def test_hidden_intent_present_term_raises_score():
     hidden = HiddenIntentRanker(base, [("sanuk", 2.0)])
     query = Query.from_terms("q", ["fun"])
     assert hidden.score(query, "d1") > base.score(query, "d1")
+
+
+@pytest.mark.parametrize("make", [
+    BM25Ranker, LMJMRanker, LMDirRanker,
+    lambda index: HiddenIntentRanker(BM25Ranker(index), [("dog", 1.0)]),
+])
+def test_term_scores_unknown_docid(cat_index, make):
+    with pytest.raises(UnknownDocumentError):
+        make(cat_index).term_scores("cat", ["D1", "nope"])
 
 
 def test_hidden_intent_rejects_nonpositive_weight(cat_index):
