@@ -1,9 +1,12 @@
 """Text analysis: tokenization, stopping, and stemming.
 
 The analyzer chain is fixed and deterministic: lowercase, split into
-contiguous alphanumeric runs, drop stopwords, Porter-stem. Positions used
-anywhere in the package refer to indices in the post-analysis token
-stream, i.e. stopwords are removed before positions are assigned.
+contiguous alphanumeric runs, drop stopwords, Porter-stem. An analyzer
+remembers the term each word became, so it stems each distinct word once
+over all the texts it analyzes; ``build_index`` uses one analyzer for the
+whole corpus, ``tokenize`` a fresh one per call. Positions used anywhere
+in the package refer to indices in the post-analysis token stream, i.e.
+stopwords are removed before positions are assigned.
 """
 
 from __future__ import annotations
@@ -53,20 +56,41 @@ class AnalyzerConfig:
 DEFAULT_CONFIG = AnalyzerConfig()
 
 
+class _Analyzer:
+    """The analysis chain of one config, with a memo from word to term.
+
+    A word's term is None for a stopword, else the word Porter-stemmed (or
+    left as it is without stemming). ``porter_stem`` is looked up when a
+    word is first seen, so a replaced module attribute is the one called.
+    """
+
+    def __init__(self, config: AnalyzerConfig):
+        self._config = config
+        self._split = re.compile(config.token_pattern).findall
+        self._terms: dict[str, str | None] = {}
+
+    def _term(self, word: str) -> str | None:
+        if word in self._config.stopwords:
+            return None
+        return porter_stem(word) if self._config.stem else word
+
+    def __call__(self, text: str) -> list[str]:
+        if self._config.lowercase:
+            text = text.lower()
+        words = self._split(text)
+        terms = self._terms
+        for word in set(words).difference(terms):
+            terms[word] = self._term(word)
+        return [t for t in map(terms.__getitem__, words) if t is not None]
+
+
 def tokenize(text: str, config: AnalyzerConfig = DEFAULT_CONFIG) -> list[str]:
     """Analyze raw text into a list of normalized terms.
 
     Steps, in order: lowercase, split on non-alphanumeric characters,
     stopword removal, Porter stemming. Empty input yields an empty list.
     """
-    if config.lowercase:
-        text = text.lower()
-    tokens = re.findall(config.token_pattern, text)
-    if config.stopwords:
-        tokens = [t for t in tokens if t not in config.stopwords]
-    if config.stem:
-        tokens = [porter_stem(t) for t in tokens]
-    return tokens
+    return _Analyzer(config)(text)
 
 
 @dataclass(frozen=True)

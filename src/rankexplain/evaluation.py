@@ -29,8 +29,10 @@ def rbo(list_a: Sequence, list_b: Sequence, p: float) -> float:
     """Extrapolated rank-biased overlap at depth min(len(a), len(b)).
 
     (1 - p) * sum_{d=1..k} p^(d-1) * A_d  +  A_k * p^k, where A_d is the
-    overlap fraction of the two depth-d prefixes. Identical lists give
-    exactly 1; top-heavy for small p.
+    overlap fraction of the two depth-d prefixes. Identical lists give 1
+    up to rounding; top-heavy for small p. The rounded sum can exceed 1 by
+    an ulp (identical depth-200 lists at p = 0.9, for example), so the
+    result is capped at 1.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
@@ -39,14 +41,17 @@ def rbo(list_a: Sequence, list_b: Sequence, p: float) -> float:
     k = min(len(list_a), len(list_b))
     seen_a: set = set()
     seen_b: set = set()
+    overlap = 0          # |prefix_a & prefix_b| at the current depth
     total = 0.0
     agreement = 0.0
     for d in range(1, k + 1):
-        seen_a.add(list_a[d - 1])
-        seen_b.add(list_b[d - 1])
-        agreement = len(seen_a & seen_b) / d
+        a, b = list_a[d - 1], list_b[d - 1]
+        overlap += 1 if a == b else (a in seen_b) + (b in seen_a)
+        seen_a.add(a)
+        seen_b.add(b)
+        agreement = overlap / d
         total += (p ** (d - 1)) * agreement
-    return (1.0 - p) * total + agreement * (p ** k)
+    return min(1.0, (1.0 - p) * total + agreement * (p ** k))
 
 
 def _intersection_orders(list_a: Sequence, list_b: Sequence):

@@ -19,7 +19,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .analysis import AnalyzerConfig, DEFAULT_CONFIG, TokenizedDocument, tokenize
+from .analysis import AnalyzerConfig, DEFAULT_CONFIG, TokenizedDocument, _Analyzer
 
 _INDEX_FORMAT_VERSION = 1
 _INT64_LIMIT = 2**63
@@ -156,8 +156,9 @@ class PositionalIndex:
         }
 
     def save(self, path: str) -> None:
+        text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, sort_keys=True, separators=(",", ":"))
+            f.write(text)
             f.write("\n")
 
     @classmethod
@@ -186,9 +187,10 @@ def _check_postings(doc_length: dict, postings: dict) -> None:
 
     Every posting's docid must be in doc_length, and its positions a
     non-empty, strictly increasing list of ints in [0, doc_length). Every
-    document's term frequencies must sum to its doc_length. The checks
-    run over all postings at once, so loading stays cheap; a failure names
-    the first offending term and docid.
+    document's term frequencies must sum to its doc_length, and no two
+    terms may share a position in it. The checks run over all postings at
+    once, so loading stays cheap; a failure names the first offending term
+    and docid.
     """
     for t, pl in postings.items():
         if type(pl) is not dict:
@@ -198,9 +200,11 @@ def _check_postings(doc_length: dict, postings: dict) -> None:
     lists = list(chain.from_iterable(map(dict.values, rows)))    # posting i's positions
     row_ends = np.cumsum([len(pl) for pl in rows])
 
+    def term_of(i: int) -> str:
+        return next(islice(postings, int(np.searchsorted(row_ends, i, side="right")), None))
+
     def fail(i: int, problem: str):
-        term = next(islice(postings, int(np.searchsorted(row_ends, i, side="right")), None))
-        raise ValueError(f"term {term!r}, docid {docids[i]!r}: {problem}")
+        raise ValueError(f"term {term_of(i)!r}, docid {docids[i]!r}: {problem}")
 
     lengths = list(map(doc_length.get, docids))
     if None in lengths:
@@ -231,10 +235,23 @@ def _check_postings(doc_length: dict, postings: dict) -> None:
     if len(past_end):
         fail(int(past_end[0]), shape)
     slot = {d: k for k, d in enumerate(doc_length)}
-    tf_sum = np.bincount(list(map(slot.__getitem__, docids)), weights=sizes, minlength=len(slot))
+    doc_slot = np.fromiter(map(slot.__getitem__, docids), dtype=np.int64, count=len(docids))
+    tf_sum = np.bincount(doc_slot, weights=sizes, minlength=len(slot))
     for d, total, dl in zip(doc_length, tf_sum, doc_length.values()):
         if total != dl:
             raise ValueError(f"docid {d!r}: term frequencies sum to {int(total)}, doc_length is {dl}")
+    # Each document now holds doc_length positions, all in range, so they
+    # cover 0..doc_length-1 once unless two terms share one. Number the
+    # positions of all documents consecutively and look for a repeat.
+    doc_tf = tf_sum.astype(np.int64)
+    slots = pos + np.repeat((np.cumsum(doc_tf) - doc_tf)[doc_slot], sizes)
+    if np.bincount(slots).max(initial=0) > 1:
+        holder: dict = {}
+        for j, s in enumerate(slots.tolist()):
+            if s in holder:
+                fail(posting_of(j), f"position {int(pos[j])} is also held by term "
+                                    f"{term_of(posting_of(holder[s]))!r}")
+            holder[s] = j
 
 
 def build_index(corpus: list[Document], config: AnalyzerConfig = DEFAULT_CONFIG) -> PositionalIndex:
@@ -245,12 +262,13 @@ def build_index(corpus: list[Document], config: AnalyzerConfig = DEFAULT_CONFIG)
     """
     postings: dict[str, dict[str, tuple[int, ...]]] = {}
     doc_length: dict[str, int] = {}
+    analyze = _Analyzer(config)
     for doc in corpus:
         if not doc.docid:
             raise ValueError("document with empty docid")
         if doc.docid in doc_length:
             raise ValueError(f"duplicate docid: {doc.docid!r}")
-        tokens = tokenize(doc.text, config)
+        tokens = analyze(doc.text)
         doc_length[doc.docid] = len(tokens)
         per_term: dict[str, list[int]] = {}
         for pos, term in enumerate(tokens):

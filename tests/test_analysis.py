@@ -1,8 +1,66 @@
-from rankexplain.analysis import AnalyzerConfig, ENGLISH_STOPWORDS, analyze, tokenize
+import re
+
+from hypothesis import given, settings, strategies as st
+
+import rankexplain.analysis
+from rankexplain import Document, PositionalIndex, build_index
+from rankexplain.analysis import (
+    DEFAULT_CONFIG,
+    ENGLISH_STOPWORDS,
+    AnalyzerConfig,
+    analyze,
+    tokenize,
+)
 from rankexplain.rng import XorShift64Star
 from rankexplain.stem import porter_stem
 
 from conftest import make_vocab, random_corpus
+
+
+def reference_tokenize(text, config):
+    """The analysis chain without a memo: every token is stemmed."""
+    if config.lowercase:
+        text = text.lower()
+    tokens = re.findall(config.token_pattern, text)
+    if config.stopwords:
+        tokens = [t for t in tokens if t not in config.stopwords]
+    if config.stem:
+        tokens = [porter_stem(t) for t in tokens]
+    return tokens
+
+
+def reference_index(corpus, config=DEFAULT_CONFIG):
+    postings, doc_length = {}, {}
+    for doc in corpus:
+        tokens = reference_tokenize(doc.text, config)
+        doc_length[doc.docid] = len(tokens)
+        for pos, term in enumerate(tokens):
+            postings.setdefault(term, {}).setdefault(doc.docid, []).append(pos)
+    postings = {t: {d: tuple(ps) for d, ps in pl.items()} for t, pl in postings.items()}
+    return PositionalIndex(postings, doc_length, config)
+
+
+# Stopwords, words of two characters or fewer, digits and mixed case: the
+# cases where the chain's order matters or the stemmer returns its input.
+STOCK_WORDS = ["The", "the", "AND", "of", "a", "I", "is", "Be", "ox", "xy", "42", "2024",
+               "a1b2", "Running", "RUNS", "runner", "happy", "Happiness", "conditional",
+               "CONDITION", "flies", "sky", "w07", "caresses", "agreed", "feed"]
+SEPARATORS = [" ", "  ", "-", ", ", ".\n", "'", "_", "\t"]
+
+words = st.one_of(st.sampled_from(STOCK_WORDS),
+                  st.text("abcdeiosyAEYZ019", min_size=1, max_size=9))
+texts = st.lists(st.tuples(words, st.sampled_from(SEPARATORS)), max_size=40).map(
+    lambda parts: "".join(w + sep for w, sep in parts))
+configs = st.sampled_from([
+    DEFAULT_CONFIG,
+    AnalyzerConfig(stem=False),
+    AnalyzerConfig(stopwords=frozenset({"runs", "happy", "ox", "42"})),
+    AnalyzerConfig(stopwords=frozenset()),
+    AnalyzerConfig(lowercase=False, stopwords=frozenset({"The", "a"})),
+    AnalyzerConfig(token_pattern=r"[a-z]*"),     # also matches empty strings
+])
+
+ANALYSIS_SETTINGS = settings(max_examples=100, deadline=None)
 
 
 def test_empty_text():
@@ -78,3 +136,40 @@ def test_analyze_positions_are_token_indices():
     # stopwords removed before positions are assigned
     assert doc.tokens == ("cat", "sat", "mat")
     assert doc.distinct_terms() == ["cat", "mat", "sat"]
+
+
+@ANALYSIS_SETTINGS
+@given(texts, configs)
+def test_tokenize_equals_reference_chain(text, config):
+    assert tokenize(text, config) == reference_tokenize(text, config)
+
+
+@ANALYSIS_SETTINGS
+@given(st.integers(0, 2**64 - 1), st.integers(0, 10), st.integers(1, 15), configs)
+def test_build_index_equals_reference_chain(seed, n_docs, max_len, config):
+    vocab = make_vocab(4) + STOCK_WORDS
+    corpus = random_corpus(XorShift64Star(seed), n_docs, vocab, min_len=0, max_len=max_len)
+    assert build_index(corpus, config).to_dict() == reference_index(corpus, config).to_dict()
+
+
+def test_build_index_stems_each_distinct_word_once(monkeypatch):
+    calls = []
+
+    def counting_stem(word):
+        calls.append(word)
+        return porter_stem(word)
+
+    monkeypatch.setattr(rankexplain.analysis, "porter_stem", counting_stem)
+    corpus = [Document("d1", "The runner runs; the runners RUN and run."),
+              Document("d2", "Runs of the happy runner, happily running"),
+              Document("d3", "")]
+    distinct = {w for doc in corpus for w in re.findall(r"[0-9a-z]+", doc.text.lower())
+                if w not in ENGLISH_STOPWORDS}
+    index = build_index(corpus)
+    assert sorted(calls) == sorted(distinct)
+    assert index.to_dict() == reference_index(corpus).to_dict()
+    build_index(corpus)
+    assert len(calls) == 2 * len(distinct)
+    tokenize("runs runs RUNS")
+    tokenize("runs")
+    assert calls[2 * len(distinct):] == ["runs", "runs"]

@@ -131,6 +131,12 @@ def _index_data(postings, doc_length):
     pytest.param({"appl": {"a": [0]}}, {"a": 1.0}, "docid 'a': doc_length", id="float-length"),
     pytest.param({"appl": {"a": [0]}}, {"a": 2**64}, "docid 'a': doc_length", id="huge-length"),
     pytest.param({"appl": ["a"]}, {"a": 1}, "'appl': postings", id="postings-not-object"),
+    pytest.param({"appl": {"d": [0]}, "pear": {"d": [0]}}, {"d": 2},
+                 "term 'pear', docid 'd': position 0 is also held by term 'appl'",
+                 id="shared-position"),
+    pytest.param({"appl": {"c": [0], "d": [0, 2]}, "kiwi": {"d": [3]}, "pear": {"d": [3]}},
+                 {"c": 1, "d": 4}, "term 'pear', docid 'd': position 3 is also held by term 'kiwi'",
+                 id="shared-position-second-doc"),
 ])
 def test_from_dict_rejects_inconsistent_postings(postings, doc_length, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -7,6 +7,10 @@ parameters. Scores are compared with ``==``: the fast paths must give
 the reference values to the bit, not approximately.
 """
 
+import json
+import os
+import tempfile
+
 from hypothesis import given, settings, strategies as st
 
 from rankexplain import (
@@ -15,9 +19,11 @@ from rankexplain import (
     RankerParams,
     build_index,
     build_preference_matrix,
+    kendall_tau,
     make_ranker,
     rank,
     rbo,
+    spearman_rho,
 )
 from rankexplain.listwise import CandidateTerm, FidelityEvaluator, PreferencePair
 from rankexplain.rng import XorShift64Star
@@ -30,13 +36,14 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def indexes(draw, min_docs=1):
+def indexes(draw, min_docs=1, prefixes=st.just("d")):
     seed = draw(st.integers(0, 2**64 - 1))
     n_docs = draw(st.integers(min_docs, 12))
     vocab = make_vocab(draw(st.integers(2, 12)))
     min_len = draw(st.integers(1, 6))
     max_len = draw(st.integers(min_len, 20))
-    corpus = random_corpus(XorShift64Star(seed), n_docs, vocab, min_len=min_len, max_len=max_len)
+    corpus = random_corpus(XorShift64Star(seed), n_docs, vocab, min_len=min_len, max_len=max_len,
+                           prefix=draw(prefixes))
     return build_index(corpus), vocab
 
 
@@ -142,4 +149,74 @@ def test_index_round_trip_keeps_statistics(built):
             (index.df(term), index.cf(term), index.idf(term))
     for docid in index.doc_ids():
         assert loaded.doc_tokens(docid) == index.doc_tokens(docid)
+
+
+@PROPERTY_SETTINGS
+@given(indexes(min_docs=0, prefixes=st.sampled_from(["d", "dé-", '"q\\', "\u2603"])))
+def test_save_writes_the_reference_bytes(built):
+    index, _ = built
+    with tempfile.TemporaryDirectory() as tmp:
+        saved, reference = os.path.join(tmp, "saved.json"), os.path.join(tmp, "reference.json")
+        index.save(saved)
+        with open(reference, "w", encoding="utf-8") as f:
+            json.dump(index.to_dict(), f, sort_keys=True, separators=(",", ":"))
+            f.write("\n")
+        with open(saved, "rb") as f, open(reference, "rb") as g:
+            assert f.read() == g.read()
+        assert PositionalIndex.load(saved).to_dict() == index.to_dict()
+
+
+# -- rank measures -------------------------------------------------------------
+
+
+def quadratic_rbo(list_a, list_b, p):
+    """``rbo`` as it was first written: the prefixes are intersected at every depth."""
+    k = min(len(list_a), len(list_b))
+    seen_a: set = set()
+    seen_b: set = set()
+    total = 0.0
+    agreement = 0.0
+    for d in range(1, k + 1):
+        seen_a.add(list_a[d - 1])
+        seen_b.add(list_b[d - 1])
+        agreement = len(seen_a & seen_b) / d
+        total += (p ** (d - 1)) * agreement
+    return (1.0 - p) * total + agreement * (p ** k)
+
+
+# Two lists of distinct items drawn from one small universe, so they overlap.
+ranked_lists = st.lists(st.integers(0, 40), min_size=1, max_size=40, unique=True)
+rbo_p = st.one_of(st.sampled_from([0.1, 0.5, 0.9, 0.98]), st.floats(0.001, 0.999))
+
+
+@PROPERTY_SETTINGS
+@given(ranked_lists, ranked_lists, rbo_p)
+def test_rbo_equals_quadratic_reference(a, b, p):
+    # The reference rounds one ulp above 1 for some identical lists; rbo caps it.
+    assert rbo(a, b, p) == min(1.0, quadratic_rbo(a, b, p))
+
+
+def test_rbo_of_identical_lists_is_capped_at_one():
+    items = list(range(200))
+    assert quadratic_rbo(items, items, 0.9) == 1.0000000000000002
+    assert rbo(items, items, 0.9) == 1.0
+
+
+@PROPERTY_SETTINGS
+@given(ranked_lists, ranked_lists, rbo_p)
+def test_rbo_symmetric_and_in_unit_range(a, b, p):
+    value = rbo(a, b, p)
+    assert value == rbo(b, a, p)
+    assert 0.0 <= value <= 1.0
+
+
+@PROPERTY_SETTINGS
+@given(st.permutations(range(12)), ranked_lists, st.integers(2, 12))
+def test_rank_correlations_symmetric_and_in_range(shared, extra, n):
+    a = shared[:n] + [x + 100 for x in extra]
+    b = [x + 200 for x in extra] + list(reversed(sorted(shared[:n])))
+    for measure in (kendall_tau, spearman_rho):
+        value = measure(a, b)
+        assert value == measure(b, a)
+        assert -1.0 <= value <= 1.0
 
