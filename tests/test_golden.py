@@ -73,6 +73,11 @@ def _cases() -> list[tuple[str, list[str]]]:
     cases.append(("listwise-multiplex-all.jsonl", [
         *listwise, "--method", "multiplex", "--run", "{d}/rank-bm25.trec", "--all",
         "--seed", "3"]))
+    for method in ("multiplex", "intent_exs"):
+        for strategy in ("rank_gap_weighted", "top_vs_rest"):
+            cases.append((f"listwise-{method}-{strategy}.json", [
+                *listwise, "--method", method, "--pair_strategy", strategy,
+                "--run", "{d}/rank-bm25.trec", "--qid", "2", "--n_pairs", "7", "--seed", "5"]))
     cases.append(("listwise-greedy-on-the-fly.json", [
         *listwise, "--method", "greedy", "--qid", "2", "--model", "lmjm",
         "--depth", "15", "--jm_lambda", "0.3"]))
