@@ -14,6 +14,7 @@ given the seed.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import json
 import math
@@ -93,15 +94,6 @@ def generate_candidates(index: PositionalIndex, ranked: RankedList,
     return [CandidateTerm(term, value) for term, value in ordered[:n_candidates]]
 
 
-def _all_pairs(ranked: RankedList) -> list[PreferencePair]:
-    docs = ranked.docids
-    return [
-        PreferencePair(docs[i], docs[j], rank_gap=j - i)
-        for i in range(len(docs))
-        for j in range(i + 1, len(docs))
-    ]
-
-
 def sample_pairs(ranked: RankedList, strategy: str, count: int,
                  rng: XorShift64Star) -> list[PreferencePair]:
     """Sample preference pairs (upper ranked above lower) from a list.
@@ -111,34 +103,85 @@ def sample_pairs(ranked: RankedList, strategy: str, count: int,
     the rank gap.
     top_vs_rest: uniform without replacement with the upper document
     restricted to the first ceil(n/10) ranks.
+
+    The pool is never built. Pairs (i, j), i < j, of list positions are
+    numbered row-major, so the pool is a triangle whose row i holds
+    n - 1 - i pairs and starts at index i * (2n - i - 1) / 2; top_vs_rest
+    keeps its first ceil(n/10) rows. The draws are those of sampling from
+    that numbered pool and removing each drawn pair in place: the same
+    RNG calls give the same pairs in the same order. Cost: O(count**2)
+    Python for uniform and top_vs_rest, O(count * n) numpy for
+    rank_gap_weighted. Docids must be unique (ValueError otherwise).
     """
-    if len(ranked) < 2:
+    n = len(ranked)
+    if n < 2:
         raise ValueError("no pairs: ranked list has fewer than 2 entries")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if strategy not in PAIR_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; valid: {', '.join(PAIR_STRATEGIES)}")
-    pool = _all_pairs(ranked)
-    if strategy == "top_vs_rest":
-        cutoff = math.ceil(len(ranked) / 10)
-        upper_ok = set(ranked.docids[:cutoff])
-        pool = [p for p in pool if p.upper in upper_ok]
-    take = min(count, len(pool))
+    docs = ranked.docids
+    seen: set[str] = set()
+    for docid in docs:
+        if docid in seen:
+            raise ValueError(f"duplicate docid {docid!r} in ranked list")
+        seen.add(docid)
     if strategy == "rank_gap_weighted":
-        chosen = []
-        remaining = list(pool)
-        weights = [float(p.rank_gap) for p in remaining]
-        for _ in range(take):
-            idx = rng.weighted_index(weights)
-            chosen.append(remaining.pop(idx))
-            weights.pop(idx)
-        return chosen
-    # uniform families: partial Fisher-Yates
-    remaining = list(pool)
+        return _sample_gap_weighted(docs, count, rng)
+    # With unique docids, "upper is in the top ceil(n/10)" is "row < cutoff".
+    n_rows = math.ceil(n / 10) if strategy == "top_vs_rest" else n - 1
+
+    def row_start(i: int) -> int:
+        return i * (2 * n - i - 1) // 2
+
+    total = row_start(n_rows)
+    drawn: list[int] = []                 # sorted pool indices already drawn
     chosen = []
-    for _ in range(take):
-        idx = rng.randbelow(len(remaining))
-        chosen.append(remaining.pop(idx))
+    for _ in range(min(count, total)):
+        # The k-th pool index not yet drawn, as popping it from the pool would give.
+        idx = rng.randbelow(total - len(drawn))
+        for taken in drawn:
+            if taken > idx:
+                break
+            idx += 1
+        bisect.insort(drawn, idx)
+        i = bisect.bisect_right(range(n_rows), idx, key=row_start) - 1
+        j = i + 1 + idx - row_start(i)
+        chosen.append(PreferencePair(docs[i], docs[j], rank_gap=j - i))
+    return chosen
+
+
+def _sample_gap_weighted(docs: list[str], count: int,
+                         rng: XorShift64Star) -> list[PreferencePair]:
+    """Draw pairs with probability proportional to rank gap, without replacement.
+
+    Row i of the pair triangle holds gaps 1..n-1-i. A draw takes
+    target = random() * (remaining weight) and picks the first remaining
+    pair, in row-major order, whose prefix weight exceeds target. Every
+    weight and prefix sum is an integer below 2**53, so comparing them
+    with the float target is exact. For such a total, random() * total
+    < total, so some pair always qualifies.
+    """
+    n = len(docs)
+    lengths = np.arange(n - 1, 0, -1, dtype=np.int64)
+    rows = lengths * (lengths + 1) // 2   # remaining weight per row
+    total = int(rows.sum())
+    if total >= 2 ** 53:
+        raise ValueError(f"ranked list of {n} entries is too long for rank_gap_weighted")
+    drawn: dict[int, list[int]] = {}      # row -> gaps already drawn in it
+    chosen = []
+    for _ in range(min(count, n * (n - 1) // 2)):
+        target = rng.random() * total
+        ends = np.cumsum(rows)
+        i = int(np.searchsorted(ends, target, side="right"))
+        weights = np.arange(1, n - i, dtype=np.int64)
+        weights[np.array(drawn.get(i, []), dtype=np.int64) - 1] = 0
+        prefix = int(ends[i] - rows[i]) + np.cumsum(weights)
+        gap = int(np.searchsorted(prefix, target, side="right")) + 1
+        drawn.setdefault(i, []).append(gap)
+        rows[i] -= gap
+        total -= gap
+        chosen.append(PreferencePair(docs[i], docs[i + gap], rank_gap=gap))
     return chosen
 
 

@@ -56,16 +56,3 @@ class XorShift64Star:
         for i in range(len(items) - 1, 0, -1):
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def weighted_index(self, weights) -> int:
-        """Draw an index with probability proportional to its weight."""
-        total = float(sum(weights))
-        if total <= 0.0:
-            raise ValueError("weights must have positive sum")
-        target = self.random() * total
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += w
-            if target < acc:
-                return i
-        return len(weights) - 1

@@ -58,25 +58,6 @@ def _ends_cvc(word: str) -> bool:
     )
 
 
-def _apply_rules(word: str, rules) -> str | None:
-    """Longest matching suffix wins; its condition is then tested.
-
-    Returns the rewritten word, or None if no suffix matched or the
-    longest match failed its condition (Porter's one-rule-per-step rule).
-    """
-    best = None
-    for suffix, replacement, condition in rules:
-        if word.endswith(suffix) and (best is None or len(suffix) > len(best[0])):
-            best = (suffix, replacement, condition)
-    if best is None:
-        return None
-    suffix, replacement, condition = best
-    stem = word[: len(word) - len(suffix)]
-    if condition is None or condition(stem):
-        return stem + replacement
-    return word
-
-
 def _step1a(word: str) -> str:
     for suffix, replacement in (("sses", "ss"), ("ies", "i"), ("ss", "ss"), ("s", "")):
         if word.endswith(suffix):
@@ -110,43 +91,61 @@ def _step1c(word: str) -> str:
     return word
 
 
-_STEP2_RULES = [
-    ("ational", "ate", None),
-    ("tional", "tion", None),
-    ("enci", "ence", None),
-    ("anci", "ance", None),
-    ("izer", "ize", None),
-    ("bli", "ble", None),
-    ("alli", "al", None),
-    ("entli", "ent", None),
-    ("eli", "e", None),
-    ("ousli", "ous", None),
-    ("ization", "ize", None),
-    ("ation", "ate", None),
-    ("ator", "ate", None),
-    ("alism", "al", None),
-    ("iveness", "ive", None),
-    ("fulness", "ful", None),
-    ("ousness", "ous", None),
-    ("aliti", "al", None),
-    ("iviti", "ive", None),
-    ("biliti", "ble", None),
-]
+def _longest_first(rules):
+    """Sort (suffix, replacement) rules so the first match is the longest."""
+    return tuple(sorted(rules, key=lambda rule: -len(rule[0])))
 
-_STEP3_RULES = [
-    ("icate", "ic", None),
-    ("ative", "", None),
-    ("alize", "al", None),
-    ("iciti", "ic", None),
-    ("ical", "ic", None),
-    ("ful", "", None),
-    ("ness", "", None),
-]
 
-_STEP4_SUFFIXES = (
+_STEP2_RULES = _longest_first([
+    ("ational", "ate"),
+    ("tional", "tion"),
+    ("enci", "ence"),
+    ("anci", "ance"),
+    ("izer", "ize"),
+    ("bli", "ble"),
+    ("alli", "al"),
+    ("entli", "ent"),
+    ("eli", "e"),
+    ("ousli", "ous"),
+    ("ization", "ize"),
+    ("ation", "ate"),
+    ("ator", "ate"),
+    ("alism", "al"),
+    ("iveness", "ive"),
+    ("fulness", "ful"),
+    ("ousness", "ous"),
+    ("aliti", "al"),
+    ("iviti", "ive"),
+    ("biliti", "ble"),
+])
+
+_STEP3_RULES = _longest_first([
+    ("icate", "ic"),
+    ("ative", ""),
+    ("alize", "al"),
+    ("iciti", "ic"),
+    ("ical", "ic"),
+    ("ful", ""),
+    ("ness", ""),
+])
+
+_STEP4_SUFFIXES = tuple(sorted([
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-)
+], key=len, reverse=True))
+
+
+def _replace_longest_suffix(word: str, rules) -> str:
+    """Rewrite the longest matching suffix if the remaining stem has m > 0.
+
+    Only the longest match is tried (Porter's one-rule-per-step rule): if
+    its condition fails, the word is left unchanged.
+    """
+    for suffix, replacement in rules:
+        if word.endswith(suffix):
+            stem = word[: len(word) - len(suffix)]
+            return stem + replacement if _measure(stem) > 0 else word
+    return word
 
 
 def _step2(word: str) -> str:
@@ -154,33 +153,17 @@ def _step2(word: str) -> str:
     # stems like 'geo' or 'bio' measure positively.
     if word.endswith("logi") and _measure(word[:-3]) > 0:
         return word[:-3] + "og"
-    rewritten = _apply_rules(
-        word, [(s, r, None) for s, r, _ in _STEP2_RULES]
-    )
-    if rewritten is None:
-        return word
-    # Re-test with the measure condition: longest match already chosen.
-    best = max(
-        (s for s, _, _ in _STEP2_RULES if word.endswith(s)), key=len
-    )
-    replacement = dict((s, r) for s, r, _ in _STEP2_RULES)[best]
-    stem = word[: len(word) - len(best)]
-    return stem + replacement if _measure(stem) > 0 else word
+    return _replace_longest_suffix(word, _STEP2_RULES)
 
 
 def _step3(word: str) -> str:
-    result = _apply_rules(
-        word,
-        [(s, r, lambda stem: _measure(stem) > 0) for s, r, _ in _STEP3_RULES],
-    )
-    return word if result is None else result
+    return _replace_longest_suffix(word, _STEP3_RULES)
 
 
 def _step4(word: str) -> str:
-    matched = [s for s in _STEP4_SUFFIXES if word.endswith(s)]
-    if not matched:
+    suffix = next((s for s in _STEP4_SUFFIXES if word.endswith(s)), None)
+    if suffix is None:
         return word
-    suffix = max(matched, key=len)
     stem = word[: len(word) - len(suffix)]
     if _measure(stem) <= 1:
         return word

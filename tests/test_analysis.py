@@ -3,7 +3,7 @@ import re
 from hypothesis import given, settings, strategies as st
 
 import rankexplain.analysis
-from rankexplain import Document, PositionalIndex, build_index
+from rankexplain import Document, stem, PositionalIndex, build_index
 from rankexplain.analysis import (
     DEFAULT_CONFIG,
     ENGLISH_STOPWORDS,
@@ -173,3 +173,83 @@ def test_build_index_stems_each_distinct_word_once(monkeypatch):
     tokenize("runs runs RUNS")
     tokenize("runs")
     assert calls[2 * len(distinct):] == ["runs", "runs"]
+
+
+# -- Porter steps 2 to 4 against the rule scans they replaced -------------------
+
+REFERENCE_STEP2_RULES = [
+    ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
+    ("izer", "ize"), ("bli", "ble"), ("alli", "al"), ("entli", "ent"), ("eli", "e"),
+    ("ousli", "ous"), ("ization", "ize"), ("ation", "ate"), ("ator", "ate"),
+    ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"), ("ousness", "ous"),
+    ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
+]
+REFERENCE_STEP3_RULES = [
+    ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"), ("ical", "ic"),
+    ("ful", ""), ("ness", ""),
+]
+REFERENCE_STEP4_SUFFIXES = (
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+    "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+)
+
+
+def reference_apply_rules(word, rules):
+    best = None
+    for suffix, replacement, condition in rules:
+        if word.endswith(suffix) and (best is None or len(suffix) > len(best[0])):
+            best = (suffix, replacement, condition)
+    if best is None:
+        return None
+    suffix, replacement, condition = best
+    base = word[: len(word) - len(suffix)]
+    if condition is None or condition(base):
+        return base + replacement
+    return word
+
+
+def reference_step2(word):
+    """Step 2 as first written: a fresh rule list per call, scanned twice."""
+    if word.endswith("logi") and stem._measure(word[:-3]) > 0:
+        return word[:-3] + "og"
+    if reference_apply_rules(word, [(s, r, None) for s, r in REFERENCE_STEP2_RULES]) is None:
+        return word
+    best = max((s for s, _ in REFERENCE_STEP2_RULES if word.endswith(s)), key=len)
+    base = word[: len(word) - len(best)]
+    return base + dict(REFERENCE_STEP2_RULES)[best] if stem._measure(base) > 0 else word
+
+
+def reference_step3(word):
+    result = reference_apply_rules(
+        word, [(s, r, lambda base: stem._measure(base) > 0) for s, r in REFERENCE_STEP3_RULES])
+    return word if result is None else result
+
+
+def reference_step4(word):
+    matched = [s for s in REFERENCE_STEP4_SUFFIXES if word.endswith(s)]
+    if not matched:
+        return word
+    suffix = max(matched, key=len)
+    base = word[: len(word) - len(suffix)]
+    if stem._measure(base) <= 1:
+        return word
+    if suffix == "ion" and not base.endswith(("s", "t")):
+        return word
+    return base
+
+
+RULE_SUFFIXES = sorted({s for s, _ in REFERENCE_STEP2_RULES + REFERENCE_STEP3_RULES}
+                       | set(REFERENCE_STEP4_SUFFIXES) | {"logi"})
+lowercase_words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", max_size=12)
+stem_inputs = st.one_of(
+    lowercase_words,
+    st.builds(lambda head, suffix: head + suffix, lowercase_words, st.sampled_from(RULE_SUFFIXES)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(stem_inputs)
+def test_porter_steps_2_to_4_equal_rule_scans(word):
+    assert stem._step2(word) == reference_step2(word)
+    assert stem._step3(word) == reference_step3(word)
+    assert stem._step4(word) == reference_step4(word)

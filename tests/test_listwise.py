@@ -119,6 +119,15 @@ def test_pairs_errors():
         sample_pairs(ranked_of(3), "bogus", 1, XorShift64Star(0))
 
 
+@pytest.mark.parametrize("strategy", ["uniform", "rank_gap_weighted", "top_vs_rest"])
+def test_pairs_reject_duplicate_docids(strategy):
+    # The dataclass constructor does not check uniqueness; from_entries does.
+    docids = ["a"] + [f"d{i}" for i in range(1, 11)] + ["a"]
+    ranked = RankedList("q", [RunEntry(d, i, float(-i)) for i, d in enumerate(docids, start=1)])
+    with pytest.raises(ValueError, match="duplicate docid 'a'"):
+        sample_pairs(ranked, strategy, 66, XorShift64Star(0))
+
+
 def test_pairs_deterministic_given_seed():
     ranked = ranked_of(12)
     for strategy in ("uniform", "rank_gap_weighted", "top_vs_rest"):

@@ -8,8 +8,11 @@ the reference values to the bit, not approximately.
 """
 
 import json
+import math
 import os
 import tempfile
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -23,9 +26,12 @@ from rankexplain import (
     make_ranker,
     rank,
     rbo,
+    sample_pairs,
     spearman_rho,
 )
-from rankexplain.listwise import CandidateTerm, FidelityEvaluator, PreferencePair
+from rankexplain import listwise
+from rankexplain.listwise import PAIR_STRATEGIES, CandidateTerm, FidelityEvaluator, PreferencePair
+from rankexplain.rankers import RankedList, RunEntry
 from rankexplain.rng import XorShift64Star
 
 from conftest import make_vocab, random_corpus
@@ -138,6 +144,19 @@ def test_preference_matrix_equals_pairwise_signs(data, built, ranker_specs):
 
 
 @PROPERTY_SETTINGS
+@given(st.data(), indexes(), rankers)
+def test_rank_does_not_depend_on_pool_order(data, built, ranker_spec):
+    index, vocab = built
+    sm = make_ranker(index, *ranker_spec)
+    query = Query.from_terms("q", data.draw(query_terms(vocab)))
+    pool = data.draw(st.lists(st.sampled_from(index.doc_ids()), min_size=1, unique=True))
+    depth = data.draw(st.integers(1, len(pool) + 2))
+    expected = rank(index, sm, query, pool=sorted(pool), depth=depth)
+    for other in (data.draw(st.permutations(pool)), set(pool), tuple(reversed(pool))):
+        assert rank(index, sm, query, pool=other, depth=depth) == expected
+
+
+@PROPERTY_SETTINGS
 @given(indexes())
 def test_index_round_trip_keeps_statistics(built):
     index, vocab = built
@@ -220,3 +239,108 @@ def test_rank_correlations_symmetric_and_in_range(shared, extra, n):
         assert value == measure(b, a)
         assert -1.0 <= value <= 1.0
 
+
+# -- pair sampling -------------------------------------------------------------
+
+
+def reference_weighted_index(rng, weights):
+    """``XorShift64Star.weighted_index`` as it was: a linear scan over float weights."""
+    total = float(sum(weights))
+    if total <= 0.0:
+        raise ValueError("weights must have positive sum")
+    target = rng.random() * total
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if target < acc:
+            return i
+    return len(weights) - 1
+
+
+def reference_sample_pairs(ranked, strategy, count, rng):
+    """``sample_pairs`` as it was: build every pair, then pop the drawn ones."""
+    docs = ranked.docids
+    pool = [PreferencePair(docs[i], docs[j], rank_gap=j - i)
+            for i in range(len(docs)) for j in range(i + 1, len(docs))]
+    if strategy == "top_vs_rest":
+        upper_ok = set(docs[:math.ceil(len(docs) / 10)])
+        pool = [p for p in pool if p.upper in upper_ok]
+    take = min(count, len(pool))
+    chosen = []
+    if strategy == "rank_gap_weighted":
+        weights = [float(p.rank_gap) for p in pool]
+        for _ in range(take):
+            idx = reference_weighted_index(rng, weights)
+            chosen.append(pool.pop(idx))
+            weights.pop(idx)
+        return chosen
+    for _ in range(take):
+        chosen.append(pool.pop(rng.randbelow(len(pool))))
+    return chosen
+
+
+def ranked_of(n):
+    return RankedList.from_entries("q", [RunEntry(f"d{i:04d}", i, float(-i)) for i in range(1, n + 1)])
+
+
+def pool_size(n, strategy):
+    rows = math.ceil(n / 10) if strategy == "top_vs_rest" else n - 1
+    return rows * (2 * n - rows - 1) // 2
+
+
+def assert_same_draws(n, strategy, seed, count):
+    ranked = ranked_of(n)
+    rng, reference_rng = XorShift64Star(seed), XorShift64Star(seed)
+    pairs = sample_pairs(ranked, strategy, count, rng)
+    assert pairs == reference_sample_pairs(ranked, strategy, count, reference_rng)
+    assert rng._state == reference_rng._state
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), st.integers(2, 60), st.sampled_from(PAIR_STRATEGIES), st.integers(0, 2**64 - 1))
+def test_sample_pairs_equals_pool_reference(data, n, strategy, seed):
+    count = data.draw(st.integers(1, pool_size(n, strategy) + 5))
+    assert_same_draws(n, strategy, seed, count)
+
+
+class ScriptedRandom:
+    """Returns given ``random()`` values, so a target can fall exactly on a prefix sum."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), st.integers(2, 30))
+def test_gap_weighted_ties_at_prefix_sums_equal_pool_reference(data, n):
+    # Seeded generators almost never hit a prefix sum exactly; k / 64 often does.
+    count = data.draw(st.integers(1, n * (n - 1) // 2))
+    value = st.one_of(st.integers(0, 63).map(lambda k: k / 64), st.floats(0, 1, exclude_max=True))
+    values = data.draw(st.lists(value, min_size=count, max_size=count))
+    ranked = ranked_of(n)
+    assert sample_pairs(ranked, "rank_gap_weighted", count, ScriptedRandom(values)) == \
+        reference_sample_pairs(ranked, "rank_gap_weighted", count, ScriptedRandom(values))
+
+
+@pytest.mark.parametrize("strategy", PAIR_STRATEGIES)
+@pytest.mark.parametrize("seed", [0, 17, 2**63 + 5])
+def test_sample_pairs_equals_pool_reference_at_depth_300(strategy, seed):
+    assert_same_draws(300, strategy, seed, 60)
+
+
+@pytest.mark.parametrize("strategy", PAIR_STRATEGIES)
+def test_sample_pairs_builds_only_the_drawn_pairs(monkeypatch, strategy):
+    built = []
+
+    class CountingPair(PreferencePair):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(listwise, "PreferencePair", CountingPair)
+    pairs = sample_pairs(ranked_of(200), strategy, 50, XorShift64Star(3))
+    assert len(pairs) == 50
+    assert len(built) <= 50
