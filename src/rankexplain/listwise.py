@@ -105,13 +105,17 @@ def sample_pairs(ranked: RankedList, strategy: str, count: int,
     restricted to the first ceil(n/10) ranks.
 
     The pool is never built. Pairs (i, j), i < j, of list positions are
-    numbered row-major, so the pool is a triangle whose row i holds
-    n - 1 - i pairs and starts at index i * (2n - i - 1) / 2; top_vs_rest
-    keeps its first ceil(n/10) rows. The draws are those of sampling from
-    that numbered pool and removing each drawn pair in place: the same
-    RNG calls give the same pairs in the same order. Cost: O(count**2)
-    Python for uniform and top_vs_rest, O(count * n) numpy for
-    rank_gap_weighted. Docids must be unique (ValueError otherwise).
+    laid out row-major as a triangle whose row i holds gaps 1..n-1-i;
+    top_vs_rest keeps its first ceil(n/10) rows. Each pair owns a run of
+    consecutive slots, one per unit of weight: one slot, or for
+    rank_gap_weighted as many as its gap. So row i starts at slot
+    C(n, 2) - C(n - i, 2), or C(n + 1, 3) - C(n + 1 - i, 3) for gap
+    weights. A draw picks the k-th slot not yet drawn, with
+    k = randbelow(remaining) or int(random() * remaining), and takes the
+    pair that owns it. That is sampling from the full pool and removing
+    each drawn pair: the same RNG calls give the same pairs in the same
+    order. Cost: O(count**2 + count * log n) Python for every strategy.
+    Docids must be unique (ValueError otherwise).
     """
     n = len(ranked)
     if n < 2:
@@ -126,61 +130,40 @@ def sample_pairs(ranked: RankedList, strategy: str, count: int,
         if docid in seen:
             raise ValueError(f"duplicate docid {docid!r} in ranked list")
         seen.add(docid)
-    if strategy == "rank_gap_weighted":
-        return _sample_gap_weighted(docs, count, rng)
     # With unique docids, "upper is in the top ceil(n/10)" is "row < cutoff".
     n_rows = math.ceil(n / 10) if strategy == "top_vs_rest" else n - 1
+    weighted = int(strategy == "rank_gap_weighted")
+    slots = math.comb(n + weighted, 2 + weighted)
 
     def row_start(i: int) -> int:
-        return i * (2 * n - i - 1) // 2
+        return slots - math.comb(n + weighted - i, 2 + weighted)
 
-    total = row_start(n_rows)
-    drawn: list[int] = []                 # sorted pool indices already drawn
-    chosen = []
-    for _ in range(min(count, total)):
-        # The k-th pool index not yet drawn, as popping it from the pool would give.
-        idx = rng.randbelow(total - len(drawn))
-        for taken in drawn:
-            if taken > idx:
-                break
-            idx += 1
-        bisect.insort(drawn, idx)
-        i = bisect.bisect_right(range(n_rows), idx, key=row_start) - 1
-        j = i + 1 + idx - row_start(i)
-        chosen.append(PreferencePair(docs[i], docs[j], rank_gap=j - i))
-    return chosen
-
-
-def _sample_gap_weighted(docs: list[str], count: int,
-                         rng: XorShift64Star) -> list[PreferencePair]:
-    """Draw pairs with probability proportional to rank gap, without replacement.
-
-    Row i of the pair triangle holds gaps 1..n-1-i. A draw takes
-    target = random() * (remaining weight) and picks the first remaining
-    pair, in row-major order, whose prefix weight exceeds target. Every
-    weight and prefix sum is an integer below 2**53, so comparing them
-    with the float target is exact. For such a total, random() * total
-    < total, so some pair always qualifies.
-    """
-    n = len(docs)
-    lengths = np.arange(n - 1, 0, -1, dtype=np.int64)
-    rows = lengths * (lengths + 1) // 2   # remaining weight per row
-    total = int(rows.sum())
-    if total >= 2 ** 53:
+    remaining = row_start(n_rows)
+    # The weighted draw takes the first remaining pair whose prefix weight
+    # exceeds random() * remaining. Prefix weights are integers, so that is
+    # the pair holding slot floor(random() * remaining), exactly while they
+    # stay below 2**53; then random() * remaining < remaining too.
+    if weighted and remaining >= 2 ** 53:
         raise ValueError(f"ranked list of {n} entries is too long for rank_gap_weighted")
-    drawn: dict[int, list[int]] = {}      # row -> gaps already drawn in it
+    drawn: list[tuple[int, int]] = []     # sorted (first slot, width) runs already drawn
     chosen = []
-    for _ in range(min(count, n * (n - 1) // 2)):
-        target = rng.random() * total
-        ends = np.cumsum(rows)
-        i = int(np.searchsorted(ends, target, side="right"))
-        weights = np.arange(1, n - i, dtype=np.int64)
-        weights[np.array(drawn.get(i, []), dtype=np.int64) - 1] = 0
-        prefix = int(ends[i] - rows[i]) + np.cumsum(weights)
-        gap = int(np.searchsorted(prefix, target, side="right")) + 1
-        drawn.setdefault(i, []).append(gap)
-        rows[i] -= gap
-        total -= gap
+    while remaining and len(chosen) < count:
+        # The k-th slot not yet drawn, as removing the drawn pairs from the pool would give.
+        k = int(rng.random() * remaining) if weighted else rng.randbelow(remaining)
+        for first, width in drawn:
+            if first > k:
+                break
+            k += width
+        i = bisect.bisect_right(range(n_rows), k, key=row_start) - 1
+        start = row_start(i)
+        if weighted:
+            # Gap g owns in-row slots g(g-1)/2 .. g(g+1)/2 - 1.
+            gap = (math.isqrt(8 * (k - start) + 1) + 1) // 2
+            first, width = start + gap * (gap - 1) // 2, gap
+        else:
+            gap, first, width = k - start + 1, k, 1
+        bisect.insort(drawn, (first, width))
+        remaining -= width
         chosen.append(PreferencePair(docs[i], docs[i + gap], rank_gap=gap))
     return chosen
 

@@ -74,17 +74,19 @@ def _check_doc(doc: TokenizedDocument) -> None:
         raise ValueError(f"document {doc.docid!r} has no tokens: nothing to perturb")
 
 
+def _bernoulli_samples(doc: TokenizedDocument, probs: list[float], n_samples: int,
+                       rng: XorShift64Star, uniform_fallback: bool = False) -> list[PerturbedSample]:
+    """Remove position p when a fresh random() falls below probs[p]."""
+    terms = feature_terms(doc)
+    return [_make_sample(doc, [0 if rng.random() < p else 1 for p in probs], terms, uniform_fallback)
+            for _ in range(n_samples)]
+
+
 def random_sampler(doc: TokenizedDocument, config: SamplerConfig,
                    rng: XorShift64Star) -> list[PerturbedSample]:
     """Remove each token independently with probability config.rate."""
     _check_doc(doc)
-    terms = feature_terms(doc)
-    n = len(doc.tokens)
-    samples = []
-    for _ in range(config.n_samples):
-        mask = [0 if rng.random() < config.rate else 1 for _ in range(n)]
-        samples.append(_make_sample(doc, mask, terms))
-    return samples
+    return _bernoulli_samples(doc, [config.rate] * len(doc.tokens), config.n_samples, rng)
 
 
 def _masking_window_count(n: int, chunk: int, rate: float) -> int:
@@ -140,7 +142,6 @@ def tfidf_sampler(doc: TokenizedDocument, index: PositionalIndex, config: Sample
     """
     _check_doc(doc)
     n = len(doc.tokens)
-    terms = feature_terms(doc)
     counts = Counter(doc.tokens)
     weights = [counts[t] * index.idf(t) for t in doc.tokens]
     total = sum(weights)
@@ -149,11 +150,7 @@ def tfidf_sampler(doc: TokenizedDocument, index: PositionalIndex, config: Sample
         probs = [config.rate] * n
     else:
         probs = [min(1.0, config.rate * n * w / total) for w in weights]
-    samples = []
-    for _ in range(config.n_samples):
-        mask = [0 if rng.random() < probs[pos] else 1 for pos in range(n)]
-        samples.append(_make_sample(doc, mask, terms, uniform_fallback=fallback))
-    return samples
+    return _bernoulli_samples(doc, probs, config.n_samples, rng, uniform_fallback=fallback)
 
 
 def draw_samples(doc: TokenizedDocument, config: SamplerConfig,

@@ -186,7 +186,10 @@ def exs_targets(scores: np.ndarray, base_list: RankedList, variant: str, exs_k: 
     """Convert raw perturbed-document scores into EXS surrogate targets.
 
     topk_binary: 1 when the score beats the rank-k score, else 0.
-    score_ratio: 1 - (s_top - s) / s_top, clamped to [0, 1].
+    score_ratio: 1 - (s_top - s) / |s_top|, clamped to [0, 1], where
+    s_top is the base list's top score. Dividing by |s_top| keeps the
+    target rising with the score under any sign convention: LM rankers
+    score negative log-likelihoods, so s_top < 0 there.
     rank_based: 1 - (insertion rank of s) / exs_k, clamped to [0, 1], where
     the insertion rank counts base-list scores strictly above s.
     """
@@ -200,7 +203,7 @@ def exs_targets(scores: np.ndarray, base_list: RankedList, variant: str, exs_k: 
         s_top = base_list.score_at(1)
         if s_top == 0:
             raise ValueError("score_ratio target undefined: top score is zero")
-        return np.clip(1.0 - (s_top - scores) / s_top, 0.0, 1.0)
+        return np.clip(1.0 - (s_top - scores) / abs(s_top), 0.0, 1.0)
     if variant == "rank_based":
         targets = np.empty(len(scores))
         for i, s in enumerate(scores):

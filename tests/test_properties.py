@@ -12,6 +12,7 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,7 @@ from rankexplain import (
 )
 from rankexplain import listwise
 from rankexplain.listwise import PAIR_STRATEGIES, CandidateTerm, FidelityEvaluator, PreferencePair
+from rankexplain.pointwise import EXS_VARIANTS, exs_targets
 from rankexplain.rankers import RankedList, RunEntry
 from rankexplain.rng import XorShift64Star
 
@@ -183,6 +185,29 @@ def test_save_writes_the_reference_bytes(built):
         with open(saved, "rb") as f, open(reference, "rb") as g:
             assert f.read() == g.read()
         assert PositionalIndex.load(saved).to_dict() == index.to_dict()
+
+
+# -- pointwise targets ---------------------------------------------------------
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), indexes(), st.sampled_from(["bm25", "lmjm", "lmdir"]))
+def test_exs_targets_do_not_decrease_as_the_score_rises(data, built, model):
+    # LM scores are negative log-likelihoods; the targets must not flip with the sign.
+    index, vocab = built
+    query = Query.from_terms("q", data.draw(query_terms(vocab, min_size=1)))
+    base = rank(index, make_ranker(index, model), query, pool=index.doc_ids(), depth=len(index.doc_ids()))
+    exs_k = data.draw(st.integers(1, len(base)))
+    s_top = base.score_at(1)
+    base_scores = [e.score for e in base.entries]
+    shifted = [s_top + f * abs(s_top) for f in (-0.5, -0.2, 0.2, 0.5)]
+    extra = data.draw(st.lists(st.floats(-100, 100), max_size=10))
+    scores = np.array(sorted(base_scores + shifted + extra))
+    for variant in EXS_VARIANTS:
+        if variant == "score_ratio" and s_top == 0:
+            continue
+        targets = exs_targets(scores, base, variant, exs_k)
+        assert np.all(np.diff(targets) >= 0), variant
 
 
 # -- rank measures -------------------------------------------------------------
@@ -344,3 +369,12 @@ def test_sample_pairs_builds_only_the_drawn_pairs(monkeypatch, strategy):
     pairs = sample_pairs(ranked_of(200), strategy, 50, XorShift64Star(3))
     assert len(pairs) == 50
     assert len(built) <= 50
+
+
+def test_gap_weighted_length_bound():
+    # (n - 1) n (n + 1) / 6 first reaches 2**53 at n = 378,078.
+    entries = [RunEntry(f"d{i}", i + 1, 0.0) for i in range(378_078)]
+    with pytest.raises(ValueError, match="too long for rank_gap_weighted"):
+        sample_pairs(RankedList("q", entries), "rank_gap_weighted", 1, XorShift64Star(1))
+    pairs = sample_pairs(RankedList("q", entries[:-1]), "rank_gap_weighted", 1, XorShift64Star(1))
+    assert pairs == [PreferencePair("d41431", "d367994", rank_gap=326_563)]
