@@ -448,8 +448,8 @@ class AggregatedAxiom:
 def aggregate_preference(agg: AggregatedAxiom, index: PositionalIndex, query: Query,
                          di: str, dj: str) -> int:
     """Combine child preferences: sign of weighted sum, or simple majority."""
-    prefs = [(axiom_preference(name, index, query, di, dj), weight)
-             for name, weight in agg.children]
+    terms, vi, vj = _views(index, query, di, dj)
+    prefs = [(AXIOMS[name](index, terms, vi, vj), weight) for name, weight in agg.children]
     if agg.mode == "weighted_sum_sign":
         return _sign(sum(p * w for p, w in prefs))
     plus = sum(1 for p, _ in prefs if p == 1)

@@ -25,6 +25,12 @@ _INDEX_FORMAT_VERSION = 1
 _INT64_LIMIT = 2**63
 
 
+def _check_id(kind: str, value: str, where: str = "") -> None:
+    """Reject an id that a whitespace-separated run file could not read back."""
+    if value.split() != [value]:
+        raise ValueError(f"{where}{kind} {value!r} is empty or contains whitespace")
+
+
 @dataclass(frozen=True)
 class Document:
     docid: str
@@ -169,6 +175,7 @@ class PositionalIndex:
         if not isinstance(doc_length, dict) or not isinstance(raw_postings, dict):
             raise ValueError("index doc_length and postings must be JSON objects")
         for d, dl in doc_length.items():
+            _check_id("docid", d)
             if type(dl) is not int or not 0 <= dl < _INT64_LIMIT:
                 raise ValueError(f"docid {d!r}: doc_length must be a non-negative int, got {dl!r}")
         _check_postings(doc_length, raw_postings)
@@ -257,15 +264,14 @@ def _check_postings(doc_length: dict, postings: dict) -> None:
 def build_index(corpus: list[Document], config: AnalyzerConfig = DEFAULT_CONFIG) -> PositionalIndex:
     """Tokenize a corpus and build the positional index.
 
-    Rejects duplicate or empty docids. An empty corpus yields an index
-    with n_docs == 0 and avgdl == 0.
+    Rejects duplicate docids, and empty ones or ones with whitespace. An
+    empty corpus yields an index with n_docs == 0 and avgdl == 0.
     """
     postings: dict[str, dict[str, tuple[int, ...]]] = {}
     doc_length: dict[str, int] = {}
     analyze = _Analyzer(config)
     for doc in corpus:
-        if not doc.docid:
-            raise ValueError("document with empty docid")
+        _check_id("docid", doc.docid)
         if doc.docid in doc_length:
             raise ValueError(f"duplicate docid: {doc.docid!r}")
         tokens = analyze(doc.text)

@@ -1,11 +1,11 @@
 """Document perturbation samplers for the pointwise explainers.
 
-Each sampler removes tokens from an analyzed document and reports, per
-sample, the kept-position mask, the surviving tokens, a binary
-presence vector over the document's distinct terms (the interpretable
-representation a surrogate model is fit on), and the removal-fraction
-distance. All randomness flows through the package's portable PRNG, so a
-(document, config, seed) triple fully determines the output.
+Each sampler removes tokens from an analyzed document. A sample records
+only what the sampler decided: the kept-position mask, and whether the
+tfidf sampler fell back to uniform removal. The pointwise explainers
+derive everything else (surviving tokens, term presence, distance) from
+the stacked masks. All randomness flows through the package's portable
+PRNG, so a (document, config, seed) triple fully determines the output.
 """
 
 from __future__ import annotations
@@ -42,31 +42,8 @@ class SamplerConfig:
 
 @dataclass
 class PerturbedSample:
-    kept_mask: tuple[int, ...]
-    surviving_tokens: tuple[str, ...]
-    feature_vector: tuple[int, ...]    # over sorted distinct terms of the doc
-    distance: float                    # fraction of tokens removed
+    kept_mask: tuple[int, ...]         # 1 where the position survives, 0 where removed
     uniform_fallback: bool = False
-
-
-def feature_terms(doc: TokenizedDocument) -> list[str]:
-    """Feature space of a document: its distinct terms, sorted."""
-    return doc.distinct_terms()
-
-
-def _make_sample(doc: TokenizedDocument, kept_mask: list[int], terms: list[str],
-                 uniform_fallback: bool = False) -> PerturbedSample:
-    surviving = tuple(tok for tok, keep in zip(doc.tokens, kept_mask) if keep)
-    present = set(surviving)
-    features = tuple(1 if t in present else 0 for t in terms)
-    distance = 1.0 - sum(kept_mask) / len(doc.tokens)
-    return PerturbedSample(
-        kept_mask=tuple(kept_mask),
-        surviving_tokens=surviving,
-        feature_vector=features,
-        distance=distance,
-        uniform_fallback=uniform_fallback,
-    )
 
 
 def _check_doc(doc: TokenizedDocument) -> None:
@@ -74,11 +51,10 @@ def _check_doc(doc: TokenizedDocument) -> None:
         raise ValueError(f"document {doc.docid!r} has no tokens: nothing to perturb")
 
 
-def _bernoulli_samples(doc: TokenizedDocument, probs: list[float], n_samples: int,
-                       rng: XorShift64Star, uniform_fallback: bool = False) -> list[PerturbedSample]:
+def _bernoulli_samples(probs: list[float], n_samples: int, rng: XorShift64Star,
+                       uniform_fallback: bool = False) -> list[PerturbedSample]:
     """Remove position p when a fresh random() falls below probs[p]."""
-    terms = feature_terms(doc)
-    return [_make_sample(doc, [0 if rng.random() < p else 1 for p in probs], terms, uniform_fallback)
+    return [PerturbedSample(tuple([0 if rng.random() < p else 1 for p in probs]), uniform_fallback)
             for _ in range(n_samples)]
 
 
@@ -86,7 +62,7 @@ def random_sampler(doc: TokenizedDocument, config: SamplerConfig,
                    rng: XorShift64Star) -> list[PerturbedSample]:
     """Remove each token independently with probability config.rate."""
     _check_doc(doc)
-    return _bernoulli_samples(doc, [config.rate] * len(doc.tokens), config.n_samples, rng)
+    return _bernoulli_samples([config.rate] * len(doc.tokens), config.n_samples, rng)
 
 
 def _masking_window_count(n: int, chunk: int, rate: float) -> int:
@@ -115,7 +91,6 @@ def masking_sampler(doc: TokenizedDocument, config: SamplerConfig,
     n = len(doc.tokens)
     if config.chunk > n:
         raise ValueError(f"chunk {config.chunk} exceeds document length {n}")
-    terms = feature_terms(doc)
     k = _masking_window_count(n, config.chunk, config.rate)
     starts = n - config.chunk + 1
     samples = []
@@ -125,7 +100,7 @@ def masking_sampler(doc: TokenizedDocument, config: SamplerConfig,
             start = rng.randbelow(starts)
             for pos in range(start, start + config.chunk):
                 mask[pos] = 0
-        samples.append(_make_sample(doc, mask, terms))
+        samples.append(PerturbedSample(tuple(mask)))
     return samples
 
 
@@ -150,7 +125,7 @@ def tfidf_sampler(doc: TokenizedDocument, index: PositionalIndex, config: Sample
         probs = [config.rate] * n
     else:
         probs = [min(1.0, config.rate * n * w / total) for w in weights]
-    return _bernoulli_samples(doc, probs, config.n_samples, rng, uniform_fallback=fallback)
+    return _bernoulli_samples(probs, config.n_samples, rng, uniform_fallback=fallback)
 
 
 def draw_samples(doc: TokenizedDocument, config: SamplerConfig,

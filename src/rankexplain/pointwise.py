@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .index import PositionalIndex
-from .perturb import PerturbedSample, SamplerConfig, draw_samples, feature_terms
+from .perturb import SamplerConfig, draw_samples
 from .rankers import Query, RankedList, Ranker
 
 EXS_VARIANTS = ("topk_binary", "score_ratio", "rank_based")
@@ -149,20 +149,37 @@ def fit_weighted_ridge(X, y, sample_weights, ridge: float,
 
 
 def _perturbation_design(index: PositionalIndex, docid: str, params: PointwiseParams):
-    """Draw samples and assemble the surrogate design for one document."""
+    """Draw samples of one document and derive the surrogate design from their masks.
+
+    Returns each sample's surviving tokens, the sorted distinct terms, the
+    presence matrix X (samples x terms) and each sample's kernel weight.
+    """
     doc = index.tokenized_doc(docid)
-    terms = feature_terms(doc)
+    terms = doc.distinct_terms()
     if len(terms) < 2:
         raise ValueError(f"explanation undefined: document {docid!r} has fewer than 2 distinct terms")
-    samples = draw_samples(doc, params.sampler, index=index)
-    X = np.array([s.feature_vector for s in samples], dtype=float)
-    distances = np.array([s.distance for s in samples])
+    kept = np.array([s.kept_mask for s in draw_samples(doc, params.sampler, index=index)], dtype=bool)
+    feature = {t: j for j, t in enumerate(terms)}
+    column = np.array([feature[t] for t in doc.tokens])     # feature held at each position
+    X = np.zeros((len(kept), len(terms)))
+    rows, positions = np.nonzero(kept)
+    X[rows, column[positions]] = 1.0
+    distances = 1.0 - kept.sum(axis=1) / len(doc.tokens)
     kernel = np.exp(-(distances ** 2) / (params.kernel_width ** 2))
-    return samples, terms, X, kernel
+    tokens = np.array(doc.tokens, dtype=object)
+    return [tuple(tokens[row]) for row in kept], terms, X, kernel
 
 
-def _scores(ranker: Ranker, query: Query, samples: list[PerturbedSample]) -> np.ndarray:
-    return np.array([ranker.score_tokens(query, s.surviving_tokens) for s in samples])
+def _explain(index: PositionalIndex, ranker: Ranker, query: Query, docid: str,
+             params: PointwiseParams, method: str, target) -> ExplanationVector:
+    """Fit the surrogate on target(scores of the perturbed variants)."""
+    survivors, terms, X, kernel = _perturbation_design(index, docid, params)
+    y = target(np.array([ranker.score_tokens(query, tokens) for tokens in survivors]))
+    fit = fit_weighted_ridge(X, y, kernel, params.ridge, feature_names=terms)
+    return ExplanationVector.from_weights(
+        fit.weights, n_terms=params.n_terms,
+        qid=query.qid, docid=docid, method=method, params=asdict(params),
+    )
 
 
 def lirme_explain(index: PositionalIndex, ranker: Ranker, query: Query, docid: str,
@@ -173,13 +190,7 @@ def lirme_explain(index: PositionalIndex, ranker: Ranker, query: Query, docid: s
     collection statistics frozen at the index; sample weights follow the
     exponential kernel exp(-distance^2 / kernel_width^2).
     """
-    samples, terms, X, kernel = _perturbation_design(index, docid, params)
-    y = _scores(ranker, query, samples)
-    fit = fit_weighted_ridge(X, y, kernel, params.ridge, feature_names=terms)
-    return ExplanationVector.from_weights(
-        fit.weights, n_terms=params.n_terms,
-        qid=query.qid, docid=docid, method="lirme", params=asdict(params),
-    )
+    return _explain(index, ranker, query, docid, params, "lirme", lambda scores: scores)
 
 
 def exs_targets(scores: np.ndarray, base_list: RankedList, variant: str, exs_k: int) -> np.ndarray:
@@ -216,14 +227,8 @@ def exs_targets(scores: np.ndarray, base_list: RankedList, variant: str, exs_k: 
 def exs_explain(index: PositionalIndex, ranker: Ranker, query: Query, docid: str,
                 params: PointwiseParams, base_list: RankedList) -> ExplanationVector:
     """EXS-style explanation: rank-aware targets, then the same surrogate."""
-    samples, terms, X, kernel = _perturbation_design(index, docid, params)
-    raw = _scores(ranker, query, samples)
-    y = exs_targets(raw, base_list, params.exs_variant, params.exs_k)
-    fit = fit_weighted_ridge(X, y, kernel, params.ridge, feature_names=terms)
-    return ExplanationVector.from_weights(
-        fit.weights, n_terms=params.n_terms,
-        qid=query.qid, docid=docid, method=f"exs:{params.exs_variant}", params=asdict(params),
-    )
+    return _explain(index, ranker, query, docid, params, f"exs:{params.exs_variant}",
+                    lambda scores: exs_targets(scores, base_list, params.exs_variant, params.exs_k))
 
 
 BAR_COLUMNS = 40

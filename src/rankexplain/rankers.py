@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .index import PositionalIndex
+from .index import PositionalIndex, _check_id
 
 
 @dataclass(frozen=True)
@@ -364,7 +364,7 @@ def save_to_res(runs: dict, path: str) -> None:
 
 
 def load_topics(path: str) -> dict:
-    """Read a tab-separated topics file: qid<TAB>query text."""
+    """Read a tab-separated topics file: qid<TAB>query text, qids without whitespace."""
     topics: dict[str, str] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -374,6 +374,7 @@ def load_topics(path: str) -> dict:
             if "\t" not in line:
                 raise ValueError(f"{path}:{lineno}: expected qid<TAB>query text")
             qid, text = line.split("\t", 1)
+            _check_id("qid", qid, f"{path}:{lineno}: ")
             if qid in topics:
                 raise ValueError(f"{path}:{lineno}: duplicate qid {qid!r}")
             topics[qid] = text

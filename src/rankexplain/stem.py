@@ -91,61 +91,66 @@ def _step1c(word: str) -> str:
     return word
 
 
-def _longest_first(rules):
-    """Sort (suffix, replacement) rules so the first match is the longest."""
-    return tuple(sorted(rules, key=lambda rule: -len(rule[0])))
+_STEP2_RULES = {
+    "ational": "ate",
+    "tional": "tion",
+    "enci": "ence",
+    "anci": "ance",
+    "izer": "ize",
+    "bli": "ble",
+    "alli": "al",
+    "entli": "ent",
+    "eli": "e",
+    "ousli": "ous",
+    "ization": "ize",
+    "ation": "ate",
+    "ator": "ate",
+    "alism": "al",
+    "iveness": "ive",
+    "fulness": "ful",
+    "ousness": "ous",
+    "aliti": "al",
+    "iviti": "ive",
+    "biliti": "ble",
+}
 
+_STEP3_RULES = {
+    "icate": "ic",
+    "ative": "",
+    "alize": "al",
+    "iciti": "ic",
+    "ical": "ic",
+    "ful": "",
+    "ness": "",
+}
 
-_STEP2_RULES = _longest_first([
-    ("ational", "ate"),
-    ("tional", "tion"),
-    ("enci", "ence"),
-    ("anci", "ance"),
-    ("izer", "ize"),
-    ("bli", "ble"),
-    ("alli", "al"),
-    ("entli", "ent"),
-    ("eli", "e"),
-    ("ousli", "ous"),
-    ("ization", "ize"),
-    ("ation", "ate"),
-    ("ator", "ate"),
-    ("alism", "al"),
-    ("iveness", "ive"),
-    ("fulness", "ful"),
-    ("ousness", "ous"),
-    ("aliti", "al"),
-    ("iviti", "ive"),
-    ("biliti", "ble"),
-])
-
-_STEP3_RULES = _longest_first([
-    ("icate", "ic"),
-    ("ative", ""),
-    ("alize", "al"),
-    ("iciti", "ic"),
-    ("ical", "ic"),
-    ("ful", ""),
-    ("ness", ""),
-])
-
-_STEP4_SUFFIXES = tuple(sorted([
+_STEP4_SUFFIXES = frozenset([
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-], key=len, reverse=True))
+])
+
+_LONGEST_SUFFIX = max(map(len, [*_STEP2_RULES, *_STEP3_RULES, *_STEP4_SUFFIXES]))
 
 
-def _replace_longest_suffix(word: str, rules) -> str:
+def _longest_suffix(word: str, suffixes):
+    """The longest member of suffixes that word ends with, or None; at most seven lookups."""
+    for n in range(_LONGEST_SUFFIX, 0, -1):
+        if word[-n:] in suffixes:
+            return word[-n:]
+    return None
+
+
+def _replace_longest_suffix(word: str, rules: dict) -> str:
     """Rewrite the longest matching suffix if the remaining stem has m > 0.
 
     Only the longest match is tried (Porter's one-rule-per-step rule): if
     its condition fails, the word is left unchanged.
     """
-    for suffix, replacement in rules:
-        if word.endswith(suffix):
-            stem = word[: len(word) - len(suffix)]
-            return stem + replacement if _measure(stem) > 0 else word
-    return word
+    suffix = _longest_suffix(word, rules)
+    if suffix is None:
+        return word
+    stem = word[: len(word) - len(suffix)]
+    return stem + rules[suffix] if _measure(stem) > 0 else word
 
 
 def _step2(word: str) -> str:
@@ -161,7 +166,7 @@ def _step3(word: str) -> str:
 
 
 def _step4(word: str) -> str:
-    suffix = next((s for s in _STEP4_SUFFIXES if word.endswith(s)), None)
+    suffix = _longest_suffix(word, _STEP4_SUFFIXES)
     if suffix is None:
         return word
     stem = word[: len(word) - len(suffix)]

@@ -53,6 +53,22 @@ def test_index_parse_failure_exit_code(tmp_path, capsys):
     assert ":1" in capsys.readouterr().err
 
 
+def test_whitespace_ids_exit_1_before_a_run_file_is_written(workspace, tmp_path, capsys):
+    # A docid or qid with whitespace would write run lines that load_from_res cannot split.
+    _, index_path, _ = workspace
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"docid": "a b", "text": "cat dog"}\n')
+    assert cli.run(["index", "--corpus", str(corpus), "--out", str(tmp_path / "x.idx")]) == 1
+    assert "docid 'a b' is empty or contains whitespace" in capsys.readouterr().err
+    topics = tmp_path / "topics.tsv"
+    topics.write_text("q 1\tcat\n")
+    run_path = tmp_path / "x.trec"
+    assert cli.run(["rank", "--index", str(index_path), "--topics", str(topics),
+                    "--out", str(run_path)]) == 1
+    assert "topics.tsv:1: qid 'q 1' is empty or contains whitespace" in capsys.readouterr().err
+    assert not run_path.exists()
+
+
 def test_index_empty_corpus_error(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

@@ -36,6 +36,12 @@ def test_duplicate_docid_rejected():
         build_index([Document("d1", "qq"), Document("d1", "ww")])
 
 
+@pytest.mark.parametrize("docid", ["", "a b", "a\tb", " a", "a\n", "a\u3000b"])
+def test_docid_empty_or_with_whitespace_rejected(docid):
+    with pytest.raises(ValueError, match=re.escape(f"docid {docid!r} is empty or contains whitespace")):
+        build_index([Document("d1", "qq"), Document(docid, "ww")])
+
+
 def test_positions_term_absent():
     index = build_index([Document("d1", "qq ww")])
     assert index.positions("zz", "d1") == []
@@ -131,6 +137,9 @@ def _index_data(postings, doc_length):
     pytest.param({"appl": {"a": [0]}}, {"a": 1.0}, "docid 'a': doc_length", id="float-length"),
     pytest.param({"appl": {"a": [0]}}, {"a": 2**64}, "docid 'a': doc_length", id="huge-length"),
     pytest.param({"appl": ["a"]}, {"a": 1}, "'appl': postings", id="postings-not-object"),
+    pytest.param({"appl": {"a b": [0]}}, {"a b": 1}, "docid 'a b' is empty or contains whitespace",
+                 id="whitespace-docid"),
+    pytest.param({"appl": {"": [0]}}, {"": 1}, "docid '' is empty or contains whitespace", id="empty-docid"),
     pytest.param({"appl": {"d": [0]}, "pear": {"d": [0]}}, {"d": 2},
                  "term 'pear', docid 'd': position 0 is also held by term 'appl'",
                  id="shared-position"),

@@ -15,7 +15,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rankexplain import (
     PositionalIndex,
@@ -30,9 +30,11 @@ from rankexplain import (
     sample_pairs,
     spearman_rho,
 )
-from rankexplain import listwise
+from rankexplain import AggregatedAxiom, aggregate_preference, axiom_preference, listwise
+from rankexplain.axioms import AGGREGATION_MODES, AXIOM_NAMES
 from rankexplain.listwise import PAIR_STRATEGIES, CandidateTerm, FidelityEvaluator, PreferencePair
-from rankexplain.pointwise import EXS_VARIANTS, exs_targets
+from rankexplain.perturb import SAMPLER_KINDS, SamplerConfig, draw_samples
+from rankexplain.pointwise import EXS_VARIANTS, PointwiseParams, _perturbation_design, exs_targets
 from rankexplain.rankers import RankedList, RunEntry
 from rankexplain.rng import XorShift64Star
 
@@ -208,6 +210,54 @@ def test_exs_targets_do_not_decrease_as_the_score_rises(data, built, model):
             continue
         targets = exs_targets(scores, base, variant, exs_k)
         assert np.all(np.diff(targets) >= 0), variant
+
+
+def per_sample_fields(doc, kept_mask):
+    """The per-sample derivation the mask-matrix design replaced: surviving
+    tokens, the presence vector over the sorted distinct terms, the distance."""
+    surviving = tuple(tok for tok, keep in zip(doc.tokens, kept_mask) if keep)
+    present = set(surviving)
+    features = tuple(1 if t in present else 0 for t in doc.distinct_terms())
+    distance = 1.0 - sum(kept_mask) / len(doc.tokens)
+    return surviving, features, distance
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), indexes(), st.sampled_from(SAMPLER_KINDS),
+       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       st.integers(1, 40), st.integers(0, 2**64 - 1), st.sampled_from([0.25, 1.0, 3.0]))
+def test_perturbation_design_equals_per_sample_derivation(data, built, kind, rate, n_samples, seed, width):
+    index, _ = built
+    docid = data.draw(st.sampled_from(index.doc_ids()))
+    doc = index.tokenized_doc(docid)
+    assume(len(set(doc.tokens)) >= 2)
+    sampler = SamplerConfig(kind=kind, rate=rate, chunk=data.draw(st.integers(1, len(doc.tokens))),
+                            n_samples=n_samples, seed=seed)
+    survivors, terms, X, kernel = _perturbation_design(
+        index, docid, PointwiseParams(sampler=sampler, kernel_width=width))
+    fields = [per_sample_fields(doc, s.kept_mask) for s in draw_samples(doc, sampler, index=index)]
+    distances = np.array([distance for _, _, distance in fields])
+    assert terms == doc.distinct_terms()
+    assert survivors == [surviving for surviving, _, _ in fields]
+    assert np.array_equal(X, np.array([features for _, features, _ in fields], dtype=float))
+    assert np.array_equal(kernel, np.exp(-(distances ** 2) / (width ** 2)))
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), indexes(min_docs=2), st.sampled_from(AGGREGATION_MODES))
+def test_aggregate_equals_sign_or_majority_of_child_preferences(data, built, mode):
+    index, vocab = built
+    query = Query.from_terms("q", data.draw(query_terms(vocab, min_size=1)))
+    di, dj = data.draw(st.lists(st.sampled_from(index.doc_ids()), min_size=2, max_size=2, unique=True))
+    children = tuple(data.draw(st.lists(
+        st.tuples(st.sampled_from(AXIOM_NAMES), st.floats(-4.0, 4.0)), min_size=1, max_size=14)))
+    prefs = [(axiom_preference(name, index, query, di, dj), weight) for name, weight in children]
+    if mode == "weighted_sum_sign":
+        total = sum(p * w for p, w in prefs)
+    else:
+        total = sum(p for p, _ in prefs)        # votes for minus votes against
+    expected = (total > 0) - (total < 0)
+    assert aggregate_preference(AggregatedAxiom(children, mode), index, query, di, dj) == expected
 
 
 # -- rank measures -------------------------------------------------------------

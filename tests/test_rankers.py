@@ -1,3 +1,4 @@
+import re
 import math
 
 import pytest
@@ -222,6 +223,14 @@ def test_load_topics(tmp_path):
     path = tmp_path / "topics.tsv"
     path.write_text("1\tcat dog\n2\tmouse\n")
     assert load_topics(str(path)) == {"1": "cat dog", "2": "mouse"}
+
+
+@pytest.mark.parametrize("qid", ["", "q 1", " q1", "q1\u00a0"])
+def test_load_topics_rejects_empty_or_whitespace_qid(tmp_path, qid):
+    path = tmp_path / "topics.tsv"
+    path.write_text(f"1\tcat dog\n{qid}\tmouse\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"topics.tsv:2: qid {qid!r} is empty or contains whitespace")):
+        load_topics(str(path))
 
 
 # -- pluggable rankers --------------------------------------------------------
