@@ -1,14 +1,15 @@
-"""Command-line surface: index, rank, explain, eval.
+"""Command-line surface: index, rank, explain KIND, eval MEASURE.
 
-Parameters come from a JSON file plus flat ``--key value`` overrides.
-Both are one flat namespace over the fields of the parameter
-dataclasses (``RankerParams``, ``PointwiseParams`` with its
-``SamplerConfig``, ``ListwiseParams``); a key no field defines, or a
-value of the wrong type, is a usage error. Every randomized command
-takes ``--seed``, the only source of the seed, so repeated runs with the
-same inputs and seed produce byte-identical output. Exit codes: 0
-success, 1 I/O or parse failure, 2 usage error, 3 requested data not
-found.
+Each command declares exactly the flags its handler reads. Parameters
+come from a JSON file plus flat ``--key value`` overrides: the flags
+``rank`` and ``explain`` do not declare. Both are one flat namespace
+over the fields of the parameter dataclasses (``RankerParams``,
+``PointwiseParams`` with its ``SamplerConfig``, ``ListwiseParams``); a
+key no field defines, or a value of the wrong type, is a usage error.
+Every randomized command takes ``--seed``, the only source of the seed,
+so repeated runs with the same inputs and seed produce byte-identical
+output. Exit codes: 0 success, 1 I/O or parse failure, 2 usage error, 3
+requested data not found.
 """
 
 from __future__ import annotations
@@ -59,15 +60,13 @@ class DataNotFoundError(Exception):
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as f:
             f.write(text)
-            if not text.endswith("\n"):
-                f.write("\n")
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _overrides_from_extras(extras: list[str]) -> dict:
@@ -140,9 +139,9 @@ def _build_params(args, extras: list[str], classes: tuple, extra: dict | None = 
 
     The classes share one flat namespace. ``extra`` maps further keys the
     command reads itself to their defaults; their checked values follow
-    the built objects. For ``explain``, seed and method come only from
-    their flags; when a flag is absent the field keeps its default. Any
-    other key is a usage error.
+    the built objects. Seed and method come only from their flags, where
+    the command has them; when a flag is absent the field keeps its
+    default. Any other key is a usage error.
     """
     data: dict = {}
     if args.params:
@@ -151,7 +150,7 @@ def _build_params(args, extras: list[str], classes: tuple, extra: dict | None = 
         if not isinstance(data, dict):
             raise UsageError(f"{args.params}: the params file must hold a JSON object")
     data.update(_overrides_from_extras(extras))
-    flags = {"seed": args.seed, "method": args.method} if args.command == "explain" else {}
+    flags = {key: getattr(args, key) for key in ("seed", "method") if hasattr(args, key)}
     clash = sorted(data.keys() & flags.keys())
     if clash:
         raise UsageError(f"set {clash[0]} with the --{clash[0]} flag, not as a parameter")
@@ -167,28 +166,28 @@ def _build_params(args, extras: list[str], classes: tuple, extra: dict | None = 
     return built
 
 
-def _resolve_topics(path: str | None) -> str | None:
-    return demo_topics_path() if path == "demo" else path
+def _topics(args) -> dict | None:
+    """The --topics file, read once per command; None without one."""
+    if args.topics is None:
+        return None
+    return load_topics(demo_topics_path() if args.topics == "demo" else args.topics)
 
 
-def _query_for(args, index: PositionalIndex) -> Query:
-    if getattr(args, "query", None):
-        return Query.from_text(index, getattr(args, "qid", None) or "q", args.query)
-    topics_path = _resolve_topics(getattr(args, "topics", None))
-    if topics_path and getattr(args, "qid", None):
-        topics = load_topics(topics_path)
-        if args.qid not in topics:
-            raise DataNotFoundError(f"qid {args.qid!r} not in {topics_path}")
-        return Query.from_text(index, args.qid, topics[args.qid])
-    raise UsageError("provide --query TEXT, or --topics FILE with --qid")
+def _query_for(args, index: PositionalIndex, topics: dict | None) -> Query:
+    """The query given as --query TEXT, or as --qid looked up in --topics."""
+    if args.query:
+        return Query.from_text(index, args.qid or "q", args.query)
+    if topics is None or not args.qid:
+        raise UsageError("provide --query TEXT, or --topics FILE with --qid")
+    if args.qid not in topics:
+        raise DataNotFoundError(f"qid {args.qid!r} not in topics {args.topics}")
+    return Query.from_text(index, args.qid, topics[args.qid])
 
 
 # -- subcommands -------------------------------------------------------------
 
 
 def cmd_index(args, extras) -> int:
-    if extras:
-        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
     corpus_path = demo_corpus_path() if args.corpus == "demo" else args.corpus
     corpus = read_corpus_jsonl(corpus_path)
     if not corpus:
@@ -199,17 +198,11 @@ def cmd_index(args, extras) -> int:
     return EXIT_OK
 
 
-def _ranker(index, model: str, params: RankerParams):
-    if model not in SIMPLE_RANKERS:
-        raise UsageError(f"unknown model {model!r}; valid: {', '.join(SIMPLE_RANKERS)}")
-    return make_ranker(index, model, params)
-
-
 def cmd_rank(args, extras) -> int:
     ranker_params, = _build_params(args, extras, (RankerParams,))
+    topics = _topics(args)
     index = PositionalIndex.load(args.index)
-    ranker = _ranker(index, args.model, ranker_params)
-    topics = load_topics(_resolve_topics(args.topics))
+    ranker = make_ranker(index, args.model, ranker_params)
     runs = {}
     for qid in sorted(topics):
         query = Query.from_text(index, qid, topics[qid])
@@ -220,16 +213,16 @@ def cmd_rank(args, extras) -> int:
 
 
 def cmd_explain_pointwise(args, extras) -> int:
-    method = args.method or "lirme"
-    if method not in ("lirme", "exs"):
-        raise UsageError(f"unknown pointwise method {method!r}; valid: lirme, exs")
+    if args.method not in ("lirme", "exs"):
+        raise UsageError(f"unknown pointwise method {args.method!r}; valid: lirme, exs")
     pw, ranker_params = _build_params(args, extras, (PointwiseParams, RankerParams))
+    topics = _topics(args)
     index = PositionalIndex.load(args.index)
-    query = _query_for(args, index)
+    query = _query_for(args, index, topics)
     if not index.has_doc(args.docid):
         raise DataNotFoundError(f"docid {args.docid!r} not in index")
-    ranker = _ranker(index, args.model, ranker_params)
-    if method == "lirme":
+    ranker = make_ranker(index, args.model, ranker_params)
+    if args.method == "lirme":
         expl = lirme_explain(index, ranker, query, args.docid, pw)
     else:
         base_list = rank(index, ranker, query, depth=max(pw.exs_k, 10))
@@ -243,19 +236,32 @@ def cmd_explain_pointwise(args, extras) -> int:
 
 def cmd_explain_pairwise(args, extras) -> int:
     _build_params(args, extras, ())
-    index = PositionalIndex.load(args.index)
-    query = _query_for(args, index)
     try:
         d1, d2 = [d.strip() for d in args.docs.split(",")]
     except ValueError as exc:
         raise UsageError("--docs expects two comma-separated docids") from exc
-    for d in (d1, d2):
-        if not index.has_doc(d):
-            raise DataNotFoundError(f"docid {d!r} not in index")
     names = [a.strip() for a in args.axioms.split(",") if a.strip()]
     for name in names:
         if name not in AXIOM_NAMES:
             raise UsageError(f"unknown axiom {name!r}; valid: {', '.join(AXIOM_NAMES)}")
+    if args.weights and not args.aggregate:
+        raise UsageError("--weights needs --aggregate")
+    if args.format == "text" and not args.details:
+        raise UsageError("--format text needs --details; preferences are JSON")
+    if args.aggregate:
+        try:
+            weights = [float(w) for w in args.weights.split(",")] if args.weights else [1.0] * len(names)
+            if len(weights) != len(names):
+                raise ValueError("--weights must match --axioms in length")
+            agg = AggregatedAxiom(children=tuple(zip(names, weights)), mode=args.aggregate)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+    topics = _topics(args)
+    index = PositionalIndex.load(args.index)
+    query = _query_for(args, index, topics)
+    for d in (d1, d2):
+        if not index.has_doc(d):
+            raise DataNotFoundError(f"docid {d!r} not in index")
     if args.details:
         blocks = []
         for name in names:
@@ -266,14 +272,6 @@ def cmd_explain_pairwise(args, extras) -> int:
     prefs = {name: axiom_preference(name, index, query, d1, d2) for name in names}
     payload = {"qid": query.qid, "d1": d1, "d2": d2, "preferences": prefs}
     if args.aggregate:
-        if args.aggregate not in AGGREGATION_MODES:
-            raise UsageError(f"unknown aggregation {args.aggregate!r}; valid: {', '.join(AGGREGATION_MODES)}")
-        weights = [1.0] * len(names)
-        if args.weights:
-            weights = [float(w) for w in args.weights.split(",")]
-            if len(weights) != len(names):
-                raise UsageError("--weights must match --axioms in length")
-        agg = AggregatedAxiom(children=tuple(zip(names, weights)), mode=args.aggregate)
         payload["aggregate"] = aggregate_preference(agg, index, query, d1, d2)
     _emit(json.dumps(payload, separators=(",", ":")), args.out)
     return EXIT_OK
@@ -284,23 +282,22 @@ def cmd_explain_listwise(args, extras) -> int:
         lw, = _build_params(args, extras, (ListwiseParams,))
     else:  # the lists are ranked here, so their depth is a key too
         lw, depth = _build_params(args, extras, (ListwiseParams,), {"depth": 10})
+    if args.all and (args.topics is None or args.qid):
+        raise UsageError("--all explains every topic: it takes --topics and no --qid")
+    if not (args.all or args.qid):
+        raise UsageError("provide --qid, or --all with --topics")
+    topics = _topics(args)
     index = PositionalIndex.load(args.index)
-    topics_path = _resolve_topics(args.topics)
+    if args.all:
+        queries = [Query.from_text(index, qid, topics[qid]) for qid in sorted(topics)]
+    else:
+        queries = [_query_for(args, index, topics)]
     if args.run:
         runs = load_from_res(args.run)
     else:
-        if not topics_path:
-            raise UsageError("without --run, provide --topics to rank on the fly")
-        topics = load_topics(topics_path)
-        ranker = _ranker(index, args.model, lw.ranker_params)
-        runs = {}
-        for qid in sorted(topics):
-            query = Query.from_text(index, qid, topics[qid])
-            runs[qid] = rank(index, ranker, query, depth=depth)
+        ranker = make_ranker(index, args.model or "bm25", lw.ranker_params)
+        runs = {query.qid: rank(index, ranker, query, depth=depth) for query in queries}
     if args.all:
-        if not topics_path:
-            raise UsageError("--all requires --topics")
-        topics = load_topics(topics_path)
         batch = explain_all(index, topics, runs, lw)
         lines = []
         for qid in sorted(topics):
@@ -310,71 +307,30 @@ def cmd_explain_listwise(args, extras) -> int:
                 lines.append(json.dumps({"qid": qid, "error": batch.errors[qid]}, separators=(",", ":")))
         _emit("\n".join(lines), args.out)
         return EXIT_OK
-    if not args.qid:
-        raise UsageError("provide --qid, or --all with --topics")
-    if args.qid not in runs:
-        raise DataNotFoundError(f"qid {args.qid!r} not in run")
-    if topics_path:
-        topics = load_topics(topics_path)
-        if args.qid not in topics:
-            raise DataNotFoundError(f"qid {args.qid!r} not in topics")
-        query = Query.from_text(index, args.qid, topics[args.qid])
-    elif args.query:
-        query = Query.from_text(index, args.qid, args.query)
-    else:
-        raise UsageError("provide --topics or --query for the query text")
-    expl = explain_listwise(index, query, runs[args.qid], lw)
+    query, = queries
+    if query.qid not in runs:
+        raise DataNotFoundError(f"qid {query.qid!r} not in run")
+    expl = explain_listwise(index, query, runs[query.qid], lw)
     _emit(json.dumps(expl.as_dict(), separators=(",", ":")), args.out)
     return EXIT_OK
 
 
-def cmd_explain(args, extras) -> int:
-    if args.kind == "pointwise":
-        return cmd_explain_pointwise(args, extras)
-    if args.kind == "pairwise":
-        return cmd_explain_pairwise(args, extras)
-    return cmd_explain_listwise(args, extras)
-
-
-_MEASURES = ("rbo", "tau", "rho", "jaccard")
+_MEASURES = {"rbo": rbo, "tau": kendall_tau, "rho": spearman_rho, "jaccard": jaccard_at_k}
 
 
 def cmd_eval(args, extras) -> int:
-    if extras:
-        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
-    if args.measure not in _MEASURES:
-        raise UsageError(f"unknown measure {args.measure!r}; valid: {', '.join(_MEASURES)}")
     runs_a = load_from_res(args.run_a)
     runs_b = load_from_res(args.run_b)
     shared = sorted(set(runs_a) & set(runs_b))
     if not shared:
         raise DataNotFoundError("no shared qids between the two runs")
-    lines = []
-    values = []
-    for qid in shared:
-        list_a = runs_a[qid].docids
-        list_b = runs_b[qid].docids
-        if args.measure == "rbo":
-            value = rbo(list_a, list_b, args.p)
-            params = {"p": args.p}
-        elif args.measure == "tau":
-            value = kendall_tau(list_a, list_b)
-            params = {}
-        elif args.measure == "rho":
-            value = spearman_rho(list_a, list_b)
-            params = {}
-        else:
-            value = jaccard_at_k(list_a, list_b, args.k)
-            params = {"k": args.k}
-        values.append(value)
-        lines.append(json.dumps(
-            {"qid": qid, "measure": args.measure, "value": value, "params": params},
-            separators=(",", ":")))
-    mean = sum(values) / len(values)
-    lines.append(json.dumps(
-        {"qid": "mean", "measure": args.measure, "value": mean, "params": params},
-        separators=(",", ":")))
-    _emit("\n".join(lines), args.out)
+    # The measure's parser declares its one parameter flag, if it has one.
+    params = {key: value for key, value in vars(args).items() if key in ("p", "k")}
+    measure = _MEASURES[args.measure]
+    rows = [(qid, measure(runs_a[qid].docids, runs_b[qid].docids, *params.values())) for qid in shared]
+    rows.append(("mean", sum(value for _, value in rows) / len(rows)))
+    _emit("\n".join(json.dumps({"qid": qid, "measure": args.measure, "value": value, "params": params},
+                               separators=(",", ":")) for qid, value in rows), args.out)
     return EXIT_OK
 
 
@@ -402,35 +358,63 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--params", help="JSON parameter file")
     p_rank.set_defaults(func=cmd_rank)
 
+    # The flags every explain kind reads; each kind adds its own.
+    explain = argparse.ArgumentParser(add_help=False)
+    explain.add_argument("--index", required=True)
+    source = explain.add_mutually_exclusive_group()
+    source.add_argument("--query", help="raw query text")
+    source.add_argument("--topics", help='topics TSV path, or "demo"')
+    explain.add_argument("--qid", help="query id, looked up in --topics; names a --query")
+    explain.add_argument("--params", help="JSON parameter file")
+    explain.add_argument("--out", help="output path (default stdout)")
+    seed_help = "seed of every random draw; the only seed source"
+
     p_explain = sub.add_parser("explain", allow_abbrev=False, help="run an explainer")
-    p_explain.add_argument("kind", choices=("pointwise", "pairwise", "listwise"))
-    p_explain.add_argument("--index", required=True)
-    p_explain.add_argument("--method", default=None, help="explainer within the kind")
-    p_explain.add_argument("--query", help="raw query text")
-    p_explain.add_argument("--qid", help="query id (with --topics or --run)")
-    p_explain.add_argument("--topics", help='topics TSV path, or "demo"')
-    p_explain.add_argument("--docid", help="document to explain (pointwise)")
-    p_explain.add_argument("--docs", help="docid pair D1,D2 (pairwise)")
-    p_explain.add_argument("--axioms", default="TFC1,PROX1", help="comma-separated axiom names")
-    p_explain.add_argument("--details", action="store_true", help="emit the detailed axiom table")
-    p_explain.add_argument("--aggregate", help=f"aggregate mode: {', '.join(AGGREGATION_MODES)}")
-    p_explain.add_argument("--weights", help="comma-separated aggregation weights")
-    p_explain.add_argument("--run", help="TREC run file to explain (listwise)")
-    p_explain.add_argument("--all", action="store_true", help="explain every topic (listwise)")
-    p_explain.add_argument("--model", default="bm25", help="ranker being explained")
-    p_explain.add_argument("--format", default="json", choices=("text", "json"))
-    p_explain.add_argument("--params", help="JSON parameter file")
-    p_explain.add_argument("--seed", type=int, help="seed of every random draw; the only seed source")
-    p_explain.add_argument("--out", help="output path (default stdout)")
-    p_explain.set_defaults(func=cmd_explain)
+    kinds = p_explain.add_subparsers(dest="kind", required=True)
+
+    p_point = kinds.add_parser("pointwise", parents=[explain], allow_abbrev=False,
+                               help="weigh the terms of one document")
+    p_point.add_argument("--docid", required=True, help="document to explain")
+    p_point.add_argument("--method", default="lirme", help="lirme or exs")
+    p_point.add_argument("--model", default="bm25", choices=SIMPLE_RANKERS, help="ranker being explained")
+    p_point.add_argument("--format", default="json", choices=("text", "json"))
+    p_point.add_argument("--seed", type=int, help=seed_help)
+    p_point.set_defaults(func=cmd_explain_pointwise)
+
+    p_pair = kinds.add_parser("pairwise", parents=[explain], allow_abbrev=False,
+                              help="axiom preferences between two documents")
+    p_pair.add_argument("--docs", required=True, help="docid pair D1,D2")
+    p_pair.add_argument("--axioms", default="TFC1,PROX1", help="comma-separated axiom names")
+    output = p_pair.add_mutually_exclusive_group()
+    output.add_argument("--details", action="store_true", help="emit the detailed axiom table")
+    output.add_argument("--aggregate", help=f"aggregate mode: {', '.join(AGGREGATION_MODES)}")
+    p_pair.add_argument("--weights", help="comma-separated aggregation weights, one per axiom")
+    p_pair.add_argument("--format", default="json", choices=("text", "json"), help="of the --details table")
+    p_pair.set_defaults(func=cmd_explain_pairwise)
+
+    p_list = kinds.add_parser("listwise", parents=[explain], allow_abbrev=False,
+                              help="explain a ranked list by query expansion")
+    p_list.add_argument("--method", help="listwise explainer (default multiplex)")
+    lists = p_list.add_mutually_exclusive_group()
+    lists.add_argument("--run", help="TREC run file to explain")
+    lists.add_argument("--model", choices=SIMPLE_RANKERS,
+                       help="without --run, rank the lists with this ranker (default bm25)")
+    p_list.add_argument("--all", action="store_true", help="explain every topic of --topics")
+    p_list.add_argument("--seed", type=int, help=seed_help)
+    p_list.set_defaults(func=cmd_explain_listwise)
 
     p_eval = sub.add_parser("eval", allow_abbrev=False, help="compare two run files")
-    p_eval.add_argument("measure", choices=_MEASURES)
-    p_eval.add_argument("run_a")
-    p_eval.add_argument("run_b")
-    p_eval.add_argument("--p", type=float, default=0.9, help="RBO persistence")
-    p_eval.add_argument("--k", type=int, default=10, help="Jaccard depth")
-    p_eval.add_argument("--out")
+    measures = p_eval.add_subparsers(dest="measure", required=True)
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("run_a")
+    pair.add_argument("run_b")
+    pair.add_argument("--out", help="output path (default stdout)")
+    measures.add_parser("rbo", parents=[pair], allow_abbrev=False, help="rank-biased overlap") \
+        .add_argument("--p", type=float, default=0.9, help="RBO persistence")
+    measures.add_parser("tau", parents=[pair], allow_abbrev=False, help="Kendall's tau")
+    measures.add_parser("rho", parents=[pair], allow_abbrev=False, help="Spearman's rho")
+    measures.add_parser("jaccard", parents=[pair], allow_abbrev=False, help="Jaccard overlap at depth k") \
+        .add_argument("--k", type=int, default=10, help="Jaccard depth")
     p_eval.set_defaults(func=cmd_eval)
     return parser
 
@@ -439,6 +423,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     args, extras = parser.parse_known_args(argv)
     try:
+        if extras and "params" not in vars(args):  # only --params commands read --key value
+            raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
         return args.func(args, extras)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

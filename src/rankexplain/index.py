@@ -162,10 +162,14 @@ class PositionalIndex:
         }
 
     def save(self, path: str) -> None:
-        text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """Write ``to_dict()`` as sorted compact JSON, one posting list at a time."""
+        dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
-            f.write("\n")
+            f.write(f'{{"config":{dump(self.config.to_dict())},"doc_length":{dump(self._doc_length)},'
+                    f'"postings":{{')
+            for i, term in enumerate(sorted(self._postings)):
+                f.write(f'{"," if i else ""}{dump(term)}:{dump(self._postings[term])}')
+            f.write(f'}},"version":{dump(_INDEX_FORMAT_VERSION)}}}\n')
 
     @classmethod
     def from_dict(cls, data: dict) -> "PositionalIndex":

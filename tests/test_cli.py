@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -408,7 +411,27 @@ def test_unknown_keys_exit_2(workspace, tmp_path, capsys, command, source, key):
     pytest.param("pointwise", [], {"seed": 5}, "--seed flag", id="pointwise-seed-key"),
     pytest.param("listwise", [], {"seed": 5}, "--seed flag", id="listwise-seed-key"),
     pytest.param("listwise", [], {"method": "bfs"}, "--method flag", id="listwise-method-key"),
-    pytest.param("pairwise", [], {"method": "x"}, "--method flag", id="pairwise-method-key"),
+    # pairwise has no --method flag, so method is an unknown key there
+    pytest.param("pairwise", [], {"method": "x"}, "unknown parameter 'method' for explain pairwise",
+                 id="pairwise-method-key"),
+    pytest.param("pairwise", ["--docs", "B1"], None, "two comma-separated docids", id="one-doc"),
+    pytest.param("pairwise", ["--axioms", "TFC1,BOGUS"], None, "unknown axiom 'BOGUS'",
+                 id="unknown-axiom"),
+    pytest.param("pairwise", ["--aggregate", "bogus"], None, "unknown mode 'bogus'",
+                 id="unknown-aggregate"),
+    pytest.param("pairwise", ["--aggregate", "weighted_sum_sign", "--weights", "a,b"], None,
+                 "could not convert string to float: 'a'", id="weights-not-numbers"),
+    pytest.param("pairwise", ["--aggregate", "weighted_sum_sign", "--weights", "nan,1"], None,
+                 "must be finite", id="weights-nan"),
+    pytest.param("pairwise", ["--aggregate", "weighted_sum_sign", "--weights", "1,inf"], None,
+                 "must be finite", id="weights-inf"),
+    pytest.param("pairwise", ["--aggregate", "majority", "--weights", "1,2,3"], None,
+                 "must match --axioms in length", id="weights-length"),
+    pytest.param("pairwise", ["--weights", "1,2"], None, "--weights needs --aggregate",
+                 id="weights-without-aggregate"),
+    pytest.param("pairwise", ["--format", "text"], None, "--format text needs --details",
+                 id="text-without-details"),
+    pytest.param("listwise", ["--all"], None, "--all explains every topic", id="all-with-qid"),
 ])
 def test_usage_errors_exit_2(workspace, tmp_path, capsys, command, extra, params_file, message):
     argv = [*_base_argv(command, workspace, tmp_path), *extra]
@@ -418,3 +441,129 @@ def test_usage_errors_exit_2(workspace, tmp_path, capsys, command, extra, params
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+# -- each command parses only the flags it reads -------------------------------
+
+
+def _exit_code(argv) -> int:
+    """cli.run's exit code, including argparse's SystemExit for parser errors."""
+    try:
+        return cli.run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# The flags each explain kind reads: exactly what its --help lists.
+_SHARED = {"index", "query", "topics", "qid", "params", "out"}
+_READS = {
+    "pointwise": _SHARED | {"docid", "method", "model", "format", "seed"},
+    "pairwise": _SHARED | {"docs", "axioms", "details", "aggregate", "weights", "format"},
+    "listwise": _SHARED | {"run", "method", "model", "all", "seed"},
+}
+_FLAG_VALUES = {"docid": "T1", "docs": "B1,B2", "axioms": "TFC1", "aggregate": "majority",
+                "weights": "1", "run": "x.trec", "method": "lirme", "model": "bm25",
+                "format": "text", "seed": "1"}
+_UNREAD = [(kind, flag) for kind in _READS
+           for flag in sorted(set().union(*_READS.values()) - _READS[kind])]
+
+
+@pytest.mark.parametrize("kind", sorted(_READS))
+def test_explain_help_lists_only_the_flags_the_kind_reads(capsys, kind):
+    assert _exit_code(["explain", kind, "--help"]) == 0
+    listed = set(re.findall(r"--([a-z_]+)", capsys.readouterr().out)) - {"help"}
+    assert listed == _READS[kind]
+
+
+@pytest.mark.parametrize("kind,flag", _UNREAD, ids=[f"{k}-{f}" for k, f in _UNREAD])
+def test_unread_flag_exits_2_before_the_index_is_loaded(workspace, tmp_path, capsys, kind, flag):
+    # The index path does not exist, so reaching the load would exit 1.
+    argv = _base_argv(kind, workspace, tmp_path)
+    argv[argv.index("--index") + 1] = str(tmp_path / "missing.idx")
+    out = tmp_path / "out.json"
+    argv += ["--out", str(out), f"--{flag}", *([_FLAG_VALUES[flag]] if flag in _FLAG_VALUES else [])]
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+_EVAL_UNREAD = ([(measure, "--p", "0.5") for measure in ("tau", "rho", "jaccard")]
+                + [(measure, "--k", "5") for measure in ("rbo", "tau", "rho")])
+
+
+@pytest.mark.parametrize("measure,flag,value", _EVAL_UNREAD,
+                         ids=[f"{m}{f}" for m, f, _ in _EVAL_UNREAD])
+def test_eval_flag_of_another_measure_exits_2(workspace, tmp_path, capsys, measure, flag, value):
+    _, _, run_path = workspace
+    out = tmp_path / "out.jsonl"
+    assert _exit_code(["eval", measure, str(run_path), str(run_path),
+                       "--out", str(out), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,extra,message", [
+    ("pointwise", ["--query", "thai"], "--query"),
+    ("pairwise", ["--query", "exons"], "--query"),
+    ("listwise", ["--query", "thai"], "--query"),
+    ("listwise", ["--model", "lmjm"], "--model"),
+])
+def test_exclusive_flags_exit_2(workspace, tmp_path, capsys, kind, extra, message):
+    # The base argv has --topics and, for listwise, --run.
+    out = tmp_path / "out.json"
+    argv = [*_base_argv(kind, workspace, tmp_path), "--out", str(out), *extra]
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert "not allowed with argument" in captured.err and message in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("kind,flag", [("pointwise", "--docid"), ("pairwise", "--docs")])
+def test_missing_required_document_flag_exits_2(workspace, tmp_path, capsys, kind, flag):
+    argv = _base_argv(kind, workspace, tmp_path)
+    i = argv.index(flag)
+    del argv[i:i + 2]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert "required" in err and flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--aggregate", "bogus"],
+    ["--aggregate", "weighted_sum_sign", "--weights", "a,b"],
+    ["--docs", "B1"],
+    ["--axioms", "BOGUS"],
+])
+def test_pairwise_flags_are_checked_before_the_index_is_loaded(workspace, tmp_path, extra):
+    argv = [*_base_argv("pairwise", workspace, tmp_path), *extra]
+    argv[argv.index("--index") + 1] = str(tmp_path / "missing.idx")
+    assert cli.run(argv) == 2
+
+
+def test_listwise_ranks_a_query_text_on_the_fly(workspace, capsys):
+    # Without --run the list is ranked here, for --query as for --qid in --topics.
+    _, index_path, _ = workspace
+    base = ["explain", "listwise", "--index", str(index_path), "--qid", "1", "--method", "greedy"]
+    assert cli.run([*base, "--topics", "demo"]) == 0
+    from_topics = capsys.readouterr().out
+    assert cli.run([*base, "--query", "what is the daily life of thai people"]) == 0
+    assert capsys.readouterr().out == from_topics
+
+
+def _readme_commands() -> list[list[str]]:
+    """The rankexplain lines of README's "Command line" block, as argv lists."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("rankexplain ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    assert [argv[0] for argv in commands] == ["index", "rank", "rank", "explain", "explain",
+                                              "explain", "eval"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.run(argv) == 0, (argv, capsys.readouterr().err)

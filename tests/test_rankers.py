@@ -214,6 +214,30 @@ def test_run_roundtrip_bit_exact(tmp_path, cat_index):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _run(qid="q1", docid="d2", tag="sys"):
+    entries = [RunEntry("d1", 1, 2.0), RunEntry(docid, 2, 1.5)]
+    return {qid: RankedList(qid=qid, entries=entries, tag=tag)}
+
+
+def test_save_to_res_valid_run_round_trips(tmp_path):
+    path = tmp_path / "run.trec"
+    save_to_res(_run(), str(path))
+    assert path.read_text() == "q1 Q0 d1 1 2.0 sys\nq1 Q0 d2 2 1.5 sys\n"
+    runs = load_from_res(str(path))
+    assert runs["q1"].entries == _run()["q1"].entries and runs["q1"].tag == "sys"
+
+
+@pytest.mark.parametrize("kind,bad", [
+    ("qid", "q 1"), ("qid", ""), ("docid", "a b"), ("docid", "d\t2"), ("docid", ""),
+    ("tag", "my sys"), ("tag", ""),
+])
+def test_save_to_res_rejects_an_id_it_could_not_read_back(tmp_path, kind, bad):
+    path = tmp_path / "run.trec"
+    with pytest.raises(ValueError, match=re.escape(f"{kind} {bad!r} is empty or contains whitespace")):
+        save_to_res(_run(**{kind: bad}), str(path))
+    assert not path.exists()
+
+
 def test_ranked_list_invariant_validation():
     with pytest.raises(ValueError, match="duplicate"):
         RankedList.from_entries("q", [RunEntry("a", 1, 2.0), RunEntry("a", 2, 1.0)])
