@@ -26,6 +26,15 @@ ENGLISH_STOPWORDS = frozenset(
 _DEFAULT_TOKEN_PATTERN = r"[0-9A-Za-z]+"
 
 
+def _check_keys(what: str, data, keys: set) -> None:
+    """Reject anything but a JSON object with exactly ``keys``, naming the key at fault."""
+    if type(data) is not dict:
+        raise ValueError(f"{what} must be a JSON object with keys {', '.join(sorted(keys))}")
+    wrong = sorted(keys ^ data.keys())     # keys missing or unknown
+    if wrong:
+        raise ValueError(f"{what} {'has no' if wrong[0] in keys else 'has an unknown'} key {wrong[0]!r}")
+
+
 @dataclass(frozen=True)
 class AnalyzerConfig:
     """Configuration of the analysis chain. Equal configs tokenize equally."""
@@ -45,12 +54,20 @@ class AnalyzerConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalyzerConfig":
-        return cls(
-            lowercase=bool(data["lowercase"]),
-            stem=bool(data["stem"]),
-            stopwords=frozenset(data["stopwords"]),
-            token_pattern=data["token_pattern"],
-        )
+        _check_keys("analyzer config", data, {"lowercase", "stem", "stopwords", "token_pattern"})
+        for key in ("lowercase", "stem"):
+            if type(data[key]) is not bool:
+                raise ValueError(f"analyzer config {key!r} must be true or false, got {data[key]!r}")
+        stopwords, pattern = data["stopwords"], data["token_pattern"]
+        if type(stopwords) is not list or not all(type(w) is str for w in stopwords):
+            raise ValueError("analyzer config 'stopwords' must be a list of strings")
+        if type(pattern) is not str:
+            raise ValueError(f"analyzer config 'token_pattern' must be a string, got {pattern!r}")
+        try:
+            re.compile(pattern)
+        except re.error as exc:
+            raise ValueError(f"analyzer config 'token_pattern' {pattern!r} does not compile: {exc}") from exc
+        return cls(data["lowercase"], data["stem"], frozenset(stopwords), pattern)
 
 
 DEFAULT_CONFIG = AnalyzerConfig()

@@ -198,7 +198,13 @@ def cmd_index(args, extras) -> int:
     return EXIT_OK
 
 
+def _check_depth(name: str, value: int) -> None:  # a list's depth, or Jaccard's k
+    if value < 1:
+        raise UsageError(f"{name} must be >= 1, got {value}")
+
+
 def cmd_rank(args, extras) -> int:
+    _check_depth("depth", args.depth)
     ranker_params, = _build_params(args, extras, (RankerParams,))
     topics = _topics(args)
     index = PositionalIndex.load(args.index)
@@ -282,6 +288,7 @@ def cmd_explain_listwise(args, extras) -> int:
         lw, = _build_params(args, extras, (ListwiseParams,))
     else:  # the lists are ranked here, so their depth is a key too
         lw, depth = _build_params(args, extras, (ListwiseParams,), {"depth": 10})
+        _check_depth("depth", depth)
     if args.all and (args.topics is None or args.qid):
         raise UsageError("--all explains every topic: it takes --topics and no --qid")
     if not (args.all or args.qid):
@@ -319,13 +326,16 @@ _MEASURES = {"rbo": rbo, "tau": kendall_tau, "rho": spearman_rho, "jaccard": jac
 
 
 def cmd_eval(args, extras) -> int:
+    # The measure's parser declares its one parameter flag, if it has one.
+    params = {key: value for key, value in vars(args).items() if key in ("p", "k")}
+    if not 0.0 < params.get("p", 0.5) < 1.0:
+        raise UsageError(f"p must be in (0, 1), got {args.p}")
+    _check_depth("k", params.get("k", 1))
     runs_a = load_from_res(args.run_a)
     runs_b = load_from_res(args.run_b)
     shared = sorted(set(runs_a) & set(runs_b))
     if not shared:
         raise DataNotFoundError("no shared qids between the two runs")
-    # The measure's parser declares its one parameter flag, if it has one.
-    params = {key: value for key, value in vars(args).items() if key in ("p", "k")}
     measure = _MEASURES[args.measure]
     rows = [(qid, measure(runs_a[qid].docids, runs_b[qid].docids, *params.values())) for qid in shared]
     rows.append(("mean", sum(value for _, value in rows) / len(rows)))

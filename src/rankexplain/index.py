@@ -15,14 +15,12 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice
 
-import numpy as np
-
-from .analysis import AnalyzerConfig, DEFAULT_CONFIG, TokenizedDocument, _Analyzer
+from .analysis import AnalyzerConfig, DEFAULT_CONFIG, TokenizedDocument, _Analyzer, _check_keys
 
 _INDEX_FORMAT_VERSION = 1
 _INT64_LIMIT = 2**63
+_POSITIONS = "positions must be a non-empty, strictly increasing list of ints in [0, doc_length)"
 
 
 def _check_id(kind: str, value: str, where: str = "") -> None:
@@ -173,8 +171,11 @@ class PositionalIndex:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PositionalIndex":
-        if data.get("version") != _INDEX_FORMAT_VERSION:
-            raise ValueError(f"unsupported index format version: {data.get('version')!r}")
+        """Read ``to_dict``'s output back; anything else raises ValueError."""
+        _check_keys("index", data, {"version", "config", "doc_length", "postings"})
+        if type(data["version"]) is not int or data["version"] != _INDEX_FORMAT_VERSION:
+            raise ValueError(f"unsupported index format version: {data['version']!r}")
+        config = AnalyzerConfig.from_dict(data["config"])
         doc_length, raw_postings = data["doc_length"], data["postings"]
         if not isinstance(doc_length, dict) or not isinstance(raw_postings, dict):
             raise ValueError("index doc_length and postings must be JSON objects")
@@ -184,7 +185,6 @@ class PositionalIndex:
                 raise ValueError(f"docid {d!r}: doc_length must be a non-negative int, got {dl!r}")
         _check_postings(doc_length, raw_postings)
         postings = {t: {d: tuple(ps) for d, ps in pl.items()} for t, pl in raw_postings.items()}
-        config = AnalyzerConfig.from_dict(data["config"])
         return cls(postings, doc_length, config)
 
     @classmethod
@@ -196,73 +196,39 @@ class PositionalIndex:
 def _check_postings(doc_length: dict, postings: dict) -> None:
     """Reject postings that do not describe each document's token stream.
 
-    Every posting's docid must be in doc_length, and its positions a
-    non-empty, strictly increasing list of ints in [0, doc_length). Every
-    document's term frequencies must sum to its doc_length, and no two
-    terms may share a position in it. The checks run over all postings at
-    once, so loading stays cheap; a failure names the first offending term
-    and docid.
+    Pass 1 checks each posting: its docid is in doc_length, its positions a
+    non-empty, strictly increasing list of ints in [0, doc_length). The term
+    frequencies it sums per document must equal doc_length before pass 2
+    allocates a slot per position, so a false doc_length such as 2**40
+    fails cheaply. Pass 2 fills the slots; a slot filled twice is a
+    position two terms share. A failure names the term and docid.
     """
+    tf_sum = dict.fromkeys(doc_length, 0)
     for t, pl in postings.items():
         if type(pl) is not dict:
             raise ValueError(f"term {t!r}: postings must be a JSON object")
-    rows = list(postings.values())
-    docids = list(chain.from_iterable(rows))                     # posting i's docid
-    lists = list(chain.from_iterable(map(dict.values, rows)))    # posting i's positions
-    row_ends = np.cumsum([len(pl) for pl in rows])
-
-    def term_of(i: int) -> str:
-        return next(islice(postings, int(np.searchsorted(row_ends, i, side="right")), None))
-
-    def fail(i: int, problem: str):
-        raise ValueError(f"term {term_of(i)!r}, docid {docids[i]!r}: {problem}")
-
-    lengths = list(map(doc_length.get, docids))
-    if None in lengths:
-        fail(lengths.index(None), "docid is not in doc_length")
-    shape = "positions must be a non-empty, strictly increasing list of ints in [0, doc_length)"
-    if set(map(type, lists)) - {list}:
-        fail(next(i for i, ps in enumerate(lists) if type(ps) is not list), shape)
-    sizes = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
-    if not sizes.all():
-        fail(int(np.argmin(sizes)), shape)
-    ends = np.cumsum(sizes)
-
-    def posting_of(j: int) -> int:
-        return int(np.searchsorted(ends, j, side="right"))
-
-    flat = list(chain.from_iterable(lists))                      # every posting's positions
-    if set(map(type, flat)) - {int} or (flat and not 0 <= min(flat) <= max(flat) < _INT64_LIMIT):
-        fail(posting_of(next(j for j, p in enumerate(flat)
-                             if type(p) is not int or not 0 <= p < _INT64_LIMIT)), shape)
-    pos = np.array(flat, dtype=np.int64)
-    del flat                                     # the array replaces it; keeps peak memory down
-    rising = pos[1:] > pos[:-1]
-    rising[ends[:-1] - 1] = True                 # a posting's first position follows no other
-    falls = np.flatnonzero(~rising)
-    if len(falls):
-        fail(posting_of(int(falls[0]) + 1), shape)
-    past_end = np.flatnonzero(pos[ends - 1] >= np.array(lengths, dtype=np.int64))
-    if len(past_end):
-        fail(int(past_end[0]), shape)
-    slot = {d: k for k, d in enumerate(doc_length)}
-    doc_slot = np.fromiter(map(slot.__getitem__, docids), dtype=np.int64, count=len(docids))
-    tf_sum = np.bincount(doc_slot, weights=sizes, minlength=len(slot))
-    for d, total, dl in zip(doc_length, tf_sum, doc_length.values()):
-        if total != dl:
-            raise ValueError(f"docid {d!r}: term frequencies sum to {int(total)}, doc_length is {dl}")
-    # Each document now holds doc_length positions, all in range, so they
-    # cover 0..doc_length-1 once unless two terms share one. Number the
-    # positions of all documents consecutively and look for a repeat.
-    doc_tf = tf_sum.astype(np.int64)
-    slots = pos + np.repeat((np.cumsum(doc_tf) - doc_tf)[doc_slot], sizes)
-    if np.bincount(slots).max(initial=0) > 1:
-        holder: dict = {}
-        for j, s in enumerate(slots.tolist()):
-            if s in holder:
-                fail(posting_of(j), f"position {int(pos[j])} is also held by term "
-                                    f"{term_of(posting_of(holder[s]))!r}")
-            holder[s] = j
+        for d, ps in pl.items():
+            if d not in tf_sum:
+                raise ValueError(f"term {t!r}, docid {d!r}: docid is not in doc_length")
+            if type(ps) is not list or not ps:
+                raise ValueError(f"term {t!r}, docid {d!r}: {_POSITIONS}")
+            previous, dl = -1, doc_length[d]
+            for p in ps:
+                if type(p) is not int or not previous < p < dl:
+                    raise ValueError(f"term {t!r}, docid {d!r}: {_POSITIONS}")
+                previous = p
+            tf_sum[d] += len(ps)
+    for d, dl in doc_length.items():
+        if tf_sum[d] != dl:
+            raise ValueError(f"docid {d!r}: term frequencies sum to {tf_sum[d]}, doc_length is {dl}")
+    slots = {d: [None] * dl for d, dl in doc_length.items()}
+    for t, pl in postings.items():
+        for d, ps in pl.items():
+            held = slots[d]
+            for p in ps:
+                if held[p] is not None:
+                    raise ValueError(f"term {t!r}, docid {d!r}: position {p} is also held by term {held[p]!r}")
+                held[p] = t
 
 
 def build_index(corpus: list[Document], config: AnalyzerConfig = DEFAULT_CONFIG) -> PositionalIndex:
@@ -289,7 +255,7 @@ def build_index(corpus: list[Document], config: AnalyzerConfig = DEFAULT_CONFIG)
 
 
 def read_corpus_jsonl(path: str) -> list[Document]:
-    """Read a JSON-Lines corpus: one {"docid": ..., "text": ...} per line."""
+    """Read a JSON-Lines corpus: one {"docid": string or int, "text": string} per line."""
     docs: list[Document] = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -302,5 +268,10 @@ def read_corpus_jsonl(path: str) -> list[Document]:
                 raise ValueError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
             if not isinstance(obj, dict) or "docid" not in obj or "text" not in obj:
                 raise ValueError(f'{path}:{lineno}: expected object with "docid" and "text"')
-            docs.append(Document(docid=str(obj["docid"]), text=str(obj["text"])))
+            docid, text = obj["docid"], obj["text"]
+            if type(docid) not in (str, int):
+                raise ValueError(f'{path}:{lineno}: "docid" must be a string or an integer, got {json.dumps(docid)}')
+            if type(text) is not str:
+                raise ValueError(f'{path}:{lineno}: "text" must be a string')
+            docs.append(Document(docid=str(docid), text=text))
     return docs

@@ -56,6 +56,40 @@ def test_index_parse_failure_exit_code(tmp_path, capsys):
     assert ":1" in capsys.readouterr().err
 
 
+_MALFORMED_INDEX = {
+    "top-level-list": lambda data: [data],
+    "no-postings": lambda data: {key: value for key, value in data.items() if key != "postings"},
+    "config-not-object": lambda data: {**data, "config": 5},
+    "pattern-does-not-compile": lambda data: {**data, "config": {**data["config"], "token_pattern": "("}},
+    "lowercase-string": lambda data: {**data, "config": {**data["config"], "lowercase": "no"}},
+    "stopwords-string": lambda data: {**data, "config": {**data["config"], "stopwords": "the"}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_INDEX))
+def test_malformed_index_file_exits_1(workspace, tmp_path, capsys, case):
+    _, index_path, _ = workspace
+    bad = tmp_path / "bad.idx"
+    bad.write_text(json.dumps(_MALFORMED_INDEX[case](json.loads(index_path.read_text()))))
+    assert cli.run(["explain", "pointwise", "--index", str(bad), "--topics", "demo",
+                    "--qid", "1", "--docid", "T1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+@pytest.mark.parametrize("line,field", [
+    pytest.param('{"docid": null, "text": "apple pear"}', "docid", id="docid-null"),
+    pytest.param('{"docid": "a", "text": ["apple", "pear"]}', "text", id="text-list"),
+])
+def test_malformed_corpus_line_exits_1(tmp_path, capsys, line, field):
+    corpus, out = tmp_path / "bad.jsonl", tmp_path / "x.idx"
+    corpus.write_text(line + "\n")
+    assert cli.run(["index", "--corpus", str(corpus), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f'error: {corpus}:1: "{field}" must be')
+    assert captured.out == "" and not out.exists()
+
+
 def test_whitespace_ids_exit_1_before_a_run_file_is_written(workspace, tmp_path, capsys):
     # A docid or qid with whitespace would write run lines that load_from_res cannot split.
     _, index_path, _ = workspace
@@ -291,6 +325,10 @@ def _base_argv(command, workspace, tmp_path):
         "pointwise": [*explain, "--qid", "1", "--docid", "T1"],
         "pairwise": [*explain, "--qid", "2", "--docs", "B1,B2"],
         "listwise": [*explain, "--run", str(run_path), "--qid", "1"],
+        "ranked-listwise": ["explain", "listwise", "--index", str(index_path), "--topics", "demo",
+                            "--qid", "1"],
+        "rbo": ["eval", "rbo", str(run_path), str(run_path)],
+        "jaccard": ["eval", "jaccard", str(run_path), str(run_path)],
     }[command]
 
 
@@ -432,15 +470,27 @@ def test_unknown_keys_exit_2(workspace, tmp_path, capsys, command, source, key):
     pytest.param("pairwise", ["--format", "text"], None, "--format text needs --details",
                  id="text-without-details"),
     pytest.param("listwise", ["--all"], None, "--all explains every topic", id="all-with-qid"),
+    pytest.param("rank", ["--depth", "0"], None, "depth must be >= 1, got 0", id="rank-depth-0"),
+    pytest.param("ranked-listwise", ["--depth", "0"], None, "depth must be >= 1, got 0",
+                 id="listwise-depth-0"),
+    pytest.param("rbo", ["--p", "1.5"], None, "p must be in (0, 1), got 1.5", id="rbo-p-above-1"),
+    pytest.param("rbo", ["--p", "nan"], None, "p must be in (0, 1), got nan", id="rbo-p-nan"),
+    pytest.param("jaccard", ["--k", "0"], None, "k must be >= 1, got 0", id="jaccard-k-0"),
 ])
 def test_usage_errors_exit_2(workspace, tmp_path, capsys, command, extra, params_file, message):
-    argv = [*_base_argv(command, workspace, tmp_path), *extra]
+    # Every usage error is found before a file is read: the index and run files are missing.
+    _, index_path, run_path = workspace
+    missing = {str(index_path): str(tmp_path / "missing.idx"), str(run_path): str(tmp_path / "missing.trec")}
+    argv = [missing.get(arg, arg) for arg in [*_base_argv(command, workspace, tmp_path), *extra]]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
     if params_file is not None:
         argv = _with_params(argv, params_file, "file", tmp_path)
     assert cli.run(argv) == 2
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+    assert not Path(argv[argv.index("--out") + 1]).exists()
 
 
 # -- each command parses only the flags it reads -------------------------------

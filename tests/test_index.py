@@ -1,5 +1,6 @@
 import math
 import re
+import time
 
 import pytest
 
@@ -107,6 +108,24 @@ def test_read_corpus_jsonl_errors(tmp_path):
     with pytest.raises(ValueError, match="docid"):
         read_corpus_jsonl(str(path))
 
+    # A docid is a JSON string or integer and a text a JSON string; nothing else is read.
+    for line, field in [('{"docid": null, "text": "apple pear"}', "docid"),
+                        ('{"docid": true, "text": "apple pear"}', "docid"),
+                        ('{"docid": 1.5, "text": "apple pear"}', "docid"),
+                        ('{"docid": ["a"], "text": "apple pear"}', "docid"),
+                        ('{"docid": "a", "text": ["apple", "pear"]}', "text"),
+                        ('{"docid": "a", "text": null}', "text"),
+                        ('{"docid": "a", "text": 7}', "text")]:
+        path.write_text('{"docid": "a0", "text": "x"}\n' + line + "\n")
+        with pytest.raises(ValueError, match=re.escape(f'{path}:2: "{field}" must be')):
+            read_corpus_jsonl(str(path))
+
+
+def test_read_corpus_jsonl_reads_an_integer_docid_as_its_decimal_string(tmp_path):
+    path = tmp_path / "ok.jsonl"
+    path.write_text('{"docid": 7, "text": "apple pear"}\n{"docid": -2, "text": ""}\n')
+    assert read_corpus_jsonl(str(path)) == [Document("7", "apple pear"), Document("-2", "")]
+
 
 def test_demo_corpus_loads(demo_index):
     assert demo_index.n_docs == 20
@@ -150,6 +169,60 @@ def _index_data(postings, doc_length):
 def test_from_dict_rejects_inconsistent_postings(postings, doc_length, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         PositionalIndex.from_dict(_index_data(postings, doc_length))
+
+
+def _with(key, value):
+    """A valid index dict with ``key`` (a top-level key, or "config.KEY") set to ``value``."""
+    data = _index_data({"appl": {"a": [0]}}, {"a": 1})
+    where, _, key = key.rpartition(".")
+    (data[where] if where else data)[key] = value
+    return data
+
+
+def _without(key):
+    data = _with(key, None)
+    where, _, key = key.rpartition(".")
+    del (data[where] if where else data)[key]
+    return data
+
+
+@pytest.mark.parametrize("data,message", [
+    pytest.param([], "index must be a JSON object with keys config, doc_length, postings, version",
+                 id="top-level-list"),
+    pytest.param(_without("postings"), "index has no key 'postings'", id="no-postings"),
+    pytest.param(_without("version"), "index has no key 'version'", id="no-version"),
+    pytest.param(_with("extra", 1), "index has an unknown key 'extra'", id="unknown-key"),
+    pytest.param(_with("version", True), "unsupported index format version: True", id="version-bool"),
+    pytest.param(_with("version", 1.0), "unsupported index format version: 1.0", id="version-float"),
+    pytest.param(_with("version", 2), "unsupported index format version: 2", id="version-2"),
+    pytest.param(_with("config", 5), "analyzer config must be a JSON object", id="config-not-object"),
+    pytest.param(_without("config.stem"), "analyzer config has no key 'stem'", id="config-no-stem"),
+    pytest.param(_with("config.case", True), "analyzer config has an unknown key 'case'",
+                 id="config-unknown-key"),
+    pytest.param(_with("config.lowercase", "no"), "analyzer config 'lowercase' must be true or false",
+                 id="lowercase-string"),
+    pytest.param(_with("config.stem", 1), "analyzer config 'stem' must be true or false", id="stem-int"),
+    pytest.param(_with("config.stopwords", "the"), "analyzer config 'stopwords' must be a list of strings",
+                 id="stopwords-string"),
+    pytest.param(_with("config.stopwords", ["the", 1]), "analyzer config 'stopwords' must be a list",
+                 id="stopwords-not-strings"),
+    pytest.param(_with("config.token_pattern", "("), "analyzer config 'token_pattern' '(' does not compile",
+                 id="pattern-does-not-compile"),
+    pytest.param(_with("config.token_pattern", 5), "analyzer config 'token_pattern' must be a string",
+                 id="pattern-not-string"),
+])
+def test_from_dict_rejects_malformed_index_or_config(data, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PositionalIndex.from_dict(data)
+
+
+def test_from_dict_checks_tf_sums_before_sizing_anything_by_doc_length():
+    # A false doc_length must fail on its sum, not allocate 2**40 slots first.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape(
+            "docid 'a': term frequencies sum to 1, doc_length is 1099511627776")):
+        PositionalIndex.from_dict(_index_data({"appl": {"a": [0]}}, {"a": 2**40}))
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("corpus", [

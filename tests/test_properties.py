@@ -11,6 +11,7 @@ import json
 import math
 import os
 import tempfile
+from itertools import chain, islice
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from rankexplain import (
 )
 from rankexplain import AggregatedAxiom, aggregate_preference, axiom_preference, listwise
 from rankexplain.axioms import AGGREGATION_MODES, AXIOM_NAMES
+from rankexplain.index import _check_postings
 from rankexplain.listwise import PAIR_STRATEGIES, CandidateTerm, FidelityEvaluator, PreferencePair
 from rankexplain.perturb import SAMPLER_KINDS, SamplerConfig, draw_samples
 from rankexplain.pointwise import EXS_VARIANTS, PointwiseParams, _perturbation_design, exs_targets
@@ -187,6 +189,133 @@ def test_save_writes_the_reference_bytes(built):
         with open(saved, "rb") as f, open(reference, "rb") as g:
             assert f.read() == g.read()
         assert PositionalIndex.load(saved).to_dict() == index.to_dict()
+
+
+_INT64_LIMIT = 2**63
+
+
+def reference_check_postings(doc_length: dict, postings: dict) -> None:
+    """The numpy postings check that the two-pass ``index._check_postings`` replaced."""
+    for t, pl in postings.items():
+        if type(pl) is not dict:
+            raise ValueError(f"term {t!r}: postings must be a JSON object")
+    rows = list(postings.values())
+    docids = list(chain.from_iterable(rows))                     # posting i's docid
+    lists = list(chain.from_iterable(map(dict.values, rows)))    # posting i's positions
+    row_ends = np.cumsum([len(pl) for pl in rows])
+
+    def term_of(i: int) -> str:
+        return next(islice(postings, int(np.searchsorted(row_ends, i, side="right")), None))
+
+    def fail(i: int, problem: str):
+        raise ValueError(f"term {term_of(i)!r}, docid {docids[i]!r}: {problem}")
+
+    lengths = list(map(doc_length.get, docids))
+    if None in lengths:
+        fail(lengths.index(None), "docid is not in doc_length")
+    shape = "positions must be a non-empty, strictly increasing list of ints in [0, doc_length)"
+    if set(map(type, lists)) - {list}:
+        fail(next(i for i, ps in enumerate(lists) if type(ps) is not list), shape)
+    sizes = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    if not sizes.all():
+        fail(int(np.argmin(sizes)), shape)
+    ends = np.cumsum(sizes)
+
+    def posting_of(j: int) -> int:
+        return int(np.searchsorted(ends, j, side="right"))
+
+    flat = list(chain.from_iterable(lists))                      # every posting's positions
+    if set(map(type, flat)) - {int} or (flat and not 0 <= min(flat) <= max(flat) < _INT64_LIMIT):
+        fail(posting_of(next(j for j, p in enumerate(flat)
+                             if type(p) is not int or not 0 <= p < _INT64_LIMIT)), shape)
+    pos = np.array(flat, dtype=np.int64)
+    del flat                                     # the array replaces it; keeps peak memory down
+    rising = pos[1:] > pos[:-1]
+    rising[ends[:-1] - 1] = True                 # a posting's first position follows no other
+    falls = np.flatnonzero(~rising)
+    if len(falls):
+        fail(posting_of(int(falls[0]) + 1), shape)
+    past_end = np.flatnonzero(pos[ends - 1] >= np.array(lengths, dtype=np.int64))
+    if len(past_end):
+        fail(int(past_end[0]), shape)
+    slot = {d: k for k, d in enumerate(doc_length)}
+    doc_slot = np.fromiter(map(slot.__getitem__, docids), dtype=np.int64, count=len(docids))
+    tf_sum = np.bincount(doc_slot, weights=sizes, minlength=len(slot))
+    for d, total, dl in zip(doc_length, tf_sum, doc_length.values()):
+        if total != dl:
+            raise ValueError(f"docid {d!r}: term frequencies sum to {int(total)}, doc_length is {dl}")
+    # Each document now holds doc_length positions, all in range, so they
+    # cover 0..doc_length-1 once unless two terms share one. Number the
+    # positions of all documents consecutively and look for a repeat.
+    doc_tf = tf_sum.astype(np.int64)
+    slots = pos + np.repeat((np.cumsum(doc_tf) - doc_tf)[doc_slot], sizes)
+    if np.bincount(slots).max(initial=0) > 1:
+        holder: dict = {}
+        for j, s in enumerate(slots.tolist()):
+            if s in holder:
+                fail(posting_of(j), f"position {int(pos[j])} is also held by term "
+                                    f"{term_of(posting_of(holder[s]))!r}")
+            holder[s] = j
+
+
+POSTING_MUTATIONS = (None, "drop", "past_end", "negative", "float", "bool", "repeat",
+                     "unknown_docid", "onto_other_term", "huge_doc_length")
+
+
+def mutate_postings(draw, doc_length, postings, mutation):
+    """Apply one ``mutation`` in place to a valid index's doc_length and postings."""
+    if mutation == "onto_other_term":   # move a position onto another term's in the same document
+        shared = [d for d in doc_length if sum(d in pl for pl in postings.values()) > 1]
+        assume(shared)
+        d = draw(st.sampled_from(shared))
+        mover, holder = draw(st.permutations([t for t, pl in postings.items() if d in pl]))[:2]
+        ps = postings[mover][d]
+        ps[draw(st.integers(0, len(ps) - 1))] = draw(st.sampled_from(postings[holder][d]))
+        if draw(st.booleans()):
+            ps.sort()
+        return
+    t = draw(st.sampled_from(sorted(postings)))
+    d = draw(st.sampled_from(sorted(postings[t])))
+    ps = postings[t][d]
+    i = draw(st.integers(0, len(ps) - 1))
+    if mutation == "drop":
+        del ps[i]
+    elif mutation == "past_end":
+        ps[i] = doc_length[d] + draw(st.integers(0, 2))
+    elif mutation == "negative":
+        ps[i] = -draw(st.integers(1, 3))
+    elif mutation == "float":
+        ps[i] = float(ps[i])
+    elif mutation == "bool":
+        ps[i] = draw(st.booleans())
+    elif mutation == "repeat":
+        ps.insert(i, ps[i])
+    elif mutation == "unknown_docid":
+        postings[t] = {("zz-" + e if e == d else e): e_ps for e, e_ps in postings[t].items()}
+    elif mutation == "huge_doc_length":
+        doc_length[d] = 2**40
+
+
+def check_outcome(check, doc_length, postings):
+    """None when ``check`` accepts, else the message of its ValueError."""
+    try:
+        check(doc_length, postings)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), indexes(), st.sampled_from(POSTING_MUTATIONS))
+def test_check_postings_equals_numpy_reference(data, built, mutation):
+    index, _ = built
+    raw = json.loads(json.dumps(index.to_dict()))
+    doc_length, postings = raw["doc_length"], raw["postings"]
+    if mutation is not None:
+        mutate_postings(data.draw, doc_length, postings, mutation)
+    outcome = check_outcome(_check_postings, doc_length, postings)
+    assert outcome == check_outcome(reference_check_postings, doc_length, postings)
+    assert (outcome is None) == (mutation is None)
 
 
 # -- pointwise targets ---------------------------------------------------------
