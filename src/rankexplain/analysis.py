@@ -44,6 +44,15 @@ class AnalyzerConfig:
     stopwords: frozenset = ENGLISH_STOPWORDS
     token_pattern: str = _DEFAULT_TOKEN_PATTERN
 
+    def __post_init__(self):
+        pattern = self.token_pattern
+        try:
+            groups = re.compile(pattern).groups
+        except re.error as exc:
+            raise ValueError(f"analyzer config 'token_pattern' {pattern!r} does not compile: {exc}") from exc
+        if groups:      # findall would return the groups instead of the tokens
+            raise ValueError(f"analyzer config 'token_pattern' {pattern!r} has capture groups; use (?:...)")
+
     def to_dict(self) -> dict:
         return {
             "lowercase": self.lowercase,
@@ -63,10 +72,6 @@ class AnalyzerConfig:
             raise ValueError("analyzer config 'stopwords' must be a list of strings")
         if type(pattern) is not str:
             raise ValueError(f"analyzer config 'token_pattern' must be a string, got {pattern!r}")
-        try:
-            re.compile(pattern)
-        except re.error as exc:
-            raise ValueError(f"analyzer config 'token_pattern' {pattern!r} does not compile: {exc}") from exc
         return cls(data["lowercase"], data["stem"], frozenset(stopwords), pattern)
 
 
@@ -76,9 +81,10 @@ DEFAULT_CONFIG = AnalyzerConfig()
 class _Analyzer:
     """The analysis chain of one config, with a memo from word to term.
 
-    A word's term is None for a stopword, else the word Porter-stemmed (or
-    left as it is without stemming). ``porter_stem`` is looked up when a
-    word is first seen, so a replaced module attribute is the one called.
+    A word's term is None for a stopword or the empty word, else the word
+    Porter-stemmed (or left as it is without stemming). ``porter_stem`` is
+    looked up when a word is first seen, so a replaced module attribute is
+    the one called.
     """
 
     def __init__(self, config: AnalyzerConfig):
@@ -87,7 +93,7 @@ class _Analyzer:
         self._terms: dict[str, str | None] = {}
 
     def _term(self, word: str) -> str | None:
-        if word in self._config.stopwords:
+        if not word or word in self._config.stopwords:     # a pattern may match ''
             return None
         return porter_stem(word) if self._config.stem else word
 

@@ -200,7 +200,10 @@ class PreferenceMatrix:
 def build_preference_matrix(index: PositionalIndex, simple_rankers: Sequence[Ranker],
                             candidates: Sequence[CandidateTerm],
                             pairs: Sequence[PreferencePair]) -> PreferenceMatrix:
-    """Score every candidate as a one-term query against both pair sides."""
+    """Score every candidate as a one-term query against both pair sides.
+
+    One (candidates x docids) block per ranker; a NaN score gives entry 0.
+    """
     if not simple_rankers:
         raise ValueError("need at least one simple ranker")
     if not candidates:
@@ -209,14 +212,13 @@ def build_preference_matrix(index: PositionalIndex, simple_rankers: Sequence[Ran
         raise ValueError("need at least one preference pair")
     docids = sorted({p.upper for p in pairs} | {p.lower for p in pairs})
     column = {d: i for i, d in enumerate(docids)}
-    upper = np.array([column[p.upper] for p in pairs])
-    lower = np.array([column[p.lower] for p in pairs])
-    entries = np.zeros((len(simple_rankers), len(candidates), len(pairs)), dtype=np.int8)
+    sides = np.array([[column[p.upper], column[p.lower]] for p in pairs])
+    entries = np.empty((len(simple_rankers), len(candidates), len(pairs)), dtype=np.int8)
     for r, ranker in enumerate(simple_rankers):
-        for t, cand in enumerate(candidates):
-            row = np.array(ranker.term_scores(cand.term, docids), dtype=np.float64)
-            diff = row[upper] - row[lower]
-            entries[r, t] = (diff > 0).astype(np.int8) - (diff < 0).astype(np.int8)
+        block = np.array([ranker.term_scores(c.term, docids) for c in candidates], dtype=np.float64)
+        scores = block[:, sides]                  # (candidates, pairs, [upper, lower])
+        diff = scores[..., 0] - scores[..., 1]
+        entries[r] = (diff > 0).astype(np.int8) - (diff < 0)
     return PreferenceMatrix(
         rankers=[r.name for r in simple_rankers],
         candidates=list(candidates),
@@ -225,63 +227,40 @@ def build_preference_matrix(index: PositionalIndex, simple_rankers: Sequence[Ran
     )
 
 
-def _greedy_cover(layer: np.ndarray, candidates: Sequence[CandidateTerm],
-                  m_min: int, m_max: int):
+def _coverage_explanation(method: str, layer: np.ndarray, matrix: PreferenceMatrix,
+                          m_min: int, m_max: int, qid: str = "") -> ListwiseExplanation:
     """Greedy maximum coverage over one entry layer (terms x pairs).
 
     A pair is covered by a term set S when the sum of S's entries for it
-    is positive. Terms are added by maximal marginal coverage (ties by
-    salience, then term); selection stops at m_max, or once the best gain
-    is no longer positive after m_min terms were reached.
+    is positive. Each round scores every unselected term at once and adds
+    the one of maximal marginal coverage (ties by higher salience, then
+    term); selection stops at m_max, or once the best gain is no longer
+    positive after m_min terms were reached.
     """
-    n_terms, n_pairs = layer.shape
-    selected: list[int] = []
-    running = np.zeros(n_pairs, dtype=np.int64)
-    evaluations = 0
-
-    def covered(vec) -> int:
-        return int(np.count_nonzero(vec > 0))
-
-    while len(selected) < min(m_max, n_terms):
-        best_idx = None
-        best_key = None
-        base_cov = covered(running)
-        for t in range(n_terms):
-            if t in selected:
-                continue
-            gain = covered(running + layer[t]) - base_cov
-            evaluations += 1
-            key = (-gain, -candidates[t].salience, candidates[t].term)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_idx = t
-        if best_idx is None:
-            break
-        best_gain = -best_key[0]
-        if best_gain <= 0 and len(selected) >= m_min:
-            break
-        selected.append(best_idx)
-        running += layer[best_idx]
-    coverage = covered(running) / n_pairs
-    terms = [candidates[t].term for t in selected]
-    return terms, coverage, evaluations
-
-
-def _coverage_explanation(method: str, layer: np.ndarray, matrix: PreferenceMatrix,
-                          m_min: int, m_max: int, qid: str = "") -> ListwiseExplanation:
     if m_min < 0 or m_max < m_min:
         raise ValueError(f"need 0 <= m_min <= m_max, got {m_min}, {m_max}")
-    terms, coverage, evaluations = _greedy_cover(layer, matrix.candidates, m_min, m_max)
-    diagnostics = {}
-    if coverage == 0.0:
-        diagnostics["zero_coverage"] = True
+    cands = matrix.candidates
+    # Stable, so duplicate candidates stay in index order; argmax takes the first maximum.
+    left = sorted(range(len(layer)), key=lambda t: (-cands[t].salience, cands[t].term))
+    running = np.zeros(layer.shape[1], dtype=np.int64)
+    selected: list[int] = []
+    evaluations = 0
+    while left and len(selected) < m_max:
+        gains = np.count_nonzero(running + layer[left] > 0, axis=1) - np.count_nonzero(running > 0)
+        best = int(np.argmax(gains))
+        evaluations += len(left)
+        if gains[best] <= 0 and len(selected) >= m_min:
+            break
+        selected.append(left.pop(best))
+        running += layer[selected[-1]]
+    coverage = int(np.count_nonzero(running > 0)) / layer.shape[1]
     return ListwiseExplanation(
         qid=qid,
         method=method,
-        terms=terms,
+        terms=[cands[t].term for t in selected],
         fidelity={"coverage": coverage},
         evaluations_used=evaluations,
-        diagnostics=diagnostics,
+        diagnostics={"zero_coverage": True} if coverage == 0.0 else {},
     )
 
 

@@ -95,6 +95,18 @@ class RankedList:
         return self.entries[rank - 1].score
 
 
+def _check_bm25(k1: float, b: float) -> None:
+    if not 0.0 <= k1 < math.inf:      # range comparisons, so NaN fails them
+        raise ValueError(f"k1 must be finite and >= 0, got {k1}")
+    if not 0.0 <= b <= 1.0:
+        raise ValueError(f"b must be in [0, 1], got {b}")
+
+
+def _check_mu(name: str, mu: float) -> None:
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {mu}")
+
+
 @dataclass(frozen=True)
 class RankerParams:
     """Default parameters of the built-in sparse models."""
@@ -105,10 +117,10 @@ class RankerParams:
     dirichlet_mu: float = 1000.0
 
     def __post_init__(self):
+        _check_bm25(self.k1, self.b)
         if not 0.0 < self.jm_lambda < 1.0:
             raise ValueError(f"jm_lambda must be in (0, 1), got {self.jm_lambda}")
-        if self.dirichlet_mu <= 0:
-            raise ValueError(f"dirichlet_mu must be positive, got {self.dirichlet_mu}")
+        _check_mu("dirichlet_mu", self.dirichlet_mu)
 
 
 class Ranker(ABC):
@@ -170,6 +182,7 @@ class BM25Ranker(_SparseRanker):
 
     def __init__(self, index: PositionalIndex, k1: float = 0.9, b: float = 0.4):
         super().__init__(index)
+        _check_bm25(k1, b)
         self.k1 = k1
         self.b = b
 
@@ -218,8 +231,7 @@ class LMDirRanker(_SparseRanker):
 
     def __init__(self, index: PositionalIndex, mu: float = 1000.0):
         super().__init__(index)
-        if mu <= 0:
-            raise ValueError(f"mu must be positive, got {mu}")
+        _check_mu("mu", mu)
         self.mu = mu
 
     def _term_score(self, term: str, tf: int, dl: int) -> float:

@@ -18,10 +18,10 @@ from conftest import make_vocab, random_corpus
 
 
 def reference_tokenize(text, config):
-    """The analysis chain without a memo: every token is stemmed."""
+    """The analysis chain without a memo: every token is stemmed. Empty matches are not terms."""
     if config.lowercase:
         text = text.lower()
-    tokens = re.findall(config.token_pattern, text)
+    tokens = [t for t in re.findall(config.token_pattern, text) if t]
     if config.stopwords:
         tokens = [t for t in tokens if t not in config.stopwords]
     if config.stem:
@@ -58,6 +58,7 @@ configs = st.sampled_from([
     AnalyzerConfig(stopwords=frozenset()),
     AnalyzerConfig(lowercase=False, stopwords=frozenset({"The", "a"})),
     AnalyzerConfig(token_pattern=r"[a-z]*"),     # also matches empty strings
+    AnalyzerConfig(token_pattern=r"(?:[a-z]|\d\d)+"),    # a group that captures nothing
 ])
 
 ANALYSIS_SETTINGS = settings(max_examples=100, deadline=None)
@@ -93,6 +94,11 @@ def test_deterministic():
 def test_no_stem_config():
     config = AnalyzerConfig(stem=False, stopwords=frozenset())
     assert tokenize("exons definition", config) == ["exons", "definition"]
+
+
+def test_empty_matches_are_not_terms():
+    assert tokenize("ab cd", AnalyzerConfig(token_pattern="[a-z]*")) == ["ab", "cd"]
+    assert tokenize("xab x", AnalyzerConfig(token_pattern="(?=x)")) == []
 
 
 def test_stopword_list_contents():

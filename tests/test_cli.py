@@ -63,6 +63,7 @@ _MALFORMED_INDEX = {
     "pattern-does-not-compile": lambda data: {**data, "config": {**data["config"], "token_pattern": "("}},
     "lowercase-string": lambda data: {**data, "config": {**data["config"], "lowercase": "no"}},
     "stopwords-string": lambda data: {**data, "config": {**data["config"], "stopwords": "the"}},
+    "pattern-capture-groups": lambda data: {**data, "config": {**data["config"], "token_pattern": "(a)(b)"}},
 }
 
 
@@ -446,6 +447,12 @@ def test_unknown_keys_exit_2(workspace, tmp_path, capsys, command, source, key):
                  id="jm-lambda-out-of-range"),
     pytest.param("rank", ["--dirichlet_mu", "0"], None, "dirichlet_mu must be positive",
                  id="dirichlet-mu-not-positive"),
+    pytest.param("rank", ["--k1", "-1", "--b", "0"], None, "k1 must be finite and >= 0, got -1.0",
+                 id="k1-minus-1-b-0"),
+    pytest.param("rank", ["--k1", "-0.5"], None, "k1 must be finite and >= 0, got -0.5",
+                 id="k1-negative"),
+    pytest.param("rank", ["--b", "7"], None, "b must be in [0, 1], got 7.0", id="b-above-1"),
+    pytest.param("rank", [], {"b": -0.25}, "b must be in [0, 1], got -0.25", id="b-negative"),
     pytest.param("pointwise", [], {"seed": 5}, "--seed flag", id="pointwise-seed-key"),
     pytest.param("listwise", [], {"seed": 5}, "--seed flag", id="listwise-seed-key"),
     pytest.param("listwise", [], {"method": "bfs"}, "--method flag", id="listwise-method-key"),

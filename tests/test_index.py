@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from rankexplain import Document, PositionalIndex, UnknownDocumentError, build_index
+from rankexplain import Document, PositionalIndex, Query, UnknownDocumentError, build_index
+from rankexplain.analysis import AnalyzerConfig, tokenize
 from rankexplain.index import read_corpus_jsonl
 from rankexplain.rng import XorShift64Star
 
@@ -210,10 +211,34 @@ def _without(key):
                  id="pattern-does-not-compile"),
     pytest.param(_with("config.token_pattern", 5), "analyzer config 'token_pattern' must be a string",
                  id="pattern-not-string"),
+    pytest.param(_with("config.token_pattern", "(a)(b)"),
+                 "analyzer config 'token_pattern' '(a)(b)' has capture groups", id="pattern-capture-groups"),
+    pytest.param(_with("config.token_pattern", "(?P<word>[a-z]+)"),
+                 "analyzer config 'token_pattern' '(?P<word>[a-z]+)' has capture groups",
+                 id="pattern-named-group"),
 ])
 def test_from_dict_rejects_malformed_index_or_config(data, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         PositionalIndex.from_dict(data)
+
+
+def test_capture_groups_are_rejected_before_any_text_is_analyzed():
+    # findall would return the groups: ('a', 'b') would be a term, and the saved file unloadable.
+    with pytest.raises(ValueError, match=re.escape("'token_pattern' '(a)(b)' has capture groups")):
+        build_index([Document("d1", "ab")], AnalyzerConfig(token_pattern="(a)(b)"))
+    with pytest.raises(ValueError, match="token_pattern"):
+        tokenize("ab", AnalyzerConfig(token_pattern="([a-z])+"))
+    assert tokenize("ab cd", AnalyzerConfig(token_pattern="(?:[a-z])+")) == ["ab", "cd"]
+
+
+def test_a_pattern_matching_the_empty_string_puts_no_empty_term_in_an_index_or_query(tmp_path):
+    config = AnalyzerConfig(token_pattern="[a-z]*")
+    index = build_index([Document("d1", "ab, cd"), Document("d2", "!!")], config)
+    assert "" not in index.vocabulary
+    assert (index.doc_length("d1"), index.doc_length("d2")) == (2, 0)
+    index.save(tmp_path / "x.idx")
+    assert PositionalIndex.load(tmp_path / "x.idx").to_dict() == index.to_dict()
+    assert Query.from_text(index, "q", "ab  cd").terms == ("ab", "cd")
 
 
 def test_from_dict_checks_tf_sums_before_sizing_anything_by_doc_length():

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from itertools import chain, islice
 
 import numpy as np
@@ -19,8 +20,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rankexplain import (
+    Document,
+    HiddenIntentRanker,
     PositionalIndex,
     Query,
+    Ranker,
     RankerParams,
     build_index,
     build_preference_matrix,
@@ -34,7 +38,16 @@ from rankexplain import (
 from rankexplain import AggregatedAxiom, aggregate_preference, axiom_preference, listwise
 from rankexplain.axioms import AGGREGATION_MODES, AXIOM_NAMES
 from rankexplain.index import _check_postings
-from rankexplain.listwise import PAIR_STRATEGIES, CandidateTerm, FidelityEvaluator, PreferencePair
+from rankexplain.listwise import (
+    PAIR_STRATEGIES,
+    CandidateTerm,
+    FidelityEvaluator,
+    ListwiseExplanation,
+    PreferenceMatrix,
+    PreferencePair,
+    intent_exs_explain,
+    multiplex_explain,
+)
 from rankexplain.perturb import SAMPLER_KINDS, SamplerConfig, draw_samples
 from rankexplain.pointwise import EXS_VARIANTS, PointwiseParams, _perturbation_design, exs_targets
 from rankexplain.rankers import RankedList, RunEntry
@@ -147,6 +160,171 @@ def test_preference_matrix_equals_pairwise_signs(data, built, ranker_specs):
             for p, pair in enumerate(pairs):
                 diff = ranker.score(query, pair.upper) - ranker.score(query, pair.lower)
                 assert matrix.entries[r, t, p] == (diff > 0) - (diff < 0)
+
+
+def reference_build_preference_matrix(index, simple_rankers, candidates, pairs):
+    """``build_preference_matrix`` as it was: one array and one sign per candidate row."""
+    if not simple_rankers:
+        raise ValueError("need at least one simple ranker")
+    if not candidates:
+        raise ValueError("need at least one candidate term")
+    if not pairs:
+        raise ValueError("need at least one preference pair")
+    docids = sorted({p.upper for p in pairs} | {p.lower for p in pairs})
+    column = {d: i for i, d in enumerate(docids)}
+    upper = np.array([column[p.upper] for p in pairs])
+    lower = np.array([column[p.lower] for p in pairs])
+    entries = np.zeros((len(simple_rankers), len(candidates), len(pairs)), dtype=np.int8)
+    for r, ranker in enumerate(simple_rankers):
+        for t, cand in enumerate(candidates):
+            row = np.array(ranker.term_scores(cand.term, docids), dtype=np.float64)
+            diff = row[upper] - row[lower]
+            entries[r, t] = (diff > 0).astype(np.int8) - (diff < 0).astype(np.int8)
+    return PreferenceMatrix(
+        rankers=[r.name for r in simple_rankers],
+        candidates=list(candidates),
+        pairs=list(pairs),
+        entries=entries,
+    )
+
+
+def reference_greedy_cover(layer, candidates, m_min, m_max):
+    """The greedy cover as it was: one numpy call and one key per candidate."""
+    n_terms, n_pairs = layer.shape
+    selected = []
+    running = np.zeros(n_pairs, dtype=np.int64)
+    evaluations = 0
+
+    def covered(vec):
+        return int(np.count_nonzero(vec > 0))
+
+    while len(selected) < min(m_max, n_terms):
+        best_idx = None
+        best_key = None
+        base_cov = covered(running)
+        for t in range(n_terms):
+            if t in selected:
+                continue
+            gain = covered(running + layer[t]) - base_cov
+            evaluations += 1
+            key = (-gain, -candidates[t].salience, candidates[t].term)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_idx = t
+        if best_idx is None:
+            break
+        best_gain = -best_key[0]
+        if best_gain <= 0 and len(selected) >= m_min:
+            break
+        selected.append(best_idx)
+        running += layer[best_idx]
+    coverage = covered(running) / n_pairs
+    terms = [candidates[t].term for t in selected]
+    return terms, coverage, evaluations
+
+
+def reference_coverage_explanation(method, layer, matrix, m_min, m_max, qid=""):
+    """``_coverage_explanation`` as it was, over the kept greedy cover."""
+    if m_min < 0 or m_max < m_min:
+        raise ValueError(f"need 0 <= m_min <= m_max, got {m_min}, {m_max}")
+    terms, coverage, evaluations = reference_greedy_cover(layer, matrix.candidates, m_min, m_max)
+    diagnostics = {}
+    if coverage == 0.0:
+        diagnostics["zero_coverage"] = True
+    return ListwiseExplanation(
+        qid=qid,
+        method=method,
+        terms=terms,
+        fidelity={"coverage": coverage},
+        evaluations_used=evaluations,
+        diagnostics=diagnostics,
+    )
+
+
+# Mostly {-1, 0, 1}, as built; any int8, as a matrix read from JSON may hold.
+matrix_entries = st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-128, 127))
+
+
+@st.composite
+def coverage_matrices(draw):
+    """A matrix of 1-3 rankers whose candidates repeat terms and tie saliences on purpose."""
+    n_rankers = draw(st.integers(1, 3))
+    n_terms = draw(st.integers(1, 8))
+    n_pairs = draw(st.integers(1, 8))
+    candidates = [CandidateTerm(draw(st.sampled_from(["a", "b", "c", "d"])),
+                                draw(st.sampled_from([0.0, 1.0, 2.5, -1.0])))
+                  for _ in range(n_terms)]
+    values = draw(st.lists(matrix_entries, min_size=n_rankers * n_terms * n_pairs,
+                           max_size=n_rankers * n_terms * n_pairs))
+    entries = np.array(values, dtype=np.int8).reshape(n_rankers, n_terms, n_pairs)
+    pairs = [PreferencePair(f"u{p}", f"v{p}", 1) for p in range(n_pairs)]
+    return PreferenceMatrix([f"r{r}" for r in range(n_rankers)], candidates, pairs, entries)
+
+
+@PROPERTY_SETTINGS
+@given(coverage_matrices(), st.integers(0, 6), st.integers(0, 4))
+def test_coverage_explainers_equal_reference(matrix, m_min, extra):
+    m_max = m_min + extra       # both may exceed the number of candidates
+    single = PreferenceMatrix(matrix.rankers[:1], matrix.candidates, matrix.pairs, matrix.entries[:1])
+    cases = [(intent_exs_explain, "intent_exs", single, single.entries[0]),
+             (multiplex_explain, "multiplex", matrix, matrix.consensus)]
+    for explain, method, m, layer in cases:
+        expl = explain(m, m_min, m_max, qid="q")
+        expected = reference_coverage_explanation(method, layer, m, m_min, m_max, qid="q")
+        assert expl.as_dict() == expected.as_dict()
+        assert expl.diagnostics == expected.diagnostics
+        assert type(expl.fidelity["coverage"]) is float
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), indexes(min_docs=2), st.lists(rankers, min_size=1, max_size=3), st.booleans())
+def test_preference_matrix_equals_reference(data, built, ranker_specs, hidden):
+    index, vocab = built
+    simple = [make_ranker(index, *spec) for spec in ranker_specs]
+    if hidden:      # an opaque ranker: rows come from the Ranker.term_scores default
+        weights = st.tuples(st.sampled_from(vocab), st.sampled_from([0.5, 2.5]))
+        simple.append(HiddenIntentRanker(simple[0], data.draw(st.lists(weights, max_size=3))))
+    terms = data.draw(st.lists(st.sampled_from(vocab + [OOV]), min_size=1, max_size=12))
+    candidates = [CandidateTerm(t, 0.0) for t in terms]
+    pair_docs = st.lists(st.sampled_from(index.doc_ids()), min_size=2, max_size=2, unique=True)
+    pairs = [PreferencePair(u, l, 1) for u, l in data.draw(st.lists(pair_docs, min_size=1))]
+    matrix = build_preference_matrix(index, simple, candidates, pairs)
+    expected = reference_build_preference_matrix(index, simple, candidates, pairs)
+    assert matrix.entries.dtype == np.int8
+    assert np.array_equal(matrix.entries, expected.entries)
+    assert (matrix.rankers, matrix.candidates, matrix.pairs) == \
+        (expected.rankers, expected.candidates, expected.pairs)
+
+
+class NaNForOneDoc(Ranker):
+    """An opaque ranker scoring tf of the query terms, and NaN for one document."""
+
+    name = "nan_for_one_doc"
+
+    def __init__(self, index, nan_docid):
+        self.index = index
+        self.nan_docid = nan_docid
+
+    def score(self, query, docid):
+        if docid == self.nan_docid:
+            return math.nan
+        return float(sum(self.index.tf(t, docid) for t in query.terms))
+
+    def score_tokens(self, query, tokens):
+        raise NotImplementedError
+
+
+def test_nan_score_gives_entry_0_without_warning():
+    index = build_index([Document("a", "qq"), Document("b", "qq qq"), Document("c", "ww")])
+    ranker = NaNForOneDoc(index, "b")
+    candidates = [CandidateTerm("qq", 1.0), CandidateTerm("ww", 1.0)]
+    pairs = [PreferencePair("b", "a", 1), PreferencePair("a", "c", 1), PreferencePair("c", "b", 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        matrix = build_preference_matrix(index, [ranker], candidates, pairs)
+        expected = reference_build_preference_matrix(index, [ranker], candidates, pairs)
+    assert matrix.entries.tolist() == [[[0, 1, 0], [0, -1, 0]]]
+    assert np.array_equal(matrix.entries, expected.entries)
 
 
 @PROPERTY_SETTINGS

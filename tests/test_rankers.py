@@ -101,11 +101,22 @@ def test_lm_parameter_validation():
         LMJMRanker(index, lam=0.0)
     with pytest.raises(ValueError):
         LMJMRanker(index, lam=1.0)
-    with pytest.raises(ValueError):
-        LMDirRanker(index, mu=0.0)
-    for bad in ({"jm_lambda": 0.0}, {"jm_lambda": 5.0}, {"dirichlet_mu": 0.0}):
-        with pytest.raises(ValueError, match=next(iter(bad))):
+    for mu in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="mu must be positive and finite"):
+            LMDirRanker(index, mu=mu)
+    for k1, b, name in ((-1.0, 0.0, "k1"), (-0.5, 0.4, "k1"), (math.nan, 0.4, "k1"),
+                        (math.inf, 0.4, "k1"), (0.9, 7.0, "b"), (0.9, -0.1, "b"), (0.9, math.nan, "b")):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            BM25Ranker(index, k1=k1, b=b)
+    for bad in ({"jm_lambda": 0.0}, {"jm_lambda": 5.0}, {"dirichlet_mu": 0.0},
+                {"dirichlet_mu": math.nan}, {"dirichlet_mu": math.inf}, {"k1": -1.0, "b": 0.0},
+                {"k1": -0.5}, {"k1": math.nan}, {"k1": math.inf}, {"b": 7.0}, {"b": -0.1}, {"b": math.nan}):
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
             RankerParams(**bad)
+    # The ends of each domain are accepted.
+    BM25Ranker(index, k1=0.0, b=0.0)
+    BM25Ranker(index, k1=1e300, b=1.0)
+    RankerParams(k1=0.0, b=1.0, dirichlet_mu=1e-300)
 
 
 def test_rank_singleton_pool(cat_index):
