@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 from .axioms import (
@@ -30,11 +29,12 @@ from .axioms import (
     render_details,
 )
 from .datasets import demo_corpus_path, demo_topics_path
-from .evaluation import jaccard_at_k, kendall_tau, rbo, spearman_rho
-from .index import PositionalIndex, UnknownDocumentError, build_index, read_corpus_jsonl
+from .evaluation import RBO_P_DOMAIN, jaccard_at_k, kendall_tau, rbo, spearman_rho
+from .index import PositionalIndex, UnknownDocumentError, _check_in, build_index, read_corpus_jsonl
 from .listwise import ListwiseParams, explain_all, explain_listwise
 from .pointwise import PointwiseParams, exs_explain, lirme_explain, visualize_terms
 from .rankers import (
+    DEPTH_DOMAIN,
     Query,
     RankerParams,
     SIMPLE_RANKERS,
@@ -94,9 +94,9 @@ def _coerce(key: str, value, default):
         value = float(value)
     if kind is tuple and type(value) is list and all(type(v) is str for v in value):
         value = tuple(value)
-    if type(value) is kind and (kind is not float or math.isfinite(value)):
+    if type(value) is kind:
         return value
-    expected = {float: "a finite number", tuple: "a JSON list of strings"}.get(kind, kind.__name__)
+    expected = {float: "a number", tuple: "a JSON list of strings"}.get(kind, kind.__name__)
     raise UsageError(f"parameter {key!r} expects {expected}, got {json.dumps(value)}")
 
 
@@ -198,13 +198,16 @@ def cmd_index(args, extras) -> int:
     return EXIT_OK
 
 
-def _check_depth(name: str, value: int) -> None:  # a list's depth, or Jaccard's k
-    if value < 1:
-        raise UsageError(f"{name} must be >= 1, got {value}")
+def _check_arg(name: str, value, interval: str) -> None:
+    """``_check_in`` for a value the command reads itself; outside, a usage error."""
+    try:
+        _check_in(name, value, interval)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_rank(args, extras) -> int:
-    _check_depth("depth", args.depth)
+    _check_arg("depth", args.depth, DEPTH_DOMAIN)
     ranker_params, = _build_params(args, extras, (RankerParams,))
     topics = _topics(args)
     index = PositionalIndex.load(args.index)
@@ -288,7 +291,7 @@ def cmd_explain_listwise(args, extras) -> int:
         lw, = _build_params(args, extras, (ListwiseParams,))
     else:  # the lists are ranked here, so their depth is a key too
         lw, depth = _build_params(args, extras, (ListwiseParams,), {"depth": 10})
-        _check_depth("depth", depth)
+        _check_arg("depth", depth, DEPTH_DOMAIN)
     if args.all and (args.topics is None or args.qid):
         raise UsageError("--all explains every topic: it takes --topics and no --qid")
     if not (args.all or args.qid):
@@ -327,10 +330,10 @@ _MEASURES = {"rbo": rbo, "tau": kendall_tau, "rho": spearman_rho, "jaccard": jac
 
 def cmd_eval(args, extras) -> int:
     # The measure's parser declares its one parameter flag, if it has one.
-    params = {key: value for key, value in vars(args).items() if key in ("p", "k")}
-    if not 0.0 < params.get("p", 0.5) < 1.0:
-        raise UsageError(f"p must be in (0, 1), got {args.p}")
-    _check_depth("k", params.get("k", 1))
+    domains = {"p": RBO_P_DOMAIN, "k": DEPTH_DOMAIN}
+    params = {key: value for key, value in vars(args).items() if key in domains}
+    for key, value in params.items():
+        _check_arg(key, value, domains[key])
     runs_a = load_from_res(args.run_a)
     runs_b = load_from_res(args.run_b)
     shared = sorted(set(runs_a) & set(runs_b))

@@ -14,8 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .index import PositionalIndex
-from .rankers import LMJMRanker, Query, RankedList
+from .index import PositionalIndex, _check_in
+from .rankers import DEPTH_DOMAIN, LMJMRanker, Query, RankedList
+
+RBO_P_DOMAIN = "(0, 1)"      # of rbo's persistence p
 
 
 def _check_distinct(name: str, items: Sequence) -> None:
@@ -34,8 +36,7 @@ def rbo(list_a: Sequence, list_b: Sequence, p: float) -> float:
     an ulp (identical depth-200 lists at p = 0.9, for example), so the
     result is capped at 1.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
+    _check_in("p", p, RBO_P_DOMAIN)
     _check_distinct("list_a", list_a)
     _check_distinct("list_b", list_b)
     k = min(len(list_a), len(list_b))
@@ -88,8 +89,7 @@ def spearman_rho(list_a: Sequence, list_b: Sequence) -> float:
 
 def jaccard_at_k(list_a: Sequence, list_b: Sequence, k: int) -> float:
     """Jaccard similarity of the two top-k sets (full list when shorter)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_in("k", k, DEPTH_DOMAIN)
     top_a = set(list_a[:k])
     top_b = set(list_b[:k])
     union = top_a | top_b
@@ -110,8 +110,8 @@ class GroundTruthTerms:
     def __post_init__(self):
         if not self.weights:
             raise ValueError("ground truth must be non-empty")
-        if any(w < 0 for w in self.weights.values()):
-            raise ValueError("ground-truth weights must be >= 0")
+        for term, w in self.weights.items():
+            _check_in(f"ground-truth weight of {term!r}", w, "[0, inf)")
         total = sum(self.weights.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"ground-truth weights must sum to 1, got {total}")
@@ -131,10 +131,8 @@ def lmjm_ground_truth(index: PositionalIndex, query: Query, ranked: RankedList,
     outweighs an equally frequent present term. The top n_terms are kept
     and renormalized.
     """
-    if not 1 <= top_n <= len(ranked):
-        raise ValueError(f"top_n must be in 1..{len(ranked)}, got {top_n}")
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
+    _check_in("top_n", top_n, f"[1, {len(ranked)}]")
+    _check_in("n_terms", n_terms, "[1, inf)")
     ranker = LMJMRanker(index, lam=lam)
     docids = ranked.docids[:top_n]
     doc_weights = [math.exp(ranker.score(query, d)) for d in docids]

@@ -11,6 +11,7 @@ are computed once at construction. Apart from the token memo that
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -27,6 +28,36 @@ def _check_id(kind: str, value: str, where: str = "") -> None:
     """Reject an id that a whitespace-separated run file could not read back."""
     if value.split() != [value]:
         raise ValueError(f"{where}{kind} {value!r} is empty or contains whitespace")
+
+
+def _check_in(name: str, value, interval: str) -> None:
+    """Reject a value outside ``interval``, written in math notation: "(0, inf)", "[0, 1]".
+
+    The test is two range comparisons, so NaN lies in no interval.
+    """
+    lo, hi = map(float, interval[1:-1].split(","))
+    if not ((lo <= value if interval[0] == "[" else lo < value)
+            and (value <= hi if interval[-1] == "]" else value < hi)):
+        raise ValueError(f"{name} must be in {interval}, got {value!r}")
+
+
+def check_fields(obj) -> None:
+    """Check every field of the dataclass ``obj`` against the domain its metadata declares.
+
+    An int or float field (the type of its default) declares ``"in"``, an
+    interval for ``_check_in``. An int field takes only an int; a float
+    field an int or a float; neither takes a bool. A str field may declare
+    ``"choices"``, the values it takes.
+    """
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if "in" in f.metadata:
+            number = int if type(f.default) is int else (int, float)
+            if not isinstance(value, number) or isinstance(value, bool):
+                raise ValueError(f"{f.name} must be {'an int' if number is int else 'a number'}, got {value!r}")
+            _check_in(f.name, value, f.metadata["in"])
+        elif "choices" in f.metadata and value not in f.metadata["choices"]:
+            raise ValueError(f"unknown {f.name} {value!r}; valid: {', '.join(f.metadata['choices'])}")
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .evaluation import rbo
-from .index import PositionalIndex
+from .evaluation import RBO_P_DOMAIN, rbo
+from .index import PositionalIndex, _check_in, check_fields
 from .rankers import (
     Query,
     RankedList,
@@ -84,8 +84,7 @@ def generate_candidates(index: PositionalIndex, ranked: RankedList,
     """
     if len(ranked) == 0:
         raise ValueError("cannot generate candidates from an empty ranked list")
-    if top_k < 1 or top_k > len(ranked):
-        raise ValueError(f"top_k must be in 1..{len(ranked)}, got {top_k}")
+    _check_in("top_k", top_k, f"[1, {len(ranked)}]")
     salience: dict[str, float] = {}
     for entry in ranked.entries[:top_k]:
         for term, tf in index.doc_term_counts(entry.docid).items():
@@ -120,8 +119,7 @@ def sample_pairs(ranked: RankedList, strategy: str, count: int,
     n = len(ranked)
     if n < 2:
         raise ValueError("no pairs: ranked list has fewer than 2 entries")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    _check_in("count", count, "[1, inf)")
     if strategy not in PAIR_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; valid: {', '.join(PAIR_STRATEGIES)}")
     docs = ranked.docids
@@ -182,6 +180,17 @@ class PreferenceMatrix:
     pairs: list[PreferencePair]
     entries: np.ndarray          # int8, shape (n_rankers, n_terms, n_pairs)
 
+    def __post_init__(self):
+        for name, items in (("ranker", self.rankers), ("candidate", self.candidates), ("pair", self.pairs)):
+            if not items:
+                raise ValueError(f"a preference matrix needs at least one {name}")
+        shape = (len(self.rankers), len(self.candidates), len(self.pairs))
+        entries = self.entries
+        if not isinstance(entries, np.ndarray) or entries.dtype != np.int8 or entries.shape != shape:
+            raise ValueError(f"preference matrix entries must be an int8 array of shape {shape}")
+        if np.any((entries < -1) | (entries > 1)):
+            raise ValueError("preference matrix entries must be -1, 0 or 1")
+
     @property
     def terms(self) -> list[str]:
         return [c.term for c in self.candidates]
@@ -204,27 +213,21 @@ def build_preference_matrix(index: PositionalIndex, simple_rankers: Sequence[Ran
 
     One (candidates x docids) block per ranker; a NaN score gives entry 0.
     """
-    if not simple_rankers:
-        raise ValueError("need at least one simple ranker")
-    if not candidates:
-        raise ValueError("need at least one candidate term")
-    if not pairs:
-        raise ValueError("need at least one preference pair")
+    matrix = PreferenceMatrix(
+        rankers=[r.name for r in simple_rankers],
+        candidates=list(candidates),
+        pairs=list(pairs),
+        entries=np.zeros((len(simple_rankers), len(candidates), len(pairs)), dtype=np.int8),
+    )
     docids = sorted({p.upper for p in pairs} | {p.lower for p in pairs})
     column = {d: i for i, d in enumerate(docids)}
     sides = np.array([[column[p.upper], column[p.lower]] for p in pairs])
-    entries = np.empty((len(simple_rankers), len(candidates), len(pairs)), dtype=np.int8)
     for r, ranker in enumerate(simple_rankers):
         block = np.array([ranker.term_scores(c.term, docids) for c in candidates], dtype=np.float64)
         scores = block[:, sides]                  # (candidates, pairs, [upper, lower])
         diff = scores[..., 0] - scores[..., 1]
-        entries[r] = (diff > 0).astype(np.int8) - (diff < 0)
-    return PreferenceMatrix(
-        rankers=[r.name for r in simple_rankers],
-        candidates=list(candidates),
-        pairs=list(pairs),
-        entries=entries,
-    )
+        matrix.entries[r] = (diff > 0).astype(np.int8) - (diff < 0)
+    return matrix
 
 
 def _coverage_explanation(method: str, layer: np.ndarray, matrix: PreferenceMatrix,
@@ -237,8 +240,7 @@ def _coverage_explanation(method: str, layer: np.ndarray, matrix: PreferenceMatr
     term); selection stops at m_max, or once the best gain is no longer
     positive after m_min terms were reached.
     """
-    if m_min < 0 or m_max < m_min:
-        raise ValueError(f"need 0 <= m_min <= m_max, got {m_min}, {m_max}")
+    ListwiseParams(m_min=m_min, m_max=m_max)  # checks both against their declarations
     cands = matrix.candidates
     # Stable, so duplicate candidates stay in index order; argmax takes the first maximum.
     left = sorted(range(len(layer)), key=lambda t: (-cands[t].salience, cands[t].term))
@@ -400,8 +402,7 @@ def bfs_explain(index: PositionalIndex, sm: Ranker, query: Query, ranked: Ranked
         raise ValueError("no candidate terms to search over")
     if len(ranked) < 2:
         raise ValueError("ranked list must have at least 2 entries")
-    if eval_budget < 1:
-        raise ValueError(f"eval_budget must be >= 1, got {eval_budget}")
+    ListwiseParams(eval_budget=eval_budget)  # checks it against its declaration
     evaluate = FidelityEvaluator(index, sm, query, ranked, p)
     order = [c.term for c in _candidate_order(candidates)]
     baseline = evaluate(())
@@ -507,37 +508,28 @@ def matrix_from_json(text: str) -> PreferenceMatrix:
 
 @dataclass(frozen=True)
 class ListwiseParams:
-    method: str = "multiplex"
+    method: str = field(default="multiplex", metadata={"choices": LISTWISE_METHODS})
     simple_rankers: tuple = ("bm25", "lmjm", "lmdir")
-    top_k: int = 10
-    n_candidates: int = 100
-    n_pairs: int = 50
-    pair_strategy: str = "uniform"
-    m_min: int = 3
-    m_max: int = 10
-    p: float = 0.9
-    eval_budget: int = 1000
-    seed: int = 0
+    top_k: int = field(default=10, metadata={"in": "[1, inf)"})
+    n_candidates: int = field(default=100, metadata={"in": "[1, inf)"})
+    n_pairs: int = field(default=50, metadata={"in": "[1, inf)"})
+    pair_strategy: str = field(default="uniform", metadata={"choices": PAIR_STRATEGIES})
+    m_min: int = field(default=3, metadata={"in": "[0, inf)"})
+    m_max: int = field(default=10, metadata={"in": "[0, inf)"})
+    p: float = field(default=0.9, metadata={"in": RBO_P_DOMAIN})
+    eval_budget: int = field(default=1000, metadata={"in": "[1, inf)"})
+    seed: int = field(default=0, metadata={"in": "(-inf, inf)"})
     ranker_params: RankerParams = RankerParams()
 
     def __post_init__(self):
-        if self.method not in LISTWISE_METHODS:
-            raise ValueError(f"unknown method {self.method!r}; valid: {', '.join(LISTWISE_METHODS)}")
+        check_fields(self)
+        if type(self.simple_rankers) is not tuple or not self.simple_rankers:
+            raise ValueError("simple_rankers must be a tuple naming at least one ranker")
         for name in self.simple_rankers:
             if name not in SIMPLE_RANKERS:
                 raise ValueError(f"unknown simple ranker {name!r}; valid: {', '.join(SIMPLE_RANKERS)}")
-        if not self.simple_rankers:
-            raise ValueError("simple_rankers must name at least one ranker")
-        if self.pair_strategy not in PAIR_STRATEGIES:
-            raise ValueError(f"unknown pair_strategy {self.pair_strategy!r}; "
-                             f"valid: {', '.join(PAIR_STRATEGIES)}")
-        for name in ("top_k", "n_candidates", "n_pairs", "eval_budget"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0 <= self.m_min <= self.m_max:
-            raise ValueError(f"need 0 <= m_min <= m_max, got m_min={self.m_min}, m_max={self.m_max}")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must be in (0, 1), got {self.p}")
+        if self.m_min > self.m_max:
+            raise ValueError(f"need m_min <= m_max, got m_min={self.m_min}, m_max={self.m_max}")
 
 
 def explain_listwise(index: PositionalIndex, query: Query, ranked: RankedList,

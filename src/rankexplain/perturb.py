@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .analysis import TokenizedDocument
-from .index import PositionalIndex
+from .index import PositionalIndex, check_fields
 from .rng import XorShift64Star
 
 SAMPLER_KINDS = ("random", "masking", "tfidf")
@@ -23,21 +23,14 @@ SAMPLER_KINDS = ("random", "masking", "tfidf")
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    kind: str = "random"
-    rate: float = 0.3          # expected removal fraction
-    chunk: int = 3             # window size, masking only
-    n_samples: int = 200
-    seed: int = 0
+    kind: str = field(default="random", metadata={"choices": SAMPLER_KINDS})
+    rate: float = field(default=0.3, metadata={"in": "[0, 1]"})         # expected removal fraction
+    chunk: int = field(default=3, metadata={"in": "[1, inf)"})          # window size, masking only
+    n_samples: int = field(default=200, metadata={"in": "[1, inf)"})
+    seed: int = field(default=0, metadata={"in": "(-inf, inf)"})
 
     def __post_init__(self):
-        if self.kind not in SAMPLER_KINDS:
-            raise ValueError(f"unknown sampler kind {self.kind!r}; valid: {', '.join(SAMPLER_KINDS)}")
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"rate must be in [0, 1], got {self.rate}")
-        if self.chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {self.chunk}")
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        check_fields(self)
 
 
 @dataclass

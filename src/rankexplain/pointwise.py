@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .index import PositionalIndex
+from .index import PositionalIndex, check_fields
 from .perturb import SamplerConfig, draw_samples
 from .rankers import Query, RankedList, Ranker
 
@@ -67,23 +67,14 @@ class ExplanationVector:
 @dataclass(frozen=True)
 class PointwiseParams:
     sampler: SamplerConfig = SamplerConfig()
-    kernel_width: float = 0.25
-    ridge: float = 1.0
-    n_terms: int = 10
-    exs_variant: str = "topk_binary"
-    exs_k: int = 10
+    kernel_width: float = field(default=0.25, metadata={"in": "(0, inf)"})
+    ridge: float = field(default=1.0, metadata={"in": "[0, inf)"})
+    n_terms: int = field(default=10, metadata={"in": "[1, inf)"})
+    exs_variant: str = field(default="topk_binary", metadata={"choices": EXS_VARIANTS})
+    exs_k: int = field(default=10, metadata={"in": "[1, inf)"})
 
     def __post_init__(self):
-        if self.kernel_width <= 0:
-            raise ValueError(f"kernel_width must be positive, got {self.kernel_width}")
-        if self.ridge < 0:
-            raise ValueError(f"ridge must be >= 0, got {self.ridge}")
-        if self.n_terms < 1:
-            raise ValueError(f"n_terms must be >= 1, got {self.n_terms}")
-        if self.exs_variant not in EXS_VARIANTS:
-            raise ValueError(f"unknown exs_variant {self.exs_variant!r}; valid: {', '.join(EXS_VARIANTS)}")
-        if self.exs_k < 1:
-            raise ValueError(f"exs_k must be >= 1, got {self.exs_k}")
+        check_fields(self)
 
 
 @dataclass

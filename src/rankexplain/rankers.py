@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .index import PositionalIndex, _check_id
+from .index import PositionalIndex, _check_id, _check_in, check_fields
 
 
 @dataclass(frozen=True)
@@ -95,32 +95,20 @@ class RankedList:
         return self.entries[rank - 1].score
 
 
-def _check_bm25(k1: float, b: float) -> None:
-    if not 0.0 <= k1 < math.inf:      # range comparisons, so NaN fails them
-        raise ValueError(f"k1 must be finite and >= 0, got {k1}")
-    if not 0.0 <= b <= 1.0:
-        raise ValueError(f"b must be in [0, 1], got {b}")
-
-
-def _check_mu(name: str, mu: float) -> None:
-    if not 0.0 < mu < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {mu}")
+DEPTH_DOMAIN = "[1, inf)"      # of a ranked list's depth
 
 
 @dataclass(frozen=True)
 class RankerParams:
     """Default parameters of the built-in sparse models."""
 
-    k1: float = 0.9
-    b: float = 0.4
-    jm_lambda: float = 0.1
-    dirichlet_mu: float = 1000.0
+    k1: float = field(default=0.9, metadata={"in": "[0, inf)"})
+    b: float = field(default=0.4, metadata={"in": "[0, 1]"})
+    jm_lambda: float = field(default=0.1, metadata={"in": "(0, 1)"})
+    dirichlet_mu: float = field(default=1000.0, metadata={"in": "(0, inf)"})
 
     def __post_init__(self):
-        _check_bm25(self.k1, self.b)
-        if not 0.0 < self.jm_lambda < 1.0:
-            raise ValueError(f"jm_lambda must be in (0, 1), got {self.jm_lambda}")
-        _check_mu("dirichlet_mu", self.dirichlet_mu)
+        check_fields(self)
 
 
 class Ranker(ABC):
@@ -182,7 +170,7 @@ class BM25Ranker(_SparseRanker):
 
     def __init__(self, index: PositionalIndex, k1: float = 0.9, b: float = 0.4):
         super().__init__(index)
-        _check_bm25(k1, b)
+        RankerParams(k1=k1, b=b)  # checks both against RankerParams's declarations
         self.k1 = k1
         self.b = b
 
@@ -204,8 +192,7 @@ class LMJMRanker(_SparseRanker):
 
     def __init__(self, index: PositionalIndex, lam: float = 0.1):
         super().__init__(index)
-        if not 0.0 < lam < 1.0:
-            raise ValueError(f"lambda must be in (0, 1), got {lam}")
+        RankerParams(jm_lambda=lam)  # checks it against RankerParams's declaration
         self.lam = lam
 
     def _term_score(self, term: str, tf: int, dl: int) -> float:
@@ -231,7 +218,7 @@ class LMDirRanker(_SparseRanker):
 
     def __init__(self, index: PositionalIndex, mu: float = 1000.0):
         super().__init__(index)
-        _check_mu("mu", mu)
+        RankerParams(dirichlet_mu=mu)  # checks it against RankerParams's declaration
         self.mu = mu
 
     def _term_score(self, term: str, tf: int, dl: int) -> float:
@@ -267,6 +254,8 @@ class LinearScorer(Ranker):
     def __init__(self, index: PositionalIndex, coefficients: dict):
         self.index = index
         self.coefficients = dict(coefficients)
+        for term, c in self.coefficients.items():
+            _check_in(f"coefficient of {term!r}", c, "(-inf, inf)")
 
     def score(self, query: Query, docid: str) -> float:
         return sum(c * self.index.tf(t, docid) for t, c in self.coefficients.items())
@@ -288,8 +277,7 @@ class HiddenIntentRanker(Ranker):
 
     def __init__(self, base: Ranker, hidden_terms: Sequence[tuple[str, float]]):
         for term, weight in hidden_terms:
-            if weight <= 0:
-                raise ValueError(f"hidden term {term!r} has non-positive weight {weight}")
+            _check_in(f"weight of hidden term {term!r}", weight, "(0, inf)")
         self._base = base
         self._hidden = tuple((Query.from_terms("", [term]), weight) for term, weight in hidden_terms)
 
@@ -314,8 +302,7 @@ def rank(index: PositionalIndex, ranker: Ranker, query: Query,
     union of postings of the query terms. Ties break by ascending docid.
     An empty candidate set produces an empty list.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    _check_in("depth", depth, DEPTH_DOMAIN)
     if pool is not None:
         candidates = sorted(set(pool))
     else:

@@ -431,9 +431,9 @@ def test_unknown_keys_exit_2(workspace, tmp_path, capsys, command, source, key):
     pytest.param("pointwise", ["--method", "bogus"], None, "lirme", id="unknown-method"),
     pytest.param("pointwise", ["--n_terms", "2.9"], None, "'n_terms' expects int",
                  id="float-for-int"),
-    pytest.param("pointwise", ["--rate", "NaN"], None, "'rate' expects a finite number",
+    pytest.param("pointwise", ["--rate", "NaN"], None, "rate must be in [0, 1], got nan",
                  id="nan-for-float"),
-    pytest.param("pointwise", ["--kind", "bogus"], None, "sampler kind", id="unknown-kind"),
+    pytest.param("pointwise", ["--kind", "bogus"], None, "unknown kind 'bogus'", id="unknown-kind"),
     pytest.param("listwise", ["--simple_rankers", "bm25"], None,
                  "'simple_rankers' expects a JSON list", id="string-for-list"),
     pytest.param("listwise", ["--simple_rankers", "[]"], None, "at least one ranker",
@@ -445,11 +445,11 @@ def test_unknown_keys_exit_2(workspace, tmp_path, capsys, command, source, key):
                  id="m-min-above-m-max"),
     pytest.param("rank", ["--jm_lambda", "5"], None, "jm_lambda must be in (0, 1)",
                  id="jm-lambda-out-of-range"),
-    pytest.param("rank", ["--dirichlet_mu", "0"], None, "dirichlet_mu must be positive",
+    pytest.param("rank", ["--dirichlet_mu", "0"], None, "dirichlet_mu must be in (0, inf), got 0.0",
                  id="dirichlet-mu-not-positive"),
-    pytest.param("rank", ["--k1", "-1", "--b", "0"], None, "k1 must be finite and >= 0, got -1.0",
+    pytest.param("rank", ["--k1", "-1", "--b", "0"], None, "k1 must be in [0, inf), got -1.0",
                  id="k1-minus-1-b-0"),
-    pytest.param("rank", ["--k1", "-0.5"], None, "k1 must be finite and >= 0, got -0.5",
+    pytest.param("rank", ["--k1", "-0.5"], None, "k1 must be in [0, inf), got -0.5",
                  id="k1-negative"),
     pytest.param("rank", ["--b", "7"], None, "b must be in [0, 1], got 7.0", id="b-above-1"),
     pytest.param("rank", [], {"b": -0.25}, "b must be in [0, 1], got -0.25", id="b-negative"),
@@ -477,12 +477,12 @@ def test_unknown_keys_exit_2(workspace, tmp_path, capsys, command, source, key):
     pytest.param("pairwise", ["--format", "text"], None, "--format text needs --details",
                  id="text-without-details"),
     pytest.param("listwise", ["--all"], None, "--all explains every topic", id="all-with-qid"),
-    pytest.param("rank", ["--depth", "0"], None, "depth must be >= 1, got 0", id="rank-depth-0"),
-    pytest.param("ranked-listwise", ["--depth", "0"], None, "depth must be >= 1, got 0",
+    pytest.param("rank", ["--depth", "0"], None, "depth must be in [1, inf), got 0", id="rank-depth-0"),
+    pytest.param("ranked-listwise", ["--depth", "0"], None, "depth must be in [1, inf), got 0",
                  id="listwise-depth-0"),
     pytest.param("rbo", ["--p", "1.5"], None, "p must be in (0, 1), got 1.5", id="rbo-p-above-1"),
     pytest.param("rbo", ["--p", "nan"], None, "p must be in (0, 1), got nan", id="rbo-p-nan"),
-    pytest.param("jaccard", ["--k", "0"], None, "k must be >= 1, got 0", id="jaccard-k-0"),
+    pytest.param("jaccard", ["--k", "0"], None, "k must be in [1, inf), got 0", id="jaccard-k-0"),
 ])
 def test_usage_errors_exit_2(workspace, tmp_path, capsys, command, extra, params_file, message):
     # Every usage error is found before a file is read: the index and run files are missing.

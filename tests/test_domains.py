@@ -1,0 +1,178 @@
+"""Each numeric parameter declares its domain once, and that declaration is what is checked.
+
+The params dataclasses are the package's exported ``*Params`` and
+``*Config`` classes, plus every dataclass nested in one, found through
+``dataclasses.fields``. For each int or float field the tests try values
+just outside its declared interval in the Python API and on the command
+line, and try the interval's finite ends in the Python API. A syntax-tree
+walk makes sure no int or float field of such a class goes undeclared,
+and README must list every declared domain the command line reads.
+"""
+
+import ast
+import dataclasses
+import json
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+import rankexplain as rx
+from rankexplain import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "rankexplain"
+
+
+def params_classes() -> list:
+    found, todo = [], [obj for name, obj in sorted(vars(rx).items())
+                       if name.endswith(("Params", "Config")) and dataclasses.is_dataclass(obj)]
+    while todo:
+        cls = todo.pop(0)
+        if cls not in found:
+            found.append(cls)
+            todo += [type(f.default) for f in dataclasses.fields(cls) if dataclasses.is_dataclass(f.default)]
+    return found
+
+
+NUMERIC = [(cls, f) for cls in params_classes() for f in dataclasses.fields(cls)
+           if type(f.default) in (int, float)]
+
+# Another field's value that a cross-field rule needs for this one's end to be accepted.
+ALONG = {"m_max": {"m_min": 0}}
+
+
+def ends(f):
+    """(value, closed, outward direction) of each finite end of the field's interval."""
+    interval = f.metadata["in"]
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return [(end, closed, out) for end, closed, out in
+            ((lo, interval[0] == "[", -math.inf), (hi, interval[-1] == "]", math.inf))
+            if math.isfinite(end)]
+
+
+def outside(f) -> list:
+    """NaN, ±inf, a bool, and each finite end moved one ulp outward (one unit for an int field)."""
+    values = [math.nan, math.inf, -math.inf, True]
+    for end, closed, out in ends(f):
+        values.append(math.nextafter(end, out))
+        if type(f.default) is int:
+            values.append(int(end) + (int(math.copysign(1, out)) if closed else 0))
+        elif not closed:
+            values.append(end)
+    return values
+
+
+def inside(f) -> list:
+    """Each finite end, or for an open end the nearest value inside."""
+    values = []
+    for end, closed, out in ends(f):
+        if type(f.default) is int:
+            values.append(int(end) - (0 if closed else int(math.copysign(1, out))))
+        else:
+            values.append(end if closed else math.nextafter(end, -out))
+    return values
+
+
+def _cases(values_of):
+    return [pytest.param(cls, f.name, value, id=f"{cls.__name__}.{f.name}={value!r}")
+            for cls, f in NUMERIC for value in values_of(f)]
+
+
+def test_the_walk_finds_every_params_class():
+    assert {cls.__name__ for cls in params_classes()} >= {
+        "RankerParams", "SamplerConfig", "PointwiseParams", "ListwiseParams"}
+
+
+@pytest.mark.parametrize("cls,field", [pytest.param(cls, f, id=f"{cls.__name__}.{f.name}") for cls, f in NUMERIC])
+def test_every_declared_interval_is_well_formed(cls, field):
+    interval = field.metadata["in"]
+    end = r"-?(?:inf|\d+(?:\.\d+)?)"
+    assert re.fullmatch(rf"[\[(]{end}, {end}[\])]", interval), interval
+    lo, hi = (float(e) for e in interval[1:-1].split(","))
+    assert lo < hi
+    assert (math.isfinite(lo) or interval[0] == "(") and (math.isfinite(hi) or interval[-1] == ")")
+
+
+@pytest.mark.parametrize("cls,name,value", _cases(outside))
+def test_a_value_outside_the_declared_domain_is_rejected(cls, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("cls,name,value", _cases(inside))
+def test_the_finite_ends_of_the_declared_domain_are_accepted(cls, name, value):
+    assert getattr(cls(**ALONG.get(name, {}), **{name: value}), name) == value
+
+
+def _argv(cls, tmp_path) -> list:
+    """A command that reads ``cls``'s keys, with an index file that does not exist."""
+    index = str(tmp_path / "missing.idx")
+    shared = ["--index", index, "--topics", "demo", "--qid", "1"]
+    pointwise = ["explain", "pointwise", *shared, "--docid", "T1"]
+    return {
+        "RankerParams": ["rank", "--index", index, "--topics", "demo", "--out", str(tmp_path / "x.trec")],
+        "SamplerConfig": pointwise,
+        "PointwiseParams": pointwise,
+        "ListwiseParams": ["explain", "listwise", *shared],
+    }[cls.__name__]
+
+
+@pytest.mark.parametrize("cls,name,value", _cases(outside))
+def test_the_cli_exits_2_on_a_value_outside_the_declared_domain(tmp_path, capsys, cls, name, value):
+    # seed is the --seed flag, an argparse int; every other field is a --key value override.
+    argv = [*_argv(cls, tmp_path), f"--{name}", json.dumps(value)]
+    try:
+        code = cli.run(argv)
+    except SystemExit as exc:       # argparse rejects a --seed that is not an int
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert name in captured.err
+    assert captured.out == ""
+
+
+def undeclared_numeric_fields(source: str) -> list:
+    """(class, field) of each int or float field of a *Params or *Config dataclass with no "in" metadata."""
+    def declares_interval(value) -> bool:
+        return (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
+                and any(k.arg == "metadata" and isinstance(k.value, ast.Dict)
+                        and any(isinstance(key, ast.Constant) and key.value == "in" for key in k.value.keys)
+                        for k in value.keywords))
+
+    return [(node.name, stmt.target.id)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) and node.name.endswith(("Params", "Config"))
+            and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and ast.unparse(stmt.annotation) in ("int", "float")
+            and not declares_interval(stmt.value)]
+
+
+def test_every_numeric_params_field_declares_its_interval():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    undeclared = {path.name: found for path in modules
+                  if (found := undeclared_numeric_fields(path.read_text(encoding="utf-8")))}
+    assert undeclared == {}
+
+
+def test_the_walk_finds_an_undeclared_field():
+    source = ("@dataclass(frozen=True)\n"
+              "class NewParams:\n"
+              "    a: int = 3\n"
+              "    b: float = field(default=1.0)\n"
+              "    c: int = field(default=1, metadata={'in': '[0, 1]'})\n"
+              "    d: str = 'x'\n"
+              "class Helper:\n"
+              "    e: int = 3\n")
+    assert undeclared_numeric_fields(source) == [("NewParams", "a"), ("NewParams", "b")]
+
+
+def test_readme_lists_every_declared_domain_the_cli_reads():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    keys = {key for cls in params_classes() for key in cli.param_keys(cls, {"seed": 0, "method": ""})}
+    rows = [f"| `{f.name}` | `{cls.__name__}` | `{f.metadata['in']}` |" for cls, f in NUMERIC if f.name in keys]
+    assert len(rows) >= 15
+    assert [row for row in rows if row not in readme] == []

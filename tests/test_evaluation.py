@@ -244,6 +244,10 @@ def test_ground_truth_validation(gt_index):
         GroundTruthTerms(weights={})
     with pytest.raises(ValueError):
         GroundTruthTerms(weights={"a": 0.4})
+    # NaN passed both `w < 0` and the sum check at the parent.
+    for weights in ({"a": math.nan}, {"a": 0.5, "b": math.nan}, {"a": math.inf}, {"a": 1.5, "b": -0.5}):
+        with pytest.raises(ValueError, match="ground-truth weight of"):
+            GroundTruthTerms(weights=weights)
 
 
 # -- correctness / consistency -------------------------------------------------------

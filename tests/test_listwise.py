@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -471,6 +472,36 @@ def test_matrix_json_roundtrip():
     assert restored.terms == matrix.terms
     assert np.array_equal(restored.entries, matrix.entries)
     assert json.loads(matrix_to_json(matrix))["entries"] == matrix.entries.tolist()
+
+
+def _edited_json(**changes) -> str:
+    data = json.loads(matrix_to_json(make_matrix([[1, -1], [0, 1]])))
+    data.update(changes)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("changes,message", [
+    pytest.param({"entries": [[[1, 2], [0, 1]]]}, "-1, 0 or 1", id="entry-2"),
+    pytest.param({"entries": [[[1, -2], [0, 1]]]}, "-1, 0 or 1", id="entry-minus-2"),
+    pytest.param({"pairs": [], "entries": [[[], []]]}, "at least one pair", id="no-pairs"),
+    pytest.param({"rankers": [], "entries": []}, "at least one ranker", id="no-rankers"),
+    pytest.param({"terms": [], "salience": [], "entries": [[]]}, "at least one candidate", id="no-terms"),
+    pytest.param({"entries": [[[1, -1]]]}, "shape (1, 2, 2)", id="too-few-rows"),
+    pytest.param({"rankers": ["bm25", "lmjm"]}, "shape (2, 2, 2)", id="too-few-layers"),
+])
+def test_matrix_from_json_rejects_what_a_matrix_cannot_hold(changes, message):
+    # At the parent these loaded; show_matrix then raised KeyError: 2, and an
+    # empty pair list divided by zero in the coverage explainers.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        matrix_from_json(_edited_json(**changes))
+
+
+def test_preference_matrix_requires_an_int8_array():
+    matrix = make_matrix([[1, 0]])
+    with pytest.raises(ValueError, match="int8"):
+        PreferenceMatrix(matrix.rankers, matrix.candidates, matrix.pairs, matrix.entries.astype(np.int64))
+    with pytest.raises(ValueError, match="int8"):
+        PreferenceMatrix(matrix.rankers, matrix.candidates, matrix.pairs, matrix.entries.tolist())
 
 
 # -- batch ------------------------------------------------------------------------------

@@ -241,8 +241,8 @@ def reference_coverage_explanation(method, layer, matrix, m_min, m_max, qid=""):
     )
 
 
-# Mostly {-1, 0, 1}, as built; any int8, as a matrix read from JSON may hold.
-matrix_entries = st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-128, 127))
+# A PreferenceMatrix holds only these, whether built or read from JSON.
+matrix_entries = st.sampled_from([-1, 0, 1])
 
 
 @st.composite

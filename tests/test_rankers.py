@@ -102,7 +102,7 @@ def test_lm_parameter_validation():
     with pytest.raises(ValueError):
         LMJMRanker(index, lam=1.0)
     for mu in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="mu must be positive and finite"):
+        with pytest.raises(ValueError, match=re.escape("dirichlet_mu must be in (0, inf)")):
             LMDirRanker(index, mu=mu)
     for k1, b, name in ((-1.0, 0.0, "k1"), (-0.5, 0.4, "k1"), (math.nan, 0.4, "k1"),
                         (math.inf, 0.4, "k1"), (0.9, 7.0, "b"), (0.9, -0.1, "b"), (0.9, math.nan, "b")):
@@ -308,9 +308,17 @@ def test_term_scores_unknown_docid(cat_index, make):
         make(cat_index).term_scores("cat", ["D1", "nope"])
 
 
-def test_hidden_intent_rejects_nonpositive_weight(cat_index):
-    with pytest.raises(ValueError):
-        HiddenIntentRanker(BM25Ranker(cat_index), [("cat", 0.0)])
+@pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
+def test_hidden_intent_rejects_nonpositive_weight(cat_index, weight):
+    # NaN and inf passed `weight <= 0` at the parent, and every score was then NaN.
+    with pytest.raises(ValueError, match=re.escape("weight of hidden term 'cat' must be in (0, inf)")):
+        HiddenIntentRanker(BM25Ranker(cat_index), [("dog", 1.0), ("cat", weight)])
+
+
+@pytest.mark.parametrize("coefficient", [math.nan, math.inf, -math.inf])
+def test_linear_scorer_rejects_a_non_finite_coefficient(cat_index, coefficient):
+    with pytest.raises(ValueError, match=re.escape("coefficient of 'cat' must be in (-inf, inf)")):
+        LinearScorer(cat_index, {"dog": -2.0, "cat": coefficient})
 
 
 def test_score_tokens_matches_index_scoring():
