@@ -84,13 +84,15 @@ class _Analyzer:
     A word's term is None for a stopword or the empty word, else the word
     Porter-stemmed (or left as it is without stemming). ``porter_stem`` is
     looked up when a word is first seen, so a replaced module attribute is
-    the one called.
+    the one called. Words with equal terms share one term object, so the
+    token streams an index keeps hold no copies of a term.
     """
 
     def __init__(self, config: AnalyzerConfig):
         self._config = config
         self._split = re.compile(config.token_pattern).findall
         self._terms: dict[str, str | None] = {}
+        self._shared: dict = {}     # term -> the one object that stands for it
 
     def _term(self, word: str) -> str | None:
         if not word or word in self._config.stopwords:     # a pattern may match ''
@@ -103,7 +105,8 @@ class _Analyzer:
         words = self._split(text)
         terms = self._terms
         for word in set(words).difference(terms):
-            terms[word] = self._term(word)
+            term = self._term(word)
+            terms[word] = self._shared.setdefault(term, term)
         return [t for t in map(terms.__getitem__, words) if t is not None]
 
 

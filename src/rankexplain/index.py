@@ -1,12 +1,13 @@
 """Immutable positional inverted index over a small in-memory corpus.
 
-Holds, per term, the posting list of (docid, positions) plus the global
-statistics every scoring model and axiom in this package needs: document
-lengths, corpus size, average document length, document frequency,
-collection frequency and idf. The index is immutable, so the collection
-statistics (total tokens, avgdl, and each indexed term's df, cf and idf)
-are computed once at construction. Apart from the token memo that
-``doc_tokens`` fills on first use, nothing is written after that.
+Holds, per term, the posting list of (docid, positions), per document its
+analyzed token stream, and the global statistics every scoring model and
+axiom in this package needs: document lengths, corpus size, average
+document length, document frequency, collection frequency and idf. A
+document's length is the length of its stream and a term's df the length
+of its posting list. The index is immutable: the collection statistics
+(total tokens, avgdl, and each indexed term's cf and idf) are computed at
+construction, and nothing is written after that.
 """
 
 from __future__ import annotations
@@ -41,6 +42,13 @@ def _check_in(name: str, value, interval: str) -> None:
         raise ValueError(f"{name} must be in {interval}, got {value!r}")
 
 
+def _check_number(name: str, value, interval: str, number=(int, float)) -> None:
+    """Reject a bool, a value not of type ``number`` (int, or int or float) and one outside ``interval``."""
+    if not isinstance(value, number) or isinstance(value, bool):
+        raise ValueError(f"{name} must be {'an int' if number is int else 'a number'}, got {value!r}")
+    _check_in(name, value, interval)
+
+
 def check_fields(obj) -> None:
     """Check every field of the dataclass ``obj`` against the domain its metadata declares.
 
@@ -52,10 +60,7 @@ def check_fields(obj) -> None:
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
         if "in" in f.metadata:
-            number = int if type(f.default) is int else (int, float)
-            if not isinstance(value, number) or isinstance(value, bool):
-                raise ValueError(f"{f.name} must be {'an int' if number is int else 'a number'}, got {value!r}")
-            _check_in(f.name, value, f.metadata["in"])
+            _check_number(f.name, value, f.metadata["in"], int if type(f.default) is int else (int, float))
         elif "choices" in f.metadata and value not in f.metadata["choices"]:
             raise ValueError(f"unknown {f.name} {value!r}; valid: {', '.join(f.metadata['choices'])}")
 
@@ -71,31 +76,29 @@ class UnknownDocumentError(KeyError):
 
 
 class PositionalIndex:
-    """Term -> postings mapping with per-document positions.
+    """Term -> postings mapping with per-document positions, and each document's token stream.
 
     Positions are indices into the post-analysis token stream (stopwords
     removed before position assignment), so proximity values are measured
     in surviving tokens, not raw words.
     """
 
-    def __init__(self, postings: dict, doc_length: dict, config: AnalyzerConfig):
+    def __init__(self, postings: dict, doc_tokens: dict, config: AnalyzerConfig):
         self._postings = postings          # term -> {docid: (pos, ...)}
-        self._doc_length = dict(doc_length)
+        self._doc_tokens = doc_tokens      # docid -> (term, ...), the term at each position
         self.config = config
-        self._df = {t: len(pl) for t, pl in postings.items()}
         self._cf = {t: sum(len(ps) for ps in pl.values()) for t, pl in postings.items()}
         self._total_tokens = sum(self._cf.values())
-        n = len(self._doc_length)
-        self._avgdl = sum(self._doc_length.values()) / n if n else 0.0
-        self._idf = {t: math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-                     for t, df in self._df.items() if df > 0}
-        self._doc_tokens_cache: dict[str, tuple[str, ...]] = {}
+        n = len(doc_tokens)
+        self._avgdl = sum(map(len, doc_tokens.values())) / n if n else 0.0
+        self._idf = {t: math.log(1.0 + (n - len(pl) + 0.5) / (len(pl) + 0.5))
+                     for t, pl in postings.items() if pl}
 
     # -- statistics ------------------------------------------------------
 
     @property
     def n_docs(self) -> int:
-        return len(self._doc_length)
+        return len(self._doc_tokens)
 
     @property
     def avgdl(self) -> float:
@@ -110,21 +113,21 @@ class PositionalIndex:
         return sorted(self._postings)
 
     def doc_ids(self) -> list[str]:
-        return sorted(self._doc_length)
+        return sorted(self._doc_tokens)
 
     def has_doc(self, docid: str) -> bool:
-        return docid in self._doc_length
+        return docid in self._doc_tokens
 
     def _require_doc(self, docid: str) -> None:
-        if docid not in self._doc_length:
+        if docid not in self._doc_tokens:
             raise UnknownDocumentError(f"unknown docid: {docid!r}")
 
     def doc_length(self, docid: str) -> int:
         self._require_doc(docid)
-        return self._doc_length[docid]
+        return len(self._doc_tokens[docid])
 
     def df(self, term: str) -> int:
-        return self._df.get(term, 0)
+        return len(self._postings.get(term, ()))
 
     def cf(self, term: str) -> int:
         return self._cf.get(term, 0)
@@ -157,19 +160,9 @@ class PositionalIndex:
         return dict(self._postings.get(term, {}))
 
     def doc_tokens(self, docid: str) -> tuple[str, ...]:
-        """Reconstruct the analyzed token sequence of a document."""
+        """The analyzed token sequence of a document."""
         self._require_doc(docid)
-        cached = self._doc_tokens_cache.get(docid)
-        if cached is not None:
-            return cached
-        slots: list[tuple[int, str]] = []
-        for term, posting in self._postings.items():
-            for pos in posting.get(docid, ()):
-                slots.append((pos, term))
-        slots.sort()
-        tokens = tuple(term for _, term in slots)
-        self._doc_tokens_cache[docid] = tokens
-        return tokens
+        return self._doc_tokens[docid]
 
     def tokenized_doc(self, docid: str) -> TokenizedDocument:
         return TokenizedDocument(docid=docid, tokens=self.doc_tokens(docid))
@@ -183,7 +176,7 @@ class PositionalIndex:
         return {
             "version": _INDEX_FORMAT_VERSION,
             "config": self.config.to_dict(),
-            "doc_length": {d: self._doc_length[d] for d in sorted(self._doc_length)},
+            "doc_length": {d: len(self._doc_tokens[d]) for d in sorted(self._doc_tokens)},
             "postings": {
                 t: {d: list(ps) for d, ps in sorted(self._postings[t].items())}
                 for t in sorted(self._postings)
@@ -193,8 +186,9 @@ class PositionalIndex:
     def save(self, path: str) -> None:
         """Write ``to_dict()`` as sorted compact JSON, one posting list at a time."""
         dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        doc_length = {d: len(tokens) for d, tokens in self._doc_tokens.items()}
         with open(path, "w", encoding="utf-8") as f:
-            f.write(f'{{"config":{dump(self.config.to_dict())},"doc_length":{dump(self._doc_length)},'
+            f.write(f'{{"config":{dump(self.config.to_dict())},"doc_length":{dump(doc_length)},'
                     f'"postings":{{')
             for i, term in enumerate(sorted(self._postings)):
                 f.write(f'{"," if i else ""}{dump(term)}:{dump(self._postings[term])}')
@@ -214,9 +208,9 @@ class PositionalIndex:
             _check_id("docid", d)
             if type(dl) is not int or not 0 <= dl < _INT64_LIMIT:
                 raise ValueError(f"docid {d!r}: doc_length must be a non-negative int, got {dl!r}")
-        _check_postings(doc_length, raw_postings)
+        doc_tokens = _check_postings(doc_length, raw_postings)
         postings = {t: {d: tuple(ps) for d, ps in pl.items()} for t, pl in raw_postings.items()}
-        return cls(postings, doc_length, config)
+        return cls(postings, doc_tokens, config)
 
     @classmethod
     def load(cls, path: str) -> "PositionalIndex":
@@ -224,15 +218,16 @@ class PositionalIndex:
             return cls.from_dict(json.load(f))
 
 
-def _check_postings(doc_length: dict, postings: dict) -> None:
-    """Reject postings that do not describe each document's token stream.
+def _check_postings(doc_length: dict, postings: dict) -> dict:
+    """Return each document's token stream, or reject postings that do not describe one.
 
     Pass 1 checks each posting: its docid is in doc_length, its positions a
     non-empty, strictly increasing list of ints in [0, doc_length). The term
     frequencies it sums per document must equal doc_length before pass 2
     allocates a slot per position, so a false doc_length such as 2**40
     fails cheaply. Pass 2 fills the slots; a slot filled twice is a
-    position two terms share. A failure names the term and docid.
+    position two terms share, and the filled slots are the streams. A
+    failure names the term and docid.
     """
     tf_sum = dict.fromkeys(doc_length, 0)
     for t, pl in postings.items():
@@ -260,6 +255,7 @@ def _check_postings(doc_length: dict, postings: dict) -> None:
                 if held[p] is not None:
                     raise ValueError(f"term {t!r}, docid {d!r}: position {p} is also held by term {held[p]!r}")
                 held[p] = t
+    return {d: tuple(held) for d, held in slots.items()}
 
 
 def build_index(corpus: list[Document], config: AnalyzerConfig = DEFAULT_CONFIG) -> PositionalIndex:
@@ -269,20 +265,20 @@ def build_index(corpus: list[Document], config: AnalyzerConfig = DEFAULT_CONFIG)
     empty corpus yields an index with n_docs == 0 and avgdl == 0.
     """
     postings: dict[str, dict[str, tuple[int, ...]]] = {}
-    doc_length: dict[str, int] = {}
+    doc_tokens: dict[str, tuple[str, ...]] = {}
     analyze = _Analyzer(config)
     for doc in corpus:
         _check_id("docid", doc.docid)
-        if doc.docid in doc_length:
+        if doc.docid in doc_tokens:
             raise ValueError(f"duplicate docid: {doc.docid!r}")
         tokens = analyze(doc.text)
-        doc_length[doc.docid] = len(tokens)
+        doc_tokens[doc.docid] = tuple(tokens)
         per_term: dict[str, list[int]] = {}
         for pos, term in enumerate(tokens):
             per_term.setdefault(term, []).append(pos)
         for term, positions in per_term.items():
             postings.setdefault(term, {})[doc.docid] = tuple(positions)
-    return PositionalIndex(postings, doc_length, config)
+    return PositionalIndex(postings, doc_tokens, config)
 
 
 def read_corpus_jsonl(path: str) -> list[Document]:

@@ -23,8 +23,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .analysis import _check_keys
 from .evaluation import RBO_P_DOMAIN, rbo
-from .index import PositionalIndex, _check_in, check_fields
+from .index import PositionalIndex, _check_in, _check_number, check_fields
 from .rankers import (
     Query,
     RankedList,
@@ -489,18 +490,41 @@ def matrix_to_json(matrix: PreferenceMatrix) -> str:
     )
 
 
+def _nested_lists(items, shape: tuple) -> bool:
+    """Whether ``items`` is lists nested to ``shape``, whatever their leaves."""
+    return not shape or (type(items) is list and len(items) == shape[0]
+                         and all(_nested_lists(x, shape[1:]) for x in items))
+
+
 def matrix_from_json(text: str) -> PreferenceMatrix:
+    """Read ``matrix_to_json``'s output back; anything else raises ValueError."""
     data = json.loads(text)
-    return PreferenceMatrix(
-        rankers=list(data["rankers"]),
-        candidates=[
-            CandidateTerm(t, s) for t, s in zip(data["terms"], data["salience"])
-        ],
-        pairs=[
-            PreferencePair(p["upper"], p["lower"], p["rank_gap"]) for p in data["pairs"]
-        ],
-        entries=np.array(data["entries"], dtype=np.int8),
-    )
+    _check_keys("preference matrix", data, {"rankers", "pairs", "terms", "salience", "entries"})
+    rankers, terms, salience = data["rankers"], data["terms"], data["salience"]
+    for key in ("rankers", "terms"):
+        if type(data[key]) is not list or not all(type(x) is str for x in data[key]):
+            raise ValueError(f"preference matrix {key!r} must be a list of strings")
+    if type(salience) is not list or len(salience) != len(terms):
+        raise ValueError(f"preference matrix 'salience' must be a list of {len(terms)} numbers, one per term")
+    for t, sal in zip(terms, salience):
+        _check_number(f"salience of {t!r}", sal, "(-inf, inf)")
+    if type(data["pairs"]) is not list:
+        raise ValueError("preference matrix 'pairs' must be a list")
+    pairs = []
+    for pair in data["pairs"]:
+        _check_keys("preference pair", pair, {"upper", "lower", "rank_gap"})
+        upper, lower, gap = pair["upper"], pair["lower"], pair["rank_gap"]
+        if type(upper) is not str or type(lower) is not str:
+            raise ValueError(f"preference pair upper and lower must be docids, got {upper!r} and {lower!r}")
+        _check_number("rank_gap", gap, "[1, inf)", int)
+        pairs.append(PreferencePair(upper, lower, gap))
+    entries, shape = data["entries"], (len(rankers), len(terms), len(pairs))
+    if not _nested_lists(entries, shape):
+        raise ValueError(f"preference matrix entries must be lists nested to shape {shape}")
+    if not all(type(e) is int and -1 <= e <= 1 for layer in entries for row in layer for e in row):
+        raise ValueError("preference matrix entries must be -1, 0 or 1")
+    return PreferenceMatrix(rankers, [CandidateTerm(t, sal) for t, sal in zip(terms, salience)],
+                            pairs, np.array(entries, dtype=np.int8))
 
 
 # -- batch driver ------------------------------------------------------------

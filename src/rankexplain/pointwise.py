@@ -17,11 +17,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .index import PositionalIndex, check_fields
+from .analysis import _check_keys
+from .index import PositionalIndex, _check_number, check_fields
 from .perturb import SamplerConfig, draw_samples
 from .rankers import Query, RankedList, Ranker
 
 EXS_VARIANTS = ("topk_binary", "score_ratio", "rank_based")
+RIDGE_DOMAIN = "[0, inf)"      # of the surrogate's ridge penalty
 
 
 @dataclass
@@ -68,7 +70,7 @@ class ExplanationVector:
 class PointwiseParams:
     sampler: SamplerConfig = SamplerConfig()
     kernel_width: float = field(default=0.25, metadata={"in": "(0, inf)"})
-    ridge: float = field(default=1.0, metadata={"in": "[0, inf)"})
+    ridge: float = field(default=1.0, metadata={"in": RIDGE_DOMAIN})
     n_terms: int = field(default=10, metadata={"in": "[1, inf)"})
     exs_variant: str = field(default="topk_binary", metadata={"choices": EXS_VARIANTS})
     exs_k: int = field(default=10, metadata={"in": "[1, inf)"})
@@ -102,6 +104,10 @@ def fit_weighted_ridge(X, y, sample_weights, ridge: float,
     n, d = X.shape
     if len(y) != n or len(w) != n or n < 1:
         raise ValueError("X rows, y and sample_weights must have equal positive length")
+    for name, values in (("X", X), ("y", y), ("sample_weights", w)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
+    _check_number("ridge", ridge, RIDGE_DOMAIN)
     if np.any(w < 0):
         raise ValueError("sample weights must be >= 0")
     if not np.any(w > 0):
@@ -248,11 +254,21 @@ def visualize_terms(expl: ExplanationVector, fmt: str = "text") -> str:
 
 
 def explanation_from_json(text: str) -> ExplanationVector:
+    """Read the JSON of ``ExplanationVector.as_dict`` back; anything else raises ValueError."""
     data = json.loads(text)
-    return ExplanationVector(
-        entries=[(row["term"], row["weight"]) for row in data["terms"]],
-        qid=data.get("qid", ""),
-        docid=data.get("docid", ""),
-        method=data.get("method", ""),
-        params=data.get("params", {}),
-    )
+    _check_keys("explanation", data, {"qid", "docid", "method", "params", "terms"})
+    for key in ("qid", "docid", "method"):
+        if type(data[key]) is not str:
+            raise ValueError(f"explanation {key!r} must be a string, got {data[key]!r}")
+    if type(data["params"]) is not dict or type(data["terms"]) is not list:
+        raise ValueError("explanation 'params' must be a JSON object and 'terms' a list")
+    entries = []
+    for row in data["terms"]:
+        _check_keys("explanation term", row, {"term", "weight"})
+        term, weight = row["term"], row["weight"]
+        if type(term) is not str:
+            raise ValueError(f"explanation term must be a string, got {term!r}")
+        _check_number(f"weight of {term!r}", weight, "(-inf, inf)")
+        entries.append((term, weight))
+    return ExplanationVector(entries=entries, qid=data["qid"], docid=data["docid"],
+                             method=data["method"], params=data["params"])

@@ -151,8 +151,7 @@ class _SparseRanker(Ranker):
         raise NotImplementedError
 
     def score(self, query: Query, docid: str) -> float:
-        self.index._require_doc(docid)
-        dl = self.index.doc_length(docid)
+        dl = self.index.doc_length(docid)      # raises UnknownDocumentError for an unknown docid
         return sum(self._term_score(t, self.index.tf(t, docid), dl) for t in query.terms)
 
     def score_tokens(self, query: Query, tokens: Sequence[str]) -> float:

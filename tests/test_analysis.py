@@ -30,14 +30,14 @@ def reference_tokenize(text, config):
 
 
 def reference_index(corpus, config=DEFAULT_CONFIG):
-    postings, doc_length = {}, {}
+    postings, doc_tokens = {}, {}
     for doc in corpus:
         tokens = reference_tokenize(doc.text, config)
-        doc_length[doc.docid] = len(tokens)
+        doc_tokens[doc.docid] = tuple(tokens)
         for pos, term in enumerate(tokens):
             postings.setdefault(term, {}).setdefault(doc.docid, []).append(pos)
     postings = {t: {d: tuple(ps) for d, ps in pl.items()} for t, pl in postings.items()}
-    return PositionalIndex(postings, doc_length, config)
+    return PositionalIndex(postings, doc_tokens, config)
 
 
 # Stopwords, words of two characters or fewer, digits and mixed case: the

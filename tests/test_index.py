@@ -1,12 +1,32 @@
+import ast
 import math
 import re
 import time
+from pathlib import Path
 
 import pytest
 
-from rankexplain import Document, PositionalIndex, Query, UnknownDocumentError, build_index
+from rankexplain import (
+    BM25Ranker,
+    Document,
+    ListwiseParams,
+    PointwiseParams,
+    PositionalIndex,
+    Query,
+    UnknownDocumentError,
+    build_index,
+    explain_details,
+    explain_listwise,
+    exs_explain,
+    lirme_explain,
+    rank,
+)
 from rankexplain.analysis import AnalyzerConfig, tokenize
+from rankexplain.axioms import DETAILED_AXIOMS, all_preferences
+from rankexplain.datasets import demo_corpus_path
 from rankexplain.index import read_corpus_jsonl
+from rankexplain.listwise import LISTWISE_METHODS
+from rankexplain.perturb import SamplerConfig
 from rankexplain.rng import XorShift64Star
 
 from conftest import make_vocab, random_corpus
@@ -271,3 +291,141 @@ def test_statistics_match_their_formulas():
     for term in index.vocabulary:
         df = index.df(term)
         assert index.idf(term) == math.log(1.0 + (index.n_docs - df + 0.5) / (df + 0.5))
+
+
+# -- an explainer reads only the documents it explains ----------------------------
+
+
+class ScanCountingDict(dict):
+    """A dict that counts the calls that walk all of it."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+    def items(self):
+        self.scans += 1
+        return super().items()
+
+    def keys(self):
+        self.scans += 1
+        return super().keys()
+
+    def values(self):
+        self.scans += 1
+        return super().values()
+
+
+@pytest.mark.parametrize("source", ["built", "loaded"])
+def test_ranking_and_explaining_never_walk_every_posting_list(source, tmp_path):
+    # A token stream rebuilt from the postings walks every posting list, so
+    # candidate generation, LIRME and EXS would cost more as the corpus grows.
+    index = build_index(read_corpus_jsonl(demo_corpus_path()))
+    if source == "loaded":
+        index.save(tmp_path / "demo.idx")
+        index = PositionalIndex.load(tmp_path / "demo.idx")
+    index._postings = postings = ScanCountingDict(index._postings)
+    bm25 = BM25Ranker(index)
+    query = Query.from_text(index, "1", "thai daily life")
+    ranked = rank(index, bm25, query, depth=8)
+    for method in LISTWISE_METHODS:
+        explain_listwise(index, query, ranked, ListwiseParams(method=method, top_k=5, eval_budget=20))
+    di, dj = ranked.docids[:2]
+    params = PointwiseParams(sampler=SamplerConfig(n_samples=20), exs_k=2)
+    lirme_explain(index, bm25, query, di, params)
+    exs_explain(index, bm25, query, di, params, ranked)
+    all_preferences(index, query, di, dj)
+    for name in DETAILED_AXIOMS:
+        explain_details(name, index, query, di, dj)
+    assert postings.scans == 0
+
+
+def test_kept_token_streams_hold_one_object_per_term():
+    # "runs" and "running" stem to equal terms; a stream holding a copy per
+    # word would cost more than the 8 bytes per token the index promises.
+    index = build_index([Document("d1", "runs running run"), Document("d2", "running ran runs")])
+    terms = {id(t) for t in index.vocabulary}
+    assert all(id(t) in terms for d in index.doc_ids() for t in index.doc_tokens(d))
+
+
+def test_the_scan_counter_sees_a_walk():
+    postings = ScanCountingDict({"a": {}, "b": {}})
+    sorted(postings)
+    list(postings.items())
+    assert postings.scans == 2
+
+
+# -- the index is written only in __init__ ----------------------------------------
+
+INDEX_SOURCE = Path(__file__).resolve().parent.parent / "src" / "rankexplain" / "index.py"
+MUTATING_METHODS = {"add", "append", "clear", "discard", "extend", "insert", "pop", "popitem",
+                    "remove", "setdefault", "sort", "update"}
+
+
+def _through_self(node) -> bool:
+    """Whether ``node`` is ``self`` or reached from it by attributes and subscripts."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def writes_after_init(source: str, class_name: str) -> list:
+    """(method, line) of every write through ``self`` in a method of ``class_name`` but ``__init__``.
+
+    A write is a store into or a ``del`` of ``self.x`` or ``self.x[k]``, a
+    ``setattr(self, ...)`` (or ``delattr``, ``object.__setattr__``), or a
+    mutating method called on something reached from ``self``, as in
+    ``self._memo.setdefault(...)``.
+    """
+    cls = next(node for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ClassDef) and node.name == class_name)
+    found = []
+    for method in cls.body:
+        if not isinstance(method, ast.FunctionDef) or method.name == "__init__":
+            continue
+        for node in ast.walk(method):
+            if isinstance(node, (ast.Attribute, ast.Subscript)):
+                written = not isinstance(node.ctx, ast.Load) and _through_self(node.value)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                written = ((name in {"setattr", "delattr", "__setattr__", "__delattr__"}
+                            and node.args and _through_self(node.args[0]))
+                           or (name in MUTATING_METHODS and isinstance(func, ast.Attribute)
+                               and isinstance(func.value, (ast.Attribute, ast.Subscript))
+                               and _through_self(func.value)))
+            else:
+                written = False
+            if written:
+                found.append((method.name, node.lineno))
+    return sorted(found, key=lambda hit: hit[1])
+
+
+def test_positional_index_writes_attributes_only_in_init():
+    # A lazy memo such as self._tokens[docid] = tokens would make the index mutable again.
+    assert writes_after_init(INDEX_SOURCE.read_text(encoding="utf-8"), "PositionalIndex") == []
+
+
+def test_the_walk_finds_every_kind_of_write_after_init():
+    source = ("class PositionalIndex:\n"
+              "    def __init__(self, postings):\n"
+              "        self._postings = postings\n"
+              "        self._memo = {}\n"
+              "    def doc_tokens(self, docid):\n"
+              "        self._memo[docid] = tokens = ()\n"
+              "        return tokens\n"
+              "    def reset(self):\n"
+              "        self.n += 1\n"
+              "        setattr(self, 'x', 1)\n"
+              "        self._memo.setdefault('a', ())\n"
+              "        del self._memo['a']\n"
+              "        object.__setattr__(self, 'y', 2)\n"
+              "    def reads(self):\n"
+              "        other = {}\n"
+              "        other['a'] = self._postings\n"
+              "        self.doc_tokens('a')\n"
+              "        return self._postings.get('a'), sorted(self._memo)\n")
+    assert writes_after_init(source, "PositionalIndex") == [
+        ("doc_tokens", 6), ("reset", 9), ("reset", 10), ("reset", 11), ("reset", 12), ("reset", 13)]

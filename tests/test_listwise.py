@@ -475,9 +475,10 @@ def test_matrix_json_roundtrip():
 
 
 def _edited_json(**changes) -> str:
+    """The JSON of a 1-ranker, 2-term, 2-pair matrix with ``changes``; a None value drops the key."""
     data = json.loads(matrix_to_json(make_matrix([[1, -1], [0, 1]])))
     data.update(changes)
-    return json.dumps(data)
+    return json.dumps({k: v for k, v in data.items() if v is not None})
 
 
 @pytest.mark.parametrize("changes,message", [
@@ -488,12 +489,41 @@ def _edited_json(**changes) -> str:
     pytest.param({"terms": [], "salience": [], "entries": [[]]}, "at least one candidate", id="no-terms"),
     pytest.param({"entries": [[[1, -1]]]}, "shape (1, 2, 2)", id="too-few-rows"),
     pytest.param({"rankers": ["bm25", "lmjm"]}, "shape (2, 2, 2)", id="too-few-layers"),
+    pytest.param({"entries": [[[1, 300], [0, 1]]]}, "-1, 0 or 1", id="entry-300"),
+    pytest.param({"entries": [[[1, 1.5], [0, 1]]]}, "-1, 0 or 1", id="entry-float"),
+    pytest.param({"entries": [[[1, True], [0, 1]]]}, "-1, 0 or 1", id="entry-true"),
+    pytest.param({"entries": [[[1, "1"], [0, 1]]]}, "-1, 0 or 1", id="entry-string"),
+    pytest.param({"entries": [[[1, [1]], [0, 1]]]}, "-1, 0 or 1", id="entry-list"),
+    pytest.param({"entries": 1}, "shape (1, 2, 2)", id="entries-not-a-list"),
+    pytest.param({"entries": None}, "has no key 'entries'", id="missing-entries"),
+    pytest.param({"extra": 1}, "unknown key 'extra'", id="unknown-key"),
+    pytest.param({"pairs": [{"upper": "a", "lower": "b", "rank_gap": "x"}] * 2}, "rank_gap must be an int",
+                 id="rank-gap-string"),
+    pytest.param({"pairs": [{"upper": "a", "lower": "b", "rank_gap": True}] * 2}, "rank_gap must be an int",
+                 id="rank-gap-true"),
+    pytest.param({"pairs": [{"upper": "a", "lower": "b", "rank_gap": 0}] * 2}, "rank_gap must be in [1, inf)",
+                 id="rank-gap-0"),
+    pytest.param({"pairs": [{"upper": "a", "lower": "b"}] * 2}, "has no key 'rank_gap'", id="pair-missing-key"),
+    pytest.param({"pairs": [{"upper": "a", "lower": "b", "rank_gap": 1, "x": 0}] * 2}, "unknown key 'x'",
+                 id="pair-unknown-key"),
+    pytest.param({"pairs": [["a", "b", 1]] * 2}, "preference pair must be a JSON object", id="pair-a-list"),
+    pytest.param({"pairs": [{"upper": 1, "lower": "b", "rank_gap": 1}] * 2}, "must be docids", id="upper-an-int"),
+    pytest.param({"salience": [0.5]}, "list of 2 numbers", id="two-terms-one-salience"),
+    pytest.param({"salience": [0.5, "x"]}, "salience of 't01' must be a number", id="salience-string"),
+    pytest.param({"salience": [0.5, float("nan")]}, "salience of 't01' must be in (-inf, inf)", id="salience-nan"),
+    pytest.param({"terms": ["t0", 1]}, "'terms' must be a list of strings", id="term-an-int"),
+    pytest.param({"rankers": "bm25"}, "'rankers' must be a list of strings", id="rankers-a-string"),
 ])
 def test_matrix_from_json_rejects_what_a_matrix_cannot_hold(changes, message):
     # At the parent these loaded; show_matrix then raised KeyError: 2, and an
     # empty pair list divided by zero in the coverage explainers.
     with pytest.raises(ValueError, match=re.escape(message)):
         matrix_from_json(_edited_json(**changes))
+
+
+def test_matrix_from_json_rejects_what_is_not_an_object():
+    with pytest.raises(ValueError, match="preference matrix must be a JSON object"):
+        matrix_from_json("[]")
 
 
 def test_preference_matrix_requires_an_int8_array():

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from rankexplain import (
 from rankexplain.perturb import SamplerConfig
 from rankexplain.pointwise import (
     ExplanationVector,
+    RIDGE_DOMAIN,
     PointwiseParams,
     _perturbation_design,
     exs_targets,
@@ -86,6 +89,29 @@ def test_ridge_matches_oracle_on_random_systems():
 def test_ridge_zero_weights_error():
     with pytest.raises(ValueError, match="zero"):
         fit_weighted_ridge([[1.0]], [1.0], [0.0], 1.0)
+
+
+@pytest.mark.parametrize("changes,message", [
+    pytest.param({"w": [1.0, math.nan]}, "sample_weights must be finite", id="weight-nan"),
+    pytest.param({"w": [1.0, math.inf]}, "sample_weights must be finite", id="weight-inf"),
+    pytest.param({"y": [1.0, math.nan]}, "y must be finite", id="target-nan"),
+    pytest.param({"y": [-math.inf, 1.0]}, "y must be finite", id="target-minus-inf"),
+    pytest.param({"X": [[1.0], [math.nan]]}, "X must be finite", id="design-nan"),
+    pytest.param({"ridge": math.nan}, "ridge must be in [0, inf), got nan", id="ridge-nan"),
+    pytest.param({"ridge": -1.0}, "ridge must be in [0, inf), got -1.0", id="ridge-minus-1"),
+    pytest.param({"ridge": math.inf}, "ridge must be in [0, inf), got inf", id="ridge-inf"),
+])
+def test_ridge_rejects_non_finite_inputs_and_a_ridge_outside_its_domain(changes, message):
+    # Unchecked, a NaN or inf weight or target gives all-NaN weights, ridge nan
+    # or -1 a singular system, and ridge inf all-zero weights.
+    args = {"X": [[1.0], [0.0]], "y": [2.0, 0.0], "w": [1.0, 1.0], "ridge": 1.0} | changes
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fit_weighted_ridge(args["X"], args["y"], args["w"], args["ridge"])
+
+
+def test_ridge_domain_is_the_one_pointwise_params_declares():
+    ridge = next(f for f in dataclasses.fields(PointwiseParams) if f.name == "ridge")
+    assert ridge.metadata["in"] is RIDGE_DOMAIN
 
 
 def test_ridge_rank_deficient_min_norm_flagged():
@@ -254,6 +280,41 @@ def test_json_roundtrip():
     parsed = explanation_from_json(text)
     assert parsed == expl
     assert json.loads(text)["terms"][0] == {"term": "aa", "weight": 2.0}
+
+
+def _explanation_json(**changes) -> str:
+    """A serialized explanation with ``changes``; a None value drops the key."""
+    data = ExplanationVector(entries=[("aa", 2.0), ("bb", -1.0)], qid="7", docid="d", method="lirme",
+                             params={"x": 1}).as_dict() | changes
+    return json.dumps({k: v for k, v in data.items() if v is not None})
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param("{}", "has no key 'docid'", id="empty-object"),
+    pytest.param("[]", "explanation must be a JSON object", id="a-list"),
+    pytest.param(_explanation_json(qid=None), "has no key 'qid'", id="missing-qid"),
+    pytest.param(_explanation_json(extra=1), "unknown key 'extra'", id="unknown-key"),
+    pytest.param(_explanation_json(qid=7), "'qid' must be a string", id="qid-an-int"),
+    pytest.param(_explanation_json(params=[]), "'params' must be a JSON object", id="params-a-list"),
+    pytest.param(_explanation_json(terms={}), "'terms' a list", id="terms-an-object"),
+    pytest.param(_explanation_json(terms=[["aa", 2.0]]), "explanation term must be a JSON object", id="row-a-list"),
+    pytest.param(_explanation_json(terms=[{"term": "aa"}]), "has no key 'weight'", id="row-without-weight"),
+    pytest.param(_explanation_json(terms=[{"term": "aa", "weight": 1.0, "x": 0}]), "unknown key 'x'",
+                 id="row-unknown-key"),
+    pytest.param(_explanation_json(terms=[{"term": 1, "weight": 1.0}]), "term must be a string", id="term-an-int"),
+    pytest.param(_explanation_json(terms=[{"term": "aa", "weight": "x"}]), "weight of 'aa' must be a number",
+                 id="weight-a-string"),
+    pytest.param(_explanation_json(terms=[{"term": "aa", "weight": True}]), "weight of 'aa' must be a number",
+                 id="weight-true"),
+    pytest.param(_explanation_json(terms=[{"term": "aa", "weight": math.nan}]),
+                 "weight of 'aa' must be in (-inf, inf), got nan", id="weight-nan"),
+    pytest.param(_explanation_json(terms=[{"term": "aa", "weight": -math.inf}]),
+                 "weight of 'aa' must be in (-inf, inf), got -inf", id="weight-minus-inf"),
+])
+def test_explanation_from_json_rejects_what_as_dict_does_not_write(text, message):
+    # Only what as_dict writes loads; anything else is a ValueError naming the key at fault.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        explanation_from_json(text)
 
 
 def test_explanation_ordering():

@@ -354,6 +354,28 @@ def test_index_round_trip_keeps_statistics(built):
         assert loaded.doc_tokens(docid) == index.doc_tokens(docid)
 
 
+def reference_doc_tokens(index: PositionalIndex, docid: str) -> tuple:
+    """The scan over every posting list that rebuilt a token stream before the index kept them."""
+    slots = [(pos, term) for term in index.vocabulary for pos in index.positions(term, docid)]
+    return tuple(term for _, term in sorted(slots))
+
+
+@PROPERTY_SETTINGS
+@given(indexes(min_docs=0))
+def test_kept_token_streams_equal_the_posting_scan(built):
+    index, _ = built
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "index.json")
+        index.save(path)
+        loaded = PositionalIndex.load(path)
+    for copy in (index, loaded):
+        assert copy.doc_ids() == index.doc_ids()
+        for docid in index.doc_ids():
+            expected = reference_doc_tokens(index, docid)
+            assert copy.doc_tokens(docid) == expected
+            assert copy.doc_length(docid) == len(expected)
+
+
 @PROPERTY_SETTINGS
 @given(indexes(min_docs=0, prefixes=st.sampled_from(["d", "dé-", '"q\\', "\u2603"])))
 def test_save_writes_the_reference_bytes(built):
