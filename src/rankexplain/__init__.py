@@ -47,6 +47,7 @@ from .listwise import (
     show_matrix,
 )
 from .perturb import (
+    PerturbationBatch,
     PerturbedSample,
     SamplerConfig,
     draw_samples,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .index import PositionalIndex, _check_in
+from .index import PositionalIndex, _check_number
 from .rankers import DEPTH_DOMAIN, LMJMRanker, Query, RankedList
 
 RBO_P_DOMAIN = "(0, 1)"      # of rbo's persistence p
@@ -36,7 +36,7 @@ def rbo(list_a: Sequence, list_b: Sequence, p: float) -> float:
     an ulp (identical depth-200 lists at p = 0.9, for example), so the
     result is capped at 1.
     """
-    _check_in("p", p, RBO_P_DOMAIN)
+    _check_number("p", p, RBO_P_DOMAIN)
     _check_distinct("list_a", list_a)
     _check_distinct("list_b", list_b)
     k = min(len(list_a), len(list_b))
@@ -89,7 +89,7 @@ def spearman_rho(list_a: Sequence, list_b: Sequence) -> float:
 
 def jaccard_at_k(list_a: Sequence, list_b: Sequence, k: int) -> float:
     """Jaccard similarity of the two top-k sets (full list when shorter)."""
-    _check_in("k", k, DEPTH_DOMAIN)
+    _check_number("k", k, DEPTH_DOMAIN, int)
     top_a = set(list_a[:k])
     top_b = set(list_b[:k])
     union = top_a | top_b
@@ -111,7 +111,7 @@ class GroundTruthTerms:
         if not self.weights:
             raise ValueError("ground truth must be non-empty")
         for term, w in self.weights.items():
-            _check_in(f"ground-truth weight of {term!r}", w, "[0, inf)")
+            _check_number(f"ground-truth weight of {term!r}", w, "[0, inf)")
         total = sum(self.weights.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"ground-truth weights must sum to 1, got {total}")
@@ -131,8 +131,8 @@ def lmjm_ground_truth(index: PositionalIndex, query: Query, ranked: RankedList,
     outweighs an equally frequent present term. The top n_terms are kept
     and renormalized.
     """
-    _check_in("top_n", top_n, f"[1, {len(ranked)}]")
-    _check_in("n_terms", n_terms, "[1, inf)")
+    _check_number("top_n", top_n, f"[1, {len(ranked)}]", int)
+    _check_number("n_terms", n_terms, "[1, inf)", int)
     ranker = LMJMRanker(index, lam=lam)
     docids = ranked.docids[:top_n]
     doc_weights = [math.exp(ranker.score(query, d)) for d in docids]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .analysis import _check_keys
 from .evaluation import RBO_P_DOMAIN, rbo
-from .index import PositionalIndex, _check_in, _check_number, check_fields
+from .index import PositionalIndex, _check_number, check_fields
 from .rankers import (
     Query,
     RankedList,
@@ -85,7 +85,7 @@ def generate_candidates(index: PositionalIndex, ranked: RankedList,
     """
     if len(ranked) == 0:
         raise ValueError("cannot generate candidates from an empty ranked list")
-    _check_in("top_k", top_k, f"[1, {len(ranked)}]")
+    _check_number("top_k", top_k, f"[1, {len(ranked)}]", int)
     salience: dict[str, float] = {}
     for entry in ranked.entries[:top_k]:
         for term, tf in index.doc_term_counts(entry.docid).items():
@@ -120,7 +120,7 @@ def sample_pairs(ranked: RankedList, strategy: str, count: int,
     n = len(ranked)
     if n < 2:
         raise ValueError("no pairs: ranked list has fewer than 2 entries")
-    _check_in("count", count, "[1, inf)")
+    _check_number("count", count, "[1, inf)", int)
     if strategy not in PAIR_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; valid: {', '.join(PAIR_STRATEGIES)}")
     docs = ranked.docids

@@ -1,22 +1,28 @@
 """Document perturbation samplers for the pointwise explainers.
 
-Each sampler removes tokens from an analyzed document. A sample records
-only what the sampler decided: the kept-position mask, and whether the
-tfidf sampler fell back to uniform removal. The pointwise explainers
-derive everything else (surviving tokens, term presence, distance) from
-the stacked masks. All randomness flows through the package's portable
-PRNG, so a (document, config, seed) triple fully determines the output.
+Each sampler removes tokens from an analyzed document and returns one
+:class:`PerturbationBatch`: a read-only (samples x positions) bool matrix,
+True where a position survives, and whether the tfidf sampler fell back to
+uniform removal. The matrix is filled from one block of the package's
+portable PRNG stream, whose row-major order is the order of the draws, so
+a (document, config, seed) triple fully determines the output. The
+pointwise explainers derive everything else (term presence, distance,
+the scores of the variants) from the matrix.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .analysis import TokenizedDocument
 from .index import PositionalIndex, check_fields
-from .rng import XorShift64Star
+from .rng import XorShift64Star, block_random, block_u64
 
 SAMPLER_KINDS = ("random", "masking", "tfidf")
 
@@ -33,10 +39,42 @@ class SamplerConfig:
         check_fields(self)
 
 
-@dataclass
 class PerturbedSample:
-    kept_mask: tuple[int, ...]         # 1 where the position survives, 0 where removed
-    uniform_fallback: bool = False
+    """One row of a batch. ``kept_mask`` is built, as a tuple of 0/1, when read."""
+
+    __slots__ = ("_row", "uniform_fallback")
+
+    def __init__(self, row: np.ndarray, uniform_fallback: bool = False):
+        self._row = row
+        self.uniform_fallback = uniform_fallback
+
+    @property
+    def kept_mask(self) -> tuple[int, ...]:
+        """1 where the position survives, 0 where it was removed."""
+        return tuple(self._row.view(np.uint8).tolist())
+
+
+class PerturbationBatch(Sequence):
+    """n_samples perturbations of one document, as a sequence of :class:`PerturbedSample`.
+
+    ``kept`` is the read-only (samples x positions) bool matrix;
+    ``uniform_fallback`` holds for every sample.
+    """
+
+    def __init__(self, kept: np.ndarray, uniform_fallback: bool = False):
+        kept.flags.writeable = False
+        self.kept = kept
+        self.uniform_fallback = uniform_fallback
+
+    def __len__(self) -> int:
+        return len(self.kept)
+
+    def __getitem__(self, i: int) -> PerturbedSample:
+        return PerturbedSample(self.kept[operator.index(i)], self.uniform_fallback)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, PerturbationBatch) and self.uniform_fallback == other.uniform_fallback
+                and np.array_equal(self.kept, other.kept))
 
 
 def _check_doc(doc: TokenizedDocument) -> None:
@@ -45,14 +83,14 @@ def _check_doc(doc: TokenizedDocument) -> None:
 
 
 def _bernoulli_samples(probs: list[float], n_samples: int, rng: XorShift64Star,
-                       uniform_fallback: bool = False) -> list[PerturbedSample]:
-    """Remove position p when a fresh random() falls below probs[p]."""
-    return [PerturbedSample(tuple([0 if rng.random() < p else 1 for p in probs]), uniform_fallback)
-            for _ in range(n_samples)]
+                       uniform_fallback: bool = False) -> PerturbationBatch:
+    """Remove position p of a sample when its draw falls below probs[p]."""
+    draws = block_random(rng, n_samples * len(probs)).reshape(n_samples, len(probs))
+    return PerturbationBatch(~(draws < np.array(probs)), uniform_fallback)
 
 
 def random_sampler(doc: TokenizedDocument, config: SamplerConfig,
-                   rng: XorShift64Star) -> list[PerturbedSample]:
+                   rng: XorShift64Star) -> PerturbationBatch:
     """Remove each token independently with probability config.rate."""
     _check_doc(doc)
     return _bernoulli_samples([config.rate] * len(doc.tokens), config.n_samples, rng)
@@ -78,7 +116,7 @@ def _masking_window_count(n: int, chunk: int, rate: float) -> int:
 
 
 def masking_sampler(doc: TokenizedDocument, config: SamplerConfig,
-                    rng: XorShift64Star) -> list[PerturbedSample]:
+                    rng: XorShift64Star) -> PerturbationBatch:
     """Remove whole contiguous windows of config.chunk tokens."""
     _check_doc(doc)
     n = len(doc.tokens)
@@ -86,19 +124,16 @@ def masking_sampler(doc: TokenizedDocument, config: SamplerConfig,
         raise ValueError(f"chunk {config.chunk} exceeds document length {n}")
     k = _masking_window_count(n, config.chunk, config.rate)
     starts = n - config.chunk + 1
-    samples = []
-    for _ in range(config.n_samples):
-        mask = [1] * n
-        for _ in range(k):
-            start = rng.randbelow(starts)
-            for pos in range(start, start + config.chunk):
-                mask[pos] = 0
-        samples.append(PerturbedSample(tuple(mask)))
-    return samples
+    # Each sample's k window starts, as randbelow(starts) draws them.
+    first = (block_u64(rng, config.n_samples * k) % np.uint64(starts)).astype(np.intp)
+    windows = first.reshape(config.n_samples, k, 1) + np.arange(config.chunk)
+    kept = np.ones((config.n_samples, n), dtype=bool)
+    kept[np.arange(config.n_samples)[:, None, None], windows] = False
+    return PerturbationBatch(kept)
 
 
 def tfidf_sampler(doc: TokenizedDocument, index: PositionalIndex, config: SamplerConfig,
-                  rng: XorShift64Star) -> list[PerturbedSample]:
+                  rng: XorShift64Star) -> PerturbationBatch:
     """Remove positions with probability proportional to their tf-idf.
 
     Position p holding term t is removed with probability
@@ -122,7 +157,7 @@ def tfidf_sampler(doc: TokenizedDocument, index: PositionalIndex, config: Sample
 
 
 def draw_samples(doc: TokenizedDocument, config: SamplerConfig,
-                 index: PositionalIndex | None = None) -> list[PerturbedSample]:
+                 index: PositionalIndex | None = None) -> PerturbationBatch:
     """Dispatch on config.kind with a PRNG seeded from config.seed."""
     rng = XorShift64Star(config.seed)
     if config.kind == "random":

@@ -146,32 +146,32 @@ def fit_weighted_ridge(X, y, sample_weights, ridge: float,
 
 
 def _perturbation_design(index: PositionalIndex, docid: str, params: PointwiseParams):
-    """Draw samples of one document and derive the surrogate design from their masks.
+    """Draw samples of one document and derive the surrogate design from their mask matrix.
 
-    Returns each sample's surviving tokens, the sorted distinct terms, the
-    presence matrix X (samples x terms) and each sample's kernel weight.
+    Returns the (samples x positions) kept matrix, the sorted distinct
+    terms, the presence matrix X (samples x terms) and each sample's
+    kernel weight.
     """
     doc = index.tokenized_doc(docid)
     terms = doc.distinct_terms()
     if len(terms) < 2:
         raise ValueError(f"explanation undefined: document {docid!r} has fewer than 2 distinct terms")
-    kept = np.array([s.kept_mask for s in draw_samples(doc, params.sampler, index=index)], dtype=bool)
+    kept = draw_samples(doc, params.sampler, index=index).kept
     feature = {t: j for j, t in enumerate(terms)}
     column = np.array([feature[t] for t in doc.tokens])     # feature held at each position
-    X = np.zeros((len(kept), len(terms)))
-    rows, positions = np.nonzero(kept)
-    X[rows, column[positions]] = 1.0
+    order = np.argsort(column, kind="stable")                 # positions grouped by feature
+    X = np.logical_or.reduceat(kept[:, order], np.searchsorted(column[order], np.arange(len(terms))),
+                               axis=1).astype(float)
     distances = 1.0 - kept.sum(axis=1) / len(doc.tokens)
     kernel = np.exp(-(distances ** 2) / (params.kernel_width ** 2))
-    tokens = np.array(doc.tokens, dtype=object)
-    return [tuple(tokens[row]) for row in kept], terms, X, kernel
+    return kept, terms, X, kernel
 
 
 def _explain(index: PositionalIndex, ranker: Ranker, query: Query, docid: str,
              params: PointwiseParams, method: str, target) -> ExplanationVector:
     """Fit the surrogate on target(scores of the perturbed variants)."""
-    survivors, terms, X, kernel = _perturbation_design(index, docid, params)
-    y = target(np.array([ranker.score_tokens(query, tokens) for tokens in survivors]))
+    kept, terms, X, kernel = _perturbation_design(index, docid, params)
+    y = target(ranker.score_masked(query, index.doc_tokens(docid), kept))
     fit = fit_weighted_ridge(X, y, kernel, params.ridge, feature_names=terms)
     return ExplanationVector.from_weights(
         fit.weights, n_terms=params.n_terms,
@@ -203,7 +203,6 @@ def exs_targets(scores: np.ndarray, base_list: RankedList, variant: str, exs_k: 
     """
     if len(base_list) < exs_k:
         raise ValueError(f"base list has {len(base_list)} entries, needs at least exs_k={exs_k}")
-    base_scores = [e.score for e in base_list.entries]
     if variant == "topk_binary":
         threshold = base_list.score_at(exs_k)
         return (scores > threshold).astype(float)
@@ -213,11 +212,9 @@ def exs_targets(scores: np.ndarray, base_list: RankedList, variant: str, exs_k: 
             raise ValueError("score_ratio target undefined: top score is zero")
         return np.clip(1.0 - (s_top - scores) / abs(s_top), 0.0, 1.0)
     if variant == "rank_based":
-        targets = np.empty(len(scores))
-        for i, s in enumerate(scores):
-            insertion_rank = sum(1 for b in base_scores if b > s)
-            targets[i] = 1.0 - insertion_rank / exs_k
-        return np.clip(targets, 0.0, 1.0)
+        base_scores = np.array([e.score for e in base_list.entries])
+        insertion_ranks = (base_scores > np.asarray(scores)[:, None]).sum(axis=1)
+        return np.clip(1.0 - insertion_ranks / exs_k, 0.0, 1.0)
     raise ValueError(f"unknown exs_variant {variant!r}; valid: {', '.join(EXS_VARIANTS)}")
 
 

@@ -15,7 +15,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .index import PositionalIndex, _check_id, _check_in, check_fields
+import numpy as np
+
+from .index import PositionalIndex, _check_id, _check_number, check_fields
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,7 @@ class Ranker(ABC):
     ``score_tokens`` evaluates the same scoring function on a transient
     document given as a token list, with collection statistics frozen at
     the backing index. That is how perturbed documents are scored without
-    re-indexing.
+    re-indexing; ``score_masked`` scores many of them at once.
     """
 
     name: str = "ranker"
@@ -130,10 +132,24 @@ class Ranker(ABC):
     def score_tokens(self, query: Query, tokens: Sequence[str]) -> float:
         ...
 
+    def score_masked(self, query: Query, tokens: Sequence[str], kept) -> np.ndarray:
+        """``score_tokens`` of each row's survivors: the tokens where a row of ``kept`` is True.
+
+        ``kept`` is a (variants x len(tokens)) bool matrix.
+        """
+        tokens = np.array(tokens, dtype=object)
+        return np.array([self.score_tokens(query, tuple(tokens[row])) for row in kept], dtype=float)
+
     def term_scores(self, term: str, docids: Sequence[str]) -> list[float]:
         """Score of the one-term query ``term`` for each of docids, in order."""
         query = Query.from_terms("", [term])
         return [self.score(query, docid) for docid in docids]
+
+
+def _exact_log(x: np.ndarray) -> np.ndarray:
+    """``math.log`` of each entry; ``np.log`` may differ from it by one ulp."""
+    values, inverse = np.unique(x, return_inverse=True)
+    return np.array([math.log(v) for v in values.tolist()])[inverse]
 
 
 class _SparseRanker(Ranker):
@@ -141,7 +157,10 @@ class _SparseRanker(Ranker):
 
     A score is the sum of one ``_term_score`` per query term, added left
     to right, so a query's ``term_scores`` rows summed in query-term
-    order give ``score`` to the bit.
+    order give ``score`` to the bit. ``_term_column`` is the same formula
+    over arrays of tf and length, in the same operation order, so that
+    ``score_masked`` (and ``score_tokens``, its one-row case) gives the
+    same bits too.
     """
 
     def __init__(self, index: PositionalIndex):
@@ -150,14 +169,26 @@ class _SparseRanker(Ranker):
     def _term_score(self, term: str, tf: int, dl: int) -> float:
         raise NotImplementedError
 
+    def _term_column(self, term: str, tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
     def score(self, query: Query, docid: str) -> float:
         dl = self.index.doc_length(docid)      # raises UnknownDocumentError for an unknown docid
         return sum(self._term_score(t, self.index.tf(t, docid), dl) for t in query.terms)
 
     def score_tokens(self, query: Query, tokens: Sequence[str]) -> float:
-        counts = Counter(tokens)
-        dl = len(tokens)
-        return sum(self._term_score(t, counts[t], dl) for t in query.terms)
+        return float(self.score_masked(query, tokens, np.ones((1, len(tokens)), dtype=bool))[0])
+
+    def score_masked(self, query: Query, tokens: Sequence[str], kept) -> np.ndarray:
+        kept = np.asarray(kept, dtype=bool)
+        if kept.ndim != 2 or kept.shape[1] != len(tokens):
+            raise ValueError(f"kept must be a (variants x {len(tokens)}) matrix, got shape {kept.shape}")
+        tokens = np.array(tokens, dtype=str)
+        dl = kept.sum(axis=1)
+        total = np.zeros(len(kept))
+        for term in query.terms:
+            total = total + self._term_column(term, kept[:, tokens == term].sum(axis=1), dl)
+        return total
 
     def term_scores(self, term: str, docids: Sequence[str]) -> list[float]:
         index = self.index
@@ -180,6 +211,15 @@ class BM25Ranker(_SparseRanker):
         norm = 1.0 - self.b + self.b * (dl / avgdl) if avgdl > 0 else 1.0
         return self.index.idf(term) * tf * (self.k1 + 1.0) / (tf + self.k1 * norm)
 
+    def _term_column(self, term: str, tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(tf))
+        hit = tf > 0
+        tf, dl = tf[hit], dl[hit]
+        avgdl = self.index.avgdl
+        norm = 1.0 - self.b + self.b * (dl / avgdl) if avgdl > 0 else 1.0
+        out[hit] = self.index.idf(term) * tf * (self.k1 + 1.0) / (tf + self.k1 * norm)
+        return out
+
 
 class LMJMRanker(_SparseRanker):
     """Query log-likelihood with Jelinek-Mercer smoothing.
@@ -201,6 +241,16 @@ class LMJMRanker(_SparseRanker):
         p_doc = tf / dl if dl > 0 else 0.0
         p_coll = cf / self.index.total_tokens
         return math.log((1.0 - self.lam) * p_doc + self.lam * p_coll)
+
+    def _term_column(self, term: str, tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
+        cf = self.index.cf(term)
+        if cf == 0:
+            return np.zeros(len(tf))
+        p_doc = np.zeros(len(tf))
+        nonempty = dl > 0
+        p_doc[nonempty] = tf[nonempty] / dl[nonempty]
+        p_coll = cf / self.index.total_tokens
+        return _exact_log((1.0 - self.lam) * p_doc + self.lam * p_coll)
 
     def term_probability(self, term: str, tf: int, dl: int) -> float:
         """The smoothed P(term | doc) mixture itself (not its log)."""
@@ -226,6 +276,13 @@ class LMDirRanker(_SparseRanker):
             return 0.0
         p_coll = cf / self.index.total_tokens
         return math.log((tf + self.mu * p_coll) / (dl + self.mu))
+
+    def _term_column(self, term: str, tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
+        cf = self.index.cf(term)
+        if cf == 0:
+            return np.zeros(len(tf))
+        p_coll = cf / self.index.total_tokens
+        return _exact_log((tf + self.mu * p_coll) / (dl + self.mu))
 
 
 SIMPLE_RANKERS = ("bm25", "lmjm", "lmdir")
@@ -254,7 +311,7 @@ class LinearScorer(Ranker):
         self.index = index
         self.coefficients = dict(coefficients)
         for term, c in self.coefficients.items():
-            _check_in(f"coefficient of {term!r}", c, "(-inf, inf)")
+            _check_number(f"coefficient of {term!r}", c, "(-inf, inf)")
 
     def score(self, query: Query, docid: str) -> float:
         return sum(c * self.index.tf(t, docid) for t, c in self.coefficients.items())
@@ -276,7 +333,7 @@ class HiddenIntentRanker(Ranker):
 
     def __init__(self, base: Ranker, hidden_terms: Sequence[tuple[str, float]]):
         for term, weight in hidden_terms:
-            _check_in(f"weight of hidden term {term!r}", weight, "(0, inf)")
+            _check_number(f"weight of hidden term {term!r}", weight, "(0, inf)")
         self._base = base
         self._hidden = tuple((Query.from_terms("", [term]), weight) for term, weight in hidden_terms)
 
@@ -292,6 +349,12 @@ class HiddenIntentRanker(Ranker):
             total += weight * self._base.score_tokens(hidden, tokens)
         return total
 
+    def score_masked(self, query: Query, tokens: Sequence[str], kept) -> np.ndarray:
+        total = self._base.score_masked(query, tokens, kept)
+        for hidden, weight in self._hidden:
+            total = total + weight * self._base.score_masked(hidden, tokens, kept)
+        return total
+
 
 def rank(index: PositionalIndex, ranker: Ranker, query: Query,
          pool: Optional[Iterable[str]] = None, depth: int = 1000) -> RankedList:
@@ -301,7 +364,7 @@ def rank(index: PositionalIndex, ranker: Ranker, query: Query,
     union of postings of the query terms. Ties break by ascending docid.
     An empty candidate set produces an empty list.
     """
-    _check_in("depth", depth, DEPTH_DOMAIN)
+    _check_number("depth", depth, DEPTH_DOMAIN, int)
     if pool is not None:
         candidates = sorted(set(pool))
     else:

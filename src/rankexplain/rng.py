@@ -5,9 +5,20 @@ golden tests reproduce bit-for-bit across platforms and Python versions.
 The generator is Marsaglia's xorshift64* (64-bit state, period 2**64 - 1);
 seeds are expanded through splitmix64 so that small or zero seeds still
 start from well-mixed state.
+
+:func:`block_u64` and :func:`block_random` draw the next n values of the
+same stream at once, by jump-ahead. The state step is linear over GF(2),
+so 2**k steps are one fixed 64 x 64 bit matrix applied to the state
+(Haramoto et al., "Efficient jump ahead for F2-linear random number
+generators", INFORMS J. Computing 2008). A block equals n scalar draws
+and leaves the generator where they would.
 """
 
 from __future__ import annotations
+
+import functools
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _XORSHIFT_MULT = 0x2545F4914F6CDD1D
@@ -56,3 +67,62 @@ class XorShift64Star:
         for i in range(len(items) - 1, 0, -1):
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
+
+
+def _jump(table: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The linear map whose byte tables are ``table``, applied to each of states."""
+    state_bytes = states.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    out = table[0].take(state_bytes[:, 0])
+    for b in range(1, 8):
+        out ^= table[b].take(state_bytes[:, b])
+    return out
+
+
+@functools.cache
+def _jump_table(k: int) -> np.ndarray:
+    """Byte tables of the state step applied 2**k times.
+
+    ``[b][v]`` is where the step takes a state whose byte b is v and whose
+    other bits are 0; a state's image is the XOR of its 8 bytes' entries.
+    """
+    if k == 0:
+        one_step = XorShift64Star()
+        images = []
+        for i in range(64):
+            one_step._state = 1 << i
+            one_step.next_u64()
+            images.append(one_step._state)
+        images = np.array(images, dtype=np.uint64)
+    else:
+        half = _jump_table(k - 1)
+        images = _jump(half, _jump(half, np.uint64(1) << np.arange(64, dtype=np.uint64)))
+    table = np.zeros((8, 256), dtype=np.uint64)
+    for b in range(8):
+        for j in range(8):
+            table[b, 1 << j:2 << j] = table[b, :1 << j] ^ images[8 * b + j]
+    table.flags.writeable = False       # one cached table serves every caller
+    return table
+
+
+def block_u64(rng: XorShift64Star, n: int) -> np.ndarray:
+    """The next n ``rng.next_u64()`` values as a uint64 array; rng ends where n calls leave it.
+
+    The n states come by recursive doubling: with the first m in hand,
+    the jump of m = 2**k steps gives the next m.
+    """
+    states = np.empty(n, dtype=np.uint64)
+    if n == 0:
+        return states
+    states[0] = _jump(_jump_table(0), np.array([rng._state], dtype=np.uint64))[0]
+    m, k = 1, 0
+    while m < n:
+        step = min(m, n - m)
+        states[m:m + step] = _jump(_jump_table(k), states[:step])
+        m, k = m + step, k + 1
+    rng._state = int(states[-1])
+    return states * np.uint64(_XORSHIFT_MULT)       # uint64 arithmetic wraps mod 2**64
+
+
+def block_random(rng: XorShift64Star, n: int) -> np.ndarray:
+    """The next n ``rng.random()`` values as a float64 array."""
+    return (block_u64(rng, n) >> 11).astype(np.float64) * (2.0 ** -53)

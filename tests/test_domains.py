@@ -176,3 +176,37 @@ def test_readme_lists_every_declared_domain_the_cli_reads():
     rows = [f"| `{f.name}` | `{cls.__name__}` | `{f.metadata['in']}` |" for cls, f in NUMERIC if f.name in keys]
     assert len(rows) >= 15
     assert [row for row in rows if row not in readme] == []
+
+
+# -- Python-API arguments outside the params dataclasses ---------------------------
+
+
+def _api_fixture():
+    index = rx.build_index([rx.Document("d1", "cat dog cat"), rx.Document("d2", "dog bird")])
+    ranker = rx.BM25Ranker(index)
+    query = rx.Query.from_terms("q", ["cat", "dog"])
+    return index, ranker, query, rx.rank(index, ranker, query)
+
+
+# (argument name, a call that passes ``v`` as that argument, values of the wrong type)
+API_ARGUMENTS = [
+    ("weight of hidden term 'cat'", lambda i, r, q, l, v: rx.HiddenIntentRanker(r, [("cat", v)]),
+     ["x", None, True]),
+    ("coefficient of 'cat'", lambda i, r, q, l, v: rx.LinearScorer(i, {"cat": v}), ["x", None, True]),
+    ("depth", lambda i, r, q, l, v: rx.rank(i, r, q, depth=v), [2.5, True, "3"]),
+    ("k", lambda i, r, q, l, v: rx.jaccard_at_k(["a"], ["b"], k=v), [1.5, True, "2"]),
+    ("p", lambda i, r, q, l, v: rx.rbo(["a"], ["a"], p=v), ["x", None, True]),
+    ("ground-truth weight of 'cat'", lambda i, r, q, l, v: rx.GroundTruthTerms({"cat": v}), ["x", True]),
+    ("top_n", lambda i, r, q, l, v: rx.lmjm_ground_truth(i, q, l, top_n=v), [1.0, True]),
+    ("n_terms", lambda i, r, q, l, v: rx.lmjm_ground_truth(i, q, l, top_n=1, n_terms=v), [2.0, True]),
+    ("top_k", lambda i, r, q, l, v: rx.generate_candidates(i, l, top_k=v), [1.0, True]),
+    ("count", lambda i, r, q, l, v: rx.sample_pairs(l, "uniform", v, rx.XorShift64Star(0)), [1.5, True]),
+]
+
+
+@pytest.mark.parametrize("name,call,value", [
+    pytest.param(name, call, value, id=f"{name}={value!r}")
+    for name, call, values in API_ARGUMENTS for value in values])
+def test_an_api_argument_of_the_wrong_type_is_rejected_by_name(name, call, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
+        call(*_api_fixture(), value)

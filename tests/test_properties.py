@@ -12,6 +12,7 @@ import math
 import os
 import tempfile
 import warnings
+from collections import Counter
 from itertools import chain, islice
 
 import numpy as np
@@ -22,6 +23,7 @@ from hypothesis import assume, given, settings, strategies as st
 from rankexplain import (
     Document,
     HiddenIntentRanker,
+    LinearScorer,
     PositionalIndex,
     Query,
     Ranker,
@@ -48,10 +50,19 @@ from rankexplain.listwise import (
     intent_exs_explain,
     multiplex_explain,
 )
-from rankexplain.perturb import SAMPLER_KINDS, SamplerConfig, draw_samples
+from rankexplain.analysis import TokenizedDocument
+from rankexplain.perturb import (
+    SAMPLER_KINDS,
+    SamplerConfig,
+    _masking_window_count,
+    draw_samples,
+    masking_sampler,
+    random_sampler,
+    tfidf_sampler,
+)
 from rankexplain.pointwise import EXS_VARIANTS, PointwiseParams, _perturbation_design, exs_targets
 from rankexplain.rankers import RankedList, RunEntry
-from rankexplain.rng import XorShift64Star
+from rankexplain.rng import XorShift64Star, block_random, block_u64
 
 from conftest import make_vocab, random_corpus
 
@@ -562,14 +573,131 @@ def test_perturbation_design_equals_per_sample_derivation(data, built, kind, rat
     assume(len(set(doc.tokens)) >= 2)
     sampler = SamplerConfig(kind=kind, rate=rate, chunk=data.draw(st.integers(1, len(doc.tokens))),
                             n_samples=n_samples, seed=seed)
-    survivors, terms, X, kernel = _perturbation_design(
+    kept, terms, X, kernel = _perturbation_design(
         index, docid, PointwiseParams(sampler=sampler, kernel_width=width))
     fields = [per_sample_fields(doc, s.kept_mask) for s in draw_samples(doc, sampler, index=index)]
     distances = np.array([distance for _, _, distance in fields])
+    tokens = np.array(doc.tokens, dtype=object)
     assert terms == doc.distinct_terms()
-    assert survivors == [surviving for surviving, _, _ in fields]
+    assert [tuple(tokens[row]) for row in kept] == [surviving for surviving, _, _ in fields]
     assert np.array_equal(X, np.array([features for _, features, _ in fields], dtype=float))
     assert np.array_equal(kernel, np.exp(-(distances ** 2) / (width ** 2)))
+
+
+# -- block draws, mask batches and their scores --------------------------------
+
+
+block_lengths = st.one_of(st.integers(0, 5000),
+                          st.sampled_from([2**k + d for k in range(13) for d in (-1, 0, 1)]))
+
+
+@PROPERTY_SETTINGS
+@given(block_lengths, st.integers(0, 2**64 - 1))
+def test_block_draws_equal_the_scalar_stream(n, seed):
+    block, scalar = XorShift64Star(seed), XorShift64Star(seed)
+    assert block_u64(block, n).tolist() == [scalar.next_u64() for _ in range(n)]
+    assert block._state == scalar._state
+    assert block_random(block, n).tolist() == [scalar.random() for _ in range(n)]
+    assert block._state == scalar._state
+
+
+def reference_samples(doc, index, config, rng):
+    """The per-token samplers the mask batch replaced: (kept masks, fallback flag)."""
+    n = len(doc.tokens)
+    if config.kind == "masking":
+        k = _masking_window_count(n, config.chunk, config.rate)
+        masks = []
+        for _ in range(config.n_samples):
+            mask = [1] * n
+            for _ in range(k):
+                start = rng.randbelow(n - config.chunk + 1)
+                for pos in range(start, start + config.chunk):
+                    mask[pos] = 0
+            masks.append(tuple(mask))
+        return masks, False
+    probs, fallback = [config.rate] * n, False
+    if config.kind == "tfidf":
+        counts = Counter(doc.tokens)
+        weights = [counts[t] * index.idf(t) for t in doc.tokens]
+        total = sum(weights)
+        fallback = total <= 0.0
+        if not fallback:
+            probs = [min(1.0, config.rate * n * w / total) for w in weights]
+    return [tuple([0 if rng.random() < p else 1 for p in probs]) for _ in range(config.n_samples)], fallback
+
+
+SAMPLERS = {"random": lambda doc, index, config, rng: random_sampler(doc, config, rng),
+            "masking": lambda doc, index, config, rng: masking_sampler(doc, config, rng),
+            "tfidf": tfidf_sampler}
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), indexes(), st.sampled_from(SAMPLER_KINDS),
+       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       st.integers(1, 40), st.integers(0, 2**64 - 1), st.booleans())
+def test_sampler_batches_equal_the_per_token_reference(data, built, kind, rate, n_samples, seed, unknown):
+    index, _ = built
+    doc = index.tokenized_doc(data.draw(st.sampled_from(index.doc_ids())))
+    if unknown:     # terms the index does not hold: the tfidf sampler falls back to uniform removal
+        doc = TokenizedDocument(docid="oov", tokens=(OOV,) * len(doc.tokens))
+    config = SamplerConfig(kind=kind, rate=rate, chunk=data.draw(st.integers(1, len(doc.tokens))),
+                           n_samples=n_samples, seed=seed)
+    rng, reference_rng = XorShift64Star(seed), XorShift64Star(seed)
+    batch = SAMPLERS[kind](doc, index, config, rng)
+    masks, fallback = reference_samples(doc, index, config, reference_rng)
+    assert [s.kept_mask for s in batch] == masks
+    assert np.array_equal(batch.kept, np.array(masks, dtype=bool))
+    assert [s.uniform_fallback for s in batch] == [fallback] * n_samples
+    assert batch.uniform_fallback == fallback
+    assert rng._state == reference_rng._state
+    assert batch == draw_samples(doc, config, index=index)
+
+
+def reference_score_tokens(ranker, query, tokens):
+    """The sparse ``score_tokens`` the batch replaced: one ``_term_score`` per query term over a Counter."""
+    counts = Counter(tokens)
+    return sum(ranker._term_score(t, counts[t], len(tokens)) for t in query.terms)
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), indexes(), rankers, st.sampled_from(["sparse", "hidden", "linear"]))
+def test_masked_scores_equal_score_tokens_of_each_rows_survivors(data, built, ranker_spec, kind):
+    index, vocab = built
+    sparse = make_ranker(index, *ranker_spec)
+    terms = st.sampled_from(vocab + [OOV])
+    ranker = {
+        "sparse": lambda: sparse,
+        "hidden": lambda: HiddenIntentRanker(sparse, data.draw(st.lists(
+            st.tuples(terms, st.floats(0.01, 4.0)), max_size=3))),
+        "linear": lambda: LinearScorer(index, data.draw(st.dictionaries(
+            terms, st.one_of(st.integers(-3, 3), st.floats(-4.0, 4.0)), max_size=4))),
+    }[kind]()
+    # Query terms absent from the document, absent from the collection (OOV) and repeated.
+    query = Query.from_terms("q", data.draw(query_terms(vocab)))
+    tokens = index.doc_tokens(data.draw(st.sampled_from(index.doc_ids())))
+    rows = data.draw(st.lists(st.lists(st.booleans(), min_size=len(tokens), max_size=len(tokens)),
+                              max_size=12))
+    rows += [[False] * len(tokens), [True] * len(tokens)]       # every token removed, none removed
+    survivors = [tuple(t for t, keep in zip(tokens, row) if keep) for row in rows]
+    scores = ranker.score_masked(query, tokens, np.array(rows, dtype=bool))
+    assert scores.tolist() == [ranker.score_tokens(query, s) for s in survivors]
+    if kind == "sparse":
+        assert scores.tolist() == [reference_score_tokens(sparse, query, s) for s in survivors]
+
+
+@pytest.mark.parametrize("params", [RankerParams(), RankerParams(k1=0.0, b=0.0, dirichlet_mu=0.5),
+                                    RankerParams(k1=3.0, b=1.0, jm_lambda=0.99, dirichlet_mu=2500.0)])
+@pytest.mark.parametrize("model", ["bm25", "lmjm", "lmdir"])
+def test_term_columns_equal_term_scores_over_a_grid(model, params):
+    # About 40,000 distinct (tf, dl) pairs per term. np.log differs from
+    # math.log in the last bit on roughly one argument in 10,000 here, so
+    # this catches a column formula that takes np.log.
+    index = build_index(random_corpus(XorShift64Star(7), 30, make_vocab(40), min_len=50, max_len=300))
+    ranker = make_ranker(index, model, params)
+    tf, dl = (grid.ravel() for grid in np.meshgrid(np.arange(20), np.arange(2000)))
+    for term in ("w00", "w39", OOV):
+        expected = [ranker._term_score(term, t, d) for t, d in zip(tf.tolist(), dl.tolist())]
+        assert ranker._term_column(term, tf, dl).tolist() == expected
 
 
 @PROPERTY_SETTINGS
