@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .index import PositionalIndex
+from .index import PositionalIndex, left_sum
 from .rankers import Query
 
 COMPARABILITY_SLACK = 0.1
@@ -95,8 +95,8 @@ def _tfc3(index, terms, vi, vj) -> int:
 def _tdc(index, terms, vi, vj) -> int:
     if not _comparable(vi.dl, vj.dl):
         return 0
-    wi = sum(vi.tf[t] * index.idf(t) for t in terms)
-    wj = sum(vj.tf[t] * index.idf(t) for t in terms)
+    wi = left_sum(vi.tf[t] * index.idf(t) for t in terms)
+    wj = left_sum(vj.tf[t] * index.idf(t) for t in terms)
     return _prefer_larger(wi, wj)
 
 
@@ -166,7 +166,7 @@ def _total_avg_dist(view, terms) -> float:
     pairs = _matched_pair_averages(terms, view)
     if not pairs:
         return _INF
-    return sum(pairs.values()) / len(pairs)
+    return left_sum(pairs.values()) / len(pairs)
 
 
 def _prox1(index, terms, vi, vj) -> int:
@@ -330,8 +330,8 @@ class DetailsTable:
         right = [b for _, _, b in pair_rows if b is not None]
         num_pairs = (len(left), len(right))
         totals = (
-            sum(left) / len(left) if left else None,
-            sum(right) / len(right) if right else None,
+            left_sum(left) / len(left) if left else None,
+            left_sum(right) / len(right) if right else None,
         )
         if preference is None:
             if axiom != "PROX1":
@@ -451,7 +451,7 @@ def aggregate_preference(agg: AggregatedAxiom, index: PositionalIndex, query: Qu
     terms, vi, vj = _views(index, query, di, dj)
     prefs = [(AXIOMS[name](index, terms, vi, vj), weight) for name, weight in agg.children]
     if agg.mode == "weighted_sum_sign":
-        return _sign(sum(p * w for p, w in prefs))
+        return _sign(left_sum(p * w for p, w in prefs))
     plus = sum(1 for p, _ in prefs if p == 1)
     minus = sum(1 for p, _ in prefs if p == -1)
     return _sign(plus - minus)

@@ -30,7 +30,7 @@ from .axioms import (
 )
 from .datasets import demo_corpus_path, demo_topics_path
 from .evaluation import RBO_P_DOMAIN, jaccard_at_k, kendall_tau, rbo, spearman_rho
-from .index import PositionalIndex, UnknownDocumentError, _check_in, build_index, read_corpus_jsonl
+from .index import PositionalIndex, UnknownDocumentError, _check_in, build_index, left_sum, read_corpus_jsonl
 from .listwise import ListwiseParams, explain_all, explain_listwise
 from .pointwise import PointwiseParams, exs_explain, lirme_explain, visualize_terms
 from .rankers import (
@@ -341,7 +341,7 @@ def cmd_eval(args, extras) -> int:
         raise DataNotFoundError("no shared qids between the two runs")
     measure = _MEASURES[args.measure]
     rows = [(qid, measure(runs_a[qid].docids, runs_b[qid].docids, *params.values())) for qid in shared]
-    rows.append(("mean", sum(value for _, value in rows) / len(rows)))
+    rows.append(("mean", left_sum(value for _, value in rows) / len(rows)))
     _emit("\n".join(json.dumps({"qid": qid, "measure": args.measure, "value": value, "params": params},
                                separators=(",", ":")) for qid, value in rows), args.out)
     return EXIT_OK

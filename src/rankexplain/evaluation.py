@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .index import PositionalIndex, _check_number
+from .index import PositionalIndex, _check_number, left_sum
 from .rankers import DEPTH_DOMAIN, LMJMRanker, Query, RankedList
 
 RBO_P_DOMAIN = "(0, 1)"      # of rbo's persistence p
@@ -112,7 +112,7 @@ class GroundTruthTerms:
             raise ValueError("ground truth must be non-empty")
         for term, w in self.weights.items():
             _check_number(f"ground-truth weight of {term!r}", w, "[0, inf)")
-        total = sum(self.weights.values())
+        total = left_sum(self.weights.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"ground-truth weights must sum to 1, got {total}")
 
@@ -148,19 +148,19 @@ def lmjm_ground_truth(index: PositionalIndex, query: Query, ranked: RankedList,
     if not raw:
         raise ValueError("degenerate ground truth: all term weights are zero")
     kept = sorted(raw.items(), key=lambda kv: (-kv[1], kv[0]))[:n_terms]
-    total = sum(w for _, w in kept)
+    total = left_sum(w for _, w in kept)
     return GroundTruthTerms(weights={t: w / total for t, w in kept})
 
 
 def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    var_x = sum((x - mean_x) ** 2 for x in xs)
-    var_y = sum((y - mean_y) ** 2 for y in ys)
+    mean_x = left_sum(xs) / n
+    mean_y = left_sum(ys) / n
+    var_x = left_sum((x - mean_x) ** 2 for x in xs)
+    var_y = left_sum((y - mean_y) ** 2 for y in ys)
     if var_x == 0.0 or var_y == 0.0:
         raise ValueError("correlation undefined: zero variance")
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    cov = left_sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     return cov / math.sqrt(var_x * var_y)
 
 
@@ -192,4 +192,4 @@ def pointwise_consistency(explanations: Sequence, m: int = 10) -> float:
     values = []
     for sa, sb in itertools.combinations(top_sets, 2):
         values.append(len(sa & sb) / len(sa | sb))
-    return sum(values) / len(values)
+    return left_sum(values) / len(values)

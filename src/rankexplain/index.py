@@ -18,6 +18,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .analysis import AnalyzerConfig, DEFAULT_CONFIG, TokenizedDocument, _Analyzer, _check_keys
 
 _INDEX_FORMAT_VERSION = 1
@@ -29,6 +31,19 @@ def _check_id(kind: str, value: str, where: str = "") -> None:
     """Reject an id that a whitespace-separated run file could not read back."""
     if value.split() != [value]:
         raise ValueError(f"{where}{kind} {value!r} is empty or contains whitespace")
+
+
+def left_sum(values):
+    """Add values left to right, starting from int 0 as ``sum`` does.
+
+    From Python 3.12 on, ``sum`` compensates the rounding of float
+    additions (Neumaier), so its last bit can differ from the plain order
+    that the vectorized scoring paths and the golden files follow.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 def _check_in(name: str, value, interval: str) -> None:
@@ -146,6 +161,32 @@ class PositionalIndex:
         if posting is None:
             return 0
         return len(posting.get(docid, ()))
+
+    def tf_block(self, terms, docids) -> tuple[np.ndarray, np.ndarray]:
+        """The (terms x docids) int64 matrix of tf, and the length of each of docids.
+
+        Rows and columns follow the order of ``terms`` and ``docids``; both
+        may repeat. A term's row intersects its posting keys with the set of
+        docids, so it costs O(min(df, distinct docids)), not one lookup per
+        cell.
+        """
+        try:
+            dl = np.array([len(self._doc_tokens[d]) for d in docids], dtype=np.int64)
+        except KeyError as exc:
+            raise UnknownDocumentError(f"unknown docid: {exc.args[0]!r}") from None
+        column = dict(zip(docids, range(len(docids))))     # a repeated docid's last column
+        hits, cols, counts = [], [], []
+        for term in terms:
+            posting = self._postings.get(term, {})
+            shared = posting.keys() & column.keys()
+            hits.append(len(shared))
+            cols.extend(map(column.__getitem__, shared))
+            counts.extend(map(len, map(posting.__getitem__, shared)))
+        tf = np.zeros((len(terms), len(docids)), dtype=np.int64)
+        tf[np.repeat(np.arange(len(terms)), hits), cols] = counts
+        if len(column) < len(docids):
+            tf = tf[:, [column[d] for d in docids]]
+        return tf, dl
 
     def positions(self, term: str, docid: str) -> list[int]:
         """Strictly increasing positions of term in docid; [] when absent."""

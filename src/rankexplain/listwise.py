@@ -220,12 +220,12 @@ def build_preference_matrix(index: PositionalIndex, simple_rankers: Sequence[Ran
         pairs=list(pairs),
         entries=np.zeros((len(simple_rankers), len(candidates), len(pairs)), dtype=np.int8),
     )
+    terms = matrix.terms
     docids = sorted({p.upper for p in pairs} | {p.lower for p in pairs})
     column = {d: i for i, d in enumerate(docids)}
     sides = np.array([[column[p.upper], column[p.lower]] for p in pairs])
     for r, ranker in enumerate(simple_rankers):
-        block = np.array([ranker.term_scores(c.term, docids) for c in candidates], dtype=np.float64)
-        scores = block[:, sides]                  # (candidates, pairs, [upper, lower])
+        scores = ranker.term_rows(terms, docids)[:, sides]      # (candidates, pairs, [upper, lower])
         diff = scores[..., 0] - scores[..., 1]
         matrix.entries[r] = (diff > 0).astype(np.int8) - (diff < 0)
     return matrix
@@ -292,14 +292,16 @@ class FidelityEvaluator:
     defined even when only a run file is available.
 
     A sparse ranker's score is a sum of per-term rows, so for one the
-    evaluator scores each term over the pool once, keeps the row, and
-    re-ranks by adding rows in expanded-query order; the sums equal
-    ``rank``'s scores to the bit. Any other ranker is re-ranked through
-    ``rank`` on every call.
+    evaluator keeps one row per term over the pool and re-ranks by adding
+    rows in expanded-query order from zero; the sums equal ``rank``'s
+    scores to the bit. The rows of the query terms and of ``terms``, the
+    expansion terms the caller will try, are scored in one ``term_rows``
+    block up front, and any other term's with the first call that needs
+    it. Any other ranker is re-ranked through ``rank`` on every call.
     """
 
     def __init__(self, index: PositionalIndex, sm: Ranker, query: Query,
-                 ranked: RankedList, p: float = 0.9):
+                 ranked: RankedList, p: float = 0.9, terms: Sequence[str] = ()):
         self.index = index
         self.sm = sm
         self.query = query
@@ -310,21 +312,21 @@ class FidelityEvaluator:
         self._docids = sorted(self.pool)
         self._rows: Optional[dict] = None
         if isinstance(sm, _SparseRanker):
-            for docid in self._docids:
-                sm.index.doc_length(docid)   # unknown docids raise, as in rank
-            self._rows = {}
+            terms = list(dict.fromkeys([*query.terms, *terms]))
+            # Reads every docid's length, so an unknown docid raises, as in rank.
+            self._rows = dict(zip(terms, sm.term_rows(terms, self._docids)))
 
     def _rerank(self, expanded: Sequence[str]) -> RankedList:
         if self._rows is None:
             q_exp = Query.from_terms(self.query.qid, expanded)
             return rank(self.index, self.sm, q_exp, pool=self.pool, depth=len(self.ranked))
-        totals = [0] * len(self._docids)
+        missing = [term for term in dict.fromkeys(expanded) if term not in self._rows]
+        if missing:
+            self._rows.update(zip(missing, self.sm.term_rows(missing, self._docids)))
+        totals = np.zeros(len(self._docids))
         for term in expanded:
-            row = self._rows.get(term)
-            if row is None:
-                row = self._rows[term] = self.sm.term_scores(term, self._docids)
-            totals = [a + b for a, b in zip(totals, row)]
-        return RankedList.from_scores(self.query.qid, zip(self._docids, totals),
+            totals += self._rows[term]
+        return RankedList.from_scores(self.query.qid, zip(self._docids, totals.tolist()),
                                       depth=len(self.ranked), tag=self.sm.name)
 
     def __call__(self, terms: Sequence[str]) -> float:
@@ -360,8 +362,8 @@ def greedy_explain(index: PositionalIndex, sm: Ranker, query: Query, ranked: Ran
         raise ValueError("no candidate terms to search over")
     if len(ranked) < 2:
         raise ValueError("ranked list must have at least 2 entries")
-    evaluate = FidelityEvaluator(index, sm, query, ranked, p)
     ordered = _candidate_order(candidates)
+    evaluate = FidelityEvaluator(index, sm, query, ranked, p, [c.term for c in ordered])
     selected: list[str] = []
     current = evaluate(selected)
     while len(selected) < m_max:
@@ -404,8 +406,8 @@ def bfs_explain(index: PositionalIndex, sm: Ranker, query: Query, ranked: Ranked
     if len(ranked) < 2:
         raise ValueError("ranked list must have at least 2 entries")
     ListwiseParams(eval_budget=eval_budget)  # checks it against its declaration
-    evaluate = FidelityEvaluator(index, sm, query, ranked, p)
     order = [c.term for c in _candidate_order(candidates)]
+    evaluate = FidelityEvaluator(index, sm, query, ranked, p, order)
     baseline = evaluate(())
     evaluate.calls = 0
     best = (baseline, 0, ())
@@ -585,7 +587,7 @@ def explain_listwise(index: PositionalIndex, query: Query, ranked: RankedList,
     else:
         matrix = build_preference_matrix(index, rankers, candidates, pairs)
         expl = multiplex_explain(matrix, params.m_min, params.m_max, qid=query.qid)
-    evaluate = FidelityEvaluator(index, sm, query, ranked, params.p)
+    evaluate = FidelityEvaluator(index, sm, query, ranked, params.p, expl.terms)
     expl.fidelity[f"rbo@{params.p:g}"] = evaluate(expl.terms)
     return expl
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import TokenizedDocument
-from .index import PositionalIndex, check_fields
+from .index import PositionalIndex, check_fields, left_sum
 from .rng import XorShift64Star, block_random, block_u64
 
 SAMPLER_KINDS = ("random", "masking", "tfidf")
@@ -147,7 +147,7 @@ def tfidf_sampler(doc: TokenizedDocument, index: PositionalIndex, config: Sample
     n = len(doc.tokens)
     counts = Counter(doc.tokens)
     weights = [counts[t] * index.idf(t) for t in doc.tokens]
-    total = sum(weights)
+    total = left_sum(weights)
     fallback = total <= 0.0
     if fallback:
         probs = [config.rate] * n

@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .index import PositionalIndex, _check_id, _check_number, check_fields
+from .index import PositionalIndex, _check_id, _check_number, check_fields, left_sum
 
 
 @dataclass(frozen=True)
@@ -145,22 +145,30 @@ class Ranker(ABC):
         query = Query.from_terms("", [term])
         return [self.score(query, docid) for docid in docids]
 
+    def term_rows(self, terms: Sequence[str], docids: Sequence[str]) -> np.ndarray:
+        """``term_scores`` of each of terms: a (len(terms) x len(docids)) float64 block."""
+        rows = [self.term_scores(term, docids) for term in terms]
+        return np.array(rows, dtype=np.float64).reshape(len(terms), len(docids))
+
 
 def _exact_log(x: np.ndarray) -> np.ndarray:
     """``math.log`` of each entry; ``np.log`` may differ from it by one ulp."""
     values, inverse = np.unique(x, return_inverse=True)
-    return np.array([math.log(v) for v in values.tolist()])[inverse]
+    return np.array([math.log(v) for v in values.tolist()])[inverse].reshape(x.shape)
 
 
 class _SparseRanker(Ranker):
     """Shared machinery: per-term scoring over tf and document length.
 
-    A score is the sum of one ``_term_score`` per query term, added left
-    to right, so a query's ``term_scores`` rows summed in query-term
-    order give ``score`` to the bit. ``_term_column`` is the same formula
-    over arrays of tf and length, in the same operation order, so that
-    ``score_masked`` (and ``score_tokens``, its one-row case) gives the
-    same bits too.
+    Each model writes its formula twice, in the same operation order:
+    ``_term_score`` for one (term, tf, length) and ``_term_block`` for a
+    (terms x columns) tf matrix and one length per column, with each
+    term's idf or cf taken once. The block serves ``term_rows`` and
+    ``term_scores`` (its one-row case), and so the preference matrices and
+    the fidelity rows, and ``score_masked`` and ``score_tokens``; ``score``
+    and ``rank`` add one scalar ``_term_score`` per query term. Both add
+    term contributions left to right from zero, so a query's rows summed
+    in query-term order give ``score`` to the bit.
     """
 
     def __init__(self, index: PositionalIndex):
@@ -169,12 +177,15 @@ class _SparseRanker(Ranker):
     def _term_score(self, term: str, tf: int, dl: int) -> float:
         raise NotImplementedError
 
-    def _term_column(self, term: str, tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
+    def _term_block(self, terms: Sequence[str], tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def score(self, query: Query, docid: str) -> float:
         dl = self.index.doc_length(docid)      # raises UnknownDocumentError for an unknown docid
-        return sum(self._term_score(t, self.index.tf(t, docid), dl) for t in query.terms)
+        total = 0
+        for t in query.terms:
+            total += self._term_score(t, self.index.tf(t, docid), dl)
+        return total
 
     def score_tokens(self, query: Query, tokens: Sequence[str]) -> float:
         return float(self.score_masked(query, tokens, np.ones((1, len(tokens)), dtype=bool))[0])
@@ -184,15 +195,18 @@ class _SparseRanker(Ranker):
         if kept.ndim != 2 or kept.shape[1] != len(tokens):
             raise ValueError(f"kept must be a (variants x {len(tokens)}) matrix, got shape {kept.shape}")
         tokens = np.array(tokens, dtype=str)
-        dl = kept.sum(axis=1)
+        tf = np.array([kept[:, tokens == term].sum(axis=1) for term in query.terms], dtype=np.int64)
+        block = self._term_block(query.terms, tf.reshape(len(query.terms), len(kept)), kept.sum(axis=1))
         total = np.zeros(len(kept))
-        for term in query.terms:
-            total = total + self._term_column(term, kept[:, tokens == term].sum(axis=1), dl)
+        for row in block:
+            total += row
         return total
 
     def term_scores(self, term: str, docids: Sequence[str]) -> list[float]:
-        index = self.index
-        return [self._term_score(term, index.tf(term, d), index.doc_length(d)) for d in docids]
+        return self.term_rows([term], docids)[0].tolist()
+
+    def term_rows(self, terms: Sequence[str], docids: Sequence[str]) -> np.ndarray:
+        return self._term_block(terms, *self.index.tf_block(terms, docids))
 
 
 class BM25Ranker(_SparseRanker):
@@ -211,14 +225,12 @@ class BM25Ranker(_SparseRanker):
         norm = 1.0 - self.b + self.b * (dl / avgdl) if avgdl > 0 else 1.0
         return self.index.idf(term) * tf * (self.k1 + 1.0) / (tf + self.k1 * norm)
 
-    def _term_column(self, term: str, tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(tf))
-        hit = tf > 0
-        tf, dl = tf[hit], dl[hit]
+    def _term_block(self, terms: Sequence[str], tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
+        idf = np.array([self.index.idf(t) for t in terms])
         avgdl = self.index.avgdl
         norm = 1.0 - self.b + self.b * (dl / avgdl) if avgdl > 0 else 1.0
-        out[hit] = self.index.idf(term) * tf * (self.k1 + 1.0) / (tf + self.k1 * norm)
-        return out
+        return np.divide(idf[:, None] * tf * (self.k1 + 1.0), tf + self.k1 * norm,
+                         out=np.zeros(tf.shape), where=tf > 0)
 
 
 class LMJMRanker(_SparseRanker):
@@ -242,15 +254,14 @@ class LMJMRanker(_SparseRanker):
         p_coll = cf / self.index.total_tokens
         return math.log((1.0 - self.lam) * p_doc + self.lam * p_coll)
 
-    def _term_column(self, term: str, tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
-        cf = self.index.cf(term)
-        if cf == 0:
-            return np.zeros(len(tf))
-        p_doc = np.zeros(len(tf))
-        nonempty = dl > 0
-        p_doc[nonempty] = tf[nonempty] / dl[nonempty]
-        p_coll = cf / self.index.total_tokens
-        return _exact_log((1.0 - self.lam) * p_doc + self.lam * p_coll)
+    def _term_block(self, terms: Sequence[str], tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
+        cf = np.array([self.index.cf(t) for t in terms], dtype=np.int64)
+        seen = cf > 0
+        tf, p_coll = tf[seen], cf[seen, None] / self.index.total_tokens
+        p_doc = np.divide(tf, dl, out=np.zeros(tf.shape), where=dl > 0)
+        out = np.zeros((len(terms), len(dl)))
+        out[seen] = _exact_log((1.0 - self.lam) * p_doc + self.lam * p_coll)
+        return out
 
     def term_probability(self, term: str, tf: int, dl: int) -> float:
         """The smoothed P(term | doc) mixture itself (not its log)."""
@@ -277,12 +288,13 @@ class LMDirRanker(_SparseRanker):
         p_coll = cf / self.index.total_tokens
         return math.log((tf + self.mu * p_coll) / (dl + self.mu))
 
-    def _term_column(self, term: str, tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
-        cf = self.index.cf(term)
-        if cf == 0:
-            return np.zeros(len(tf))
-        p_coll = cf / self.index.total_tokens
-        return _exact_log((tf + self.mu * p_coll) / (dl + self.mu))
+    def _term_block(self, terms: Sequence[str], tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
+        cf = np.array([self.index.cf(t) for t in terms], dtype=np.int64)
+        seen = cf > 0
+        p_coll = cf[seen, None] / self.index.total_tokens
+        out = np.zeros((len(terms), len(dl)))
+        out[seen] = _exact_log((tf[seen] + self.mu * p_coll) / (dl + self.mu))
+        return out
 
 
 SIMPLE_RANKERS = ("bm25", "lmjm", "lmdir")
@@ -314,11 +326,11 @@ class LinearScorer(Ranker):
             _check_number(f"coefficient of {term!r}", c, "(-inf, inf)")
 
     def score(self, query: Query, docid: str) -> float:
-        return sum(c * self.index.tf(t, docid) for t, c in self.coefficients.items())
+        return left_sum(c * self.index.tf(t, docid) for t, c in self.coefficients.items())
 
     def score_tokens(self, query: Query, tokens: Sequence[str]) -> float:
         counts = Counter(tokens)
-        return sum(c * counts[t] for t, c in self.coefficients.items())
+        return left_sum(c * counts[t] for t, c in self.coefficients.items())
 
 
 class HiddenIntentRanker(Ranker):

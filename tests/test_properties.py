@@ -61,7 +61,7 @@ from rankexplain.perturb import (
     tfidf_sampler,
 )
 from rankexplain.pointwise import EXS_VARIANTS, PointwiseParams, _perturbation_design, exs_targets
-from rankexplain.rankers import RankedList, RunEntry
+from rankexplain.rankers import RankedList, RunEntry, _SparseRanker
 from rankexplain.rng import XorShift64Star, block_random, block_u64
 
 from conftest import make_vocab, random_corpus
@@ -127,6 +127,34 @@ def test_term_scores_equal_one_term_query_scores(data, built, ranker_spec):
         assert sm.term_scores(term, docids) == expected
 
 
+def reference_term_scores(ranker, term, docids):
+    """The sparse ``term_scores`` that ``term_rows`` replaced: one scalar ``_term_score`` per document."""
+    index = ranker.index
+    return [ranker._term_score(term, index.tf(term, d), index.doc_length(d)) for d in docids]
+
+
+MODEL_PARAMS = [RankerParams(), RankerParams(k1=0.0, b=0.0, dirichlet_mu=0.5),
+                RankerParams(k1=3.0, b=1.0, jm_lambda=0.99, dirichlet_mu=2500.0)]
+
+
+@pytest.mark.parametrize("params", MODEL_PARAMS)
+@pytest.mark.parametrize("model", ["bm25", "lmjm", "lmdir"])
+@settings(max_examples=30, deadline=None)
+@given(st.data(), indexes())
+def test_term_rows_equal_the_scalar_term_scores(model, params, data, built):
+    index, vocab = built
+    sm = make_ranker(index, model, params)
+    # Empty lists, repeated terms and docids, and a term absent from the collection.
+    terms = data.draw(st.lists(st.sampled_from(vocab + [OOV]), max_size=8))
+    docids = data.draw(st.lists(st.sampled_from(index.doc_ids()), max_size=12))
+    docids += docids[:data.draw(st.integers(0, len(docids)))]
+    block = sm.term_rows(terms, docids)
+    assert block.dtype == np.float64 and block.shape == (len(terms), len(docids))
+    assert block.tolist() == [reference_term_scores(sm, term, docids) for term in terms]
+    for term in terms:
+        assert sm.term_scores(term, docids) == reference_term_scores(sm, term, docids)
+
+
 @PROPERTY_SETTINGS
 @given(st.data(), indexes(), rankers, st.sampled_from(["bm25", "lmjm", "lmdir"]))
 def test_fidelity_evaluator_equals_reference(data, built, ranker_spec, list_model):
@@ -136,7 +164,8 @@ def test_fidelity_evaluator_equals_reference(data, built, ranker_spec, list_mode
     query = Query.from_terms("q", data.draw(query_terms(vocab)))
     ranked = rank(index, make_ranker(index, list_model), query, pool=pool, depth=len(pool))
     p = data.draw(st.sampled_from([0.5, 0.9, 0.99]))
-    evaluate = FidelityEvaluator(index, sm, query, ranked, p)
+    # Rows of the terms given up front come from one block, the others from later calls.
+    evaluate = FidelityEvaluator(index, sm, query, ranked, p, data.draw(query_terms(vocab)))
     for terms in data.draw(st.lists(query_terms(vocab), min_size=1, max_size=6)):
         expanded, approx, fidelity = reference_fidelity(index, sm, query, ranked, p, terms)
         assert evaluate(terms) == fidelity
@@ -174,7 +203,11 @@ def test_preference_matrix_equals_pairwise_signs(data, built, ranker_specs):
 
 
 def reference_build_preference_matrix(index, simple_rankers, candidates, pairs):
-    """``build_preference_matrix`` as it was: one array and one sign per candidate row."""
+    """``build_preference_matrix`` as it was: one array and one sign per candidate row.
+
+    A sparse ranker's row is the scalar ``reference_term_scores``; any
+    other ranker's is its ``term_scores``.
+    """
     if not simple_rankers:
         raise ValueError("need at least one simple ranker")
     if not candidates:
@@ -188,7 +221,9 @@ def reference_build_preference_matrix(index, simple_rankers, candidates, pairs):
     entries = np.zeros((len(simple_rankers), len(candidates), len(pairs)), dtype=np.int8)
     for r, ranker in enumerate(simple_rankers):
         for t, cand in enumerate(candidates):
-            row = np.array(ranker.term_scores(cand.term, docids), dtype=np.float64)
+            row = (reference_term_scores(ranker, cand.term, docids) if isinstance(ranker, _SparseRanker)
+                   else ranker.term_scores(cand.term, docids))
+            row = np.array(row, dtype=np.float64)
             diff = row[upper] - row[lower]
             entries[r, t] = (diff > 0).astype(np.int8) - (diff < 0).astype(np.int8)
     return PreferenceMatrix(
@@ -654,9 +689,15 @@ def test_sampler_batches_equal_the_per_token_reference(data, built, kind, rate, 
 
 
 def reference_score_tokens(ranker, query, tokens):
-    """The sparse ``score_tokens`` the batch replaced: one ``_term_score`` per query term over a Counter."""
+    """The sparse ``score_tokens`` the batch replaced: one ``_term_score`` per query term over a Counter.
+
+    Added left to right from 0, as ``sum`` did before Python 3.12.
+    """
     counts = Counter(tokens)
-    return sum(ranker._term_score(t, counts[t], len(tokens)) for t in query.terms)
+    total = 0
+    for t in query.terms:
+        total += ranker._term_score(t, counts[t], len(tokens))
+    return total
 
 
 @PROPERTY_SETTINGS
@@ -685,19 +726,22 @@ def test_masked_scores_equal_score_tokens_of_each_rows_survivors(data, built, ra
         assert scores.tolist() == [reference_score_tokens(sparse, query, s) for s in survivors]
 
 
-@pytest.mark.parametrize("params", [RankerParams(), RankerParams(k1=0.0, b=0.0, dirichlet_mu=0.5),
-                                    RankerParams(k1=3.0, b=1.0, jm_lambda=0.99, dirichlet_mu=2500.0)])
+@pytest.mark.parametrize("params", MODEL_PARAMS)
 @pytest.mark.parametrize("model", ["bm25", "lmjm", "lmdir"])
-def test_term_columns_equal_term_scores_over_a_grid(model, params):
+def test_term_blocks_equal_term_scores_over_a_grid(model, params):
     # About 40,000 distinct (tf, dl) pairs per term. np.log differs from
     # math.log in the last bit on roughly one argument in 10,000 here, so
-    # this catches a column formula that takes np.log.
+    # this catches a block formula that takes np.log. Each row holds its
+    # own shift of the grid's tf, and the terms' idf and cf differ, so a
+    # per-term constant broadcast along the columns fails.
     index = build_index(random_corpus(XorShift64Star(7), 30, make_vocab(40), min_len=50, max_len=300))
     ranker = make_ranker(index, model, params)
     tf, dl = (grid.ravel() for grid in np.meshgrid(np.arange(20), np.arange(2000)))
-    for term in ("w00", "w39", OOV):
-        expected = [ranker._term_score(term, t, d) for t, d in zip(tf.tolist(), dl.tolist())]
-        assert ranker._term_column(term, tf, dl).tolist() == expected
+    terms = ["w00", OOV, "w39", "w00"]
+    block_tf = np.stack([np.roll(tf, 7919 * k) for k in range(len(terms))])
+    expected = [[ranker._term_score(term, t, d) for t, d in zip(row.tolist(), dl.tolist())]
+                for term, row in zip(terms, block_tf)]
+    assert ranker._term_block(terms, block_tf, dl).tolist() == expected
 
 
 @PROPERTY_SETTINGS
@@ -710,7 +754,9 @@ def test_aggregate_equals_sign_or_majority_of_child_preferences(data, built, mod
         st.tuples(st.sampled_from(AXIOM_NAMES), st.floats(-4.0, 4.0)), min_size=1, max_size=14)))
     prefs = [(axiom_preference(name, index, query, di, dj), weight) for name, weight in children]
     if mode == "weighted_sum_sign":
-        total = sum(p * w for p, w in prefs)
+        total = 0
+        for p, w in prefs:      # left to right, as sum did before Python 3.12
+            total += p * w
     else:
         total = sum(p for p, _ in prefs)        # votes for minus votes against
     expected = (total > 0) - (total < 0)

@@ -304,8 +304,11 @@ def test_hidden_intent_present_term_raises_score():
     lambda index: HiddenIntentRanker(BM25Ranker(index), [("dog", 1.0)]),
 ])
 def test_term_scores_unknown_docid(cat_index, make):
+    ranker = make(cat_index)
     with pytest.raises(UnknownDocumentError):
-        make(cat_index).term_scores("cat", ["D1", "nope"])
+        ranker.term_scores("cat", ["D1", "nope"])
+    with pytest.raises(UnknownDocumentError):
+        ranker.term_rows(["dog", "cat"], ["D1", "D1", "nope"])
 
 
 @pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
