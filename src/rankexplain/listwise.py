@@ -86,12 +86,23 @@ def generate_candidates(index: PositionalIndex, ranked: RankedList,
     if len(ranked) == 0:
         raise ValueError("cannot generate candidates from an empty ranked list")
     _check_number("top_k", top_k, f"[1, {len(ranked)}]", int)
+    _check_number("n_candidates", n_candidates, "[1, inf)", int)
+    idf = index.idf
     salience: dict[str, float] = {}
     for entry in ranked.entries[:top_k]:
         for term, tf in index.doc_term_counts(entry.docid).items():
-            salience[term] = salience.get(term, 0.0) + tf * index.idf(term)
-    ordered = sorted(salience.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [CandidateTerm(term, value) for term, value in ordered[:n_candidates]]
+            salience[term] = salience.get(term, 0.0) + tf * idf(term)
+    # Equal to sorted(...)[:n_candidates], without sorting the whole table.
+    top = heapq.nsmallest(n_candidates, salience.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [CandidateTerm(term, value) for term, value in top]
+
+
+def _check_unique(docids: Sequence[str]) -> None:
+    seen: set[str] = set()
+    for docid in docids:
+        if docid in seen:
+            raise ValueError(f"duplicate docid {docid!r} in ranked list")
+        seen.add(docid)
 
 
 def sample_pairs(ranked: RankedList, strategy: str, count: int,
@@ -124,11 +135,7 @@ def sample_pairs(ranked: RankedList, strategy: str, count: int,
     if strategy not in PAIR_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; valid: {', '.join(PAIR_STRATEGIES)}")
     docs = ranked.docids
-    seen: set[str] = set()
-    for docid in docs:
-        if docid in seen:
-            raise ValueError(f"duplicate docid {docid!r} in ranked list")
-        seen.add(docid)
+    _check_unique(docs)
     # With unique docids, "upper is in the top ceil(n/10)" is "row < cutoff".
     n_rows = math.ceil(n / 10) if strategy == "top_vs_rest" else n - 1
     weighted = int(strategy == "rank_gap_weighted")
@@ -213,6 +220,7 @@ def build_preference_matrix(index: PositionalIndex, simple_rankers: Sequence[Ran
     """Score every candidate as a one-term query against both pair sides.
 
     One (candidates x docids) block per ranker; a NaN score gives entry 0.
+    The sparse rankers on ``index`` share one tf matrix, gathered once.
     """
     matrix = PreferenceMatrix(
         rankers=[r.name for r in simple_rankers],
@@ -224,8 +232,15 @@ def build_preference_matrix(index: PositionalIndex, simple_rankers: Sequence[Ran
     docids = sorted({p.upper for p in pairs} | {p.lower for p in pairs})
     column = {d: i for i, d in enumerate(docids)}
     sides = np.array([[column[p.upper], column[p.lower]] for p in pairs])
+    tf_block = None
     for r, ranker in enumerate(simple_rankers):
-        scores = ranker.term_rows(terms, docids)[:, sides]      # (candidates, pairs, [upper, lower])
+        if isinstance(ranker, _SparseRanker) and ranker.index is index:
+            if tf_block is None:
+                tf_block = index.tf_block(terms, docids)
+            rows = ranker._term_block(terms, *tf_block)
+        else:
+            rows = ranker.term_rows(terms, docids)
+        scores = rows[:, sides]                                 # (candidates, pairs, [upper, lower])
         diff = scores[..., 0] - scores[..., 1]
         matrix.entries[r] = (diff > 0).astype(np.int8) - (diff < 0)
     return matrix
@@ -287,21 +302,40 @@ def multiplex_explain(matrix: PreferenceMatrix, m_min: int = 3, m_max: int = 10,
 class FidelityEvaluator:
     """RBO between the explained list and the simple ranker's re-ranking.
 
-    Re-ranking is confined to the documents of the explained list (the
-    pool invariant is asserted on every call), so fidelity is well
-    defined even when only a run file is available.
+    Re-ranking is confined to the documents of the explained list, so
+    fidelity is well defined even when only a run file is available. The
+    list must be non-empty with unique docids (ValueError at construction).
 
-    A sparse ranker's score is a sum of per-term rows, so for one the
-    evaluator keeps one row per term over the pool and re-ranks by adding
-    rows in expanded-query order from zero; the sums equal ``rank``'s
-    scores to the bit. The rows of the query terms and of ``terms``, the
-    expansion terms the caller will try, are scored in one ``term_rows``
-    block up front, and any other term's with the first call that needs
-    it. Any other ranker is re-ranked through ``rank`` on every call.
+    ``batch(term_sets)`` gives the fidelity of each expansion-term set;
+    calling the evaluator is ``batch`` of one set. A sparse ranker's score
+    is a sum of per-term rows, so for one the evaluator keeps one row per
+    term over the pool (docids sorted) and scores a batch as (sets x pool)
+    arrays, equal by ``==`` to ``rbo`` of ``rank``'s re-ranking:
+
+    - totals add each set's rows in expanded-query order from +0.0, a set
+      shorter than the current column masked out rather than given a 0.0
+      row, so they are ``rank``'s scores to the bit;
+    - a stable argsort of the negated totals gives ``rank``'s order, score
+      descending and ties by docid;
+    - a document is in both depth-d prefixes from d = max(its re-ranked
+      position, its explained position), so a cumulative bincount of those
+      depths gives each depth's overlap;
+    - as in ``rbo``, the terms ``p ** (d-1) * overlap_d / d`` are added left
+      to right (a cumulative sum, not numpy's pairwise ``sum``), and the
+      extrapolated result is capped at 1.
+
+    The rows of the query terms and of ``terms``, the expansion terms the
+    caller will try, are scored in one ``term_rows`` block up front, and any
+    other term's with the first batch that needs it. Any other ranker is
+    re-ranked through ``rank`` and scored by ``rbo``, one set at a time.
     """
 
     def __init__(self, index: PositionalIndex, sm: Ranker, query: Query,
                  ranked: RankedList, p: float = 0.9, terms: Sequence[str] = ()):
+        _check_number("p", p, RBO_P_DOMAIN)
+        if len(ranked) == 0:
+            raise ValueError("cannot evaluate fidelity against an empty ranked list")
+        _check_unique(ranked.docids)
         self.index = index
         self.sm = sm
         self.query = query
@@ -310,34 +344,75 @@ class FidelityEvaluator:
         self.pool = set(ranked.docids)
         self.calls = 0
         self._docids = sorted(self.pool)
-        self._rows: Optional[dict] = None
+        self._rows: Optional[np.ndarray] = None
         if isinstance(sm, _SparseRanker):
+            n = len(ranked)
+            position = dict(zip(ranked.docids, range(n)))
+            self._target = np.array([position[d] for d in self._docids])  # explained position per pool slot
+            self._positions = np.arange(n)
+            self._depths = self._positions + 1
+            self._weights = np.array([p ** d for d in range(n)])          # p ** (depth - 1), as in rbo
+            self._p_k = p ** n
             terms = list(dict.fromkeys([*query.terms, *terms]))
+            self._slot = dict(zip(terms, range(len(terms))))
             # Reads every docid's length, so an unknown docid raises, as in rank.
-            self._rows = dict(zip(terms, sm.term_rows(terms, self._docids)))
+            self._rows = sm.term_rows(terms, self._docids)
 
-    def _rerank(self, expanded: Sequence[str]) -> RankedList:
-        if self._rows is None:
-            q_exp = Query.from_terms(self.query.qid, expanded)
-            return rank(self.index, self.sm, q_exp, pool=self.pool, depth=len(self.ranked))
-        missing = [term for term in dict.fromkeys(expanded) if term not in self._rows]
-        if missing:
-            self._rows.update(zip(missing, self.sm.term_rows(missing, self._docids)))
-        totals = np.zeros(len(self._docids))
-        for term in expanded:
-            totals += self._rows[term]
-        return RankedList.from_scores(self.query.qid, zip(self._docids, totals.tolist()),
-                                      depth=len(self.ranked), tag=self.sm.name)
-
-    def __call__(self, terms: Sequence[str]) -> float:
+    def _expand(self, terms: Sequence[str]) -> list[str]:
         expanded = list(self.query.terms)
         for t in terms:
             if t not in expanded:
                 expanded.append(t)
-        approx = self._rerank(expanded)
+        return expanded
+
+    def _totals(self, expanded: Sequence[Sequence[str]]) -> np.ndarray:
+        """(sets x pool) scores: each set's term rows added in order from +0.0."""
+        missing = [t for e in expanded for t in e if t not in self._slot]
+        if missing:
+            missing = list(dict.fromkeys(missing))
+            self._slot.update(zip(missing, range(len(self._rows), len(self._rows) + len(missing))))
+            self._rows = np.vstack([self._rows, self.sm.term_rows(missing, self._docids)])
+        lengths = [len(e) for e in expanded]
+        width, full = max(lengths), min(lengths)
+        slots = np.array([[self._slot[t] for t in e] + [0] * (width - len(e)) for e in expanded],
+                         dtype=np.intp).reshape(len(expanded), width)
+        block = self._rows[slots]                                # (sets, columns, pool)
+        totals = np.zeros((len(expanded), len(self._docids)))
+        for c in range(full):
+            totals += block[:, c]
+        if full < width:
+            live = np.array(lengths)[:, None] > np.arange(width)
+            for c in range(full, width):
+                np.add(totals, block[:, c], out=totals, where=live[:, c, None])
+        return totals
+
+    def batch(self, term_sets: Sequence[Sequence[str]]) -> list[float]:
+        """``self(terms)`` for each of term_sets."""
+        expanded = [self._expand(terms) for terms in term_sets]
+        self.calls += len(expanded)
+        if self._rows is None:
+            return [self._ranked_fidelity(e) for e in expanded]
+        if not expanded:
+            return []
+        totals = self._totals(expanded)
+        sets, n = totals.shape
+        order = np.argsort(-totals, axis=1, kind="stable")         # rank's (-score, docid) order
+        entry = np.maximum(self._positions, self._target[order])   # 0-based depth each doc is in both prefixes
+        if sets > 1:
+            entry += np.arange(0, sets * n, n)[:, None]
+        overlap = np.bincount(entry.ravel(), minlength=sets * n).reshape(sets, n).cumsum(axis=1)
+        agreement = overlap / self._depths
+        total = np.cumsum(self._weights * agreement, axis=1)[:, -1]
+        return np.minimum(1.0, (1.0 - self.p) * total + agreement[:, -1] * self._p_k).tolist()
+
+    def _ranked_fidelity(self, expanded: Sequence[str]) -> float:
+        q_exp = Query.from_terms(self.query.qid, expanded)
+        approx = rank(self.index, self.sm, q_exp, pool=self.pool, depth=len(self.ranked))
         assert set(approx.docids) == self.pool, "re-ranking escaped the pool"
-        self.calls += 1
         return rbo(approx.docids, self.ranked.docids, self.p)
+
+    def __call__(self, terms: Sequence[str]) -> float:
+        return self.batch([terms])[0]
 
 
 def _candidate_order(candidates: Sequence[CandidateTerm]) -> list[CandidateTerm]:
@@ -367,19 +442,14 @@ def greedy_explain(index: PositionalIndex, sm: Ranker, query: Query, ranked: Ran
     selected: list[str] = []
     current = evaluate(selected)
     while len(selected) < m_max:
-        best_term = None
-        best_fid = current
-        for cand in ordered:
-            if cand.term in selected:
-                continue
-            fid = evaluate(selected + [cand.term])
-            if fid > best_fid:
-                best_fid = fid
-                best_term = cand.term
-        if best_term is None:
+        # Each round scores every unselected candidate as one batch; the first best wins.
+        left = [c.term for c in ordered if c.term not in selected]
+        fids = evaluate.batch([selected + [term] for term in left])
+        best = max(range(len(left)), key=fids.__getitem__, default=None)
+        if best is None or fids[best] <= current:
             break
-        selected.append(best_term)
-        current = best_fid
+        selected.append(left[best])
+        current = fids[best]
     return ListwiseExplanation(
         qid=query.qid,
         method="greedy",
@@ -419,6 +489,8 @@ def bfs_explain(index: PositionalIndex, sm: Ranker, query: Query, ranked: Ranked
         _, size, terms = heapq.heappop(frontier)
         if size >= m_max:
             continue
+        # The popped set's new children, cut at the remaining budget, score as one batch.
+        children = []
         for term in order:
             if term in terms:
                 continue
@@ -426,10 +498,11 @@ def bfs_explain(index: PositionalIndex, sm: Ranker, query: Query, ranked: Ranked
             if child in seen:
                 continue
             seen.add(child)
-            if evaluate.calls >= eval_budget:
+            if evaluate.calls + len(children) >= eval_budget:
                 exhausted = True
                 break
-            fid = evaluate(child)
+            children.append(child)
+        for child, fid in zip(children, evaluate.batch(children)):
             if _better(fid, len(child), child, best):
                 best = (fid, len(child), child)
             heapq.heappush(frontier, (-fid, len(child), child))

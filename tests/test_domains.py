@@ -200,6 +200,7 @@ API_ARGUMENTS = [
     ("top_n", lambda i, r, q, l, v: rx.lmjm_ground_truth(i, q, l, top_n=v), [1.0, True]),
     ("n_terms", lambda i, r, q, l, v: rx.lmjm_ground_truth(i, q, l, top_n=1, n_terms=v), [2.0, True]),
     ("top_k", lambda i, r, q, l, v: rx.generate_candidates(i, l, top_k=v), [1.0, True]),
+    ("n_candidates", lambda i, r, q, l, v: rx.generate_candidates(i, l, top_k=1, n_candidates=v), [1.0, True]),
     ("count", lambda i, r, q, l, v: rx.sample_pairs(l, "uniform", v, rx.XorShift64Star(0)), [1.5, True]),
 ]
 

@@ -63,6 +63,9 @@ def test_candidates_truncation():
     ranked = RankedList.from_entries("q", [RunEntry("d1", 1, 1.0)])
     cands = generate_candidates(index, ranked, top_k=1, n_candidates=1)
     assert [c.term for c in cands] == ["qq"]
+    for n_candidates in (0, -1):
+        with pytest.raises(ValueError, match="^n_candidates must be in"):
+            generate_candidates(index, ranked, top_k=1, n_candidates=n_candidates)
 
 
 def test_candidates_sum_over_docs():
@@ -360,6 +363,35 @@ def test_fidelity_rejects_docids_outside_the_index(terms):
     for sm in (BM25Ranker(index), HiddenIntentRanker(BM25Ranker(index), [("ww", 1.0)])):
         with pytest.raises(UnknownDocumentError):
             FidelityEvaluator(index, sm, Query.from_terms("q", terms), ranked, 0.9)(())
+
+
+def test_a_repeated_docid_is_rejected_by_name():
+    index = build_index([Document("d1", "qq ww"), Document("d2", "qq"), Document("d3", "ww")])
+    query = Query.from_terms("q", ["qq"])
+    # The constructor alone does not check, as a run file's reader does.
+    ranked = RankedList("q", [RunEntry("d1", 1, 3.0), RunEntry("d2", 2, 2.0), RunEntry("d1", 3, 1.0)])
+    candidates = [CandidateTerm("ww", 1.0)]
+    calls = [lambda sm: FidelityEvaluator(index, sm, query, ranked, 0.9)(()),
+             lambda sm: greedy_explain(index, sm, query, ranked, candidates),
+             lambda sm: bfs_explain(index, sm, query, ranked, candidates)]
+    for sm in (BM25Ranker(index), HiddenIntentRanker(BM25Ranker(index), [("ww", 1.0)])):
+        for call in calls:
+            with pytest.raises(ValueError, match="^duplicate docid 'd1' in ranked list$"):
+                call(sm)
+    for method in ("multiplex", "intent_exs", "greedy", "bfs"):
+        with pytest.raises(ValueError, match="^duplicate docid 'd1' in ranked list$"):
+            explain_listwise(index, query, ranked, ListwiseParams(method=method))
+
+
+def test_fidelity_checks_p_and_the_list_at_construction():
+    index = build_index([Document("d1", "qq ww"), Document("d2", "qq")])
+    query = Query.from_terms("q", ["qq"])
+    for sm in (BM25Ranker(index), HiddenIntentRanker(BM25Ranker(index), [("ww", 1.0)])):
+        for p in (0.0, 1.0, float("nan"), True, "0.9"):
+            with pytest.raises(ValueError, match="^p must be"):
+                FidelityEvaluator(index, sm, query, ranked_of(2), p)
+        with pytest.raises(ValueError, match="empty ranked list"):
+            FidelityEvaluator(index, sm, query, RankedList("q"), 0.9)
 
 
 def test_greedy_m_max_zero_returns_baseline():

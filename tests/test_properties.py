@@ -7,6 +7,7 @@ parameters. Scores are compared with ``==``: the fast paths must give
 the reference values to the bit, not approximately.
 """
 
+import heapq
 import json
 import math
 import os
@@ -28,8 +29,11 @@ from rankexplain import (
     Query,
     Ranker,
     RankerParams,
+    bfs_explain,
     build_index,
     build_preference_matrix,
+    generate_candidates,
+    greedy_explain,
     kendall_tau,
     make_ranker,
     rank,
@@ -155,6 +159,103 @@ def test_term_rows_equal_the_scalar_term_scores(model, params, data, built):
         assert sm.term_scores(term, docids) == reference_term_scores(sm, term, docids)
 
 
+class ReferenceFidelityEvaluator:
+    """The scalar evaluator that ``FidelityEvaluator.batch`` replaced.
+
+    Per call: add a sparse ranker's cached rows in expanded-query order,
+    build a ``RankedList`` through ``from_scores`` and take ``rbo`` over the
+    docids; any other ranker re-ranks through ``rank``.
+    """
+
+    def __init__(self, index, sm, query, ranked, p=0.9, terms=()):
+        self.index, self.sm, self.query, self.ranked, self.p = index, sm, query, ranked, p
+        self.pool = set(ranked.docids)
+        self.calls = 0
+        self._docids = sorted(self.pool)
+        self._rows = None
+        if isinstance(sm, _SparseRanker):
+            terms = list(dict.fromkeys([*query.terms, *terms]))
+            self._rows = dict(zip(terms, sm.term_rows(terms, self._docids)))
+
+    def _rerank(self, expanded):
+        if self._rows is None:
+            q_exp = Query.from_terms(self.query.qid, expanded)
+            return rank(self.index, self.sm, q_exp, pool=self.pool, depth=len(self.ranked))
+        missing = [term for term in dict.fromkeys(expanded) if term not in self._rows]
+        if missing:
+            self._rows.update(zip(missing, self.sm.term_rows(missing, self._docids)))
+        totals = np.zeros(len(self._docids))
+        for term in expanded:
+            totals += self._rows[term]
+        return RankedList.from_scores(self.query.qid, zip(self._docids, totals.tolist()),
+                                      depth=len(self.ranked), tag=self.sm.name)
+
+    def __call__(self, terms):
+        expanded = list(self.query.terms)
+        for t in terms:
+            if t not in expanded:
+                expanded.append(t)
+        approx = self._rerank(expanded)
+        assert set(approx.docids) == self.pool, "re-ranking escaped the pool"
+        self.calls += 1
+        return rbo(approx.docids, self.ranked.docids, self.p)
+
+
+def reference_greedy_explain(index, sm, query, ranked, candidates, m_max=10, p=0.9):
+    """``greedy_explain`` with one scalar fidelity call per candidate."""
+    ordered = sorted(candidates, key=lambda c: (-c.salience, c.term))
+    evaluate = ReferenceFidelityEvaluator(index, sm, query, ranked, p, [c.term for c in ordered])
+    selected = []
+    current = evaluate(selected)
+    while len(selected) < m_max:
+        best_term = None
+        best_fid = current
+        for cand in ordered:
+            if cand.term in selected:
+                continue
+            fid = evaluate(selected + [cand.term])
+            if fid > best_fid:
+                best_fid = fid
+                best_term = cand.term
+        if best_term is None:
+            break
+        selected.append(best_term)
+        current = best_fid
+    return ListwiseExplanation(query.qid, "greedy", selected, {f"rbo@{p:g}": current}, evaluate.calls)
+
+
+def reference_bfs_explain(index, sm, query, ranked, candidates, m_max=10, p=0.9, eval_budget=1000):
+    """``bfs_explain`` with one scalar fidelity call per child."""
+    order = [c.term for c in sorted(candidates, key=lambda c: (-c.salience, c.term))]
+    evaluate = ReferenceFidelityEvaluator(index, sm, query, ranked, p, order)
+    baseline = evaluate(())
+    evaluate.calls = 0
+    best = (baseline, 0, ())
+    frontier = [(-baseline, 0, ())]
+    seen = {()}
+    exhausted = False
+    while frontier and not exhausted:
+        _, size, terms = heapq.heappop(frontier)
+        if size >= m_max:
+            continue
+        for term in order:
+            if term in terms:
+                continue
+            child = tuple(sorted(terms + (term,)))
+            if child in seen:
+                continue
+            seen.add(child)
+            if evaluate.calls >= eval_budget:
+                exhausted = True
+                break
+            fid = evaluate(child)
+            if (-fid, len(child), child) < (-best[0], best[1], best[2]):
+                best = (fid, len(child), child)
+            heapq.heappush(frontier, (-fid, len(child), child))
+    return ListwiseExplanation(query.qid, "bfs", list(best[2]), {f"rbo@{p:g}": best[0]},
+                               evaluate.calls, diagnostics={"baseline": baseline})
+
+
 @PROPERTY_SETTINGS
 @given(st.data(), indexes(), rankers, st.sampled_from(["bm25", "lmjm", "lmdir"]))
 def test_fidelity_evaluator_equals_reference(data, built, ranker_spec, list_model):
@@ -170,7 +271,99 @@ def test_fidelity_evaluator_equals_reference(data, built, ranker_spec, list_mode
         expanded, approx, fidelity = reference_fidelity(index, sm, query, ranked, p, terms)
         assert evaluate(terms) == fidelity
         # The summed rows are rank's scores to the bit, not only the same order.
-        assert evaluate._rerank(expanded).entries == approx.entries
+        totals = evaluate._totals([expanded])[0].tolist()
+        assert RankedList.from_scores(query.qid, zip(evaluate._docids, totals),
+                                      depth=len(ranked), tag=sm.name).entries == approx.entries
+
+
+def reference_candidates(index, ranked, top_k, n_candidates):
+    """``generate_candidates`` sorting the whole salience table."""
+    salience = {}
+    for entry in ranked.entries[:top_k]:
+        for term, tf in index.doc_term_counts(entry.docid).items():
+            salience[term] = salience.get(term, 0.0) + tf * index.idf(term)
+    ordered = sorted(salience.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [CandidateTerm(term, value) for term, value in ordered[:n_candidates]]
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), indexes(), st.integers(1, 30))
+def test_candidates_equal_the_full_sort_reference(data, built, n_candidates):
+    index, vocab = built
+    ranked = rank(index, make_ranker(index, "bm25"), Query.from_terms("q", data.draw(query_terms(vocab))),
+                  pool=index.doc_ids(), depth=len(index.doc_ids()))
+    top_k = data.draw(st.integers(1, len(ranked)))
+    assert generate_candidates(index, ranked, top_k, n_candidates) == reference_candidates(
+        index, ranked, top_k, n_candidates)
+
+
+@st.composite
+def explained_pools(draw):
+    """An index of 1, 2 or up to 200 documents, all of them the pool, and an explained order of the pool.
+
+    Few terms over many short documents give long runs of tied scores.
+    """
+    seed = draw(st.integers(0, 2**64 - 1))
+    n_docs = draw(st.sampled_from([1, 2]) | st.integers(3, 200))
+    vocab = make_vocab(draw(st.integers(2, 8)))
+    corpus = random_corpus(XorShift64Star(seed), n_docs, vocab, min_len=1,
+                           max_len=draw(st.integers(1, 12)))
+    index = build_index(corpus)
+    order = draw(st.permutations(index.doc_ids()))
+    ranked = RankedList.from_entries("q", [RunEntry(d, i, -float(i)) for i, d in enumerate(order, 1)])
+    return index, vocab, ranked
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), explained_pools(), rankers, st.sampled_from([0.5, 0.9, 0.99]))
+def test_fidelity_batch_equals_the_scalar_reference(data, explained, ranker_spec, p):
+    index, vocab, ranked = explained
+    sm = make_ranker(index, *ranker_spec)
+    query = Query.from_terms("q", data.draw(query_terms(vocab)))
+    evaluate = FidelityEvaluator(index, sm, query, ranked, p, data.draw(query_terms(vocab)))
+    reference = ReferenceFidelityEvaluator(index, sm, query, ranked, p)
+    # Sets of different lengths with repeated and absent terms, the empty set, the
+    # query's own terms and a set repeating another.
+    sets = data.draw(st.lists(query_terms(vocab), min_size=1, max_size=8))
+    sets += [(), query.terms, sets[0]]
+    expected = [reference(terms) for terms in sets]
+    assert evaluate.batch(sets) == expected
+    assert [evaluate(terms) for terms in sets] == expected
+    assert evaluate.calls == 2 * len(sets)
+
+
+@st.composite
+def search_candidates(draw, vocab):
+    """Candidate terms with tied saliences, a repeated term and a term absent from the collection."""
+    terms = draw(st.lists(st.sampled_from(vocab + [OOV]), min_size=1, max_size=7))
+    return [CandidateTerm(t, draw(st.sampled_from([0.0, 1.0, 2.5]))) for t in terms]
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), indexes(min_docs=2), rankers, st.integers(0, 4), st.sampled_from([0.5, 0.9, 0.99]),
+       st.booleans())
+def test_search_explainers_equal_the_scalar_reference(data, built, ranker_spec, m_max, p, opaque):
+    index, vocab = built
+    sm = make_ranker(index, *ranker_spec)
+    if opaque:
+        sm = HiddenIntentRanker(sm, [(vocab[0], 2.0)])
+    query = Query.from_terms("q", data.draw(query_terms(vocab)))
+    pool = data.draw(st.lists(st.sampled_from(index.doc_ids()), min_size=2, unique=True))
+    ranked = rank(index, make_ranker(index, "bm25"), Query.from_terms("q", data.draw(query_terms(vocab))),
+                  pool=pool, depth=len(pool))
+    candidates = data.draw(search_candidates(vocab))
+    # Budgets from 1 up cut an expansion anywhere in its children.
+    budget = data.draw(st.integers(1, 40))
+
+    def fields(expl):
+        return expl.terms, expl.fidelity, expl.evaluations_used, expl.diagnostics
+
+    assert fields(greedy_explain(index, sm, query, ranked, candidates, m_max=m_max, p=p)) == fields(
+        reference_greedy_explain(index, sm, query, ranked, candidates, m_max=m_max, p=p))
+    assert fields(bfs_explain(index, sm, query, ranked, candidates, m_max=m_max, p=p,
+                              eval_budget=budget)) == fields(
+        reference_bfs_explain(index, sm, query, ranked, candidates, m_max=m_max, p=p,
+                              eval_budget=budget))
 
 
 @PROPERTY_SETTINGS
