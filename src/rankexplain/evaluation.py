@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .index import PositionalIndex, _check_number, left_sum
 from .rankers import DEPTH_DOMAIN, LMJMRanker, Query, RankedList
 
@@ -130,26 +132,31 @@ def lmjm_ground_truth(index: PositionalIndex, query: Query, ranked: RankedList,
     top documents keeps only its smoothed collection floor, so it never
     outweighs an equally frequent present term. The top n_terms are kept
     and renormalized.
+
+    The masses are one vector over term ordinals, and each top document's
+    ``term_probability`` vector times its weight is added to it in rank
+    order from 0.0, so each term's mass is the same float as its running
+    scalar sum.
     """
     _check_number("top_n", top_n, f"[1, {len(ranked)}]", int)
     _check_number("n_terms", n_terms, "[1, inf)", int)
     ranker = LMJMRanker(index, lam=lam)
-    docids = ranked.docids[:top_n]
-    doc_weights = [math.exp(ranker.score(query, d)) for d in docids]
-    counts = [index.doc_term_counts(d) for d in docids]
-    lengths = [index.doc_length(d) for d in docids]
-    raw: dict[str, float] = {}
-    for term in index.vocabulary:
-        mass = 0.0
-        for tf_map, dl, dw in zip(counts, lengths, doc_weights):
-            mass += ranker.term_probability(term, tf_map.get(term, 0), dl) * dw
-        if mass > 0.0:
-            raw[term] = mass
-    if not raw:
+    cf, tokens = index.cf_by_ordinal, index.total_tokens
+    p_coll = cf / tokens if tokens else np.zeros(len(cf))
+    mass = np.zeros(len(p_coll))
+    for docid in ranked.docids[:top_n]:
+        doc_weight = math.exp(ranker.score(query, docid))
+        ordinals, counts = index.doc_terms(docid)
+        p_doc = np.zeros(len(p_coll))
+        p_doc[ordinals] = counts / index.doc_length(docid)
+        mass += ((1.0 - lam) * p_doc + lam * p_coll) * doc_weight
+    pool = np.flatnonzero(mass > 0.0)
+    if not len(pool):
         raise ValueError("degenerate ground truth: all term weights are zero")
-    kept = sorted(raw.items(), key=lambda kv: (-kv[1], kv[0]))[:n_terms]
-    total = left_sum(w for _, w in kept)
-    return GroundTruthTerms(weights={t: w / total for t, w in kept})
+    kept = pool[np.lexsort((pool, -mass[pool]))[:n_terms]]
+    weights = mass[kept].tolist()
+    total = left_sum(weights)
+    return GroundTruthTerms(weights={t: w / total for t, w in zip(index.terms_at(kept.tolist()), weights)})
 
 
 def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -6,16 +6,18 @@ axiom in this package needs: document lengths, corpus size, average
 document length, document frequency, collection frequency and idf. A
 document's length is the length of its stream and a term's df the length
 of its posting list. The index is immutable: the collection statistics
-(total tokens, avgdl, and each indexed term's cf and idf) are computed at
-construction, and nothing is written after that.
+(total tokens, avgdl, and each indexed term's cf and idf) and the
+per-document term-ordinal arrays are computed at construction, and
+nothing is written after that.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import itertools
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,19 +97,41 @@ class PositionalIndex:
 
     Positions are indices into the post-analysis token stream (stopwords
     removed before position assignment), so proximity values are measured
-    in surviving tokens, not raw words.
+    in surviving tokens, not raw words. A posting of one position holds a
+    (p,) tuple shared by every such posting, built or loaded.
+
+    Construction freezes term ordinals: ordinal u is the u-th term of the
+    sorted vocabulary, so ordinal order is ``str`` order. Rows follow the
+    sorted docids. Per row, the document's distinct terms are kept as
+    ascending int32 ordinals with their int32 counts, in CSR form: one
+    ordinal and one count array of sum-of-df entries, and int64 row
+    offsets; ``doc_terms`` reads one row. They are counted from the token
+    streams a chunk of documents at a time, and each term's cf (so total
+    tokens and avgdl) is summed from the same count, not from the
+    postings. ``cf_by_ordinal`` and ``idf_by_ordinal`` hold cf and idf
+    per ordinal. Every array is read-only. Candidate generation adds
+    ``tf * idf`` over these ordinals per top document in rank order, from
+    0.0, and the LM ground truth adds its mass vectors the same way.
     """
 
     def __init__(self, postings: dict, doc_tokens: dict, config: AnalyzerConfig):
         self._postings = postings          # term -> {docid: (pos, ...)}
         self._doc_tokens = doc_tokens      # docid -> (term, ...), the term at each position
         self.config = config
-        self._cf = {t: sum(len(ps) for ps in pl.values()) for t, pl in postings.items()}
-        self._total_tokens = sum(self._cf.values())
-        n = len(doc_tokens)
-        self._avgdl = sum(map(len, doc_tokens.values())) / n if n else 0.0
-        self._idf = {t: math.log(1.0 + (n - len(pl) + 0.5) / (len(pl) + 0.5))
-                     for t, pl in postings.items() if pl}
+        self._vocabulary = vocabulary = sorted(postings)
+        self._docids = docids = sorted(doc_tokens)
+        self._offsets, self._ordinals, self._counts, cf = _term_count_rows(
+            [doc_tokens[d] for d in docids], {t: u for u, t in enumerate(vocabulary)},
+            sum(map(len, postings.values())))
+        self._cf = dict(zip(vocabulary, cf.tolist()))
+        self._cf_by_ordinal = cf
+        self._total_tokens = int(cf.sum())
+        n = len(docids)
+        self._avgdl = self._total_tokens / n if n else 0.0
+        idf = [math.log(1.0 + (n - df + 0.5) / (df + 0.5)) if df else 0.0
+               for df in map(len, map(postings.__getitem__, vocabulary))]
+        self._idf = dict(zip(vocabulary, idf))
+        self._idf_by_ordinal = _read_only(np.array(idf, dtype=np.float64))
 
     # -- statistics ------------------------------------------------------
 
@@ -125,10 +149,17 @@ class PositionalIndex:
 
     @property
     def vocabulary(self) -> list[str]:
-        return sorted(self._postings)
+        """The indexed terms in ordinal order (sorted); a copy."""
+        return list(self._vocabulary)
+
+    def terms_at(self, ordinals) -> list[str]:
+        """The term of each ordinal."""
+        vocabulary = self._vocabulary
+        return [vocabulary[u] for u in ordinals]
 
     def doc_ids(self) -> list[str]:
-        return sorted(self._doc_tokens)
+        """The docids in row order (sorted); a copy."""
+        return list(self._docids)
 
     def has_doc(self, docid: str) -> bool:
         return docid in self._doc_tokens
@@ -154,6 +185,24 @@ class PositionalIndex:
         pathologies on tiny corpora.
         """
         return self._idf.get(term, 0.0)
+
+    @property
+    def cf_by_ordinal(self) -> np.ndarray:
+        """The read-only int64 array of ``cf`` indexed by term ordinal."""
+        return self._cf_by_ordinal
+
+    @property
+    def idf_by_ordinal(self) -> np.ndarray:
+        """The read-only float64 array of ``idf`` indexed by term ordinal."""
+        return self._idf_by_ordinal
+
+    def doc_terms(self, docid: str) -> tuple[np.ndarray, np.ndarray]:
+        """The ascending term ordinals of docid and each one's tf, as read-only int32 views."""
+        row = bisect.bisect_left(self._docids, docid)
+        if row == len(self._docids) or self._docids[row] != docid:
+            raise UnknownDocumentError(f"unknown docid: {docid!r}")
+        lo, hi = self._offsets[row:row + 2].tolist()
+        return self._ordinals[lo:hi], self._counts[lo:hi]
 
     def tf(self, term: str, docid: str) -> int:
         self._require_doc(docid)
@@ -208,9 +257,6 @@ class PositionalIndex:
     def tokenized_doc(self, docid: str) -> TokenizedDocument:
         return TokenizedDocument(docid=docid, tokens=self.doc_tokens(docid))
 
-    def doc_term_counts(self, docid: str) -> dict:
-        return Counter(self.doc_tokens(docid))
-
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -250,7 +296,9 @@ class PositionalIndex:
             if type(dl) is not int or not 0 <= dl < _INT64_LIMIT:
                 raise ValueError(f"docid {d!r}: doc_length must be a non-negative int, got {dl!r}")
         doc_tokens = _check_postings(doc_length, raw_postings)
-        postings = {t: {d: tuple(ps) for d, ps in pl.items()} for t, pl in raw_postings.items()}
+        singles = [(p,) for p in range(max(doc_length.values(), default=0))]
+        postings = {t: {d: singles[ps[0]] if len(ps) == 1 else tuple(ps) for d, ps in pl.items()}
+                    for t, pl in raw_postings.items()}
         return cls(postings, doc_tokens, config)
 
     @classmethod
@@ -299,6 +347,49 @@ def _check_postings(doc_length: dict, postings: dict) -> dict:
     return {d: tuple(held) for d, held in slots.items()}
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+_ROW_CHUNK = 64     # documents whose tokens are counted at once
+
+
+def _term_count_rows(streams: list, ordinal: dict, n_entries: int):
+    """Each stream's sorted (term ordinal, count) pairs as CSR arrays, and each term's cf.
+
+    ``n_entries`` is the number of (document, term) pairs, the sum of the
+    dfs, so the outputs are allocated once. Streams are counted a chunk
+    at a time: a chunk's tokens become int64 keys (row in chunk) * V +
+    ordinal, one sort and ``np.unique`` count them, and the chunk's token
+    ordinals add to cf by ``np.bincount``. The temporaries stay the size
+    of a chunk, not of the corpus.
+    """
+    n_terms = len(ordinal)
+    offsets = np.zeros(len(streams) + 1, dtype=np.int64)
+    ordinals = np.empty(n_entries, dtype=np.int32)
+    counts = np.empty(n_entries, dtype=np.int32)
+    cf = np.zeros(n_terms, dtype=np.int64)
+    filled = 0
+    for start in range(0, len(streams), _ROW_CHUNK):
+        chunk = streams[start:start + _ROW_CHUNK]
+        lengths = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
+        tokens = np.fromiter(map(ordinal.__getitem__, itertools.chain.from_iterable(chunk)),
+                             dtype=np.int64, count=int(lengths.sum()))
+        cf += np.bincount(tokens, minlength=n_terms)
+        keys, tfs = np.unique(np.repeat(np.arange(len(chunk)), lengths) * n_terms + tokens,
+                              return_counts=True)
+        end = filled + len(keys)
+        ordinals[filled:end] = keys % n_terms
+        counts[filled:end] = tfs
+        row_sizes = np.bincount(keys // n_terms, minlength=len(chunk))
+        offsets[start + 1:start + 1 + len(chunk)] = filled + np.cumsum(row_sizes)
+        filled = end
+    if filled != n_entries:
+        raise ValueError(f"postings hold {n_entries} (document, term) pairs, the token streams {filled}")
+    return _read_only(offsets), _read_only(ordinals), _read_only(counts), _read_only(cf)
+
+
 def build_index(corpus: list[Document], config: AnalyzerConfig = DEFAULT_CONFIG) -> PositionalIndex:
     """Tokenize a corpus and build the positional index.
 
@@ -307,18 +398,21 @@ def build_index(corpus: list[Document], config: AnalyzerConfig = DEFAULT_CONFIG)
     """
     postings: dict[str, dict[str, tuple[int, ...]]] = {}
     doc_tokens: dict[str, tuple[str, ...]] = {}
+    singles: list[tuple[int]] = []     # (0,), (1,), ...: one tuple per position, not per posting
     analyze = _Analyzer(config)
     for doc in corpus:
         _check_id("docid", doc.docid)
         if doc.docid in doc_tokens:
             raise ValueError(f"duplicate docid: {doc.docid!r}")
         tokens = analyze(doc.text)
+        singles.extend((p,) for p in range(len(singles), len(tokens)))
         doc_tokens[doc.docid] = tuple(tokens)
         per_term: dict[str, list[int]] = {}
         for pos, term in enumerate(tokens):
             per_term.setdefault(term, []).append(pos)
         for term, positions in per_term.items():
-            postings.setdefault(term, {})[doc.docid] = tuple(positions)
+            shared = singles[positions[0]] if len(positions) == 1 else tuple(positions)
+            postings.setdefault(term, {})[doc.docid] = shared
     return PositionalIndex(postings, doc_tokens, config)
 
 

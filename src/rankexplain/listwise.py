@@ -82,19 +82,29 @@ def generate_candidates(index: PositionalIndex, ranked: RankedList,
     (query terms are not excluded); salience(t) sums tf(t, D) * idf(t)
     over those documents. Sorted by salience descending, ties
     lexicographic, truncated to n_candidates.
+
+    Salience accumulates over term ordinals: for each top document in
+    rank order, ``acc[u] += tf * idf[u]`` from 0.0, from the index's
+    per-document (ordinal, count) arrays. Each term gets the same float
+    additions in the same order as one running sum per term would. Every
+    pool term has idf > 0, so the pool is the nonzero entries of acc,
+    ordered by ``np.lexsort((ordinal, -acc))``; ordinal order is the
+    terms' ``str`` order.
     """
     if len(ranked) == 0:
         raise ValueError("cannot generate candidates from an empty ranked list")
     _check_number("top_k", top_k, f"[1, {len(ranked)}]", int)
     _check_number("n_candidates", n_candidates, "[1, inf)", int)
-    idf = index.idf
-    salience: dict[str, float] = {}
+    idf = index.idf_by_ordinal
+    acc = np.zeros(len(idf))
     for entry in ranked.entries[:top_k]:
-        for term, tf in index.doc_term_counts(entry.docid).items():
-            salience[term] = salience.get(term, 0.0) + tf * idf(term)
-    # Equal to sorted(...)[:n_candidates], without sorting the whole table.
-    top = heapq.nsmallest(n_candidates, salience.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [CandidateTerm(term, value) for term, value in top]
+        ordinals, counts = index.doc_terms(entry.docid)
+        acc[ordinals] += counts * idf[ordinals]
+    pool = np.flatnonzero(acc)
+    salience = acc[pool]
+    top = np.lexsort((pool, -salience))[:n_candidates]
+    return [CandidateTerm(term, value)
+            for term, value in zip(index.terms_at(pool[top].tolist()), salience[top].tolist())]
 
 
 def _check_unique(docids: Sequence[str]) -> None:

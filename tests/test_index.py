@@ -2,8 +2,10 @@ import ast
 import math
 import re
 import time
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rankexplain import (
@@ -13,11 +15,14 @@ from rankexplain import (
     PointwiseParams,
     PositionalIndex,
     Query,
+    RankedList,
+    RunEntry,
     UnknownDocumentError,
     build_index,
     explain_details,
     explain_listwise,
     exs_explain,
+    generate_candidates,
     lirme_explain,
     rank,
 )
@@ -293,6 +298,85 @@ def test_statistics_match_their_formulas():
         assert index.idf(term) == math.log(1.0 + (index.n_docs - df + 0.5) / (df + 0.5))
 
 
+# -- term ordinals and per-document (ordinal, count) arrays -----------------------
+
+
+def frozen_arrays(index):
+    """The CSR rows (offsets, ordinals, counts) and the per-ordinal cf and idf."""
+    return index._offsets, index._ordinals, index._counts, index.cf_by_ordinal, index.idf_by_ordinal
+
+
+def assert_arrays_describe_the_streams(index):
+    offsets, ordinals, counts, _, _ = frozen_arrays(index)
+    vocabulary = index.vocabulary
+    assert vocabulary == sorted(vocabulary)
+    assert (offsets.dtype, ordinals.dtype, counts.dtype) == (np.int64, np.int32, np.int32)
+    assert len(offsets) == index.n_docs + 1 and offsets[0] == 0
+    assert offsets[-1] == len(ordinals) == len(counts) == sum(map(index.df, vocabulary))
+    for row, docid in enumerate(index.doc_ids()):
+        doc_ordinals, doc_counts = index.doc_terms(docid)
+        assert doc_ordinals.tolist() == ordinals[offsets[row]:offsets[row + 1]].tolist()
+        assert (np.diff(doc_ordinals) > 0).all()
+        assert dict(zip(index.terms_at(doc_ordinals), doc_counts.tolist())) == Counter(index.doc_tokens(docid))
+        assert int(doc_counts.sum()) == index.doc_length(docid)
+    assert index.cf_by_ordinal.tolist() == [index.cf(t) for t in vocabulary]
+    assert index.idf_by_ordinal.tolist() == [index.idf(t) for t in vocabulary]
+
+
+@pytest.mark.parametrize("texts", [
+    [],
+    ["the of"],
+    ["the of", "qq ww qq", "zz"],        # an empty analyzed stream first,
+    ["qq ww", "the", "ww zz ww"],        # in the middle,
+    ["qq ww", "zz qq", "of the"],        # last,
+    ["the", "of"],                       # and everywhere
+])
+def test_term_arrays_hold_each_documents_term_counts(texts):
+    index = build_index([Document(f"d{i}", text) for i, text in enumerate(texts)])
+    assert_arrays_describe_the_streams(index)
+
+
+def test_term_arrays_across_chunks_of_documents():
+    # Over 256 documents, so rows are counted in more than one chunk; empty streams included.
+    corpus = random_corpus(XorShift64Star(11), 700, make_vocab(30), min_len=0, max_len=8)
+    index = build_index(corpus[::-1])      # rows follow sorted docids, not corpus order
+    assert index.doc_ids() == sorted(d.docid for d in corpus)
+    assert_arrays_describe_the_streams(index)
+
+
+def test_a_saved_and_reloaded_index_holds_equal_arrays(tmp_path):
+    corpus = random_corpus(XorShift64Star(12), 300, make_vocab(25), min_len=0, max_len=10)
+    index = build_index(corpus[::-1])
+    index.save(tmp_path / "a.idx")
+    loaded = PositionalIndex.load(tmp_path / "a.idx")
+    assert loaded.vocabulary == index.vocabulary and loaded.doc_ids() == index.doc_ids()
+    for built, read in zip(frozen_arrays(index), frozen_arrays(loaded)):
+        assert built.dtype == read.dtype and built.tolist() == read.tolist()
+
+
+def test_the_arrays_are_read_only():
+    index = build_index([Document("d1", "qq ww qq"), Document("d2", "ww zz")])
+    for array in (*frozen_arrays(index), *index.doc_terms("d1")):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
+def test_vocabulary_and_doc_ids_are_copies():
+    index = build_index([Document("d2", "ww qq"), Document("d1", "zz")])
+    index.vocabulary.append("aa")
+    index.doc_ids().clear()
+    assert index.vocabulary == ["qq", "ww", "zz"] and index.doc_ids() == ["d1", "d2"]
+
+
+def test_candidates_name_an_unknown_docid():
+    index = build_index([Document("d1", "qq ww qq"), Document("d2", "ww zz")])
+    ranked = RankedList.from_entries("q", [RunEntry("d1", 1, 2.0), RunEntry("nope", 2, 1.0)])
+    with pytest.raises(UnknownDocumentError, match="'nope'"):
+        generate_candidates(index, ranked, top_k=2)
+    with pytest.raises(UnknownDocumentError, match="'nope'"):
+        index.doc_terms("nope")
+
+
 # -- an explainer reads only the documents it explains ----------------------------
 
 
@@ -348,6 +432,14 @@ def test_kept_token_streams_hold_one_object_per_term():
     index = build_index([Document("d1", "runs running run"), Document("d2", "running ran runs")])
     terms = {id(t) for t in index.vocabulary}
     assert all(id(t) in terms for d in index.doc_ids() for t in index.doc_tokens(d))
+
+
+def test_one_position_postings_share_their_tuple():
+    # Most postings hold one position; a tuple each would cost 48 bytes per posting.
+    built = build_index([Document("d1", "qq ww qq"), Document("d2", "ww qq")])
+    for index in (built, PositionalIndex.from_dict(built.to_dict())):
+        assert index.postings("ww")["d1"] is index.postings("qq")["d2"]
+        assert index.postings("ww") == {"d1": (1,), "d2": (0,)} and index.postings("qq")["d1"] == (0, 2)
 
 
 def test_the_scan_counter_sees_a_walk():

@@ -35,6 +35,7 @@ from rankexplain import (
     generate_candidates,
     greedy_explain,
     kendall_tau,
+    lmjm_ground_truth,
     make_ranker,
     rank,
     rbo,
@@ -43,7 +44,7 @@ from rankexplain import (
 )
 from rankexplain import AggregatedAxiom, aggregate_preference, axiom_preference, listwise
 from rankexplain.axioms import AGGREGATION_MODES, AXIOM_NAMES
-from rankexplain.index import _check_postings
+from rankexplain.index import _check_postings, left_sum
 from rankexplain.listwise import (
     PAIR_STRATEGIES,
     CandidateTerm,
@@ -65,7 +66,7 @@ from rankexplain.perturb import (
     tfidf_sampler,
 )
 from rankexplain.pointwise import EXS_VARIANTS, PointwiseParams, _perturbation_design, exs_targets
-from rankexplain.rankers import RankedList, RunEntry, _SparseRanker
+from rankexplain.rankers import LMJMRanker, RankedList, RunEntry, _SparseRanker
 from rankexplain.rng import XorShift64Star, block_random, block_u64
 
 from conftest import make_vocab, random_corpus
@@ -277,24 +278,66 @@ def test_fidelity_evaluator_equals_reference(data, built, ranker_spec, list_mode
 
 
 def reference_candidates(index, ranked, top_k, n_candidates):
-    """``generate_candidates`` sorting the whole salience table."""
+    """``generate_candidates`` as one running sum per term in a dict, sorting the whole table."""
     salience = {}
     for entry in ranked.entries[:top_k]:
-        for term, tf in index.doc_term_counts(entry.docid).items():
+        for term, tf in Counter(index.doc_tokens(entry.docid)).items():
             salience[term] = salience.get(term, 0.0) + tf * index.idf(term)
     ordered = sorted(salience.items(), key=lambda kv: (-kv[1], kv[0]))
     return [CandidateTerm(term, value) for term, value in ordered[:n_candidates]]
 
 
+@st.composite
+def indexes_with_copies(draw):
+    """An index whose documents repeat drawn texts: copies give terms equal df and tf, so tied saliences."""
+    index, vocab = draw(indexes())
+    texts = [" ".join(index.doc_tokens(d)) for d in index.doc_ids()]
+    texts += draw(st.lists(st.sampled_from(texts), max_size=12))
+    return build_index([Document(f"d{i:03d}", text) for i, text in enumerate(texts)]), vocab
+
+
 @PROPERTY_SETTINGS
-@given(st.data(), indexes(), st.integers(1, 30))
-def test_candidates_equal_the_full_sort_reference(data, built, n_candidates):
+@given(st.data(), indexes_with_copies())
+def test_candidates_equal_the_full_sort_reference(data, built):
     index, vocab = built
     ranked = rank(index, make_ranker(index, "bm25"), Query.from_terms("q", data.draw(query_terms(vocab))),
                   pool=index.doc_ids(), depth=len(index.doc_ids()))
-    top_k = data.draw(st.integers(1, len(ranked)))
-    assert generate_candidates(index, ranked, top_k, n_candidates) == reference_candidates(
-        index, ranked, top_k, n_candidates)
+    top_k = data.draw(st.just(len(ranked)) | st.integers(1, len(ranked)))
+    # The pool holds at most len(vocab) terms, so some counts exceed it.
+    n_candidates = data.draw(st.integers(1, len(vocab) + 3))
+    candidates = generate_candidates(index, ranked, top_k, n_candidates)
+    assert candidates == reference_candidates(index, ranked, top_k, n_candidates)
+    assert all(type(c.salience) is float for c in candidates)
+
+
+def reference_lmjm_ground_truth(index, query, ranked, top_n, lam, n_terms):
+    """``lmjm_ground_truth``'s weights from one scalar ``term_probability`` per (term, top document)."""
+    ranker = LMJMRanker(index, lam=lam)
+    docids = ranked.docids[:top_n]
+    doc_weights = [math.exp(ranker.score(query, d)) for d in docids]
+    counts = [Counter(index.doc_tokens(d)) for d in docids]
+    raw = {}
+    for term in index.vocabulary:
+        mass = 0.0
+        for tf, docid, weight in zip(counts, docids, doc_weights):
+            mass += ranker.term_probability(term, tf.get(term, 0), index.doc_length(docid)) * weight
+        if mass > 0.0:
+            raw[term] = mass
+    kept = sorted(raw.items(), key=lambda kv: (-kv[1], kv[0]))[:n_terms]
+    total = left_sum(w for _, w in kept)
+    return [(t, w / total) for t, w in kept]
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), indexes_with_copies(), st.sampled_from([0.01, 0.1, 0.5, 0.99]))
+def test_lmjm_ground_truth_equals_the_scalar_reference(data, built, lam):
+    index, vocab = built
+    query = Query.from_terms("q", data.draw(query_terms(vocab, min_size=1)))
+    ranked = rank(index, make_ranker(index, "lmjm"), query, pool=index.doc_ids(), depth=len(index.doc_ids()))
+    top_n = data.draw(st.integers(1, len(ranked)))
+    n_terms = data.draw(st.integers(1, len(vocab) + 3))
+    truth = lmjm_ground_truth(index, query, ranked, top_n, lam, n_terms)
+    assert list(truth.weights.items()) == reference_lmjm_ground_truth(index, query, ranked, top_n, lam, n_terms)
 
 
 @st.composite
