@@ -1,8 +1,8 @@
 """Byte-exact golden outputs of the command line on the demo corpus.
 
-Every case runs one command through ``cli.run`` and compares its output
-with ``tests/golden/<name>``: the file the command writes for ``index``
-and ``rank``, stdout for everything else. The files pin the
+Every case runs one command, or several, through ``cli.run`` and compares
+its output with ``tests/golden/<name>``: the file the command writes for
+``index`` and ``rank``, stdout for everything else. The files pin the
 reproducibility contract across versions (same inputs and seed, same
 bytes), so a refactor that changes any byte fails here.
 
@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from rankexplain import cli
+from rankexplain.axioms import AXIOM_NAMES
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -35,7 +36,10 @@ POINTWISE_METHODS = (
 
 
 def _cases() -> list[tuple[str, list[str]]]:
-    """(golden name, argv) pairs, in run order; ``{d}`` is the work directory."""
+    """(golden name, argv) pairs, in run order; ``{d}`` is the work directory.
+
+    The argv of a case may be a list of argvs: their stdout is concatenated.
+    """
     cases = [
         ("index.idx", ["index", "--corpus", "demo", "--out", "{d}/index.idx"]),
     ]
@@ -65,6 +69,7 @@ def _cases() -> list[tuple[str, list[str]]]:
     cases.append(("pairwise-aggregate-weighted_sum_sign.json", [
         *pair, "--axioms", "TFC1,AND,PROX1", "--aggregate", "weighted_sum_sign",
         "--weights", "2,1,1"]))
+    cases.append(("pairwise-all-axioms.jsonl", _all_axiom_commands()))
 
     listwise = ["explain", "listwise", "--index", "{d}/index.idx", "--topics", "demo"]
     for method in ("multiplex", "intent_exs", "greedy", "bfs"):
@@ -88,6 +93,27 @@ def _cases() -> list[tuple[str, list[str]]]:
     return cases
 
 
+# (qid, docs) pairs of the demo corpus on which PROX1 to PROX5 each fire in
+# some pair, with and against each other, and every other axiom fires once.
+AXIOM_PAIRS = (("5", "H1,H4"), ("3", "S1,S2"), ("4", "C2,C3"), ("1", "H4,T2"), ("1", "T1,T2"))
+AXIOM_WEIGHTS = "1,0.5,2,1,1,0.25,3,1,1,1.5,6,0.75"
+
+
+def _all_axiom_commands() -> list[list[str]]:
+    """All twelve axioms under both aggregate modes, then the PROX4 and PROX5
+    details tables, for each of ``AXIOM_PAIRS``."""
+    axioms = ",".join(AXIOM_NAMES)
+    commands = []
+    for qid, docs in AXIOM_PAIRS:
+        pair = ["explain", "pairwise", "--index", "{d}/index.idx", "--topics", "demo",
+                "--qid", qid, "--docs", docs]
+        commands.append([*pair, "--axioms", axioms, "--aggregate", "majority"])
+        commands.append([*pair, "--axioms", axioms, "--aggregate", "weighted_sum_sign",
+                         "--weights", AXIOM_WEIGHTS])
+        commands.append([*pair, "--axioms", "PROX4,PROX5", "--details", "--format", "json"])
+    return commands
+
+
 CASES = _cases()
 
 
@@ -95,12 +121,13 @@ def run_cases(workdir: Path) -> dict[str, bytes]:
     """Run every case in order under ``workdir``; map golden name -> output bytes."""
     outputs = {}
     for name, argv in CASES:
-        argv = [a.replace("{d}", str(workdir)) for a in argv]
         stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = cli.run(argv)
-        if code != 0:
-            raise AssertionError(f"{name}: exit {code} for {' '.join(argv)}")
+        for command in argv if isinstance(argv[0], list) else [argv]:
+            command = [a.replace("{d}", str(workdir)) for a in command]
+            with contextlib.redirect_stdout(stdout):
+                code = cli.run(command)
+            if code != 0:
+                raise AssertionError(f"{name}: exit {code} for {' '.join(command)}")
         written = workdir / name
         outputs[name] = written.read_bytes() if written.exists() else stdout.getvalue().encode()
     return outputs
