@@ -10,6 +10,10 @@ The proximity family works on analyzed-token positions (stopwords were
 removed before positions were assigned), which shifts raw distance
 magnitudes; PROX2 to PROX5 are implementation-specific formalizations of
 named heuristics and are documented inline.
+
+Each axiom compares the ``DocStats`` of the two documents. They are kept
+in a bounded memo per index, so the axioms, aggregates and details
+tables of one pair (and of later calls) read each document once.
 """
 
 from __future__ import annotations
@@ -17,13 +21,17 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import Optional, Sequence
 
-from .index import PositionalIndex, left_sum
+from .index import PositionalIndex, _check_number, left_sum
 from .rankers import Query
 
 COMPARABILITY_SLACK = 0.1
+MEMO_CAPACITY = 256         # DocStats kept per index; the oldest is evicted first
 
 _INF = math.inf
 
@@ -38,33 +46,141 @@ def _comparable(a: float, b: float, slack: float = COMPARABILITY_SLACK) -> bool:
     return abs(a - b) <= slack * max(a, b)
 
 
-class _DocView:
-    """Per-document view of the query-relevant statistics."""
+def pair_average_distance(positions_a: Sequence[int], positions_b: Sequence[int]) -> float:
+    """Mean absolute position difference over all occurrence pairs."""
+    total = sum(abs(pa - pb) for pa in positions_a for pb in positions_b)
+    return total / (len(positions_a) * len(positions_b))
 
-    def __init__(self, index: PositionalIndex, query_terms: Sequence[str], docid: str):
-        self.docid = docid
+
+class DocStats:
+    """What the axioms read of one document, for the distinct query terms.
+
+    ``dl``, each term's positions and tf, the matched terms (in query
+    order), ``sum_tf`` and each term's idf are read on construction, which
+    raises ``UnknownDocumentError`` for an unknown docid. Everything else
+    is computed on first read and kept. Distances are differences of
+    analyzed-token positions.
+    """
+
+    def __init__(self, index: PositionalIndex, terms: tuple[str, ...], docid: str):
+        self.terms = terms
         self.dl = index.doc_length(docid)
-        self.tf = {t: index.tf(t, docid) for t in query_terms}
-        self.positions = {t: index.positions(t, docid) for t in query_terms}
-        self.matched = [t for t in query_terms if self.tf[t] > 0]
+        self.positions = {t: index.positions(t, docid) for t in terms}
+        self.tf = {t: len(p) for t, p in self.positions.items()}
+        self.matched = [t for t in terms if self.tf[t]]
+        self.sum_tf = sum(self.tf.values())
+        self._idf = [index.idf(t) for t in terms]
 
-    @property
-    def sum_tf(self) -> int:
-        return sum(self.tf.values())
+    @cached_property
+    def tdc_weight(self) -> float:
+        """``tf * idf`` summed over the query terms, left to right."""
+        return left_sum(self.tf[t] * idf for t, idf in zip(self.terms, self._idf))
+
+    @cached_property
+    def pair_averages(self) -> dict:
+        """``pair_average_distance`` of each unordered pair of distinct matched terms."""
+        return {(ta, tb): pair_average_distance(self.positions[ta], self.positions[tb])
+                for ta, tb in itertools.combinations(self.matched, 2)}
+
+    @cached_property
+    def total_avg_dist(self) -> float:
+        """PROX1: the mean of the pair averages; infinity without a matched pair."""
+        pairs = self.pair_averages
+        return left_sum(pairs.values()) / len(pairs) if pairs else _INF
+
+    @cached_property
+    def _events(self) -> list[tuple[int, str]]:
+        """(position, term) of every matched occurrence, sorted by position."""
+        return sorted((p, t) for t in self.matched for p in self.positions[t])
+
+    @cached_property
+    def cover_window(self) -> float:
+        """PROX2: length of the smallest position window touching every matched term.
+
+        Sliding-window sweep over the sorted occurrences; infinity when no
+        term matches.
+        """
+        events = self._events
+        need = len(self.matched)
+        counts = dict.fromkeys(self.matched, 0)
+        covered = 0
+        best = _INF
+        left = 0
+        for pos_r, term_r in events:
+            counts[term_r] += 1
+            if counts[term_r] == 1:
+                covered += 1
+            while covered == need:
+                best = min(best, pos_r - events[left][0] + 1)
+                term_l = events[left][1]
+                counts[term_l] -= 1
+                if counts[term_l] == 0:
+                    covered -= 1
+                left += 1
+        return best
+
+    @cached_property
+    def phrase_position(self) -> float:
+        """PROX3: the earliest position where the query terms occur contiguously, in order."""
+        if not self.terms:
+            return _INF
+        position_sets = [set(self.positions[t]) for t in self.terms]
+        for start in self.positions[self.terms[0]]:
+            if all(start + offset in positions for offset, positions in enumerate(position_sets)):
+                return start
+        return _INF
+
+    @cached_property
+    def nearest_other(self) -> tuple[float, float]:
+        """PROX4's and PROX5's distances; both infinity below two matched terms.
+
+        PROX4's is the smallest distance between occurrences of two matched
+        terms; PROX5's the mean, over the matched occurrences, of the distance
+        to the nearest occurrence of another matched term. A position holds
+        one token, so the sorted occurrences fall into runs of one term, and
+        that nearest occurrence is the last of the run before or the first of
+        the run after.
+        """
+        if len(self.matched) < 2:
+            return _INF, _INF
+        runs = [[p for p, _ in run] for _, run in itertools.groupby(self._events, key=itemgetter(1))]
+        total = 0
+        for k, run in enumerate(runs):
+            before = runs[k - 1][-1] if k else -_INF
+            after = runs[k + 1][0] if k + 1 < len(runs) else _INF
+            total += sum(min(p - before, after - p) for p in run)
+        return min(b[0] - a[-1] for a, b in zip(runs, runs[1:])), total / len(self._events)
 
 
-def _query_terms(query: Query) -> list[str]:
-    """Distinct query terms in first-occurrence order."""
-    seen: list[str] = []
-    for t in query.terms:
-        if t not in seen:
-            seen.append(t)
-    return seen
+_memos: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _views(index: PositionalIndex, query: Query, di: str, dj: str):
-    terms = _query_terms(query)
-    return terms, _DocView(index, terms, di), _DocView(index, terms, dj)
+def _doc_stats(index: PositionalIndex, terms: tuple[str, ...], docid: str) -> DocStats:
+    """The memoized ``DocStats`` of docid for terms.
+
+    Each index has its own memo of at most ``MEMO_CAPACITY`` entries, keyed
+    by (terms, docid) and evicted oldest first; it is freed with the
+    index. This is safe because an index does not change after
+    construction. An unknown docid raises and stores nothing. The memo
+    takes no lock: the library is single-threaded, as its random number
+    generator is.
+    """
+    key = (terms, docid)
+    memo = _memos.get(index)
+    if memo is not None and key in memo:
+        return memo[key]
+    stats = DocStats(index, terms, docid)
+    if memo is None:
+        memo = _memos[index] = {}
+    elif len(memo) >= MEMO_CAPACITY:
+        del memo[next(iter(memo))]
+    memo[key] = stats
+    return stats
+
+
+def _views(index: PositionalIndex, query: Query, di: str, dj: str) -> tuple[DocStats, DocStats]:
+    terms = tuple(dict.fromkeys(query.terms))       # distinct, in first-occurrence order
+    return _doc_stats(index, terms, di), _doc_stats(index, terms, dj)
 
 
 def _prefer_smaller(a: float, b: float) -> int:
@@ -80,181 +196,92 @@ def _prefer_larger(a: float, b: float) -> int:
 # -- term-frequency and length axioms --------------------------------------
 
 
-def _tfc1(index, terms, vi, vj) -> int:
-    if not _comparable(vi.dl, vj.dl):
+def _tfc1(si: DocStats, sj: DocStats) -> int:
+    if not _comparable(si.dl, sj.dl):
         return 0
-    return _prefer_larger(vi.sum_tf, vj.sum_tf)
+    return _prefer_larger(si.sum_tf, sj.sum_tf)
 
 
-def _tfc3(index, terms, vi, vj) -> int:
-    if not _comparable(vi.dl, vj.dl) or vi.sum_tf != vj.sum_tf:
+def _tfc3(si: DocStats, sj: DocStats) -> int:
+    if not _comparable(si.dl, sj.dl) or si.sum_tf != sj.sum_tf:
         return 0
-    return _prefer_larger(len(vi.matched), len(vj.matched))
+    return _prefer_larger(len(si.matched), len(sj.matched))
 
 
-def _tdc(index, terms, vi, vj) -> int:
-    if not _comparable(vi.dl, vj.dl):
+def _tdc(si: DocStats, sj: DocStats) -> int:
+    if not _comparable(si.dl, sj.dl):
         return 0
-    wi = left_sum(vi.tf[t] * index.idf(t) for t in terms)
-    wj = left_sum(vj.tf[t] * index.idf(t) for t in terms)
-    return _prefer_larger(wi, wj)
+    return _prefer_larger(si.tdc_weight, sj.tdc_weight)
 
 
-def _lnc1(index, terms, vi, vj) -> int:
-    if any(vi.tf[t] != vj.tf[t] for t in terms):
+def _lnc1(si: DocStats, sj: DocStats) -> int:
+    if si.tf != sj.tf:
         return 0
-    return _prefer_smaller(vi.dl, vj.dl)
+    return _prefer_smaller(si.dl, sj.dl)
 
 
-def _tf_lnc_condition(terms, va, vb) -> bool:
-    diffs = [va.tf[t] - vb.tf[t] for t in terms]
+def _tf_lnc_condition(sa: DocStats, sb: DocStats) -> bool:
+    diffs = [sa.tf[t] - sb.tf[t] for t in sa.terms]
     if any(d < 0 for d in diffs) or not any(d > 0 for d in diffs):
         return False
-    return va.dl <= vb.dl + sum(diffs)
+    return sa.dl <= sb.dl + sum(diffs)
 
 
-def _tf_lnc(index, terms, vi, vj) -> int:
-    if _tf_lnc_condition(terms, vi, vj):
+def _tf_lnc(si: DocStats, sj: DocStats) -> int:
+    if _tf_lnc_condition(si, sj):
         return 1
-    if _tf_lnc_condition(terms, vj, vi):
+    if _tf_lnc_condition(sj, si):
         return -1
     return 0
 
 
-def _lb1_condition(va, vb) -> bool:
-    sa, sb = set(va.matched), set(vb.matched)
-    if not (sb < sa):
+def _lb1_condition(sa: DocStats, sb: DocStats) -> bool:
+    if not (set(sb.matched) < set(sa.matched)):
         return False
-    return all(_comparable(va.tf[t], vb.tf[t]) for t in sb)
+    return all(_comparable(sa.tf[t], sb.tf[t]) for t in sb.matched)
 
 
-def _lb1(index, terms, vi, vj) -> int:
-    if _lb1_condition(vi, vj):
+def _lb1(si: DocStats, sj: DocStats) -> int:
+    if _lb1_condition(si, sj):
         return 1
-    if _lb1_condition(vj, vi):
+    if _lb1_condition(sj, si):
         return -1
     return 0
 
 
-def _and(index, terms, vi, vj) -> int:
-    if not terms:
+def _and(si: DocStats, sj: DocStats) -> int:
+    n = len(si.terms)
+    if not n:
         return 0
-    return _prefer_larger(
-        1 if len(vi.matched) == len(terms) else 0,
-        1 if len(vj.matched) == len(terms) else 0,
-    )
+    return _prefer_larger(1 if len(si.matched) == n else 0, 1 if len(sj.matched) == n else 0)
 
 
 # -- proximity axioms -------------------------------------------------------
 
 
-def pair_average_distance(positions_a: Sequence[int], positions_b: Sequence[int]) -> float:
-    """Mean absolute position difference over all occurrence pairs."""
-    total = sum(abs(pa - pb) for pa in positions_a for pb in positions_b)
-    return total / (len(positions_a) * len(positions_b))
+def _prox1(si: DocStats, sj: DocStats) -> int:
+    return _prefer_smaller(si.total_avg_dist, sj.total_avg_dist)
 
 
-def _matched_pair_averages(terms, view) -> dict:
-    """avg distance per unordered pair of distinct matched query terms."""
-    out = {}
-    for ta, tb in itertools.combinations(view.matched, 2):
-        out[(ta, tb)] = pair_average_distance(view.positions[ta], view.positions[tb])
-    return out
-
-
-def _total_avg_dist(view, terms) -> float:
-    pairs = _matched_pair_averages(terms, view)
-    if not pairs:
-        return _INF
-    return left_sum(pairs.values()) / len(pairs)
-
-
-def _prox1(index, terms, vi, vj) -> int:
-    return _prefer_smaller(_total_avg_dist(vi, terms), _total_avg_dist(vj, terms))
-
-
-def min_cover_window(positions_by_term: dict) -> float:
-    """Length of the smallest position window touching every term.
-
-    Sliding-window sweep over the merged, sorted (position, term) stream.
-    Infinity when the mapping is empty.
-    """
-    if not positions_by_term:
-        return _INF
-    events = sorted(
-        (pos, term) for term, positions in positions_by_term.items() for pos in positions
-    )
-    need = len(positions_by_term)
-    counts: dict[str, int] = {}
-    covered = 0
-    best = _INF
-    left = 0
-    for right, (pos_r, term_r) in enumerate(events):
-        counts[term_r] = counts.get(term_r, 0) + 1
-        if counts[term_r] == 1:
-            covered += 1
-        while covered == need:
-            best = min(best, pos_r - events[left][0] + 1)
-            term_l = events[left][1]
-            counts[term_l] -= 1
-            if counts[term_l] == 0:
-                covered -= 1
-            left += 1
-    return best
-
-
-def _prox2(index, terms, vi, vj) -> int:
+def _prox2(si: DocStats, sj: DocStats) -> int:
     # Documents matching more query terms win outright; among equals the
     # smaller covering window wins.
-    by_matched = _prefer_larger(len(vi.matched), len(vj.matched))
+    by_matched = _prefer_larger(len(si.matched), len(sj.matched))
     if by_matched != 0:
         return by_matched
-    wi = min_cover_window({t: vi.positions[t] for t in vi.matched})
-    wj = min_cover_window({t: vj.positions[t] for t in vj.matched})
-    return _prefer_smaller(wi, wj)
+    return _prefer_smaller(si.cover_window, sj.cover_window)
 
 
-def first_phrase_position(view, query_terms: Sequence[str]) -> float:
-    """Earliest position where the full query occurs contiguously."""
-    if not query_terms:
-        return _INF
-    position_sets = [set(view.positions.get(term, [])) for term in query_terms]
-    for start in view.positions.get(query_terms[0], []):
-        if all(start + offset in positions for offset, positions in enumerate(position_sets)):
-            return start
-    return _INF
+def _prox3(si: DocStats, sj: DocStats) -> int:
+    return _prefer_smaller(si.phrase_position, sj.phrase_position)
 
 
-def _prox3(index, terms, vi, vj) -> int:
-    return _prefer_smaller(first_phrase_position(vi, terms), first_phrase_position(vj, terms))
+def _prox4(si: DocStats, sj: DocStats) -> int:
+    return _prefer_smaller(si.nearest_other[0], sj.nearest_other[0])
 
 
-def _min_pair_distance(view) -> float:
-    best = _INF
-    for ta, tb in itertools.combinations(view.matched, 2):
-        for pa in view.positions[ta]:
-            for pb in view.positions[tb]:
-                best = min(best, abs(pa - pb))
-    return best
-
-
-def _prox4(index, terms, vi, vj) -> int:
-    return _prefer_smaller(_min_pair_distance(vi), _min_pair_distance(vj))
-
-
-def _mean_nearest_other(view) -> float:
-    if len(view.matched) < 2:
-        return _INF
-    distances = []
-    for term in view.matched:
-        others = [p for t in view.matched if t != term for p in view.positions[t]]
-        for pos in view.positions[term]:
-            distances.append(min(abs(pos - o) for o in others))
-    return sum(distances) / len(distances)
-
-
-def _prox5(index, terms, vi, vj) -> int:
-    return _prefer_smaller(_mean_nearest_other(vi), _mean_nearest_other(vj))
+def _prox5(si: DocStats, sj: DocStats) -> int:
+    return _prefer_smaller(si.nearest_other[1], sj.nearest_other[1])
 
 
 AXIOMS = {
@@ -281,14 +308,13 @@ def axiom_preference(axiom_name: str, index: PositionalIndex, query: Query,
     fn = AXIOMS.get(axiom_name)
     if fn is None:
         raise ValueError(f"unknown axiom {axiom_name!r}; valid: {', '.join(AXIOM_NAMES)}")
-    terms, vi, vj = _views(index, query, di, dj)
-    return fn(index, terms, vi, vj)
+    return fn(*_views(index, query, di, dj))
 
 
 def all_preferences(index: PositionalIndex, query: Query, di: str, dj: str) -> dict:
-    """Evaluate every axiom once, sharing the per-document views."""
-    terms, vi, vj = _views(index, query, di, dj)
-    return {name: fn(index, terms, vi, vj) for name, fn in AXIOMS.items()}
+    """Evaluate every axiom once on the pair's ``DocStats``."""
+    si, sj = _views(index, query, di, dj)
+    return {name: fn(si, sj) for name, fn in AXIOMS.items()}
 
 
 # -- explain_details --------------------------------------------------------
@@ -356,23 +382,17 @@ def explain_details(axiom_name: str, index: PositionalIndex, query: Query,
     """Detailed view of a preference for the axioms that have one."""
     if axiom_name not in DETAILED_AXIOMS:
         raise ValueError(f"axiom {axiom_name!r} has no detailed view; valid: {', '.join(DETAILED_AXIOMS)}")
-    terms, vi, vj = _views(index, query, di, dj)
-    tf_rows = [(t, vi.tf[t], vj.tf[t]) for t in terms]
+    si, sj = _views(index, query, di, dj)
+    terms = si.terms
+    tf_rows = [(t, si.tf[t], sj.tf[t]) for t in terms]
     pair_rows = []
     if axiom_name.startswith("PROX"):
-        avg_i = _matched_pair_averages(terms, vi)
-        avg_j = _matched_pair_averages(terms, vj)
-        for ta, tb in itertools.combinations(terms, 2):
-            left = avg_i.get((ta, tb))
-            right = avg_j.get((ta, tb))
-            if left is None and right is None:
-                continue
-            pair_rows.append(((ta, tb), left, right))
-    preference = AXIOMS[axiom_name](index, terms, vi, vj)
-    if axiom_name == "PROX1":
-        return DetailsTable.build(axiom_name, terms, (di, dj), tf_rows, pair_rows)
-    return DetailsTable.build(axiom_name, terms, (di, dj), tf_rows, pair_rows,
-                              preference=preference)
+        for pair in itertools.combinations(terms, 2):
+            left, right = si.pair_averages.get(pair), sj.pair_averages.get(pair)
+            if left is not None or right is not None:
+                pair_rows.append((pair, left, right))
+    preference = None if axiom_name == "PROX1" else AXIOMS[axiom_name](si, sj)
+    return DetailsTable.build(axiom_name, terms, (di, dj), tf_rows, pair_rows, preference=preference)
 
 
 def _fmt(value) -> str:
@@ -441,15 +461,17 @@ class AggregatedAxiom:
         for name, weight in self.children:
             if name not in AXIOMS:
                 raise ValueError(f"unknown axiom {name!r}; valid: {', '.join(AXIOM_NAMES)}")
-            if not math.isfinite(weight):
-                raise ValueError(f"weight for {name!r} must be finite")
+            label = f"weight for {name!r}"
+            if isinstance(weight, float) and not math.isfinite(weight):
+                raise ValueError(f"{label} must be finite")
+            _check_number(label, weight, "(-inf, inf)")
 
 
 def aggregate_preference(agg: AggregatedAxiom, index: PositionalIndex, query: Query,
                          di: str, dj: str) -> int:
     """Combine child preferences: sign of weighted sum, or simple majority."""
-    terms, vi, vj = _views(index, query, di, dj)
-    prefs = [(AXIOMS[name](index, terms, vi, vj), weight) for name, weight in agg.children]
+    si, sj = _views(index, query, di, dj)
+    prefs = [(AXIOMS[name](si, sj), weight) for name, weight in agg.children]
     if agg.mode == "weighted_sum_sign":
         return _sign(left_sum(p * w for p, w in prefs))
     plus = sum(1 for p, _ in prefs if p == 1)

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import json
+import weakref
 
 import pytest
 
@@ -13,7 +15,8 @@ from rankexplain import (
     explain_details,
     render_details,
 )
-from rankexplain.axioms import AXIOM_NAMES, DetailsTable, all_preferences
+from rankexplain import axioms
+from rankexplain.axioms import AXIOM_NAMES, DETAILED_AXIOMS, DetailsTable, all_preferences
 from rankexplain.index import UnknownDocumentError
 from rankexplain.rng import XorShift64Star
 
@@ -371,3 +374,70 @@ def test_aggregate_antisymmetry_and_scale_invariance():
         assert fwd == -bwd
         scaled = AggregatedAxiom(children=tuple((n, w * 7.0) for n, w in agg.children))
         assert aggregate_preference(scaled, index, query, d1, d2) == fwd
+
+
+# -- the DocStats memo ------------------------------------------------------------
+
+
+def _all_outputs(index, query, di, dj):
+    return (all_preferences(index, query, di, dj),
+            [explain_details(name, index, query, di, dj) for name in DETAILED_AXIOMS])
+
+
+def test_cold_warm_and_fresh_index_give_equal_results():
+    corpus = random_corpus(XorShift64Star(5), 4, make_vocab(5), min_len=3, max_len=20)
+    index = build_index(corpus)
+    query = Query.from_terms("q", ["w00", "w01", "w00", "w03"])
+    assert axioms._memos.get(index) is None
+    cold = _all_outputs(index, query, "d000", "d001")
+    assert len(axioms._memos[index]) == 2
+    warm = _all_outputs(index, query, "d000", "d001")
+    fresh = _all_outputs(build_index(corpus), query, "d000", "d001")
+    assert cold == warm == fresh
+
+
+def test_an_unknown_docid_raises_every_time_and_stores_nothing():
+    index = mini_index("qq ww", "ww")
+    query = Query.from_terms("q", ["qq", "ww"])
+    for _ in range(2):
+        with pytest.raises(UnknownDocumentError):
+            axiom_preference("PROX1", index, query, "nope", "d1")
+        assert axioms._memos.get(index) is None
+    for _ in range(2):
+        with pytest.raises(UnknownDocumentError):
+            explain_details("PROX1", index, query, "d1", "nope")
+        assert list(axioms._memos[index]) == [(("qq", "ww"), "d1")]
+
+
+def test_the_memo_is_freed_with_its_index():
+    index = mini_index("qq ww", "ww qq")
+    all_preferences(index, Query.from_terms("q", ["qq", "ww"]), "d1", "d2")
+    alive = weakref.ref(index)
+    n_memos = len(axioms._memos)
+    del index
+    gc.collect()
+    assert alive() is None
+    assert len(axioms._memos) < n_memos
+
+
+def test_the_memo_holds_at_most_its_capacity_and_evicts_the_oldest_first():
+    index = mini_index("qq ww", "ww ff")
+    queries = [Query.from_terms("q", ["qq", f"x{k}"]) for k in range(axioms.MEMO_CAPACITY)]
+    for query in queries:
+        axiom_preference("TFC1", index, query, "d1", "d2")
+        assert len(axioms._memos[index]) <= axioms.MEMO_CAPACITY
+    memo = axioms._memos[index]
+    assert len(memo) == axioms.MEMO_CAPACITY
+    assert (("qq", "x0"), "d1") not in memo and (("qq", "x0"), "d2") not in memo
+    assert list(memo)[-1] == ((("qq", f"x{axioms.MEMO_CAPACITY - 1}"), "d2"))
+
+
+def test_indexes_with_the_same_docids_do_not_share_stats():
+    first = mini_index("qq ff ww", "qq ww")
+    second = mini_index("ww ff ff ff qq", "qq qq ww")
+    query = Query.from_terms("q", ["qq", "ww"])
+    before = _all_outputs(second, query, "d1", "d2")
+    axioms._memos.pop(second)
+    _all_outputs(first, query, "d1", "d2")
+    assert _all_outputs(second, query, "d1", "d2") == before
+    assert _all_outputs(first, query, "d1", "d2") != before

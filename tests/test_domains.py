@@ -202,6 +202,7 @@ API_ARGUMENTS = [
     ("top_k", lambda i, r, q, l, v: rx.generate_candidates(i, l, top_k=v), [1.0, True]),
     ("n_candidates", lambda i, r, q, l, v: rx.generate_candidates(i, l, top_k=1, n_candidates=v), [1.0, True]),
     ("count", lambda i, r, q, l, v: rx.sample_pairs(l, "uniform", v, rx.XorShift64Star(0)), [1.5, True]),
+    ("weight for 'TFC1'", lambda i, r, q, l, v: rx.AggregatedAxiom((("TFC1", v),)), ["x", None, True]),
 ]
 
 

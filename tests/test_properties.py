@@ -8,6 +8,7 @@ the reference values to the bit, not approximately.
 """
 
 import heapq
+import itertools
 import json
 import math
 import os
@@ -42,8 +43,8 @@ from rankexplain import (
     sample_pairs,
     spearman_rho,
 )
-from rankexplain import AggregatedAxiom, aggregate_preference, axiom_preference, listwise
-from rankexplain.axioms import AGGREGATION_MODES, AXIOM_NAMES
+from rankexplain import AggregatedAxiom, aggregate_preference, axiom_preference, explain_details, listwise
+from rankexplain.axioms import AGGREGATION_MODES, AXIOM_NAMES, DETAILED_AXIOMS, DetailsTable, all_preferences
 from rankexplain.index import _check_postings, left_sum
 from rankexplain.listwise import (
     PAIR_STRATEGIES,
@@ -997,6 +998,177 @@ def test_aggregate_equals_sign_or_majority_of_child_preferences(data, built, mod
         total = sum(p for p, _ in prefs)        # votes for minus votes against
     expected = (total > 0) - (total < 0)
     assert aggregate_preference(AggregatedAxiom(children, mode), index, query, di, dj) == expected
+
+
+# -- axioms: DocStats against the per-call views they replaced -----------------
+
+
+class ReferenceView:
+    """The per-call document view every axiom call built before ``DocStats``."""
+
+    def __init__(self, index, query_terms, docid):
+        self.dl = index.doc_length(docid)
+        self.tf = {t: index.tf(t, docid) for t in query_terms}
+        self.positions = {t: index.positions(t, docid) for t in query_terms}
+        self.matched = [t for t in query_terms if self.tf[t] > 0]
+        self.sum_tf = sum(self.tf.values())
+
+
+def _ref_smaller(a, b):
+    return 0 if a == b else (1 if a < b else -1)
+
+
+def _ref_comparable(a, b):
+    return a == b or abs(a - b) <= 0.1 * max(a, b)
+
+
+def _ref_tf_lnc_condition(terms, va, vb):
+    diffs = [va.tf[t] - vb.tf[t] for t in terms]
+    if any(d < 0 for d in diffs) or not any(d > 0 for d in diffs):
+        return False
+    return va.dl <= vb.dl + sum(diffs)
+
+
+def _ref_lb1_condition(va, vb):
+    sa, sb = set(va.matched), set(vb.matched)
+    return sb < sa and all(_ref_comparable(va.tf[t], vb.tf[t]) for t in sb)
+
+
+def _ref_pair_averages(view):
+    return {(ta, tb): sum(abs(pa - pb) for pa in view.positions[ta] for pb in view.positions[tb])
+            / (len(view.positions[ta]) * len(view.positions[tb]))
+            for ta, tb in itertools.combinations(view.matched, 2)}
+
+
+def _ref_total_avg_dist(view):
+    pairs = _ref_pair_averages(view)
+    return left_sum(pairs.values()) / len(pairs) if pairs else math.inf
+
+
+def _ref_cover_window(view):
+    if not view.matched:
+        return math.inf
+    events = sorted((p, t) for t in view.matched for p in view.positions[t])
+    counts = {}
+    covered, best, left = 0, math.inf, 0
+    for pos_r, term_r in events:
+        counts[term_r] = counts.get(term_r, 0) + 1
+        covered += counts[term_r] == 1
+        while covered == len(view.matched):
+            best = min(best, pos_r - events[left][0] + 1)
+            counts[events[left][1]] -= 1
+            covered -= counts[events[left][1]] == 0
+            left += 1
+    return best
+
+
+def _ref_phrase_position(view, terms):
+    if not terms:
+        return math.inf
+    sets = [set(view.positions[t]) for t in terms]
+    for start in view.positions[terms[0]]:
+        if all(start + k in s for k, s in enumerate(sets)):
+            return start
+    return math.inf
+
+
+def _ref_min_pair_distance(view):
+    return min((abs(pa - pb) for ta, tb in itertools.combinations(view.matched, 2)
+                for pa in view.positions[ta] for pb in view.positions[tb]), default=math.inf)
+
+
+def _ref_mean_nearest_other(view):
+    if len(view.matched) < 2:
+        return math.inf
+    distances = []
+    for term in view.matched:
+        others = [p for t in view.matched if t != term for p in view.positions[t]]
+        distances.extend(min(abs(pos - o) for o in others) for pos in view.positions[term])
+    return sum(distances) / len(distances)
+
+
+def _ref_both_ways(condition):
+    return lambda index, terms, vi, vj: 1 if condition(vi, vj) else (-1 if condition(vj, vi) else 0)
+
+
+REFERENCE_AXIOMS = {
+    "TFC1": lambda index, terms, vi, vj: (
+        _ref_smaller(vj.sum_tf, vi.sum_tf) if _ref_comparable(vi.dl, vj.dl) else 0),
+    "TFC3": lambda index, terms, vi, vj: (
+        _ref_smaller(len(vj.matched), len(vi.matched))
+        if _ref_comparable(vi.dl, vj.dl) and vi.sum_tf == vj.sum_tf else 0),
+    "TDC": lambda index, terms, vi, vj: (
+        _ref_smaller(left_sum(vj.tf[t] * index.idf(t) for t in terms),
+                     left_sum(vi.tf[t] * index.idf(t) for t in terms))
+        if _ref_comparable(vi.dl, vj.dl) else 0),
+    "LNC1": lambda index, terms, vi, vj: (
+        0 if any(vi.tf[t] != vj.tf[t] for t in terms) else _ref_smaller(vi.dl, vj.dl)),
+    "TF_LNC": lambda index, terms, vi, vj: _ref_both_ways(
+        lambda va, vb: _ref_tf_lnc_condition(terms, va, vb))(index, terms, vi, vj),
+    "LB1": _ref_both_ways(_ref_lb1_condition),
+    "PROX1": lambda index, terms, vi, vj: _ref_smaller(_ref_total_avg_dist(vi), _ref_total_avg_dist(vj)),
+    "PROX2": lambda index, terms, vi, vj: (
+        _ref_smaller(len(vj.matched), len(vi.matched))
+        or _ref_smaller(_ref_cover_window(vi), _ref_cover_window(vj))),
+    "PROX3": lambda index, terms, vi, vj: _ref_smaller(
+        _ref_phrase_position(vi, terms), _ref_phrase_position(vj, terms)),
+    "PROX4": lambda index, terms, vi, vj: _ref_smaller(_ref_min_pair_distance(vi), _ref_min_pair_distance(vj)),
+    "PROX5": lambda index, terms, vi, vj: _ref_smaller(_ref_mean_nearest_other(vi), _ref_mean_nearest_other(vj)),
+    "AND": lambda index, terms, vi, vj: (
+        _ref_smaller(len(vj.matched) == len(terms), len(vi.matched) == len(terms)) if terms else 0),
+}
+
+
+def reference_axioms(index, query, di, dj):
+    """Every axiom's preference, from views built for this one call."""
+    terms = list(dict.fromkeys(query.terms))
+    vi, vj = ReferenceView(index, terms, di), ReferenceView(index, terms, dj)
+    return {name: fn(index, terms, vi, vj) for name, fn in REFERENCE_AXIOMS.items()}
+
+
+def reference_details(axiom, index, query, di, dj):
+    terms = list(dict.fromkeys(query.terms))
+    vi, vj = ReferenceView(index, terms, di), ReferenceView(index, terms, dj)
+    pair_rows = []
+    if axiom.startswith("PROX"):
+        avg_i, avg_j = _ref_pair_averages(vi), _ref_pair_averages(vj)
+        pair_rows = [(pair, avg_i.get(pair), avg_j.get(pair)) for pair in itertools.combinations(terms, 2)
+                     if pair in avg_i or pair in avg_j]
+    preference = None if axiom == "PROX1" else REFERENCE_AXIOMS[axiom](index, terms, vi, vj)
+    return DetailsTable.build(axiom, terms, (di, dj), [(t, vi.tf[t], vj.tf[t]) for t in terms],
+                              pair_rows, preference=preference)
+
+
+AXIOM_TERMS = make_vocab(4, prefix="q")
+
+
+@st.composite
+def axiom_layouts(draw):
+    """2-4 documents over four query terms and a filler, empty ones included, and a
+    query of 1-4 terms, repeats and an unindexed term included."""
+    docs = draw(st.lists(st.lists(st.sampled_from(AXIOM_TERMS + ["ff"]), max_size=14),
+                         min_size=2, max_size=4))
+    index = build_index([Document(f"d{i}", " ".join(tokens)) for i, tokens in enumerate(docs)])
+    terms = draw(st.lists(st.sampled_from(AXIOM_TERMS + [OOV]), min_size=1, max_size=4))
+    return index, Query.from_terms("q", terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(axiom_layouts(), st.lists(st.floats(-4.0, 4.0), min_size=len(AXIOM_NAMES), max_size=len(AXIOM_NAMES)))
+def test_doc_stats_axioms_equal_the_per_call_reference(built, weights):
+    index, query = built
+    children = tuple(zip(AXIOM_NAMES, weights))
+    for di, dj in itertools.permutations(index.doc_ids(), 2):
+        expected = reference_axioms(index, query, di, dj)
+        assert all_preferences(index, query, di, dj) == expected
+        assert {name: axiom_preference(name, index, query, di, dj) for name in AXIOM_NAMES} == expected
+        for mode in AGGREGATION_MODES:
+            total = left_sum(expected[n] * w for n, w in children) if mode == "weighted_sum_sign" \
+                else sum(expected.values())
+            assert aggregate_preference(AggregatedAxiom(children, mode), index, query, di, dj) \
+                == (total > 0) - (total < 0)
+        for axiom in DETAILED_AXIOMS:
+            assert explain_details(axiom, index, query, di, dj) == reference_details(axiom, index, query, di, dj)
 
 
 # -- rank measures -------------------------------------------------------------
