@@ -429,7 +429,7 @@ def test_the_memo_holds_at_most_its_capacity_and_evicts_the_oldest_first():
     memo = axioms._memos[index]
     assert len(memo) == axioms.MEMO_CAPACITY
     assert (("qq", "x0"), "d1") not in memo and (("qq", "x0"), "d2") not in memo
-    assert list(memo)[-1] == ((("qq", f"x{axioms.MEMO_CAPACITY - 1}"), "d2"))
+    assert list(memo)[-1] == (("qq", f"x{axioms.MEMO_CAPACITY - 1}"), "d2")
 
 
 def test_indexes_with_the_same_docids_do_not_share_stats():

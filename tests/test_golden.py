@@ -97,7 +97,7 @@ def _cases() -> list[tuple[str, list[str]]]:
 
 
 # (qid, docs) pairs of the demo corpus on which PROX1 to PROX5 each fire in
-# some pair, with and against each other, and every other axiom fires once.
+# some pair, with and against each other, and every other axiom in at least one.
 AXIOM_PAIRS = (("5", "H1,H4"), ("3", "S1,S2"), ("4", "C2,C3"), ("1", "H4,T2"), ("1", "T1,T2"))
 AXIOM_WEIGHTS = "1,0.5,2,1,1,0.25,3,1,1,1.5,6,0.75"
 
@@ -150,7 +150,7 @@ def test_every_golden_file_has_a_case():
     assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted(name for name, _ in CASES)
 
 
-# An OpenBLAS core type and numpy loops other than the ones this host picks.
+# An OpenBLAS core type and numpy loops other than the ones picked by default.
 OTHER_KERNELS = {"OPENBLAS_CORETYPE": "Prescott", "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
 
 
