@@ -1,9 +1,13 @@
 import re
+import runpy
+import string
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+import porter_reference
 import rankexplain.analysis
-from rankexplain import Document, stem, PositionalIndex, build_index
+from rankexplain import Document, stem, PositionalIndex, build_index, read_corpus_jsonl
 from rankexplain.analysis import (
     DEFAULT_CONFIG,
     ENGLISH_STOPWORDS,
@@ -11,6 +15,7 @@ from rankexplain.analysis import (
     analyze,
     tokenize,
 )
+from rankexplain.datasets import demo_corpus_path
 from rankexplain.rng import XorShift64Star
 from rankexplain.stem import porter_stem
 
@@ -132,6 +137,11 @@ def test_porter_known_pairs():
         "exons": "exon", "arteries": "arteri", "everyday": "everydai",
         "people": "peopl", "together": "togeth", "stroke": "stroke",
         "controll": "control", "roll": "roll",
+        # y after a consonant is a vowel; every character but a e i o u y
+        # is a consonant, uppercase letters, digits and non-ASCII included
+        "yyy": "yyi", "syzygy": "syzygi", "crying": "cry", "Ying": "Ying",
+        "RUNNING": "RUNNING", "Running": "Run", "a1b2ing": "a1b2",
+        "naïvely": "naïv", "añoing": "año",
     }
     for word, stem in pairs.items():
         assert porter_stem(word) == stem, word
@@ -216,18 +226,19 @@ def reference_apply_rules(word, rules):
 
 def reference_step2(word):
     """Step 2 as first written: a fresh rule list per call, scanned twice."""
-    if word.endswith("logi") and stem._measure(word[:-3]) > 0:
+    if word.endswith("logi") and porter_reference._measure(word[:-3]) > 0:
         return word[:-3] + "og"
     if reference_apply_rules(word, [(s, r, None) for s, r in REFERENCE_STEP2_RULES]) is None:
         return word
     best = max((s for s, _ in REFERENCE_STEP2_RULES if word.endswith(s)), key=len)
     base = word[: len(word) - len(best)]
-    return base + dict(REFERENCE_STEP2_RULES)[best] if stem._measure(base) > 0 else word
+    return base + dict(REFERENCE_STEP2_RULES)[best] if porter_reference._measure(base) > 0 else word
 
 
 def reference_step3(word):
     result = reference_apply_rules(
-        word, [(s, r, lambda base: stem._measure(base) > 0) for s, r in REFERENCE_STEP3_RULES])
+        word, [(s, r, lambda base: porter_reference._measure(base) > 0)
+               for s, r in REFERENCE_STEP3_RULES])
     return word if result is None else result
 
 
@@ -237,7 +248,7 @@ def reference_step4(word):
         return word
     suffix = max(matched, key=len)
     base = word[: len(word) - len(suffix)]
-    if stem._measure(base) <= 1:
+    if porter_reference._measure(base) <= 1:
         return word
     if suffix == "ion" and not base.endswith(("s", "t")):
         return word
@@ -259,3 +270,45 @@ def test_porter_steps_2_to_4_equal_rule_scans(word):
     assert stem._step2(word) == reference_step2(word)
     assert stem._step3(word) == reference_step3(word)
     assert stem._step4(word) == reference_step4(word)
+
+
+# -- the whole stemmer against the reference copy --------------------------------
+
+STEP1_SUFFIXES = ["sses", "ies", "ss", "s", "eed", "ed", "ing", "at", "bl", "iz", "y", "e", "ll"]
+heads = st.text(alphabet="abcdeilnorstuvwyzY", max_size=8)
+any_words = st.one_of(
+    st.text(max_size=12),                                    # the full Unicode alphabet
+    st.text(max_size=12).map(str.upper),
+    st.text(alphabet=string.ascii_letters + string.digits + "ïñÿÏ", max_size=12),
+    st.lists(st.sampled_from(["y", "yy", "yyy", "Y", "a", "e", "u", "b", "r", "s", "ï"]),
+             max_size=8).map("".join),
+    st.builds(lambda head, tail: head + "".join(tail), heads,
+              st.lists(st.sampled_from(RULE_SUFFIXES + STEP1_SUFFIXES), min_size=1, max_size=3)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(any_words)
+def test_porter_stem_equals_the_reference(word):
+    assert porter_stem(word) == porter_reference.porter_stem(word)
+
+
+def bench_corpus_words(seed):
+    """Every word a bench corpus at seed can hold: each root with each suffix, and the stopwords.
+
+    All three workloads draw their roots from one generator seeded with
+    the bench seed, so the 2000 roots of the largest are a superset of the
+    others'.
+    """
+    corpus = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "corpus.py"))
+    roots = corpus["make_roots"](XorShift64Star(seed), 2000)
+    return {root + suffix for root in roots for suffix, _ in corpus["_SUFFIXES"]} | set(corpus["_STOPWORDS"])
+
+
+def test_porter_stem_equals_the_reference_on_bench_and_demo_words():
+    words = bench_corpus_words(1)
+    for doc in read_corpus_jsonl(demo_corpus_path()):
+        tokens = re.findall(DEFAULT_CONFIG.token_pattern, doc.text)
+        words.update(tokens, (t.lower() for t in tokens))
+    assert len(words) > 30000
+    assert [porter_stem(w) for w in words] == [porter_reference.porter_stem(w) for w in words]
