@@ -147,6 +147,15 @@ def test_porter_known_pairs():
         assert porter_stem(word) == stem, word
 
 
+def test_measure_of_porters_examples():
+    # Porter (1980): m=0 TR, EE, TREE, Y, BY; m=1 TROUBLE, OATS, TREES, IVY;
+    # m=2 TROUBLES, PRIVATE, OATEN, ORRERY
+    for m, words in enumerate([["tr", "ee", "tree", "y", "by"],
+                               ["trouble", "oats", "trees", "ivy"],
+                               ["troubles", "private", "oaten", "orrery"]]):
+        assert [stem._measure(w) for w in words] == [m] * len(words)
+
+
 def test_analyze_positions_are_token_indices():
     doc = analyze("x", "the cat sat on the mat")
     # stopwords removed before positions are assigned
