@@ -22,11 +22,12 @@ from .rankers import DEPTH_DOMAIN, LMJMRanker, Query, RankedList
 RBO_P_DOMAIN = "(0, 1)"      # of rbo's persistence p
 
 
-def _check_distinct(name: str, items: Sequence) -> None:
-    if len(items) == 0:
-        raise ValueError(f"{name} is empty")
-    if len(set(items)) != len(items):
+def _distinct(name: str, items: Sequence) -> set:
+    """The set of items; a ValueError if one of them repeats."""
+    unique = set(items)
+    if len(unique) != len(items):
         raise ValueError(f"{name} contains duplicate items")
+    return unique
 
 
 def rbo(list_a: Sequence, list_b: Sequence, p: float) -> float:
@@ -39,8 +40,10 @@ def rbo(list_a: Sequence, list_b: Sequence, p: float) -> float:
     result is capped at 1.
     """
     _check_number("p", p, RBO_P_DOMAIN)
-    _check_distinct("list_a", list_a)
-    _check_distinct("list_b", list_b)
+    for name, items in (("list_a", list_a), ("list_b", list_b)):
+        if len(items) == 0:
+            raise ValueError(f"{name} is empty")
+        _distinct(name, items)
     k = min(len(list_a), len(list_b))
     seen_a: set = set()
     seen_b: set = set()
@@ -58,7 +61,7 @@ def rbo(list_a: Sequence, list_b: Sequence, p: float) -> float:
 
 
 def _intersection_orders(list_a: Sequence, list_b: Sequence):
-    common = set(list_a) & set(list_b)
+    common = _distinct("list_a", list_a) & _distinct("list_b", list_b)
     if len(common) < 2:
         raise ValueError("undefined correlation: intersection has fewer than 2 items")
     order_a = [x for x in list_a if x in common]
@@ -92,6 +95,8 @@ def spearman_rho(list_a: Sequence, list_b: Sequence) -> float:
 def jaccard_at_k(list_a: Sequence, list_b: Sequence, k: int) -> float:
     """Jaccard similarity of the two top-k sets (full list when shorter)."""
     _check_number("k", k, DEPTH_DOMAIN, int)
+    _distinct("list_a", list_a)
+    _distinct("list_b", list_b)
     top_a = set(list_a[:k])
     top_b = set(list_b[:k])
     union = top_a | top_b

@@ -198,9 +198,8 @@ class PositionalIndex:
 
     def doc_terms(self, docid: str) -> tuple[np.ndarray, np.ndarray]:
         """The ascending term ordinals of docid and each one's tf, as read-only int32 views."""
+        self._require_doc(docid)
         row = bisect.bisect_left(self._docids, docid)
-        if row == len(self._docids) or self._docids[row] != docid:
-            raise UnknownDocumentError(f"unknown docid: {docid!r}")
         lo, hi = self._offsets[row:row + 2].tolist()
         return self._ordinals[lo:hi], self._counts[lo:hi]
 

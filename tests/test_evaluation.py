@@ -139,6 +139,24 @@ def test_rho_hand_value():
     assert spearman_rho(["a", "b", "c"], ["a", "c", "b"]) == pytest.approx(0.5)
 
 
+def test_correlations_and_jaccard_reject_a_repeated_item():
+    # at the parent: tau -1.0, rho -0.25, jaccard 0.5
+    for a, b, name in [(["a", "a", "b"], ["b", "a"], "list_a"),
+                       (["b", "a"], ["a", "b", "a"], "list_b"),
+                       (["a", "b", "c", "c"], ["a", "b", "c"], "list_a")]:
+        for measure in (kendall_tau, spearman_rho, lambda x, y: jaccard_at_k(x, y, 2)):
+            with pytest.raises(ValueError, match=f"{name} contains duplicate items"):
+                measure(a, b)
+
+
+def test_empty_lists_keep_their_results():
+    for measure in (kendall_tau, spearman_rho):
+        with pytest.raises(ValueError, match="undefined correlation"):
+            measure([], [])
+    assert jaccard_at_k([], [], 2) == 1.0
+    assert jaccard_at_k([], ["a"], 2) == 0.0
+
+
 def test_correlations_undefined_below_two():
     with pytest.raises(ValueError, match="undefined correlation"):
         kendall_tau(["a"], ["a"])

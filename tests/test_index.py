@@ -377,6 +377,14 @@ def test_candidates_name_an_unknown_docid():
         index.doc_terms("nope")
 
 
+@pytest.mark.parametrize("docid", [5, None])
+def test_a_docid_that_is_not_a_string_is_unknown(docid):
+    index = build_index([Document("d1", "qq ww qq"), Document("d2", "ww zz")])
+    for read in (index.doc_length, index.doc_terms, lambda d: index.tf_block(["qq"], [d])):
+        with pytest.raises(UnknownDocumentError, match=repr(docid)):
+            read(docid)
+
+
 # -- an explainer reads only the documents it explains ----------------------------
 
 
