@@ -1,3 +1,4 @@
+import itertools
 import re
 import runpy
 import string
@@ -284,13 +285,15 @@ def test_porter_steps_2_to_4_equal_rule_scans(word):
 # -- the whole stemmer against the reference copy --------------------------------
 
 STEP1_SUFFIXES = ["sses", "ies", "ss", "s", "eed", "ed", "ing", "at", "bl", "iz", "y", "e", "ll"]
-heads = st.text(alphabet="abcdeilnorstuvwyzY", max_size=8)
+heads = st.text(alphabet="abcdeilnorstuvwyzYïñ", max_size=8)
 any_words = st.one_of(
     st.text(max_size=12),                                    # the full Unicode alphabet
     st.text(max_size=12).map(str.upper),
     st.text(alphabet=string.ascii_letters + string.digits + "ïñÿÏ", max_size=12),
-    st.lists(st.sampled_from(["y", "yy", "yyy", "Y", "a", "e", "u", "b", "r", "s", "ï"]),
-             max_size=8).map("".join),
+    st.builds(lambda parts, tail: "".join(parts) + tail,             # y-runs
+              st.lists(st.sampled_from(["y", "yy", "yyy", "Y", "a", "e", "u", "b", "r", "s", "ï"]),
+                       max_size=8),
+              st.sampled_from([""] + STEP1_SUFFIXES)),
     st.builds(lambda head, tail: head + "".join(tail), heads,
               st.lists(st.sampled_from(RULE_SUFFIXES + STEP1_SUFFIXES), min_size=1, max_size=3)),
 )
@@ -300,6 +303,14 @@ any_words = st.one_of(
 @given(any_words)
 def test_porter_stem_equals_the_reference(word):
     assert porter_stem(word) == porter_reference.porter_stem(word)
+
+
+def test_porter_stem_equals_the_reference_on_every_short_y_word():
+    # Whether a y is a vowel depends on the letters before it, so enumerate
+    # every word of up to six of a, b and y, with each step-1 suffix.
+    words = ["".join(letters) + tail for n in range(7) for letters in itertools.product("aby", repeat=n)
+             for tail in [""] + STEP1_SUFFIXES]
+    assert [porter_stem(w) for w in words] == [porter_reference.porter_stem(w) for w in words]
 
 
 def bench_corpus_words(seed):
