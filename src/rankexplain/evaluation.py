@@ -139,9 +139,9 @@ def lmjm_ground_truth(index: PositionalIndex, query: Query, ranked: RankedList,
     and renormalized.
 
     The masses are one vector over term ordinals, and each top document's
-    ``term_probability`` vector times its weight is added to it in rank
-    order from 0.0, so each term's mass is the same float as its running
-    scalar sum.
+    vector of mixtures ``(1 - lam) * tf / dl + lam * cf / total_tokens``
+    times its weight is added to it in rank order from 0.0, so each term's
+    mass is the same float as its running scalar sum.
     """
     _check_number("top_n", top_n, f"[1, {len(ranked)}]", int)
     _check_number("n_terms", n_terms, "[1, inf)", int)
@@ -193,6 +193,7 @@ def pointwise_correctness(expl, truth: GroundTruthTerms) -> float:
 
 def pointwise_consistency(explanations: Sequence, m: int = 10) -> float:
     """Mean pairwise Jaccard similarity of the top-m term sets."""
+    _check_number("m", m, "[1, inf)", int)
     if len(explanations) < 2:
         raise ValueError("consistency needs at least 2 explanations")
     top_sets = []

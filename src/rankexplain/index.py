@@ -31,6 +31,8 @@ _POSITIONS = "positions must be a non-empty, strictly increasing list of ints in
 
 def _check_id(kind: str, value: str, where: str = "") -> None:
     """Reject an id that a whitespace-separated run file could not read back."""
+    if not isinstance(value, str):
+        raise ValueError(f"{where}{kind} must be a string, got {value!r}")
     if value.split() != [value]:
         raise ValueError(f"{where}{kind} {value!r} is empty or contains whitespace")
 
@@ -392,8 +394,8 @@ def _term_count_rows(streams: list, ordinal: dict, n_entries: int):
 def build_index(corpus: list[Document], config: AnalyzerConfig = DEFAULT_CONFIG) -> PositionalIndex:
     """Tokenize a corpus and build the positional index.
 
-    Rejects duplicate docids, and empty ones or ones with whitespace. An
-    empty corpus yields an index with n_docs == 0 and avgdl == 0.
+    Rejects duplicate, non-string or empty docids, ones with whitespace and
+    non-string text. An empty corpus yields an index with n_docs == 0 and avgdl == 0.
     """
     postings: dict[str, dict[str, tuple[int, ...]]] = {}
     doc_tokens: dict[str, tuple[str, ...]] = {}
@@ -403,6 +405,8 @@ def build_index(corpus: list[Document], config: AnalyzerConfig = DEFAULT_CONFIG)
         _check_id("docid", doc.docid)
         if doc.docid in doc_tokens:
             raise ValueError(f"duplicate docid: {doc.docid!r}")
+        if not isinstance(doc.text, str):
+            raise ValueError(f"docid {doc.docid!r}: text must be a string, got {doc.text!r}")
         tokens = analyze(doc.text)
         singles.extend((p,) for p in range(len(singles), len(tokens)))
         doc_tokens[doc.docid] = tuple(tokens)

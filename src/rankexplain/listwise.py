@@ -323,8 +323,8 @@ class FidelityEvaluator:
     arrays, equal by ``==`` to ``rbo`` of ``rank``'s re-ranking:
 
     - totals add each set's rows in expanded-query order from +0.0, a set
-      shorter than the current column masked out rather than given a 0.0
-      row, so they are ``rank``'s scores to the bit;
+      shorter than the widest padded with row 0, all +0.0, which keeps the
+      bits of a sum from +0.0, so they are ``rank``'s scores to the bit;
     - a stable argsort of the negated totals gives ``rank``'s order, score
       descending and ties by docid;
     - a document is in both depth-d prefixes from d = max(its re-ranked
@@ -364,9 +364,9 @@ class FidelityEvaluator:
             self._weights = np.array([p ** d for d in range(n)])          # p ** (depth - 1), as in rbo
             self._p_k = p ** n
             terms = list(dict.fromkeys([*query.terms, *terms]))
-            self._slot = dict(zip(terms, range(len(terms))))
+            self._slot = dict(zip(terms, range(1, len(terms) + 1)))
             # Reads every docid's length, so an unknown docid raises, as in rank.
-            self._rows = sm.term_rows(terms, self._docids)
+            self._rows = np.vstack([np.zeros((1, len(self._docids))), sm.term_rows(terms, self._docids)])
 
     def _expand(self, terms: Sequence[str]) -> list[str]:
         expanded = list(self.query.terms)
@@ -377,23 +377,17 @@ class FidelityEvaluator:
 
     def _totals(self, expanded: Sequence[Sequence[str]]) -> np.ndarray:
         """(sets x pool) scores: each set's term rows added in order from +0.0."""
-        missing = [t for e in expanded for t in e if t not in self._slot]
+        missing = list(dict.fromkeys(t for e in expanded for t in e if t not in self._slot))
         if missing:
-            missing = list(dict.fromkeys(missing))
             self._slot.update(zip(missing, range(len(self._rows), len(self._rows) + len(missing))))
             self._rows = np.vstack([self._rows, self.sm.term_rows(missing, self._docids)])
-        lengths = [len(e) for e in expanded]
-        width, full = max(lengths), min(lengths)
+        width = max(len(e) for e in expanded)
         slots = np.array([[self._slot[t] for t in e] + [0] * (width - len(e)) for e in expanded],
                          dtype=np.intp).reshape(len(expanded), width)
         block = self._rows[slots]                                # (sets, columns, pool)
         totals = np.zeros((len(expanded), len(self._docids)))
-        for c in range(full):
+        for c in range(width):
             totals += block[:, c]
-        if full < width:
-            live = np.array(lengths)[:, None] > np.arange(width)
-            for c in range(full, width):
-                np.add(totals, block[:, c], out=totals, where=live[:, c, None])
         return totals
 
     def batch(self, term_sets: Sequence[Sequence[str]]) -> list[float]:

@@ -116,6 +116,9 @@ def fit_weighted_ridge(X, y, sample_weights, ridge: float,
         feature_names = [str(i) for i in range(d)]
     if len(feature_names) != d:
         raise ValueError("feature_names length must match X columns")
+    if len(set(feature_names)) != d:
+        repeated = next(f for i, f in enumerate(feature_names) if f in feature_names[:i])
+        raise ValueError(f"feature_names repeats {repeated!r}")
 
     A = np.hstack([X, np.ones((n, 1))])
     penalty = np.diag([ridge] * d + [0.0])

@@ -140,14 +140,10 @@ class Ranker(ABC):
         tokens = np.array(tokens, dtype=object)
         return np.array([self.score_tokens(query, tuple(tokens[row])) for row in kept], dtype=float)
 
-    def term_scores(self, term: str, docids: Sequence[str]) -> list[float]:
-        """Score of the one-term query ``term`` for each of docids, in order."""
-        query = Query.from_terms("", [term])
-        return [self.score(query, docid) for docid in docids]
-
     def term_rows(self, terms: Sequence[str], docids: Sequence[str]) -> np.ndarray:
-        """``term_scores`` of each of terms: a (len(terms) x len(docids)) float64 block."""
-        rows = [self.term_scores(term, docids) for term in terms]
+        """Each of terms' one-term query scored on each of docids: a (len(terms) x len(docids)) float64 block."""
+        queries = [Query.from_terms("", [term]) for term in terms]
+        rows = [[self.score(query, docid) for docid in docids] for query in queries]
         return np.array(rows, dtype=np.float64).reshape(len(terms), len(docids))
 
 
@@ -163,12 +159,12 @@ class _SparseRanker(Ranker):
     Each model writes its formula twice, in the same operation order:
     ``_term_score`` for one (term, tf, length) and ``_term_block`` for a
     (terms x columns) tf matrix and one length per column, with each
-    term's idf or cf taken once. The block serves ``term_rows`` and
-    ``term_scores`` (its one-row case), and so the preference matrices and
-    the fidelity rows, and ``score_masked`` and ``score_tokens``; ``score``
-    and ``rank`` add one scalar ``_term_score`` per query term. Both add
-    term contributions left to right from zero, so a query's rows summed
-    in query-term order give ``score`` to the bit.
+    term's idf or cf taken once. The block serves ``term_rows``, and so
+    the preference matrices and the fidelity rows, and ``score_masked``
+    and ``score_tokens``; ``score`` and ``rank`` add one scalar
+    ``_term_score`` per query term. Both add term contributions left to
+    right from zero, so a query's rows summed in query-term order give
+    ``score`` to the bit.
     """
 
     def __init__(self, index: PositionalIndex):
@@ -201,9 +197,6 @@ class _SparseRanker(Ranker):
         for row in block:
             total += row
         return total
-
-    def term_scores(self, term: str, docids: Sequence[str]) -> list[float]:
-        return self.term_rows([term], docids)[0].tolist()
 
     def term_rows(self, terms: Sequence[str], docids: Sequence[str]) -> np.ndarray:
         return self._term_block(terms, *self.index.tf_block(terms, docids))
@@ -263,13 +256,6 @@ class LMJMRanker(_SparseRanker):
         out[seen] = _exact_log((1.0 - self.lam) * p_doc + self.lam * p_coll)
         return out
 
-    def term_probability(self, term: str, tf: int, dl: int) -> float:
-        """The smoothed P(term | doc) mixture itself (not its log)."""
-        cf = self.index.cf(term)
-        p_doc = tf / dl if dl > 0 else 0.0
-        p_coll = cf / self.index.total_tokens if self.index.total_tokens else 0.0
-        return (1.0 - self.lam) * p_doc + self.lam * p_coll
-
 
 class LMDirRanker(_SparseRanker):
     """Query log-likelihood with Dirichlet smoothing."""
@@ -326,7 +312,7 @@ class LinearScorer(Ranker):
             _check_number(f"coefficient of {term!r}", c, "(-inf, inf)")
 
     def score(self, query: Query, docid: str) -> float:
-        return left_sum(c * self.index.tf(t, docid) for t, c in self.coefficients.items())
+        return self.score_tokens(query, self.index.doc_tokens(docid))
 
     def score_tokens(self, query: Query, tokens: Sequence[str]) -> float:
         counts = Counter(tokens)
@@ -349,23 +335,21 @@ class HiddenIntentRanker(Ranker):
         self._base = base
         self._hidden = tuple((Query.from_terms("", [term]), weight) for term, weight in hidden_terms)
 
-    def score(self, query: Query, docid: str) -> float:
-        total = self._base.score(query, docid)
+    def _with_hidden(self, base_score, query: Query, *doc):
+        """``base_score(query, *doc)`` plus each hidden term's weighted ``base_score``: a float or an array."""
+        total = base_score(query, *doc)
         for hidden, weight in self._hidden:
-            total += weight * self._base.score(hidden, docid)
+            total = total + weight * base_score(hidden, *doc)
         return total
+
+    def score(self, query: Query, docid: str) -> float:
+        return self._with_hidden(self._base.score, query, docid)
 
     def score_tokens(self, query: Query, tokens: Sequence[str]) -> float:
-        total = self._base.score_tokens(query, tokens)
-        for hidden, weight in self._hidden:
-            total += weight * self._base.score_tokens(hidden, tokens)
-        return total
+        return self._with_hidden(self._base.score_tokens, query, tokens)
 
     def score_masked(self, query: Query, tokens: Sequence[str], kept) -> np.ndarray:
-        total = self._base.score_masked(query, tokens, kept)
-        for hidden, weight in self._hidden:
-            total = total + weight * self._base.score_masked(hidden, tokens, kept)
-        return total
+        return self._with_hidden(self._base.score_masked, query, tokens, kept)
 
 
 def rank(index: PositionalIndex, ranker: Ranker, query: Query,

@@ -43,11 +43,6 @@ def _cv_pattern(word: str) -> str:
     return cv
 
 
-def _measure(stem: str) -> int:
-    """Number of vowel-consonant sequences: [C](VC)^m[V]."""
-    return _cv_pattern(stem).count("vc")
-
-
 def _ends_double_consonant(word: str, cv: str) -> bool:
     """*d condition: the last two letters are equal and the last is a consonant."""
     return len(word) > 1 and word[-1] == word[-2] and cv[-1] == "c"
@@ -132,9 +127,7 @@ def _replace_longest_suffix(word: str, cv: str, rules: dict, min_measure: int) -
     return word
 
 
-def _step2(word: str, cv: str | None = None) -> str:
-    if cv is None:
-        cv = _cv_pattern(word)
+def _step2(word: str, cv: str) -> str:
     # The 'logi' departure keeps the 'l' with the stem, which makes short
     # stems like 'geo' or 'bio' measure positively. No other rule's suffix
     # ends in 'ogi'.
@@ -143,15 +136,11 @@ def _step2(word: str, cv: str | None = None) -> str:
     return _replace_longest_suffix(word, cv, _STEP2_RULES, 1)
 
 
-def _step3(word: str, cv: str | None = None) -> str:
-    if cv is None:
-        cv = _cv_pattern(word)
+def _step3(word: str, cv: str) -> str:
     return _replace_longest_suffix(word, cv, _STEP3_RULES, 1)
 
 
-def _step4(word: str, cv: str | None = None) -> str:
-    if cv is None:
-        cv = _cv_pattern(word)
+def _step4(word: str, cv: str) -> str:
     if word.endswith("ion") and not word.endswith(("sion", "tion")):
         return word
     return _replace_longest_suffix(word, cv, _STEP4_RULES, 2)

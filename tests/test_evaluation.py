@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 
@@ -19,7 +20,6 @@ from rankexplain import (
     spearman_rho,
 )
 from rankexplain.pointwise import ExplanationVector
-from rankexplain.rankers import LMJMRanker
 from rankexplain.rng import XorShift64Star
 
 
@@ -225,10 +225,9 @@ def test_ground_truth_top1_hand_value(gt_index):
     truth = lmjm_ground_truth(gt_index, query, ranked, top_n=1, lam=lam, n_terms=10)
     # with one document the exp(score) factor cancels in normalization:
     # weight(t) proportional to P_jm(t | d1)
-    jm = LMJMRanker(gt_index, lam=lam)
     expected = {}
     for term in gt_index.vocabulary:
-        expected[term] = jm.term_probability(term, gt_index.tf(term, "d1"), 3)
+        expected[term] = (1 - lam) * gt_index.tf(term, "d1") / 3 + lam * gt_index.cf(term) / gt_index.total_tokens
     total = sum(expected.values())
     for term, weight in truth.weights.items():
         assert weight == pytest.approx(expected[term] / total, abs=1e-12)
@@ -332,3 +331,12 @@ def test_consistency_validation():
         pointwise_consistency([e], m=1)
     with pytest.raises(ValueError, match="no terms"):
         pointwise_consistency([e, ExplanationVector(entries=[])], m=1)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_consistency_rejects_m_below_one(m):
+    # Unchecked, m=-1 drops each explanation's last term: these two give 1/3, not 1/2.
+    e1 = ExplanationVector(entries=[("aa", 3.0), ("bb", 2.0), ("cc", 1.0)])
+    e2 = ExplanationVector(entries=[("aa", 3.0), ("bb", 2.0), ("dd", 1.0)])
+    with pytest.raises(ValueError, match=re.escape(f"m must be in [1, inf), got {m}")):
+        pointwise_consistency([e1, e2], m=m)

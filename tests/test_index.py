@@ -69,6 +69,18 @@ def test_docid_empty_or_with_whitespace_rejected(docid):
         build_index([Document("d1", "qq"), Document(docid, "ww")])
 
 
+@pytest.mark.parametrize("docid", [5, None, b"d2"])
+def test_docid_that_is_not_a_string_rejected(docid):
+    with pytest.raises(ValueError, match=re.escape(f"docid must be a string, got {docid!r}")):
+        build_index([Document("d1", "qq"), Document(docid, "ww")])
+
+
+@pytest.mark.parametrize("text", [None, 5, b"qq ww", ["qq"]])
+def test_text_that_is_not_a_string_rejected_naming_the_docid(text):
+    with pytest.raises(ValueError, match=re.escape(f"docid 'd2': text must be a string, got {text!r}")):
+        build_index([Document("d1", "qq"), Document("d2", text)])
+
+
 def test_positions_term_absent():
     index = build_index([Document("d1", "qq ww")])
     assert index.positions("zz", "d1") == []

@@ -110,6 +110,13 @@ def test_ridge_rejects_non_finite_inputs_and_a_ridge_outside_its_domain(changes,
         fit_weighted_ridge(args["X"], args["y"], args["w"], args["ridge"])
 
 
+@pytest.mark.parametrize("names,repeated", [(["a", "a"], "a"), (["x", "b", "c", "b"], "b")])
+def test_ridge_rejects_repeated_feature_names(names, repeated):
+    X = np.eye(len(names))
+    with pytest.raises(ValueError, match=re.escape(f"feature_names repeats {repeated!r}")):
+        fit_weighted_ridge(X, [1.0] * len(names), [1.0] * len(names), 1.0, feature_names=names)
+
+
 def test_ridge_domain_is_the_one_pointwise_params_declares():
     ridge = next(f for f in dataclasses.fields(PointwiseParams) if f.name == "ridge")
     assert ridge.metadata["in"] is RIDGE_DOMAIN

@@ -57,6 +57,12 @@ def test_bm25_unknown_docid(cat_index):
         BM25Ranker(cat_index).score(Query.from_terms("q", ["cat"]), "nope")
 
 
+@pytest.mark.parametrize("coefficients", [{}, {"cat": 2.0}])
+def test_linear_scorer_unknown_docid(cat_index, coefficients):
+    with pytest.raises(UnknownDocumentError, match="'nope'"):
+        LinearScorer(cat_index, coefficients).score(Query.from_terms("q", []), "nope")
+
+
 def test_bm25_tf_monotone(cat_index):
     ranker = BM25Ranker(cat_index)
     query = Query.from_terms("q", ["cat"])
@@ -249,6 +255,14 @@ def test_save_to_res_rejects_an_id_it_could_not_read_back(tmp_path, kind, bad):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("kind,bad", [("qid", 7), ("docid", 5), ("docid", None), ("tag", 1.5)])
+def test_save_to_res_rejects_an_id_that_is_not_a_string(tmp_path, kind, bad):
+    path = tmp_path / "run.trec"
+    with pytest.raises(ValueError, match=re.escape(f"{kind} must be a string, got {bad!r}")):
+        save_to_res(_run(**{kind: bad}), str(path))
+    assert not path.exists()
+
+
 def test_ranked_list_invariant_validation():
     with pytest.raises(ValueError, match="duplicate"):
         RankedList.from_entries("q", [RunEntry("a", 1, 2.0), RunEntry("a", 2, 1.0)])
@@ -306,7 +320,7 @@ def test_hidden_intent_present_term_raises_score():
 def test_term_scores_unknown_docid(cat_index, make):
     ranker = make(cat_index)
     with pytest.raises(UnknownDocumentError):
-        ranker.term_scores("cat", ["D1", "nope"])
+        ranker.term_rows(["cat"], ["D1", "nope"])
     with pytest.raises(UnknownDocumentError):
         ranker.term_rows(["dog", "cat"], ["D1", "D1", "nope"])
 
