@@ -9,6 +9,7 @@ explanations from different samplers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,14 +31,41 @@ def _distinct(name: str, items: Sequence) -> set:
     return unique
 
 
+@functools.lru_cache(maxsize=16)
+def _rbo_weights(p: float, k: int) -> np.ndarray:
+    """Read-only p ** (d - 1) for d = 1..k by Python's ``pow`` (numpy's ``power`` can round otherwise)."""
+    weights = np.array([p ** d for d in range(k)])
+    weights.flags.writeable = False
+    return weights
+
+
+def _rbo_rows(other: np.ndarray, p: float) -> list[float]:
+    """``rbo`` at depth k, the width of ``other``, of each of its rows.
+
+    A row is one list's depth-k prefix, each item given as its 0-based
+    position in the other list's depth-k prefix, or k if it is not there.
+
+    - an item is in both depth-d prefixes from d = 1 + the larger of its
+      two positions, so a cumulative bincount of those gives each overlap;
+    - the terms ``p ** (d-1) * overlap_d / d`` are added left to right (a
+      cumulative sum, not numpy's pairwise ``sum``);
+    - the rounded sum can exceed 1 by an ulp (identical depth-200 lists at
+      p = 0.9, for example), so the result is capped at 1.
+    """
+    rows, k = other.shape
+    entry = np.maximum(np.arange(k), other) + np.arange(0, rows * (k + 1), k + 1)[:, None]
+    overlap = np.bincount(entry.ravel(), minlength=rows * (k + 1)).reshape(rows, k + 1)[:, :k].cumsum(axis=1)
+    agreement = overlap / np.arange(1, k + 1)
+    total = np.cumsum(_rbo_weights(p, k) * agreement, axis=1)[:, -1]
+    return np.minimum(1.0, (1.0 - p) * total + agreement[:, -1] * p ** k).tolist()
+
+
 def rbo(list_a: Sequence, list_b: Sequence, p: float) -> float:
-    """Extrapolated rank-biased overlap at depth min(len(a), len(b)).
+    """Extrapolated rank-biased overlap at depth k = min(len(a), len(b)).
 
     (1 - p) * sum_{d=1..k} p^(d-1) * A_d  +  A_k * p^k, where A_d is the
-    overlap fraction of the two depth-d prefixes. Identical lists give 1
-    up to rounding; top-heavy for small p. The rounded sum can exceed 1 by
-    an ulp (identical depth-200 lists at p = 0.9, for example), so the
-    result is capped at 1.
+    overlap fraction of the two depth-d prefixes, capped at 1. Identical
+    lists give 1 up to rounding; top-heavy for small p.
     """
     _check_number("p", p, RBO_P_DOMAIN)
     for name, items in (("list_a", list_a), ("list_b", list_b)):
@@ -45,19 +73,8 @@ def rbo(list_a: Sequence, list_b: Sequence, p: float) -> float:
             raise ValueError(f"{name} is empty")
         _distinct(name, items)
     k = min(len(list_a), len(list_b))
-    seen_a: set = set()
-    seen_b: set = set()
-    overlap = 0          # |prefix_a & prefix_b| at the current depth
-    total = 0.0
-    agreement = 0.0
-    for d in range(1, k + 1):
-        a, b = list_a[d - 1], list_b[d - 1]
-        overlap += 1 if a == b else (a in seen_b) + (b in seen_a)
-        seen_a.add(a)
-        seen_b.add(b)
-        agreement = overlap / d
-        total += (p ** (d - 1)) * agreement
-    return min(1.0, (1.0 - p) * total + agreement * (p ** k))
+    depth_b = dict(zip(list_b[:k], range(k)))
+    return _rbo_rows(np.fromiter(map(depth_b.get, list_a[:k], itertools.repeat(k)), np.intp, k)[None], p)[0]
 
 
 def _intersection_orders(list_a: Sequence, list_b: Sequence):

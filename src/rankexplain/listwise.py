@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import _check_keys
-from .evaluation import RBO_P_DOMAIN, rbo
+from .evaluation import RBO_P_DOMAIN, _rbo_rows
 from .index import PositionalIndex, _check_number, check_fields
 from .rankers import (
     Query,
@@ -317,27 +317,22 @@ class FidelityEvaluator:
     list must be non-empty with unique docids (ValueError at construction).
 
     ``batch(term_sets)`` gives the fidelity of each expansion-term set;
-    calling the evaluator is ``batch`` of one set. A sparse ranker's score
-    is a sum of per-term rows, so for one the evaluator keeps one row per
-    term over the pool (docids sorted) and scores a batch as (sets x pool)
-    arrays, equal by ``==`` to ``rbo`` of ``rank``'s re-ranking:
+    calling the evaluator is ``batch`` of one set. Each set's re-ranked
+    order is found first, and then one ``_rbo_rows`` call scores the whole
+    batch, equal by ``==`` to ``rbo`` of ``rank``'s re-ranking. Only the
+    order depends on the ranker:
 
-    - totals add each set's rows in expanded-query order from +0.0, a set
-      shorter than the widest padded with row 0, all +0.0, which keeps the
-      bits of a sum from +0.0, so they are ``rank``'s scores to the bit;
-    - a stable argsort of the negated totals gives ``rank``'s order, score
-      descending and ties by docid;
-    - a document is in both depth-d prefixes from d = max(its re-ranked
-      position, its explained position), so a cumulative bincount of those
-      depths gives each depth's overlap;
-    - as in ``rbo``, the terms ``p ** (d-1) * overlap_d / d`` are added left
-      to right (a cumulative sum, not numpy's pairwise ``sum``), and the
-      extrapolated result is capped at 1.
-
-    The rows of the query terms and of ``terms``, the expansion terms the
-    caller will try, are scored in one ``term_rows`` block up front, and any
-    other term's with the first batch that needs it. Any other ranker is
-    re-ranked through ``rank`` and scored by ``rbo``, one set at a time.
+    - a sparse ranker's score is a sum of per-term rows, so the evaluator
+      keeps one row per term over the pool (docids sorted). Totals add each
+      set's rows in expanded-query order from +0.0, a set shorter than the
+      widest padded with row 0, all +0.0, which keeps the bits of a sum
+      from +0.0, so they are ``rank``'s scores to the bit. A stable argsort
+      of the negated totals gives ``rank``'s order, score descending and
+      ties by docid. The rows of the query terms and of ``terms``, the
+      expansion terms the caller will try, are scored in one ``term_rows``
+      block up front, and any other term's with the first batch that needs
+      it;
+    - any other ranker re-ranks the pool through ``rank``, one set at a time.
     """
 
     def __init__(self, index: PositionalIndex, sm: Ranker, query: Query,
@@ -351,29 +346,19 @@ class FidelityEvaluator:
         self.query = query
         self.ranked = ranked
         self.p = p
-        self.pool = set(ranked.docids)
         self.calls = 0
-        self._docids = sorted(self.pool)
+        self._docids = sorted(ranked.docids)
+        self._position = {d: i for i, d in enumerate(ranked.docids)}
+        self._target = np.array([self._position[d] for d in self._docids])  # explained position per pool slot
         self._rows: Optional[np.ndarray] = None
         if isinstance(sm, _SparseRanker):
-            n = len(ranked)
-            position = dict(zip(ranked.docids, range(n)))
-            self._target = np.array([position[d] for d in self._docids])  # explained position per pool slot
-            self._positions = np.arange(n)
-            self._depths = self._positions + 1
-            self._weights = np.array([p ** d for d in range(n)])          # p ** (depth - 1), as in rbo
-            self._p_k = p ** n
             terms = list(dict.fromkeys([*query.terms, *terms]))
             self._slot = dict(zip(terms, range(1, len(terms) + 1)))
             # Reads every docid's length, so an unknown docid raises, as in rank.
             self._rows = np.vstack([np.zeros((1, len(self._docids))), sm.term_rows(terms, self._docids)])
 
     def _expand(self, terms: Sequence[str]) -> list[str]:
-        expanded = list(self.query.terms)
-        for t in terms:
-            if t not in expanded:
-                expanded.append(t)
-        return expanded
+        return [*self.query.terms, *(t for t in dict.fromkeys(terms) if t not in self.query.terms)]
 
     def _totals(self, expanded: Sequence[Sequence[str]]) -> np.ndarray:
         """(sets x pool) scores: each set's term rows added in order from +0.0."""
@@ -382,38 +367,29 @@ class FidelityEvaluator:
             self._slot.update(zip(missing, range(len(self._rows), len(self._rows) + len(missing))))
             self._rows = np.vstack([self._rows, self.sm.term_rows(missing, self._docids)])
         width = max(len(e) for e in expanded)
-        slots = np.array([[self._slot[t] for t in e] + [0] * (width - len(e)) for e in expanded],
-                         dtype=np.intp).reshape(len(expanded), width)
+        slots = np.array([[self._slot[t] for t in e] + [0] * (width - len(e)) for e in expanded], dtype=np.intp)
         block = self._rows[slots]                                # (sets, columns, pool)
         totals = np.zeros((len(expanded), len(self._docids)))
         for c in range(width):
             totals += block[:, c]
         return totals
 
+    def _reranked(self, expanded: Sequence[Sequence[str]]) -> np.ndarray:
+        """(sets x pool) explained positions of each set's re-ranking, in re-ranked order."""
+        if self._rows is not None:
+            order = np.argsort(-self._totals(expanded), axis=1, kind="stable")  # rank's (-score, docid) order
+            return self._target[order]
+        reranked = (rank(self.index, self.sm, Query.from_terms(self.query.qid, e), pool=self._docids,
+                         depth=len(self.ranked)) for e in expanded)
+        return np.array([[self._position[d] for d in r.docids] for r in reranked])
+
     def batch(self, term_sets: Sequence[Sequence[str]]) -> list[float]:
         """``self(terms)`` for each of term_sets."""
         expanded = [self._expand(terms) for terms in term_sets]
         self.calls += len(expanded)
-        if self._rows is None:
-            return [self._ranked_fidelity(e) for e in expanded]
         if not expanded:
             return []
-        totals = self._totals(expanded)
-        sets, n = totals.shape
-        order = np.argsort(-totals, axis=1, kind="stable")         # rank's (-score, docid) order
-        entry = np.maximum(self._positions, self._target[order])   # 0-based depth each doc is in both prefixes
-        if sets > 1:
-            entry += np.arange(0, sets * n, n)[:, None]
-        overlap = np.bincount(entry.ravel(), minlength=sets * n).reshape(sets, n).cumsum(axis=1)
-        agreement = overlap / self._depths
-        total = np.cumsum(self._weights * agreement, axis=1)[:, -1]
-        return np.minimum(1.0, (1.0 - self.p) * total + agreement[:, -1] * self._p_k).tolist()
-
-    def _ranked_fidelity(self, expanded: Sequence[str]) -> float:
-        q_exp = Query.from_terms(self.query.qid, expanded)
-        approx = rank(self.index, self.sm, q_exp, pool=self.pool, depth=len(self.ranked))
-        assert set(approx.docids) == self.pool, "re-ranking escaped the pool"
-        return rbo(approx.docids, self.ranked.docids, self.p)
+        return _rbo_rows(self._reranked(expanded), self.p)
 
     def __call__(self, terms: Sequence[str]) -> float:
         return self.batch([terms])[0]
@@ -437,6 +413,7 @@ def greedy_explain(index: PositionalIndex, sm: Ranker, query: Query, ranked: Ran
     largest fidelity improvement and stops when no candidate improves
     fidelity or m_max terms were taken.
     """
+    _check_number("m_max", m_max, "[0, inf)", int)
     if not candidates:
         raise ValueError("no candidate terms to search over")
     if len(ranked) < 2:
@@ -475,6 +452,7 @@ def bfs_explain(index: PositionalIndex, sm: Ranker, query: Query, ranked: Ranked
     set seen, preferring, on fidelity ties, fewer terms and then
     lexicographic order.
     """
+    _check_number("m_max", m_max, "[0, inf)", int)
     if not candidates:
         raise ValueError("no candidate terms to search over")
     if len(ranked) < 2:

@@ -204,6 +204,7 @@ def exs_targets(scores: np.ndarray, base_list: RankedList, variant: str, exs_k: 
     rank_based: 1 - (insertion rank of s) / exs_k, clamped to [0, 1], where
     the insertion rank counts base-list scores strictly above s.
     """
+    _check_number("exs_k", exs_k, "[1, inf)", int)
     if len(base_list) < exs_k:
         raise ValueError(f"base list has {len(base_list)} entries, needs at least exs_k={exs_k}")
     if variant == "topk_binary":

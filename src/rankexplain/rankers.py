@@ -78,9 +78,9 @@ class RankedList:
     def from_scores(cls, qid: str, scored: Iterable[tuple[str, float]], depth: Optional[int] = None,
                     tag: str = "rankexplain") -> "RankedList":
         """Sort by score descending, ties by ascending docid, truncate."""
-        ordered = sorted(scored, key=lambda pair: (-pair[1], pair[0]))
         if depth is not None:
-            ordered = ordered[:depth]
+            _check_number("depth", depth, DEPTH_DOMAIN, int)
+        ordered = sorted(scored, key=lambda pair: (-pair[1], pair[0]))[:depth]
         entries = [RunEntry(docid, i, score) for i, (docid, score) in enumerate(ordered, start=1)]
         return cls(qid=qid, entries=entries, tag=tag)
 

@@ -188,7 +188,7 @@ def _api_fixture():
     return index, ranker, query, rx.rank(index, ranker, query)
 
 
-# (argument name, a call that passes ``v`` as that argument, values of the wrong type)
+# (argument name, a call that passes ``v`` as that argument, values of the wrong type or out of range)
 API_ARGUMENTS = [
     ("weight of hidden term 'cat'", lambda i, r, q, l, v: rx.HiddenIntentRanker(r, [("cat", v)]),
      ["x", None, True]),
@@ -205,6 +205,13 @@ API_ARGUMENTS = [
     ("weight for 'TFC1'", lambda i, r, q, l, v: rx.AggregatedAxiom((("TFC1", v),)), ["x", None, True]),
     ("m", lambda i, r, q, l, v: rx.pointwise_consistency([rx.ExplanationVector([("cat", 1.0)])] * 2, m=v),
      [2.5, True, "3"]),
+    ("m_max", lambda i, r, q, l, v: rx.greedy_explain(i, r, q, l, [rx.CandidateTerm("bird", 1.0)], m_max=v),
+     [-1, True, 2.5]),
+    ("m_max", lambda i, r, q, l, v: rx.bfs_explain(i, r, q, l, [rx.CandidateTerm("bird", 1.0)], m_max=v),
+     [-2, 1.5, "1"]),
+    ("depth", lambda i, r, q, l, v: rx.RankedList.from_scores("q", [("d1", 1.0), ("d2", 0.5)], depth=v),
+     [-1, 0, 1.5]),
+    ("exs_k", lambda i, r, q, l, v: rx.pointwise.exs_targets([0.0], l, "rank_based", v), [0, -2, 1.5, True]),
 ]
 
 

@@ -163,8 +163,8 @@ class ReferenceFidelityEvaluator:
     """The scalar evaluator that ``FidelityEvaluator.batch`` replaced.
 
     Per call: add a sparse ranker's cached rows in expanded-query order,
-    build a ``RankedList`` through ``from_scores`` and take ``rbo`` over the
-    docids; any other ranker re-ranks through ``rank``.
+    build a ``RankedList`` through ``from_scores`` and take ``quadratic_rbo``,
+    capped at 1, over the docids; any other ranker re-ranks through ``rank``.
     """
 
     def __init__(self, index, sm, query, ranked, p=0.9, terms=()):
@@ -198,7 +198,7 @@ class ReferenceFidelityEvaluator:
         approx = self._rerank(expanded)
         assert set(approx.docids) == self.pool, "re-ranking escaped the pool"
         self.calls += 1
-        return rbo(approx.docids, self.ranked.docids, self.p)
+        return min(1.0, quadratic_rbo(approx.docids, self.ranked.docids, self.p))
 
 
 def reference_greedy_explain(index, sm, query, ranked, candidates, m_max=10, p=0.9):
