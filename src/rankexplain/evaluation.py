@@ -17,18 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .index import PositionalIndex, _check_number, left_sum
+from .index import PositionalIndex, _check_number, _check_unique, left_sum
 from .rankers import DEPTH_DOMAIN, LMJMRanker, Query, RankedList
 
 RBO_P_DOMAIN = "(0, 1)"      # of rbo's persistence p
-
-
-def _distinct(name: str, items: Sequence) -> set:
-    """The set of items; a ValueError if one of them repeats."""
-    unique = set(items)
-    if len(unique) != len(items):
-        raise ValueError(f"{name} contains duplicate items")
-    return unique
 
 
 @functools.lru_cache(maxsize=16)
@@ -71,14 +63,14 @@ def rbo(list_a: Sequence, list_b: Sequence, p: float) -> float:
     for name, items in (("list_a", list_a), ("list_b", list_b)):
         if len(items) == 0:
             raise ValueError(f"{name} is empty")
-        _distinct(name, items)
+        _check_unique(name, items)
     k = min(len(list_a), len(list_b))
     depth_b = dict(zip(list_b[:k], range(k)))
     return _rbo_rows(np.fromiter(map(depth_b.get, list_a[:k], itertools.repeat(k)), np.intp, k)[None], p)[0]
 
 
 def _intersection_orders(list_a: Sequence, list_b: Sequence):
-    common = _distinct("list_a", list_a) & _distinct("list_b", list_b)
+    common = _check_unique("list_a", list_a) & _check_unique("list_b", list_b)
     if len(common) < 2:
         raise ValueError("undefined correlation: intersection has fewer than 2 items")
     order_a = [x for x in list_a if x in common]
@@ -112,8 +104,8 @@ def spearman_rho(list_a: Sequence, list_b: Sequence) -> float:
 def jaccard_at_k(list_a: Sequence, list_b: Sequence, k: int) -> float:
     """Jaccard similarity of the two top-k sets (full list when shorter)."""
     _check_number("k", k, DEPTH_DOMAIN, int)
-    _distinct("list_a", list_a)
-    _distinct("list_b", list_b)
+    _check_unique("list_a", list_a)
+    _check_unique("list_b", list_b)
     top_a = set(list_a[:k])
     top_b = set(list_b[:k])
     union = top_a | top_b

@@ -24,9 +24,7 @@ import numpy as np
 
 from .analysis import AnalyzerConfig, DEFAULT_CONFIG, TokenizedDocument, _Analyzer, _check_keys
 
-_INDEX_FORMAT_VERSION = 1
-_INT64_LIMIT = 2**63
-_POSITIONS = "positions must be a non-empty, strictly increasing list of ints in [0, doc_length)"
+_INDEX_FORMAT_VERSION = 2
 
 
 def _check_id(kind: str, value: str, where: str = "") -> None:
@@ -68,6 +66,18 @@ def _check_number(name: str, value, interval: str, number=(int, float)) -> None:
     _check_in(name, value, interval)
 
 
+def _check_unique(name: str, items) -> set:
+    """The set of ``items``; a ValueError naming the first item seen twice."""
+    unique = set(items)
+    if len(unique) != len(items):
+        seen = set()
+        for item in items:
+            if item in seen:
+                raise ValueError(f"duplicate {item!r} in {name}")
+            seen.add(item)
+    return unique
+
+
 def check_fields(obj) -> None:
     """Check every field of the dataclass ``obj`` against the domain its metadata declares.
 
@@ -99,39 +109,41 @@ class PositionalIndex:
 
     Positions are indices into the post-analysis token stream (stopwords
     removed before position assignment), so proximity values are measured
-    in surviving tokens, not raw words. A posting of one position holds a
-    (p,) tuple shared by every such posting, built or loaded.
+    in surviving tokens, not raw words.
 
     Construction freezes term ordinals: ordinal u is the u-th term of the
     sorted vocabulary, so ordinal order is ``str`` order. Rows follow the
-    sorted docids. Per row, the document's distinct terms are kept as
-    ascending int32 ordinals with their int32 counts, in CSR form: one
-    ordinal and one count array of sum-of-df entries, and int64 row
-    offsets; ``doc_terms`` reads one row. They are counted from the token
-    streams a chunk of documents at a time, and each term's cf (so total
-    tokens and avgdl) is summed from the same count, not from the
-    postings. ``cf_by_ordinal`` and ``idf_by_ordinal`` hold cf and idf
-    per ordinal. Every array is read-only. Candidate generation adds
+    sorted docids. Building and loading call the same constructor with the
+    token streams, and it inverts them in one pass, a chunk of documents at
+    a time (``_invert``). Each (document, term) pair gives a posting, whose
+    positions are a tuple; a posting of one position holds the (p,) tuple
+    shared by every such posting. It also gives the row's entry in the CSR
+    arrays: per row, the document's distinct terms as ascending int32
+    ordinals with their int32 counts, and int64 row offsets; ``doc_terms``
+    reads one row. Each term's cf (so total tokens and avgdl) is counted
+    in the same pass. ``cf_by_ordinal`` and ``idf_by_ordinal`` hold cf and
+    idf per ordinal. Every array is read-only. Candidate generation adds
     ``tf * idf`` over these ordinals per top document in rank order, from
     0.0, and the LM ground truth adds its mass vectors the same way.
     """
 
-    def __init__(self, postings: dict, doc_tokens: dict, config: AnalyzerConfig):
-        self._postings = postings          # term -> {docid: (pos, ...)}
+    def __init__(self, doc_tokens: dict, config: AnalyzerConfig, vocabulary: list | None = None):
+        """Index ``doc_tokens`` (docid -> tuple of terms); ``vocabulary`` is their sorted distinct terms."""
         self._doc_tokens = doc_tokens      # docid -> (term, ...), the term at each position
         self.config = config
-        self._vocabulary = vocabulary = sorted(postings)
+        if vocabulary is None:
+            vocabulary = sorted(set(itertools.chain.from_iterable(doc_tokens.values())))
+        self._vocabulary = vocabulary
         self._docids = docids = sorted(doc_tokens)
-        self._offsets, self._ordinals, self._counts, cf = _term_count_rows(
-            [doc_tokens[d] for d in docids], {t: u for u, t in enumerate(vocabulary)},
-            sum(map(len, postings.values())))
+        by_ordinal, self._offsets, self._ordinals, self._counts, cf = _invert(
+            docids, [doc_tokens[d] for d in docids], vocabulary)
+        self._postings = dict(zip(vocabulary, by_ordinal))     # term -> {docid: (pos, ...)}
         self._cf = dict(zip(vocabulary, cf.tolist()))
         self._cf_by_ordinal = cf
         self._total_tokens = int(cf.sum())
         n = len(docids)
         self._avgdl = self._total_tokens / n if n else 0.0
-        idf = [math.log(1.0 + (n - df + 0.5) / (df + 0.5)) if df else 0.0
-               for df in map(len, map(postings.__getitem__, vocabulary))]
+        idf = [math.log(1.0 + (n - df + 0.5) / (df + 0.5)) if df else 0.0 for df in map(len, by_ordinal)]
         self._idf = dict(zip(vocabulary, idf))
         self._idf_by_ordinal = _read_only(np.array(idf, dtype=np.float64))
 
@@ -261,46 +273,49 @@ class PositionalIndex:
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:
+        ordinal = dict(zip(self._vocabulary, itertools.count()))
         return {
             "version": _INDEX_FORMAT_VERSION,
             "config": self.config.to_dict(),
-            "doc_length": {d: len(self._doc_tokens[d]) for d in sorted(self._doc_tokens)},
-            "postings": {
-                t: {d: list(ps) for d, ps in sorted(self._postings[t].items())}
-                for t in sorted(self._postings)
-            },
+            "vocabulary": list(self._vocabulary),
+            "docs": {d: list(map(ordinal.__getitem__, self._doc_tokens[d])) for d in self._docids},
         }
 
     def save(self, path: str) -> None:
-        """Write ``to_dict()`` as sorted compact JSON, one posting list at a time."""
-        dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-        doc_length = {d: len(tokens) for d, tokens in self._doc_tokens.items()}
+        """Write ``to_dict()`` as sorted compact JSON."""
         with open(path, "w", encoding="utf-8") as f:
-            f.write(f'{{"config":{dump(self.config.to_dict())},"doc_length":{dump(doc_length)},'
-                    f'"postings":{{')
-            for i, term in enumerate(sorted(self._postings)):
-                f.write(f'{"," if i else ""}{dump(term)}:{dump(self._postings[term])}')
-            f.write(f'}},"version":{dump(_INDEX_FORMAT_VERSION)}}}\n')
+            f.write(json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n")
 
     @classmethod
     def from_dict(cls, data: dict) -> "PositionalIndex":
         """Read ``to_dict``'s output back; anything else raises ValueError."""
-        _check_keys("index", data, {"version", "config", "doc_length", "postings"})
-        if type(data["version"]) is not int or data["version"] != _INDEX_FORMAT_VERSION:
-            raise ValueError(f"unsupported index format version: {data['version']!r}")
+        if type(data) is dict and "version" in data:
+            version = data["version"]
+            if type(version) is not int or version != _INDEX_FORMAT_VERSION:
+                raise ValueError(f"unsupported index format version: {version!r}; "
+                                 f"rebuild the index with `rankexplain index`")
+        _check_keys("index", data, {"version", "config", "vocabulary", "docs"})
         config = AnalyzerConfig.from_dict(data["config"])
-        doc_length, raw_postings = data["doc_length"], data["postings"]
-        if not isinstance(doc_length, dict) or not isinstance(raw_postings, dict):
-            raise ValueError("index doc_length and postings must be JSON objects")
-        for d, dl in doc_length.items():
+        vocabulary, docs = data["vocabulary"], data["docs"]
+        if (type(vocabulary) is not list or any(type(t) is not str for t in vocabulary)
+                or any(a >= b for a, b in itertools.pairwise(vocabulary))):
+            raise ValueError("index vocabulary must be a strictly ascending list of strings")
+        if type(docs) is not dict:
+            raise ValueError("index docs must be a JSON object")
+        n_terms, term = len(vocabulary), vocabulary.__getitem__
+        doc_tokens = {}
+        for d, stream in docs.items():
             _check_id("docid", d)
-            if type(dl) is not int or not 0 <= dl < _INT64_LIMIT:
-                raise ValueError(f"docid {d!r}: doc_length must be a non-negative int, got {dl!r}")
-        doc_tokens = _check_postings(doc_length, raw_postings)
-        singles = [(p,) for p in range(max(doc_length.values(), default=0))]
-        postings = {t: {d: singles[ps[0]] if len(ps) == 1 else tuple(ps) for d, ps in pl.items()}
-                    for t, pl in raw_postings.items()}
-        return cls(postings, doc_tokens, config)
+            if type(stream) is not list or stream and (set(map(type, stream)) != {int}
+                                                       or min(stream) < 0 or max(stream) >= n_terms):
+                raise ValueError(f"docid {d!r}: the stream must be a list of term ordinals, "
+                                 f"ints in [0, {n_terms})")
+            doc_tokens[d] = tuple(map(term, stream))
+        index = cls(doc_tokens, config, vocabulary)
+        if not index.cf_by_ordinal.all():
+            unused = vocabulary[int(np.argmin(index.cf_by_ordinal))]
+            raise ValueError(f"index vocabulary term {unused!r} occurs in no document")
+        return index
 
     @classmethod
     def load(cls, path: str) -> "PositionalIndex":
@@ -308,87 +323,61 @@ class PositionalIndex:
             return cls.from_dict(json.load(f))
 
 
-def _check_postings(doc_length: dict, postings: dict) -> dict:
-    """Return each document's token stream, or reject postings that do not describe one.
-
-    Pass 1 checks each posting: its docid is in doc_length, its positions a
-    non-empty, strictly increasing list of ints in [0, doc_length). The term
-    frequencies it sums per document must equal doc_length before pass 2
-    allocates a slot per position, so a false doc_length such as 2**40
-    fails cheaply. Pass 2 fills the slots; a slot filled twice is a
-    position two terms share, and the filled slots are the streams. A
-    failure names the term and docid.
-    """
-    tf_sum = dict.fromkeys(doc_length, 0)
-    for t, pl in postings.items():
-        if type(pl) is not dict:
-            raise ValueError(f"term {t!r}: postings must be a JSON object")
-        for d, ps in pl.items():
-            if d not in tf_sum:
-                raise ValueError(f"term {t!r}, docid {d!r}: docid is not in doc_length")
-            if type(ps) is not list or not ps:
-                raise ValueError(f"term {t!r}, docid {d!r}: {_POSITIONS}")
-            previous, dl = -1, doc_length[d]
-            for p in ps:
-                if type(p) is not int or not previous < p < dl:
-                    raise ValueError(f"term {t!r}, docid {d!r}: {_POSITIONS}")
-                previous = p
-            tf_sum[d] += len(ps)
-    for d, dl in doc_length.items():
-        if tf_sum[d] != dl:
-            raise ValueError(f"docid {d!r}: term frequencies sum to {tf_sum[d]}, doc_length is {dl}")
-    slots = {d: [None] * dl for d, dl in doc_length.items()}
-    for t, pl in postings.items():
-        for d, ps in pl.items():
-            held = slots[d]
-            for p in ps:
-                if held[p] is not None:
-                    raise ValueError(f"term {t!r}, docid {d!r}: position {p} is also held by term {held[p]!r}")
-                held[p] = t
-    return {d: tuple(held) for d, held in slots.items()}
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
 
 
-_ROW_CHUNK = 64     # documents whose tokens are counted at once
+# Documents inverted at once. A chunk's temporaries take about 100 bytes a
+# token; at 64 long documents they raised peak RSS, and 16 costs no
+# measurable time.
+_ROW_CHUNK = 16
 
 
-def _term_count_rows(streams: list, ordinal: dict, n_entries: int):
-    """Each stream's sorted (term ordinal, count) pairs as CSR arrays, and each term's cf.
+def _invert(docids: list, streams: list, vocabulary: list):
+    """The postings of each term (a list by ordinal), the CSR rows, and each term's cf.
 
-    ``n_entries`` is the number of (document, term) pairs, the sum of the
-    dfs, so the outputs are allocated once. Streams are counted a chunk
-    at a time: a chunk's tokens become int64 keys (row in chunk) * V +
-    ordinal, one sort and ``np.unique`` count them, and the chunk's token
-    ordinals add to cf by ``np.bincount``. The temporaries stay the size
-    of a chunk, not of the corpus.
+    ``streams`` holds each docid's token stream, in row order. The CSR
+    arrays are allocated once, sized by each stream's distinct terms. One
+    pass takes a chunk of documents at a time: the chunk's tokens become
+    int64 keys (row in chunk) * V + ordinal, and one stable argsort groups
+    each (document, term) pair's tokens into a run, in position order. A
+    run gives the row's CSR entry (ordinal, count) and the posting: the
+    shared (p,) tuple when tf is 1, else the tuple of its positions. The
+    chunk's token ordinals add to cf by ``np.bincount``. The temporaries
+    stay the size of a chunk, not of the corpus.
     """
-    n_terms = len(ordinal)
+    n_terms = len(vocabulary)
+    ordinal = dict(zip(vocabulary, itertools.count()))
+    singles = [(p,) for p in range(max(map(len, streams), default=0))]
+    by_ordinal = [{} for _ in vocabulary]
     offsets = np.zeros(len(streams) + 1, dtype=np.int64)
-    ordinals = np.empty(n_entries, dtype=np.int32)
-    counts = np.empty(n_entries, dtype=np.int32)
+    n_entries = sum(map(len, map(set, streams)))        # (document, term) pairs
+    ordinals, counts = np.empty(n_entries, dtype=np.int32), np.empty(n_entries, dtype=np.int32)
     cf = np.zeros(n_terms, dtype=np.int64)
-    filled = 0
     for start in range(0, len(streams), _ROW_CHUNK):
-        chunk = streams[start:start + _ROW_CHUNK]
+        chunk, chunk_ids = streams[start:start + _ROW_CHUNK], docids[start:start + _ROW_CHUNK]
         lengths = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
         tokens = np.fromiter(map(ordinal.__getitem__, itertools.chain.from_iterable(chunk)),
                              dtype=np.int64, count=int(lengths.sum()))
         cf += np.bincount(tokens, minlength=n_terms)
-        keys, tfs = np.unique(np.repeat(np.arange(len(chunk)), lengths) * n_terms + tokens,
-                              return_counts=True)
-        end = filled + len(keys)
-        ordinals[filled:end] = keys % n_terms
-        counts[filled:end] = tfs
-        row_sizes = np.bincount(keys // n_terms, minlength=len(chunk))
-        offsets[start + 1:start + 1 + len(chunk)] = filled + np.cumsum(row_sizes)
-        filled = end
-    if filled != n_entries:
-        raise ValueError(f"postings hold {n_entries} (document, term) pairs, the token streams {filled}")
-    return _read_only(offsets), _read_only(ordinals), _read_only(counts), _read_only(cf)
+        keys = np.repeat(np.arange(len(chunk)), lengths) * n_terms + tokens
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        row = keys // n_terms
+        positions = (order - (np.cumsum(lengths) - lengths)[row]).tolist()
+        first = np.flatnonzero(np.diff(keys, prepend=-1))      # where each run starts
+        tfs = np.diff(first, append=len(keys))
+        run_row, run_ordinal = row[first], keys[first] % n_terms
+        for docid, u, p, tf in zip(map(chunk_ids.__getitem__, run_row.tolist()), run_ordinal.tolist(),
+                                   first.tolist(), tfs.tolist()):
+            by_ordinal[u][docid] = singles[positions[p]] if tf == 1 else tuple(positions[p:p + tf])
+        filled = offsets[start]
+        ordinals[filled:filled + len(first)] = run_ordinal
+        counts[filled:filled + len(first)] = tfs
+        offsets[start + 1:start + 1 + len(chunk)] = filled + np.cumsum(
+            np.bincount(run_row, minlength=len(chunk)))
+    return by_ordinal, _read_only(offsets), _read_only(ordinals), _read_only(counts), _read_only(cf)
 
 
 def build_index(corpus: list[Document], config: AnalyzerConfig = DEFAULT_CONFIG) -> PositionalIndex:
@@ -397,9 +386,7 @@ def build_index(corpus: list[Document], config: AnalyzerConfig = DEFAULT_CONFIG)
     Rejects duplicate, non-string or empty docids, ones with whitespace and
     non-string text. An empty corpus yields an index with n_docs == 0 and avgdl == 0.
     """
-    postings: dict[str, dict[str, tuple[int, ...]]] = {}
     doc_tokens: dict[str, tuple[str, ...]] = {}
-    singles: list[tuple[int]] = []     # (0,), (1,), ...: one tuple per position, not per posting
     analyze = _Analyzer(config)
     for doc in corpus:
         _check_id("docid", doc.docid)
@@ -407,16 +394,8 @@ def build_index(corpus: list[Document], config: AnalyzerConfig = DEFAULT_CONFIG)
             raise ValueError(f"duplicate docid: {doc.docid!r}")
         if not isinstance(doc.text, str):
             raise ValueError(f"docid {doc.docid!r}: text must be a string, got {doc.text!r}")
-        tokens = analyze(doc.text)
-        singles.extend((p,) for p in range(len(singles), len(tokens)))
-        doc_tokens[doc.docid] = tuple(tokens)
-        per_term: dict[str, list[int]] = {}
-        for pos, term in enumerate(tokens):
-            per_term.setdefault(term, []).append(pos)
-        for term, positions in per_term.items():
-            shared = singles[positions[0]] if len(positions) == 1 else tuple(positions)
-            postings.setdefault(term, {})[doc.docid] = shared
-    return PositionalIndex(postings, doc_tokens, config)
+        doc_tokens[doc.docid] = tuple(analyze(doc.text))
+    return PositionalIndex(doc_tokens, config)
 
 
 def read_corpus_jsonl(path: str) -> list[Document]:

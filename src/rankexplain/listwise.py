@@ -25,7 +25,7 @@ import numpy as np
 
 from .analysis import _check_keys
 from .evaluation import RBO_P_DOMAIN, _rbo_rows
-from .index import PositionalIndex, _check_number, check_fields
+from .index import PositionalIndex, _check_number, _check_unique, check_fields
 from .rankers import (
     Query,
     RankedList,
@@ -107,14 +107,6 @@ def generate_candidates(index: PositionalIndex, ranked: RankedList,
             for term, value in zip(index.terms_at(pool[top].tolist()), salience[top].tolist())]
 
 
-def _check_unique(docids: Sequence[str]) -> None:
-    seen: set[str] = set()
-    for docid in docids:
-        if docid in seen:
-            raise ValueError(f"duplicate docid {docid!r} in ranked list")
-        seen.add(docid)
-
-
 def sample_pairs(ranked: RankedList, strategy: str, count: int,
                  rng: XorShift64Star) -> list[PreferencePair]:
     """Sample preference pairs (upper ranked above lower) from a list.
@@ -145,7 +137,7 @@ def sample_pairs(ranked: RankedList, strategy: str, count: int,
     if strategy not in PAIR_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; valid: {', '.join(PAIR_STRATEGIES)}")
     docs = ranked.docids
-    _check_unique(docs)
+    _check_unique("ranked list", docs)
     # With unique docids, "upper is in the top ceil(n/10)" is "row < cutoff".
     n_rows = math.ceil(n / 10) if strategy == "top_vs_rest" else n - 1
     weighted = int(strategy == "rank_gap_weighted")
@@ -340,7 +332,7 @@ class FidelityEvaluator:
         _check_number("p", p, RBO_P_DOMAIN)
         if len(ranked) == 0:
             raise ValueError("cannot evaluate fidelity against an empty ranked list")
-        _check_unique(ranked.docids)
+        _check_unique("ranked list", ranked.docids)
         self.index = index
         self.sm = sm
         self.query = query

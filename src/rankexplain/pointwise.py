@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import _check_keys
-from .index import PositionalIndex, _check_number, check_fields
+from .index import PositionalIndex, _check_number, _check_unique, check_fields
 from .perturb import SamplerConfig, draw_samples
 from .rankers import Query, RankedList, Ranker
 
@@ -116,9 +116,7 @@ def fit_weighted_ridge(X, y, sample_weights, ridge: float,
         feature_names = [str(i) for i in range(d)]
     if len(feature_names) != d:
         raise ValueError("feature_names length must match X columns")
-    if len(set(feature_names)) != d:
-        repeated = next(f for i, f in enumerate(feature_names) if f in feature_names[:i])
-        raise ValueError(f"feature_names repeats {repeated!r}")
+    _check_unique("feature_names", feature_names)
 
     A = np.hstack([X, np.ones((n, 1))])
     penalty = np.diag([ridge] * d + [0.0])

@@ -36,14 +36,7 @@ def reference_tokenize(text, config):
 
 
 def reference_index(corpus, config=DEFAULT_CONFIG):
-    postings, doc_tokens = {}, {}
-    for doc in corpus:
-        tokens = reference_tokenize(doc.text, config)
-        doc_tokens[doc.docid] = tuple(tokens)
-        for pos, term in enumerate(tokens):
-            postings.setdefault(term, {}).setdefault(doc.docid, []).append(pos)
-    postings = {t: {d: tuple(ps) for d, ps in pl.items()} for t, pl in postings.items()}
-    return PositionalIndex(postings, doc_tokens, config)
+    return PositionalIndex({doc.docid: tuple(reference_tokenize(doc.text, config)) for doc in corpus}, config)
 
 
 # Stopwords, words of two characters or fewer, digits and mixed case: the

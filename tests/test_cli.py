@@ -58,7 +58,9 @@ def test_index_parse_failure_exit_code(tmp_path, capsys):
 
 _MALFORMED_INDEX = {
     "top-level-list": lambda data: [data],
-    "no-postings": lambda data: {key: value for key, value in data.items() if key != "postings"},
+    "no-docs": lambda data: {key: value for key, value in data.items() if key != "docs"},
+    "vocabulary-descending": lambda data: {**data, "vocabulary": data["vocabulary"][::-1]},
+    "stream-not-list": lambda data: {**data, "docs": {**data["docs"], "T1": "0 1"}},
     "config-not-object": lambda data: {**data, "config": 5},
     "pattern-does-not-compile": lambda data: {**data, "config": {**data["config"], "token_pattern": "("}},
     "lowercase-string": lambda data: {**data, "config": {**data["config"], "lowercase": "no"}},
@@ -113,18 +115,26 @@ def test_index_empty_corpus_error(tmp_path):
     assert cli.run(["index", "--corpus", str(empty), "--out", str(tmp_path / "x.idx")]) == 1
 
 
-def test_inconsistent_index_file_exit_1(workspace, tmp_path, capsys):
+def test_index_file_with_an_ordinal_past_the_vocabulary_exits_1(workspace, tmp_path, capsys):
     _, index_path, _ = workspace
     data = json.loads(index_path.read_text())
-    term = sorted(data["postings"])[0]
-    docid = sorted(data["postings"][term])[0]
-    data["postings"][term][docid] = [data["doc_length"][docid]]
+    docid = sorted(data["docs"])[1]
+    data["docs"][docid][-1] = len(data["vocabulary"])
     bad = tmp_path / "bad.idx"
     bad.write_text(json.dumps(data))
     assert cli.run(["rank", "--index", str(bad), "--topics", "demo",
                     "--out", str(tmp_path / "x.trec")]) == 1
-    err = capsys.readouterr().err
-    assert repr(term) in err and repr(docid) in err
+    assert capsys.readouterr().err.startswith(f"error: docid {docid!r}: the stream must be a list of term ordinals")
+
+
+def test_version_1_index_file_exits_1_asking_for_a_rebuild(tmp_path, capsys):
+    old = tmp_path / "old.idx"
+    old.write_text('{"config":{"lowercase":true,"stem":true,"stopwords":[],"token_pattern":"[a-z]+"},'
+                   '"doc_length":{"a":1},"postings":{"appl":{"a":[0]}},"version":1}\n')
+    assert cli.run(["rank", "--index", str(old), "--topics", "demo", "--out", str(tmp_path / "x.trec")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: unsupported index format version: 1; rebuild the index with `rankexplain index`\n"
+    assert captured.out == "" and not (tmp_path / "x.trec").exists()
 
 
 def test_rank_output_parses(workspace):

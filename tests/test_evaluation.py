@@ -140,12 +140,14 @@ def test_rho_hand_value():
 
 
 def test_correlations_and_jaccard_reject_a_repeated_item():
-    # at the parent: tau -1.0, rho -0.25, jaccard 0.5
-    for a, b, name in [(["a", "a", "b"], ["b", "a"], "list_a"),
-                       (["b", "a"], ["a", "b", "a"], "list_b"),
-                       (["a", "b", "c", "c"], ["a", "b", "c"], "list_a")]:
-        for measure in (kendall_tau, spearman_rho, lambda x, y: jaccard_at_k(x, y, 2)):
-            with pytest.raises(ValueError, match=f"{name} contains duplicate items"):
+    # Unchecked, tau would read -1.0, rho -0.25 and jaccard 0.5. The message names the
+    # first item seen twice: 'c', not the earlier-listed 'b', in the third case.
+    for a, b, message in [(["a", "a", "b"], ["b", "a"], "duplicate 'a' in list_a"),
+                          (["b", "a"], ["a", "b", "a"], "duplicate 'a' in list_b"),
+                          (["a", "b", "c", "c", "b"], ["a", "b", "c"], "duplicate 'c' in list_a")]:
+        for measure in (kendall_tau, spearman_rho, lambda x, y: jaccard_at_k(x, y, 2),
+                        lambda x, y: rbo(x, y, 0.9)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 measure(a, b)
 
 

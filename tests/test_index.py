@@ -1,7 +1,6 @@
 import ast
 import math
 import re
-import time
 from collections import Counter
 from pathlib import Path
 
@@ -137,6 +136,15 @@ def test_serialization_roundtrip_bit_equal(tmp_path):
     assert p3.read_bytes() == p1.read_bytes()
 
 
+def test_saved_file_holds_the_vocabulary_and_each_documents_term_ordinals(tmp_path):
+    config = AnalyzerConfig(stopwords=frozenset({"the"}))
+    index = build_index([Document("d2", "the"), Document("d1", "ww qq, ww")], config)
+    index.save(tmp_path / "x.idx")
+    assert (tmp_path / "x.idx").read_text() == (
+        '{"config":{"lowercase":true,"stem":true,"stopwords":["the"],"token_pattern":"[0-9A-Za-z]+"},'
+        '"docs":{"d1":[1,0,1],"d2":[]},"version":2,"vocabulary":["qq","ww"]}\n')
+
+
 def test_read_corpus_jsonl_errors(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"docid": "a", "text": "x"}\nnot json\n')
@@ -170,48 +178,45 @@ def test_demo_corpus_loads(demo_index):
     assert demo_index.has_doc("T1")
 
 
-def _index_data(postings, doc_length):
-    return {"version": 1, "config": build_index([]).config.to_dict(),
-            "doc_length": doc_length, "postings": postings}
+def _index_data(vocabulary, docs):
+    return {"version": 2, "config": build_index([]).config.to_dict(), "vocabulary": vocabulary, "docs": docs}
 
 
-@pytest.mark.parametrize("postings,doc_length,message", [
-    pytest.param({"appl": {"a": [5, 1]}}, {"a": 2}, "'appl', docid 'a'", id="position-past-end"),
-    pytest.param({"appl": {"b": [0]}}, {"a": 1}, "'appl', docid 'b': docid is not in doc_length",
-                 id="docid-not-in-doc-length"),
-    pytest.param({"appl": {"a": [1, 0]}}, {"a": 2}, "'appl', docid 'a'", id="decreasing"),
-    pytest.param({"appl": {"a": [0, 0]}}, {"a": 2}, "'appl', docid 'a'", id="repeated"),
-    pytest.param({"appl": {"a": [-1, 0]}}, {"a": 2}, "'appl', docid 'a'", id="negative"),
-    pytest.param({"appl": {"a": [0, 1.0]}}, {"a": 2}, "'appl', docid 'a'", id="float"),
-    pytest.param({"appl": {"a": [True]}}, {"a": 1}, "'appl', docid 'a'", id="bool"),
-    pytest.param({"appl": {"a": "01"}}, {"a": 2}, "'appl', docid 'a'", id="string"),
-    pytest.param({"appl": {"a": []}}, {"a": 0}, "'appl', docid 'a'", id="empty"),
-    pytest.param({"appl": {"a": [0]}}, {"a": 2}, "docid 'a': term frequencies sum to 1",
-                 id="tf-sum-below-length"),
-    pytest.param({"appl": {"a": [0, 1]}, "pear": {"a": [1]}}, {"a": 2},
-                 "docid 'a': term frequencies sum to 3", id="tf-sum-above-length"),
-    pytest.param({"appl": {"a": [2**64]}}, {"a": 1}, "'appl', docid 'a'", id="huge-position"),
-    pytest.param({"appl": {"a": [0]}}, {"a": 1.0}, "docid 'a': doc_length", id="float-length"),
-    pytest.param({"appl": {"a": [0]}}, {"a": 2**64}, "docid 'a': doc_length", id="huge-length"),
-    pytest.param({"appl": ["a"]}, {"a": 1}, "'appl': postings", id="postings-not-object"),
-    pytest.param({"appl": {"a b": [0]}}, {"a b": 1}, "docid 'a b' is empty or contains whitespace",
+STREAMS = "the stream must be a list of term ordinals, ints in [0, 2)"
+
+
+@pytest.mark.parametrize("vocabulary,docs,message", [
+    pytest.param(["pear", "appl"], {"a": [0, 1]}, "vocabulary must be a strictly ascending list",
+                 id="vocabulary-descending"),
+    pytest.param(["appl", "appl"], {"a": [0, 1]}, "vocabulary must be a strictly ascending list",
+                 id="vocabulary-repeated"),
+    pytest.param(["appl", 5], {"a": [0, 1]}, "vocabulary must be a strictly ascending list of strings",
+                 id="vocabulary-non-string"),
+    pytest.param({"appl": 0}, {"a": [0]}, "vocabulary must be a strictly ascending list",
+                 id="vocabulary-object"),
+    pytest.param(["appl", "pear"], [[0, 1]], "index docs must be a JSON object", id="docs-list"),
+    pytest.param(["appl", "pear"], {"a": [0, True]}, f"docid 'a': {STREAMS}", id="ordinal-bool"),
+    pytest.param(["appl", "pear"], {"a": [0, 1.0]}, f"docid 'a': {STREAMS}", id="ordinal-float"),
+    pytest.param(["appl", "pear"], {"a": [-1, 0]}, f"docid 'a': {STREAMS}", id="ordinal-negative"),
+    pytest.param(["appl", "pear"], {"a": [0, 2]}, f"docid 'a': {STREAMS}", id="ordinal-past-vocabulary"),
+    pytest.param(["appl", "pear"], {"a": [2**64]}, f"docid 'a': {STREAMS}", id="ordinal-huge"),
+    pytest.param(["appl", "pear"], {"a": [0], "b": "01"}, f"docid 'b': {STREAMS}", id="stream-string"),
+    pytest.param(["appl", "pear"], {"a": {"0": 1}}, f"docid 'a': {STREAMS}", id="stream-object"),
+    pytest.param(["appl", "pear"], {"a b": [0, 1]}, "docid 'a b' is empty or contains whitespace",
                  id="whitespace-docid"),
-    pytest.param({"appl": {"": [0]}}, {"": 1}, "docid '' is empty or contains whitespace", id="empty-docid"),
-    pytest.param({"appl": {"d": [0]}, "pear": {"d": [0]}}, {"d": 2},
-                 "term 'pear', docid 'd': position 0 is also held by term 'appl'",
-                 id="shared-position"),
-    pytest.param({"appl": {"c": [0], "d": [0, 2]}, "kiwi": {"d": [3]}, "pear": {"d": [3]}},
-                 {"c": 1, "d": 4}, "term 'pear', docid 'd': position 3 is also held by term 'kiwi'",
-                 id="shared-position-second-doc"),
+    pytest.param(["appl", "pear"], {"": [0, 1]}, "docid '' is empty or contains whitespace",
+                 id="empty-docid"),
+    pytest.param(["appl", "kiwi", "pear"], {"a": [0, 2]}, "vocabulary term 'kiwi' occurs in no document",
+                 id="unused-term"),
 ])
-def test_from_dict_rejects_inconsistent_postings(postings, doc_length, message):
+def test_from_dict_rejects_a_malformed_vocabulary_or_stream(vocabulary, docs, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        PositionalIndex.from_dict(_index_data(postings, doc_length))
+        PositionalIndex.from_dict(_index_data(vocabulary, docs))
 
 
 def _with(key, value):
     """A valid index dict with ``key`` (a top-level key, or "config.KEY") set to ``value``."""
-    data = _index_data({"appl": {"a": [0]}}, {"a": 1})
+    data = _index_data(["appl"], {"a": [0]})
     where, _, key = key.rpartition(".")
     (data[where] if where else data)[key] = value
     return data
@@ -225,14 +230,18 @@ def _without(key):
 
 
 @pytest.mark.parametrize("data,message", [
-    pytest.param([], "index must be a JSON object with keys config, doc_length, postings, version",
+    pytest.param([], "index must be a JSON object with keys config, docs, version, vocabulary",
                  id="top-level-list"),
-    pytest.param(_without("postings"), "index has no key 'postings'", id="no-postings"),
+    pytest.param(_without("docs"), "index has no key 'docs'", id="no-docs"),
+    pytest.param(_without("vocabulary"), "index has no key 'vocabulary'", id="no-vocabulary"),
     pytest.param(_without("version"), "index has no key 'version'", id="no-version"),
     pytest.param(_with("extra", 1), "index has an unknown key 'extra'", id="unknown-key"),
     pytest.param(_with("version", True), "unsupported index format version: True", id="version-bool"),
-    pytest.param(_with("version", 1.0), "unsupported index format version: 1.0", id="version-float"),
-    pytest.param(_with("version", 2), "unsupported index format version: 2", id="version-2"),
+    pytest.param(_with("version", 2.0), "unsupported index format version: 2.0", id="version-float"),
+    pytest.param(_with("version", 3), "unsupported index format version: 3", id="version-3"),
+    pytest.param({"version": 1, "config": {}, "doc_length": {"a": 1}, "postings": {"appl": {"a": [0]}}},
+                 "unsupported index format version: 1; rebuild the index with `rankexplain index`",
+                 id="version-1"),
     pytest.param(_with("config", 5), "analyzer config must be a JSON object", id="config-not-object"),
     pytest.param(_without("config.stem"), "analyzer config has no key 'stem'", id="config-no-stem"),
     pytest.param(_with("config.case", True), "analyzer config has an unknown key 'case'",
@@ -276,15 +285,6 @@ def test_a_pattern_matching_the_empty_string_puts_no_empty_term_in_an_index_or_q
     index.save(tmp_path / "x.idx")
     assert PositionalIndex.load(tmp_path / "x.idx").to_dict() == index.to_dict()
     assert Query.from_text(index, "q", "ab  cd").terms == ("ab", "cd")
-
-
-def test_from_dict_checks_tf_sums_before_sizing_anything_by_doc_length():
-    # A false doc_length must fail on its sum, not allocate 2**40 slots first.
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match=re.escape(
-            "docid 'a': term frequencies sum to 1, doc_length is 1099511627776")):
-        PositionalIndex.from_dict(_index_data({"appl": {"a": [0]}}, {"a": 2**40}))
-    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("corpus", [

@@ -113,7 +113,7 @@ def test_ridge_rejects_non_finite_inputs_and_a_ridge_outside_its_domain(changes,
 @pytest.mark.parametrize("names,repeated", [(["a", "a"], "a"), (["x", "b", "c", "b"], "b")])
 def test_ridge_rejects_repeated_feature_names(names, repeated):
     X = np.eye(len(names))
-    with pytest.raises(ValueError, match=re.escape(f"feature_names repeats {repeated!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"duplicate {repeated!r} in feature_names")):
         fit_weighted_ridge(X, [1.0] * len(names), [1.0] * len(names), 1.0, feature_names=names)
 
 

@@ -15,7 +15,6 @@ import os
 import tempfile
 import warnings
 from collections import Counter
-from itertools import chain, islice
 
 import numpy as np
 import pytest
@@ -45,7 +44,7 @@ from rankexplain import (
 )
 from rankexplain import AggregatedAxiom, aggregate_preference, axiom_preference, explain_details, listwise
 from rankexplain.axioms import AGGREGATION_MODES, AXIOM_NAMES, DETAILED_AXIOMS, DetailsTable, all_preferences
-from rankexplain.index import _check_postings, left_sum
+from rankexplain.index import left_sum
 from rankexplain.listwise import (
     PAIR_STRATEGIES,
     CandidateTerm,
@@ -56,7 +55,7 @@ from rankexplain.listwise import (
     intent_exs_explain,
     multiplex_explain,
 )
-from rankexplain.analysis import TokenizedDocument
+from rankexplain.analysis import TokenizedDocument, tokenize
 from rankexplain.perturb import (
     SAMPLER_KINDS,
     SamplerConfig,
@@ -676,131 +675,62 @@ def test_save_writes_the_reference_bytes(built):
         assert PositionalIndex.load(saved).to_dict() == index.to_dict()
 
 
-_INT64_LIMIT = 2**63
+def reference_inversion(corpus) -> tuple:
+    """term -> {docid: [positions]} and docid -> token stream, by one walk over each analyzed document."""
+    postings, streams = {}, {}
+    for doc in corpus:
+        streams[doc.docid] = tokens = tuple(tokenize(doc.text))
+        for pos, term in enumerate(tokens):
+            postings.setdefault(term, {}).setdefault(doc.docid, []).append(pos)
+    return postings, streams
 
 
-def reference_check_postings(doc_length: dict, postings: dict) -> None:
-    """The numpy postings check that the two-pass ``index._check_postings`` replaced."""
-    for t, pl in postings.items():
-        if type(pl) is not dict:
-            raise ValueError(f"term {t!r}: postings must be a JSON object")
-    rows = list(postings.values())
-    docids = list(chain.from_iterable(rows))                     # posting i's docid
-    lists = list(chain.from_iterable(map(dict.values, rows)))    # posting i's positions
-    row_ends = np.cumsum([len(pl) for pl in rows])
-
-    def term_of(i: int) -> str:
-        return next(islice(postings, int(np.searchsorted(row_ends, i, side="right")), None))
-
-    def fail(i: int, problem: str):
-        raise ValueError(f"term {term_of(i)!r}, docid {docids[i]!r}: {problem}")
-
-    lengths = list(map(doc_length.get, docids))
-    if None in lengths:
-        fail(lengths.index(None), "docid is not in doc_length")
-    shape = "positions must be a non-empty, strictly increasing list of ints in [0, doc_length)"
-    if set(map(type, lists)) - {list}:
-        fail(next(i for i, ps in enumerate(lists) if type(ps) is not list), shape)
-    sizes = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
-    if not sizes.all():
-        fail(int(np.argmin(sizes)), shape)
-    ends = np.cumsum(sizes)
-
-    def posting_of(j: int) -> int:
-        return int(np.searchsorted(ends, j, side="right"))
-
-    flat = list(chain.from_iterable(lists))                      # every posting's positions
-    if set(map(type, flat)) - {int} or (flat and not 0 <= min(flat) <= max(flat) < _INT64_LIMIT):
-        fail(posting_of(next(j for j, p in enumerate(flat)
-                             if type(p) is not int or not 0 <= p < _INT64_LIMIT)), shape)
-    pos = np.array(flat, dtype=np.int64)
-    del flat                                     # the array replaces it; keeps peak memory down
-    rising = pos[1:] > pos[:-1]
-    rising[ends[:-1] - 1] = True                 # a posting's first position follows no other
-    falls = np.flatnonzero(~rising)
-    if len(falls):
-        fail(posting_of(int(falls[0]) + 1), shape)
-    past_end = np.flatnonzero(pos[ends - 1] >= np.array(lengths, dtype=np.int64))
-    if len(past_end):
-        fail(int(past_end[0]), shape)
-    slot = {d: k for k, d in enumerate(doc_length)}
-    doc_slot = np.fromiter(map(slot.__getitem__, docids), dtype=np.int64, count=len(docids))
-    tf_sum = np.bincount(doc_slot, weights=sizes, minlength=len(slot))
-    for d, total, dl in zip(doc_length, tf_sum, doc_length.values()):
-        if total != dl:
-            raise ValueError(f"docid {d!r}: term frequencies sum to {int(total)}, doc_length is {dl}")
-    # Each document now holds doc_length positions, all in range, so they
-    # cover 0..doc_length-1 once unless two terms share one. Number the
-    # positions of all documents consecutively and look for a repeat.
-    doc_tf = tf_sum.astype(np.int64)
-    slots = pos + np.repeat((np.cumsum(doc_tf) - doc_tf)[doc_slot], sizes)
-    if np.bincount(slots).max(initial=0) > 1:
-        holder: dict = {}
-        for j, s in enumerate(slots.tolist()):
-            if s in holder:
-                fail(posting_of(j), f"position {int(pos[j])} is also held by term "
-                                    f"{term_of(posting_of(holder[s]))!r}")
-            holder[s] = j
+def assert_index_equals_reference(index, postings, streams):
+    vocabulary, n = sorted(postings), len(streams)
+    assert index.vocabulary == vocabulary and index.doc_ids() == sorted(streams)
+    assert index.avgdl == (sum(map(len, streams.values())) / n if n else 0.0)
+    singles = {}        # position -> the one (p,) tuple every one-position posting holds
+    for term in vocabulary + [OOV]:
+        held = postings.get(term, {})
+        df = len(held)
+        assert index.postings(term) == {d: tuple(ps) for d, ps in held.items()}
+        assert (index.df(term), index.cf(term)) == (df, sum(map(len, held.values())))
+        assert index.idf(term) == (math.log(1.0 + (n - df + 0.5) / (df + 0.5)) if df else 0.0)
+        for docid in streams:
+            assert index.positions(term, docid) == held.get(docid, [])
+            assert index.tf(term, docid) == len(held.get(docid, []))
+        for ps in index.postings(term).values():
+            if len(ps) == 1:
+                assert singles.setdefault(ps[0], ps) is ps
+    for docid, tokens in streams.items():
+        assert index.doc_tokens(docid) == tokens
+        counted = sorted(Counter(tokens).items())
+        ordinals, counts = index.doc_terms(docid)
+        assert ordinals.tolist() == [vocabulary.index(t) for t, _ in counted]
+        assert counts.tolist() == [c for _, c in counted]
 
 
-POSTING_MUTATIONS = (None, "drop", "past_end", "negative", "float", "bool", "repeat",
-                     "unknown_docid", "onto_other_term", "huge_doc_length")
-
-
-def mutate_postings(draw, doc_length, postings, mutation):
-    """Apply one ``mutation`` in place to a valid index's doc_length and postings."""
-    if mutation == "onto_other_term":   # move a position onto another term's in the same document
-        shared = [d for d in doc_length if sum(d in pl for pl in postings.values()) > 1]
-        assume(shared)
-        d = draw(st.sampled_from(shared))
-        mover, holder = draw(st.permutations([t for t, pl in postings.items() if d in pl]))[:2]
-        ps = postings[mover][d]
-        ps[draw(st.integers(0, len(ps) - 1))] = draw(st.sampled_from(postings[holder][d]))
-        if draw(st.booleans()):
-            ps.sort()
-        return
-    t = draw(st.sampled_from(sorted(postings)))
-    d = draw(st.sampled_from(sorted(postings[t])))
-    ps = postings[t][d]
-    i = draw(st.integers(0, len(ps) - 1))
-    if mutation == "drop":
-        del ps[i]
-    elif mutation == "past_end":
-        ps[i] = doc_length[d] + draw(st.integers(0, 2))
-    elif mutation == "negative":
-        ps[i] = -draw(st.integers(1, 3))
-    elif mutation == "float":
-        ps[i] = float(ps[i])
-    elif mutation == "bool":
-        ps[i] = draw(st.booleans())
-    elif mutation == "repeat":
-        ps.insert(i, ps[i])
-    elif mutation == "unknown_docid":
-        postings[t] = {("zz-" + e if e == d else e): e_ps for e, e_ps in postings[t].items()}
-    elif mutation == "huge_doc_length":
-        doc_length[d] = 2**40
-
-
-def check_outcome(check, doc_length, postings):
-    """None when ``check`` accepts, else the message of its ValueError."""
-    try:
-        check(doc_length, postings)
-    except ValueError as exc:
-        return str(exc)
-    return None
+@st.composite
+def corpora(draw):
+    """One to a few documents, or enough for several chunks of inversion; empty ones and repeats."""
+    seed = draw(st.integers(0, 2**64 - 1))
+    n_docs = draw(st.one_of(st.integers(1, 4), st.integers(60, 140)))
+    vocab = make_vocab(draw(st.integers(1, 12)))
+    max_len = draw(st.integers(0, 12))
+    return random_corpus(XorShift64Star(seed), n_docs, vocab, min_len=0, max_len=max_len)
 
 
 @PROPERTY_SETTINGS
-@given(st.data(), indexes(), st.sampled_from(POSTING_MUTATIONS))
-def test_check_postings_equals_numpy_reference(data, built, mutation):
-    index, _ = built
-    raw = json.loads(json.dumps(index.to_dict()))
-    doc_length, postings = raw["doc_length"], raw["postings"]
-    if mutation is not None:
-        mutate_postings(data.draw, doc_length, postings, mutation)
-    outcome = check_outcome(_check_postings, doc_length, postings)
-    assert outcome == check_outcome(reference_check_postings, doc_length, postings)
-    assert (outcome is None) == (mutation is None)
+@given(corpora())
+def test_built_and_reloaded_index_equal_the_dict_reference(corpus):
+    postings, streams = reference_inversion(corpus)
+    built = build_index(corpus)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "index.json")
+        built.save(path)
+        loaded = PositionalIndex.load(path)
+    for index in (built, loaded):
+        assert_index_equals_reference(index, postings, streams)
 
 
 # -- pointwise targets ---------------------------------------------------------
