@@ -96,7 +96,7 @@ def fit_weighted_ridge(X, y, sample_weights, ridge: float,
     ridge == 0 and a rank-deficient design, falls back to the
     minimum-norm least-squares solution and flags it in ``solver``.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)     # BLAS sums in another order for another layout
     y = np.asarray(y, dtype=float)
     w = np.asarray(sample_weights, dtype=float)
     if X.ndim != 2:

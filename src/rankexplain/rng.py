@@ -7,16 +7,19 @@ seeds are expanded through splitmix64 so that small or zero seeds still
 start from well-mixed state.
 
 :func:`block_u64` and :func:`block_random` draw the next n values of the
-same stream at once, by jump-ahead. The state step is linear over GF(2),
-so 2**k steps are one fixed 64 x 64 bit matrix applied to the state
-(Haramoto et al., "Efficient jump ahead for F2-linear random number
-generators", INFORMS J. Computing 2008). A block equals n scalar draws
-and leaves the generator where they would.
+same stream at once. The stream is cut into lanes of m = 2**a consecutive
+states. The state step is linear over GF(2), so 2**k steps are one fixed
+64 x 64 bit matrix applied to the state (Haramoto et al., "Efficient jump
+ahead for F2-linear random number generators", INFORMS J. Computing 2008);
+jump-ahead by such matrices reaches each lane's first state. The lanes are
+then stepped together, one shift-xor step of all of them at a time. A
+block equals n scalar draws and leaves the generator where they would.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -107,20 +110,38 @@ def _jump_table(k: int) -> np.ndarray:
 def block_u64(rng: XorShift64Star, n: int) -> np.ndarray:
     """The next n ``rng.next_u64()`` values as a uint64 array; rng ends where n calls leave it.
 
-    The n states come by recursive doubling: with the first m in hand,
-    the jump of m = 2**k steps gives the next m.
+    Draw i is step i % m of lane i // m, for m = 2**a steps per lane (16
+    from n = 256 on; fewer for short blocks, so that they are no slower).
+    The L = ceil(n / m) lane starts come by recursive doubling: with the
+    first c in hand, the jump of c * m steps gives the next c. Row r of the
+    (m x L) grid is then row r - 1 after one scalar step, taken by all
+    lanes at once, so the grid's transpose read row by row is the stream.
     """
-    states = np.empty(n, dtype=np.uint64)
+    n = operator.index(n)          # numpy integers too, as np.empty took them
     if n == 0:
-        return states
-    states[0] = _jump(_jump_table(0), np.array([rng._state], dtype=np.uint64))[0]
-    m, k = 1, 0
-    while m < n:
-        step = min(m, n - m)
-        states[m:m + step] = _jump(_jump_table(k), states[:step])
-        m, k = m + step, k + 1
-    rng._state = int(states[-1])
-    return states * np.uint64(_XORSHIFT_MULT)       # uint64 arithmetic wraps mod 2**64
+        return np.empty(0, dtype=np.uint64)
+    a = min(4, (n.bit_length() - 1) // 2)
+    m = 1 << a
+    lanes = -(-n // m)
+    grid = np.empty((m, lanes), dtype=np.uint64)
+    starts = grid[0]
+    starts[0] = _jump(_jump_table(0), np.array([rng._state], dtype=np.uint64))[0]
+    c, k = 1, a
+    while c < lanes:
+        step = min(c, lanes - c)
+        starts[c:c + step] = _jump(_jump_table(k), starts[:step])
+        c, k = c + step, k + 1
+    shifted = np.empty(lanes, dtype=np.uint64)
+    for r in range(1, m):
+        x = grid[r]
+        np.right_shift(grid[r - 1], 12, out=shifted)
+        np.bitwise_xor(grid[r - 1], shifted, out=x)
+        np.left_shift(x, 25, out=shifted)      # drops the bits past 64, as & _MASK64 does
+        x ^= shifted
+        np.right_shift(x, 27, out=shifted)
+        x ^= shifted
+    rng._state = int(grid[(n - 1) % m, (n - 1) // m])
+    return np.multiply(grid.T, np.uint64(_XORSHIFT_MULT), order="C").reshape(-1)[:n]   # wraps mod 2**64
 
 
 def block_random(rng: XorShift64Star, n: int) -> np.ndarray:

@@ -154,20 +154,40 @@ def test_every_golden_file_has_a_case():
 OTHER_KERNELS = {"OPENBLAS_CORETYPE": "Prescott", "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                    reason="the OpenBLAS core type and numpy CPU features named are x86-64 ones")
-def test_outputs_other_than_pointwise_do_not_depend_on_the_blas_kernel():
-    # The pointwise surrogate weights still do, so their cases are left out.
-    names = [name for name, _ in CASES if not name.startswith("pointwise-")]
+other_kernels_only = pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="the OpenBLAS core type and numpy CPU features named are x86-64 ones")
+
+
+def rerun_under_other_kernels(test_file: str, selection: str) -> str:
+    """Run the tests of test_file that selection picks under OTHER_KERNELS; their stdout."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, **OTHER_KERNELS, PYTHONPATH=os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_golden.py",
-         "-k", "test_cli_output_matches_golden and not pointwise-"],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test_file, "-k", selection],
         cwd=root, env=env, capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-4000:]
-    assert f"{len(names)} passed" in result.stdout
+    return result.stdout
+
+
+@other_kernels_only
+def test_outputs_other_than_pointwise_do_not_depend_on_the_blas_kernel():
+    # The pointwise surrogate weights still do, so their cases are left out.
+    names = [name for name, _ in CASES if not name.startswith("pointwise-")]
+    stdout = rerun_under_other_kernels("tests/test_golden.py",
+                                       "test_cli_output_matches_golden and not pointwise-")
+    assert f"{len(names)} passed" in stdout
+
+
+@other_kernels_only
+def test_block_draws_do_not_depend_on_the_numpy_loops():
+    # The non-pointwise golden cases draw no block, so the draws are checked here.
+    stdout = rerun_under_other_kernels(
+        "tests/test_properties.py",
+        "test_block_draws_equal_the_scalar_stream or test_op_sized_blocks_equal_the_scalar_stream"
+        " or test_sampler_batches_equal_the_per_token_reference")
+    assert "4 passed" in stdout
 
 
 def main() -> None:

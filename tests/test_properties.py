@@ -65,7 +65,7 @@ from rankexplain.perturb import (
     random_sampler,
     tfidf_sampler,
 )
-from rankexplain.pointwise import EXS_VARIANTS, PointwiseParams, _perturbation_design, exs_targets
+from rankexplain.pointwise import EXS_VARIANTS, PointwiseParams, _perturbation_design, exs_targets, fit_weighted_ridge
 from rankexplain.rankers import LMJMRanker, RankedList, RunEntry, _SparseRanker
 from rankexplain.rng import XorShift64Star, block_random, block_u64
 
@@ -788,6 +788,27 @@ def test_perturbation_design_equals_per_sample_derivation(data, built, kind, rat
     assert np.array_equal(kernel, np.exp(-(distances ** 2) / (width ** 2)))
 
 
+def fit_bits(fit):
+    """A surrogate fit with its floats as bytes, so equal means equal to the bit."""
+    floats = np.array([*fit.weights.values(), fit.intercept, fit.weighted_residual_norm])
+    return list(fit.weights), floats.tobytes(), fit.sample_count, fit.solver
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 200), st.integers(1, 200), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-3, 1.0]))
+def test_ridge_fit_does_not_depend_on_the_designs_memory_layout(n, d, seed, ridge):
+    # A presence design as the pointwise explainers build it, with real targets and kernel weights.
+    gen = np.random.default_rng(seed)
+    X = (gen.random((n, d)) < 0.7).astype(float)
+    y, w = gen.normal(size=n), np.exp(-gen.random(n) ** 2)
+    wide = np.zeros((n, 2 * d))
+    wide[:, ::2] = X
+    fits = [fit_bits(fit_weighted_ridge(design, y, w, ridge))
+            for design in (X, np.asfortranarray(X), wide[:, ::2])]
+    assert fits[1] == fits[0]
+    assert fits[2] == fits[0]
+
+
 # -- block draws, mask batches and their scores --------------------------------
 
 
@@ -803,6 +824,27 @@ def test_block_draws_equal_the_scalar_stream(n, seed):
     assert block._state == scalar._state
     assert block_random(block, n).tolist() == [scalar.random() for _ in range(n)]
     assert block._state == scalar._state
+
+
+# The sizes a doc-explain op draws (200 samples of 160-280 tokens), each side
+# of a lane boundary at 16 steps per lane, and every length up to 300, which
+# crosses each point where short blocks change their steps per lane.
+OP_BLOCK_LENGTHS = sorted({*range(301), 40_000, 56_000, 2**16 - 1, 2**16 + 1,
+                           *(16 * lanes + d for lanes in (17, 100, 2500, 3500, 4096) for d in (-1, 0, 1))})
+
+
+@pytest.mark.parametrize("seed", [1, 2**64 - 1])
+def test_op_sized_blocks_equal_the_scalar_stream(seed):
+    scalar = XorShift64Star(seed)
+    values, states = [], [scalar._state]       # states[n]: where n scalar draws leave the generator
+    for _ in range(OP_BLOCK_LENGTHS[-1]):
+        values.append(scalar.next_u64())
+        states.append(scalar._state)
+    for n in OP_BLOCK_LENGTHS:
+        block = XorShift64Star(seed)
+        assert block_u64(block, n).tolist() == values[:n], n
+        assert block._state == states[n], n
+    assert block_u64(XorShift64Star(seed), np.int64(300)).tolist() == values[:300]
 
 
 def reference_samples(doc, index, config, rng):
