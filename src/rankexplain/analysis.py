@@ -35,6 +35,20 @@ def _check_keys(what: str, data, keys: set) -> None:
         raise ValueError(f"{what} {'has no' if wrong[0] in keys else 'has an unknown'} key {wrong[0]!r}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The dict of a JSON object's (key, value) pairs; a ValueError names a key it repeats.
+
+    The ``object_pairs_hook`` of every JSON reader here: without it ``json``
+    keeps a repeated key's last value.
+    """
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"repeated key {key!r} in a JSON object")
+        data[key] = value
+    return data
+
+
 @dataclass(frozen=True)
 class AnalyzerConfig:
     """Configuration of the analysis chain. Equal configs tokenize equally."""
@@ -84,15 +98,14 @@ class _Analyzer:
     A word's term is None for a stopword or the empty word, else the word
     Porter-stemmed (or left as it is without stemming). ``porter_stem`` is
     looked up when a word is first seen, so a replaced module attribute is
-    the one called. Words with equal terms share one term object, so the
-    token streams an index keeps hold no copies of a term.
+    the one called. Words with equal terms may give distinct but equal
+    term objects; an index keeps ordinals into its vocabulary, not these.
     """
 
     def __init__(self, config: AnalyzerConfig):
         self._config = config
         self._split = re.compile(config.token_pattern).findall
         self._terms: dict[str, str | None] = {}
-        self._shared: dict = {}     # term -> the one object that stands for it
 
     def _term(self, word: str) -> str | None:
         if not word or word in self._config.stopwords:     # a pattern may match ''
@@ -103,11 +116,8 @@ class _Analyzer:
         if self._config.lowercase:
             text = text.lower()
         words = self._split(text)
-        terms = self._terms
-        for word in set(words).difference(terms):
-            term = self._term(word)
-            terms[word] = self._shared.setdefault(term, term)
-        return [t for t in map(terms.__getitem__, words) if t is not None]
+        self._terms.update({word: self._term(word) for word in set(words).difference(self._terms)})
+        return [t for t in map(self._terms.__getitem__, words) if t is not None]
 
 
 def tokenize(text: str, config: AnalyzerConfig = DEFAULT_CONFIG) -> list[str]:

@@ -19,6 +19,7 @@ import dataclasses
 import json
 import sys
 
+from .analysis import _unique_keys
 from .axioms import (
     AGGREGATION_MODES,
     AXIOM_NAMES,
@@ -146,7 +147,7 @@ def _build_params(args, extras: list[str], classes: tuple, extra: dict | None = 
     data: dict = {}
     if args.params:
         with open(args.params, encoding="utf-8") as f:
-            data = json.load(f)
+            data = json.load(f, object_pairs_hook=_unique_keys)
         if not isinstance(data, dict):
             raise UsageError(f"{args.params}: the params file must hold a JSON object")
     data.update(_overrides_from_extras(extras))

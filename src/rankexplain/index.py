@@ -1,14 +1,14 @@
 """Immutable positional inverted index over a small in-memory corpus.
 
 Holds, per term, the posting list of (docid, positions), per document its
-analyzed token stream, and the global statistics every scoring model and
-axiom in this package needs: document lengths, corpus size, average
-document length, document frequency, collection frequency and idf. A
-document's length is the length of its stream and a term's df the length
-of its posting list. The index is immutable: the collection statistics
-(total tokens, avgdl, and each indexed term's cf and idf) and the
-per-document term-ordinal arrays are computed at construction, and
-nothing is written after that.
+analyzed token stream as term ordinals in one int32 array, and the global
+statistics every scoring model and axiom in this package needs: document
+lengths, corpus size, average document length, document frequency,
+collection frequency and idf. A document's length is the length of its
+stream and a term's df the length of its posting list. The index is
+immutable: the collection statistics (total tokens, avgdl, and each
+indexed term's cf and idf) and the per-document term-ordinal arrays are
+computed at construction, and nothing is written after that.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import AnalyzerConfig, DEFAULT_CONFIG, TokenizedDocument, _Analyzer, _check_keys
+from .analysis import AnalyzerConfig, DEFAULT_CONFIG, TokenizedDocument, _Analyzer, _check_keys, _unique_keys
 
 _INDEX_FORMAT_VERSION = 2
 
@@ -105,7 +105,7 @@ class UnknownDocumentError(KeyError):
 
 
 class PositionalIndex:
-    """Term -> postings mapping with per-document positions, and each document's token stream.
+    """Term -> postings mapping with per-document positions, and each document's term ordinals.
 
     Positions are indices into the post-analysis token stream (stopwords
     removed before position assignment), so proximity values are measured
@@ -113,9 +113,13 @@ class PositionalIndex:
 
     Construction freezes term ordinals: ordinal u is the u-th term of the
     sorted vocabulary, so ordinal order is ``str`` order. Rows follow the
-    sorted docids. Building and loading call the same constructor with the
-    token streams, and it inverts them in one pass, a chunk of documents at
-    a time (``_invert``). Each (document, term) pair gives a posting, whose
+    sorted docids. The only copy of the documents is one read-only int32
+    stream of their ordinals in row order, with int64 row offsets
+    (``_starts``) and a docid -> length dict; ``doc_tokens`` maps a row's
+    slice through the vocabulary. Building and loading call the same
+    constructor with the lengths, the ordinals and the vocabulary, and it
+    inverts the stream in one pass, a chunk of documents at a time
+    (``_invert``). Each (document, term) pair gives a posting, whose
     positions are a tuple; a posting of one position holds the (p,) tuple
     shared by every such posting. It also gives the row's entry in the CSR
     arrays: per row, the document's distinct terms as ascending int32
@@ -127,16 +131,22 @@ class PositionalIndex:
     0.0, and the LM ground truth adds its mass vectors the same way.
     """
 
-    def __init__(self, doc_tokens: dict, config: AnalyzerConfig, vocabulary: list | None = None):
-        """Index ``doc_tokens`` (docid -> tuple of terms); ``vocabulary`` is their sorted distinct terms."""
-        self._doc_tokens = doc_tokens      # docid -> (term, ...), the term at each position
+    def __init__(self, lengths: dict, stream, vocabulary: list, config: AnalyzerConfig):
+        """Index the documents of ``lengths`` (docid -> length), whose term ordinals ``stream`` yields.
+
+        ``lengths`` runs in sorted docid order, and ``stream`` yields each
+        document's ordinals into the sorted ``vocabulary`` in that order. It
+        is read once, into the int32 array that is the index's only copy of
+        the documents.
+        """
+        self._lengths = lengths
+        self._stream = _read_only(np.fromiter(stream, dtype=np.int32, count=sum(lengths.values())))
         self.config = config
-        if vocabulary is None:
-            vocabulary = sorted(set(itertools.chain.from_iterable(doc_tokens.values())))
         self._vocabulary = vocabulary
-        self._docids = docids = sorted(doc_tokens)
+        self._docids = docids = list(lengths)
+        self._starts = _read_only(np.concatenate(([0], np.cumsum(list(lengths.values()), dtype=np.int64))))
         by_ordinal, self._offsets, self._ordinals, self._counts, cf = _invert(
-            docids, [doc_tokens[d] for d in docids], vocabulary)
+            self._stream, self._starts, docids, len(vocabulary))
         self._postings = dict(zip(vocabulary, by_ordinal))     # term -> {docid: (pos, ...)}
         self._cf = dict(zip(vocabulary, cf.tolist()))
         self._cf_by_ordinal = cf
@@ -151,7 +161,7 @@ class PositionalIndex:
 
     @property
     def n_docs(self) -> int:
-        return len(self._doc_tokens)
+        return len(self._lengths)
 
     @property
     def avgdl(self) -> float:
@@ -176,15 +186,21 @@ class PositionalIndex:
         return list(self._docids)
 
     def has_doc(self, docid: str) -> bool:
-        return docid in self._doc_tokens
+        return docid in self._lengths
 
     def _require_doc(self, docid: str) -> None:
-        if docid not in self._doc_tokens:
+        if docid not in self._lengths:
             raise UnknownDocumentError(f"unknown docid: {docid!r}")
+
+    def _span(self, docid: str, offsets: np.ndarray) -> slice:
+        """The slice that row ``offsets`` give docid's row, which is docid's place in the sorted docids."""
+        self._require_doc(docid)
+        row = bisect.bisect_left(self._docids, docid)
+        return slice(*offsets[row:row + 2].tolist())
 
     def doc_length(self, docid: str) -> int:
         self._require_doc(docid)
-        return len(self._doc_tokens[docid])
+        return self._lengths[docid]
 
     def df(self, term: str) -> int:
         return len(self._postings.get(term, ()))
@@ -212,10 +228,8 @@ class PositionalIndex:
 
     def doc_terms(self, docid: str) -> tuple[np.ndarray, np.ndarray]:
         """The ascending term ordinals of docid and each one's tf, as read-only int32 views."""
-        self._require_doc(docid)
-        row = bisect.bisect_left(self._docids, docid)
-        lo, hi = self._offsets[row:row + 2].tolist()
-        return self._ordinals[lo:hi], self._counts[lo:hi]
+        span = self._span(docid, self._offsets)
+        return self._ordinals[span], self._counts[span]
 
     def tf(self, term: str, docid: str) -> int:
         self._require_doc(docid)
@@ -232,10 +246,7 @@ class PositionalIndex:
         docids, so it costs O(min(df, distinct docids)), not one lookup per
         cell.
         """
-        try:
-            dl = np.array([len(self._doc_tokens[d]) for d in docids], dtype=np.int64)
-        except KeyError as exc:
-            raise UnknownDocumentError(f"unknown docid: {exc.args[0]!r}") from None
+        dl = np.array([self.doc_length(d) for d in docids], dtype=np.int64)
         column = dict(zip(docids, range(len(docids))))     # a repeated docid's last column
         hits, cols, counts = [], [], []
         for term in terms:
@@ -263,9 +274,8 @@ class PositionalIndex:
         return dict(self._postings.get(term, {}))
 
     def doc_tokens(self, docid: str) -> tuple[str, ...]:
-        """The analyzed token sequence of a document."""
-        self._require_doc(docid)
-        return self._doc_tokens[docid]
+        """The analyzed token sequence of a document, mapped from its slice of the stream."""
+        return tuple(self.terms_at(self._stream[self._span(docid, self._starts)].tolist()))
 
     def tokenized_doc(self, docid: str) -> TokenizedDocument:
         return TokenizedDocument(docid=docid, tokens=self.doc_tokens(docid))
@@ -273,12 +283,13 @@ class PositionalIndex:
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:
-        ordinal = dict(zip(self._vocabulary, itertools.count()))
+        # The lists share one int object per ordinal; the stream's ``tolist`` would make one per token.
+        shared, starts = np.array(range(len(self._vocabulary)), dtype=object), self._starts.tolist()
         return {
             "version": _INDEX_FORMAT_VERSION,
             "config": self.config.to_dict(),
             "vocabulary": list(self._vocabulary),
-            "docs": {d: list(map(ordinal.__getitem__, self._doc_tokens[d])) for d in self._docids},
+            "docs": {d: shared[self._stream[lo:hi]].tolist() for d, lo, hi in zip(self._docids, starts, starts[1:])},
         }
 
     def save(self, path: str) -> None:
@@ -302,16 +313,14 @@ class PositionalIndex:
             raise ValueError("index vocabulary must be a strictly ascending list of strings")
         if type(docs) is not dict:
             raise ValueError("index docs must be a JSON object")
-        n_terms, term = len(vocabulary), vocabulary.__getitem__
-        doc_tokens = {}
         for d, stream in docs.items():
             _check_id("docid", d)
             if type(stream) is not list or stream and (set(map(type, stream)) != {int}
-                                                       or min(stream) < 0 or max(stream) >= n_terms):
+                                                       or min(stream) < 0 or max(stream) >= len(vocabulary)):
                 raise ValueError(f"docid {d!r}: the stream must be a list of term ordinals, "
-                                 f"ints in [0, {n_terms})")
-            doc_tokens[d] = tuple(map(term, stream))
-        index = cls(doc_tokens, config, vocabulary)
+                                 f"ints in [0, {len(vocabulary)})")
+        lengths = {d: len(docs[d]) for d in sorted(docs)}
+        index = cls(lengths, itertools.chain.from_iterable(map(docs.__getitem__, lengths)), vocabulary, config)
         if not index.cf_by_ordinal.all():
             unused = vocabulary[int(np.argmin(index.cf_by_ordinal))]
             raise ValueError(f"index vocabulary term {unused!r} occurs in no document")
@@ -320,7 +329,7 @@ class PositionalIndex:
     @classmethod
     def load(cls, path: str) -> "PositionalIndex":
         with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+            return cls.from_dict(json.load(f, object_pairs_hook=_unique_keys))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -334,38 +343,40 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 _ROW_CHUNK = 16
 
 
-def _invert(docids: list, streams: list, vocabulary: list):
+def _keys(stream: np.ndarray, bounds: np.ndarray, n_terms: int) -> np.ndarray:
+    """The int64 key (row in chunk) * V + ordinal of each token in the rows whose offsets are ``bounds``."""
+    return np.repeat(np.arange(len(bounds) - 1), np.diff(bounds)) * n_terms + stream[bounds[0]:bounds[-1]]
+
+
+def _invert(stream: np.ndarray, starts: np.ndarray, docids: list, n_terms: int):
     """The postings of each term (a list by ordinal), the CSR rows, and each term's cf.
 
-    ``streams`` holds each docid's token stream, in row order. The CSR
-    arrays are allocated once, sized by each stream's distinct terms. One
-    pass takes a chunk of documents at a time: the chunk's tokens become
-    int64 keys (row in chunk) * V + ordinal, and one stable argsort groups
-    each (document, term) pair's tokens into a run, in position order. A
-    run gives the row's CSR entry (ordinal, count) and the posting: the
-    shared (p,) tuple when tf is 1, else the tuple of its positions. The
-    chunk's token ordinals add to cf by ``np.bincount``. The temporaries
-    stay the size of a chunk, not of the corpus.
+    ``stream`` holds each docid's term ordinals in row order, row r's from
+    ``starts[r]`` to ``starts[r + 1]``. The CSR arrays are allocated once,
+    sized by each chunk's distinct keys. One pass slices a chunk of rows
+    out of the stream at a time: the chunk's tokens become int64 keys (row
+    in chunk) * V + ordinal, and one stable argsort groups each (document,
+    term) pair's tokens into a run, in position order. A run gives the
+    row's CSR entry (ordinal, count) and the posting: the shared (p,) tuple
+    when tf is 1, else the tuple of its positions. The temporaries stay the
+    size of a chunk, not of the corpus; cf is one ``np.bincount`` of the
+    stream.
     """
-    n_terms = len(vocabulary)
-    ordinal = dict(zip(vocabulary, itertools.count()))
-    singles = [(p,) for p in range(max(map(len, streams), default=0))]
-    by_ordinal = [{} for _ in vocabulary]
-    offsets = np.zeros(len(streams) + 1, dtype=np.int64)
-    n_entries = sum(map(len, map(set, streams)))        # (document, term) pairs
+    cf = np.bincount(stream, minlength=n_terms)     # before the postings grow: it copies the stream to int64
+    singles = [(p,) for p in range(int(np.diff(starts).max(initial=0)))]
+    by_ordinal = [{} for _ in range(n_terms)]
+    offsets = np.zeros(len(docids) + 1, dtype=np.int64)
+    chunks = [starts[start:start + _ROW_CHUNK + 1] for start in range(0, len(docids), _ROW_CHUNK)]
+    # The (document, term) pairs: the distinct keys of each chunk.
+    n_entries = sum(np.count_nonzero(np.diff(np.sort(_keys(stream, b, n_terms)), prepend=-1)) for b in chunks)
     ordinals, counts = np.empty(n_entries, dtype=np.int32), np.empty(n_entries, dtype=np.int32)
-    cf = np.zeros(n_terms, dtype=np.int64)
-    for start in range(0, len(streams), _ROW_CHUNK):
-        chunk, chunk_ids = streams[start:start + _ROW_CHUNK], docids[start:start + _ROW_CHUNK]
-        lengths = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
-        tokens = np.fromiter(map(ordinal.__getitem__, itertools.chain.from_iterable(chunk)),
-                             dtype=np.int64, count=int(lengths.sum()))
-        cf += np.bincount(tokens, minlength=n_terms)
-        keys = np.repeat(np.arange(len(chunk)), lengths) * n_terms + tokens
+    for start, bounds in zip(itertools.count(0, _ROW_CHUNK), chunks):
+        chunk_ids = docids[start:start + _ROW_CHUNK]
+        keys = _keys(stream, bounds, n_terms)
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         row = keys // n_terms
-        positions = (order - (np.cumsum(lengths) - lengths)[row]).tolist()
+        positions = (order - (bounds[:-1] - bounds[0])[row]).tolist()
         first = np.flatnonzero(np.diff(keys, prepend=-1))      # where each run starts
         tfs = np.diff(first, append=len(keys))
         run_row, run_ordinal = row[first], keys[first] % n_terms
@@ -375,8 +386,8 @@ def _invert(docids: list, streams: list, vocabulary: list):
         filled = offsets[start]
         ordinals[filled:filled + len(first)] = run_ordinal
         counts[filled:filled + len(first)] = tfs
-        offsets[start + 1:start + 1 + len(chunk)] = filled + np.cumsum(
-            np.bincount(run_row, minlength=len(chunk)))
+        offsets[start + 1:start + 1 + len(chunk_ids)] = filled + np.cumsum(
+            np.bincount(run_row, minlength=len(chunk_ids)))
     return by_ordinal, _read_only(offsets), _read_only(ordinals), _read_only(counts), _read_only(cf)
 
 
@@ -386,16 +397,22 @@ def build_index(corpus: list[Document], config: AnalyzerConfig = DEFAULT_CONFIG)
     Rejects duplicate, non-string or empty docids, ones with whitespace and
     non-string text. An empty corpus yields an index with n_docs == 0 and avgdl == 0.
     """
-    doc_tokens: dict[str, tuple[str, ...]] = {}
-    analyze = _Analyzer(config)
+    texts: dict[str, str] = {}
     for doc in corpus:
         _check_id("docid", doc.docid)
-        if doc.docid in doc_tokens:
+        if doc.docid in texts:
             raise ValueError(f"duplicate docid: {doc.docid!r}")
         if not isinstance(doc.text, str):
             raise ValueError(f"docid {doc.docid!r}: text must be a string, got {doc.text!r}")
-        doc_tokens[doc.docid] = tuple(analyze(doc.text))
-    return PositionalIndex(doc_tokens, config)
+        texts[doc.docid] = doc.text
+    # One analyzer stems each distinct word once. Its word memo holds a term
+    # object per word, so it goes before the index is built.
+    doc_tokens = dict(zip(texts, map(tuple, map(_Analyzer(config), texts.values()))))
+    ordinal = {term: u for u, term in enumerate(sorted(set(itertools.chain.from_iterable(doc_tokens.values()))))}
+    lengths = {d: len(doc_tokens[d]) for d in sorted(doc_tokens)}
+    # Popping each document's terms as its ordinals are read frees them one by one.
+    terms = itertools.chain.from_iterable(map(doc_tokens.pop, lengths))
+    return PositionalIndex(lengths, map(ordinal.__getitem__, terms), list(ordinal), config)
 
 
 def read_corpus_jsonl(path: str) -> list[Document]:
@@ -407,9 +424,9 @@ def read_corpus_jsonl(path: str) -> list[Document]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+                obj = json.loads(line, object_pairs_hook=_unique_keys)
+            except ValueError as exc:     # malformed, or an object with a repeated key
+                raise ValueError(f"{path}:{lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
             if not isinstance(obj, dict) or "docid" not in obj or "text" not in obj:
                 raise ValueError(f'{path}:{lineno}: expected object with "docid" and "text"')
             docid, text = obj["docid"], obj["text"]

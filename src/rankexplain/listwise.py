@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import _check_keys
+from .analysis import _check_keys, _unique_keys
 from .evaluation import RBO_P_DOMAIN, _rbo_rows
 from .index import PositionalIndex, _check_number, _check_unique, check_fields
 from .rankers import (
@@ -547,7 +547,7 @@ def _nested_lists(items, shape: tuple) -> bool:
 
 def matrix_from_json(text: str) -> PreferenceMatrix:
     """Read ``matrix_to_json``'s output back; anything else raises ValueError."""
-    data = json.loads(text)
+    data = json.loads(text, object_pairs_hook=_unique_keys)
     _check_keys("preference matrix", data, {"rankers", "pairs", "terms", "salience", "entries"})
     rankers, terms, salience = data["rankers"], data["terms"], data["salience"]
     for key in ("rankers", "terms"):

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import _check_keys
+from .analysis import _check_keys, _unique_keys
 from .index import PositionalIndex, _check_number, _check_unique, check_fields
 from .perturb import SamplerConfig, draw_samples
 from .rankers import Query, RankedList, Ranker
@@ -149,9 +149,9 @@ def fit_weighted_ridge(X, y, sample_weights, ridge: float,
 def _perturbation_design(index: PositionalIndex, docid: str, params: PointwiseParams):
     """Draw samples of one document and derive the surrogate design from their mask matrix.
 
-    Returns the (samples x positions) kept matrix, the sorted distinct
-    terms, the presence matrix X (samples x terms) and each sample's
-    kernel weight.
+    Returns the document's tokens, the (samples x positions) kept matrix,
+    the sorted distinct terms, the presence matrix X (samples x terms) and
+    each sample's kernel weight.
     """
     doc = index.tokenized_doc(docid)
     terms = doc.distinct_terms()
@@ -165,14 +165,14 @@ def _perturbation_design(index: PositionalIndex, docid: str, params: PointwisePa
                                axis=1).astype(float)
     distances = 1.0 - kept.sum(axis=1) / len(doc.tokens)
     kernel = np.exp(-(distances ** 2) / (params.kernel_width ** 2))
-    return kept, terms, X, kernel
+    return doc.tokens, kept, terms, X, kernel
 
 
 def _explain(index: PositionalIndex, ranker: Ranker, query: Query, docid: str,
              params: PointwiseParams, method: str, target) -> ExplanationVector:
     """Fit the surrogate on target(scores of the perturbed variants)."""
-    kept, terms, X, kernel = _perturbation_design(index, docid, params)
-    y = target(ranker.score_masked(query, index.doc_tokens(docid), kept))
+    tokens, kept, terms, X, kernel = _perturbation_design(index, docid, params)
+    y = target(ranker.score_masked(query, tokens, kept))
     fit = fit_weighted_ridge(X, y, kernel, params.ridge, feature_names=terms)
     return ExplanationVector.from_weights(
         fit.weights, n_terms=params.n_terms,
@@ -254,7 +254,7 @@ def visualize_terms(expl: ExplanationVector, fmt: str = "text") -> str:
 
 def explanation_from_json(text: str) -> ExplanationVector:
     """Read the JSON of ``ExplanationVector.as_dict`` back; anything else raises ValueError."""
-    data = json.loads(text)
+    data = json.loads(text, object_pairs_hook=_unique_keys)
     _check_keys("explanation", data, {"qid", "docid", "method", "params", "terms"})
     for key in ("qid", "docid", "method"):
         if type(data[key]) is not str:

@@ -36,7 +36,12 @@ def reference_tokenize(text, config):
 
 
 def reference_index(corpus, config=DEFAULT_CONFIG):
-    return PositionalIndex({doc.docid: tuple(reference_tokenize(doc.text, config)) for doc in corpus}, config)
+    """The constructor's index of the reference token streams, in sorted docid order."""
+    streams = {doc.docid: reference_tokenize(doc.text, config) for doc in sorted(corpus, key=lambda d: d.docid)}
+    vocabulary = sorted({t for tokens in streams.values() for t in tokens})
+    ordinal = {t: u for u, t in enumerate(vocabulary)}
+    stream = [ordinal[t] for tokens in streams.values() for t in tokens]
+    return PositionalIndex({d: len(tokens) for d, tokens in streams.items()}, stream, vocabulary, config)
 
 
 # Stopwords, words of two characters or fewer, digits and mixed case: the

@@ -510,6 +510,20 @@ def test_usage_errors_exit_2(workspace, tmp_path, capsys, command, extra, params
     assert not Path(argv[argv.index("--out") + 1]).exists()
 
 
+@pytest.mark.parametrize("text,message", [('{"k1": 5, "k1": 1.2}', "repeated key 'k1'"),
+                                          ("{", "Expecting property name")])
+def test_a_params_file_with_a_repeated_key_exits_1_as_malformed_json_does(workspace, tmp_path, capsys, text, message):
+    # Plain json would keep the last k1 and rank with 1.2.
+    _, index_path, _ = workspace
+    params, out = tmp_path / "params.json", tmp_path / "x.trec"
+    params.write_text(text)
+    assert cli.run(["rank", "--index", str(index_path), "--topics", "demo", "--model", "bm25",
+                    "--params", str(params), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == "" and not out.exists()
+    assert message in captured.err
+
+
 # -- each command parses only the flags it reads -------------------------------
 
 

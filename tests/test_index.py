@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 import re
 from collections import Counter
@@ -165,6 +166,14 @@ def test_read_corpus_jsonl_errors(tmp_path):
         path.write_text('{"docid": "a0", "text": "x"}\n' + line + "\n")
         with pytest.raises(ValueError, match=re.escape(f'{path}:2: "{field}" must be')):
             read_corpus_jsonl(str(path))
+
+
+def test_read_corpus_jsonl_rejects_a_repeated_key(tmp_path):
+    # Plain json would keep the second text.
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"docid": "a", "text": "x"}\n{"docid": "b", "text": "apple", "text": "pear"}\n')
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: invalid JSON (repeated key 'text'")):
+        read_corpus_jsonl(str(path))
 
 
 def test_read_corpus_jsonl_reads_an_integer_docid_as_its_decimal_string(tmp_path):
@@ -447,11 +456,42 @@ def test_ranking_and_explaining_never_walk_every_posting_list(source, tmp_path):
 
 
 def test_kept_token_streams_hold_one_object_per_term():
-    # "runs" and "running" stem to equal terms; a stream holding a copy per
-    # word would cost more than the 8 bytes per token the index promises.
+    # "runs" and "running" stem to equal terms; the index keeps 4 bytes per
+    # token and doc_tokens maps them through the vocabulary, copying no term.
     index = build_index([Document("d1", "runs running run"), Document("d2", "running ran runs")])
     terms = {id(t) for t in index.vocabulary}
     assert all(id(t) in terms for d in index.doc_ids() for t in index.doc_tokens(d))
+
+
+def test_the_index_keeps_one_int32_stream_in_docid_order(tmp_path):
+    built = build_index([Document("d2", "ww qq ww"), Document("d10", "ee"), Document("d1", "qq ee qq"),
+                         Document("d0", "")])
+    docs = {"d0": [], "d1": [1, 0, 1], "d10": [0], "d2": [2, 1, 2]}     # ordinals into ee, qq, ww
+    path = tmp_path / "x.idx"
+    built.save(path)
+    data = json.loads(path.read_text())
+    assert data["vocabulary"] == ["ee", "qq", "ww"] and list(data["docs"].items()) == list(docs.items())
+    path.write_text(json.dumps({**data, "docs": dict(reversed(docs.items()))}))
+    shuffled = PositionalIndex.load(path)
+    for index in (built, PositionalIndex.from_dict(data), shuffled):
+        stream = index._stream
+        assert stream.dtype == np.int32 and stream.nbytes == 4 * index.total_tokens
+        assert not stream.flags.writeable
+        assert stream.tolist() == [u for d in sorted(docs) for u in docs[d]]
+        assert list(index.to_dict()["docs"].items()) == list(docs.items())
+        for docid, ordinals in docs.items():
+            assert index.doc_tokens(docid) == tuple(data["vocabulary"][u] for u in ordinals)
+            assert index.doc_length(docid) == len(ordinals)
+    assert shuffled.to_dict() == built.to_dict()
+
+
+def test_an_index_file_with_a_repeated_docid_does_not_load(tmp_path):
+    # Plain json would drop d1's first stream and load.
+    path = tmp_path / "x.idx"
+    path.write_text('{"config":{"lowercase":true,"stem":true,"stopwords":[],"token_pattern":"[a-z]+"},'
+                    '"docs":{"d1":[0],"d1":[0,1],"d2":[1]},"version":2,"vocabulary":["qq","ww"]}\n')
+    with pytest.raises(ValueError, match="repeated key 'd1'"):
+        PositionalIndex.load(path)
 
 
 def test_one_position_postings_share_their_tuple():

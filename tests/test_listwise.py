@@ -553,6 +553,13 @@ def test_matrix_from_json_rejects_what_a_matrix_cannot_hold(changes, message):
         matrix_from_json(_edited_json(**changes))
 
 
+def test_matrix_from_json_rejects_a_repeated_key():
+    # Plain json would keep the last "rankers" and load the matrix.
+    text = matrix_to_json(make_matrix([[1, -1], [0, 1]]))
+    with pytest.raises(ValueError, match="repeated key 'rankers'"):
+        matrix_from_json('{"rankers": ["x"], ' + text.lstrip()[1:])
+
+
 def test_matrix_from_json_rejects_what_is_not_an_object():
     with pytest.raises(ValueError, match="preference matrix must be a JSON object"):
         matrix_from_json("[]")

@@ -207,7 +207,7 @@ def test_locality_kernel_flattens_with_width(linear_fixture):
     index, _, _ = linear_fixture
     params = PointwiseParams(sampler=SamplerConfig(seed=1, rate=0.5),
                              kernel_width=1e6)
-    _, _, _, kernel = _perturbation_design(index, "target", params)
+    *_, kernel = _perturbation_design(index, "target", params)
     assert max(kernel) / min(kernel) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -253,8 +253,8 @@ def test_exs_short_base_list_rejected():
 def test_exs_variants_share_design(linear_fixture):
     index, scorer, _ = linear_fixture
     params = PointwiseParams(sampler=SamplerConfig(seed=21))
-    s1, t1, X1, k1 = _perturbation_design(index, "target", params)
-    s2, t2, X2, k2 = _perturbation_design(index, "target", params)
+    _, s1, t1, X1, k1 = _perturbation_design(index, "target", params)
+    _, s2, t2, X2, k2 = _perturbation_design(index, "target", params)
     assert np.array_equal(X1, X2)
     assert np.array_equal(k1, k2)
     assert t1 == t2
@@ -322,6 +322,17 @@ def _explanation_json(**changes) -> str:
 def test_explanation_from_json_rejects_what_as_dict_does_not_write(text, message):
     # Only what as_dict writes loads; anything else is a ValueError naming the key at fault.
     with pytest.raises(ValueError, match=re.escape(message)):
+        explanation_from_json(text)
+
+
+@pytest.mark.parametrize("text,key", [
+    pytest.param('{"qid": "8", ' + _explanation_json()[1:], "qid", id="top-level"),
+    pytest.param(_explanation_json(terms=[{"term": "aa", "weight": 1.0}]).replace('"weight"', '"term": "bb", "weight"'),
+                 "term", id="in-a-term-row"),
+])
+def test_explanation_from_json_rejects_a_repeated_key(text, key):
+    # Plain json would keep the last value and load the explanation.
+    with pytest.raises(ValueError, match=f"repeated key '{key}'"):
         explanation_from_json(text)
 
 

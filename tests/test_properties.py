@@ -777,12 +777,12 @@ def test_perturbation_design_equals_per_sample_derivation(data, built, kind, rat
     assume(len(set(doc.tokens)) >= 2)
     sampler = SamplerConfig(kind=kind, rate=rate, chunk=data.draw(st.integers(1, len(doc.tokens))),
                             n_samples=n_samples, seed=seed)
-    kept, terms, X, kernel = _perturbation_design(
+    doc_tokens, kept, terms, X, kernel = _perturbation_design(
         index, docid, PointwiseParams(sampler=sampler, kernel_width=width))
     fields = [per_sample_fields(doc, s.kept_mask) for s in draw_samples(doc, sampler, index=index)]
     distances = np.array([distance for _, _, distance in fields])
     tokens = np.array(doc.tokens, dtype=object)
-    assert terms == doc.distinct_terms()
+    assert doc_tokens == doc.tokens and terms == doc.distinct_terms()
     assert [tuple(tokens[row]) for row in kept] == [surviving for surviving, _, _ in fields]
     assert np.array_equal(X, np.array([features for _, features, _ in fields], dtype=float))
     assert np.array_equal(kernel, np.exp(-(distances ** 2) / (width ** 2)))
