@@ -7,8 +7,8 @@ lengths, corpus size, average document length, document frequency,
 collection frequency and idf. A document's length is the length of its
 stream and a term's df the length of its posting list. The index is
 immutable: the collection statistics (total tokens, avgdl, and each
-indexed term's cf and idf) and the per-document term-ordinal arrays are
-computed at construction, and nothing is written after that.
+indexed term's cf and idf) are computed at construction, and nothing is
+written after that.
 """
 
 from __future__ import annotations
@@ -116,19 +116,17 @@ class PositionalIndex:
     sorted docids. The only copy of the documents is one read-only int32
     stream of their ordinals in row order, with int64 row offsets
     (``_starts``) and a docid -> length dict; ``doc_tokens`` maps a row's
-    slice through the vocabulary. Building and loading call the same
-    constructor with the lengths, the ordinals and the vocabulary, and it
-    inverts the stream in one pass, a chunk of documents at a time
+    slice through the vocabulary, and ``doc_terms`` sorts rows' (row,
+    ordinal) keys into (ordinal, count) runs. Building and loading call the
+    same constructor with the lengths, the ordinals and the vocabulary,
+    and it inverts the stream in one pass, a chunk of documents at a time
     (``_invert``). Each (document, term) pair gives a posting, whose
     positions are a tuple; a posting of one position holds the (p,) tuple
-    shared by every such posting. It also gives the row's entry in the CSR
-    arrays: per row, the document's distinct terms as ascending int32
-    ordinals with their int32 counts, and int64 row offsets; ``doc_terms``
-    reads one row. Each term's cf (so total tokens and avgdl) is counted
-    in the same pass. ``cf_by_ordinal`` and ``idf_by_ordinal`` hold cf and
-    idf per ordinal. Every array is read-only. Candidate generation adds
-    ``tf * idf`` over these ordinals per top document in rank order, from
-    0.0, and the LM ground truth adds its mass vectors the same way.
+    shared by every such posting. ``cf_by_ordinal`` and ``idf_by_ordinal``
+    hold cf (one count over the stream) and idf per ordinal, read-only.
+    Candidate generation adds ``tf * idf`` over these ordinals for the top
+    documents in rank order, from 0.0, and the LM ground truth adds its
+    mass vectors the same way.
     """
 
     def __init__(self, lengths: dict, stream, vocabulary: list, config: AnalyzerConfig):
@@ -145,8 +143,7 @@ class PositionalIndex:
         self._vocabulary = vocabulary
         self._docids = docids = list(lengths)
         self._starts = _read_only(np.concatenate(([0], np.cumsum(list(lengths.values()), dtype=np.int64))))
-        by_ordinal, self._offsets, self._ordinals, self._counts, cf = _invert(
-            self._stream, self._starts, docids, len(vocabulary))
+        by_ordinal, cf = _invert(self._stream, self._starts, docids, len(vocabulary))
         self._postings = dict(zip(vocabulary, by_ordinal))     # term -> {docid: (pos, ...)}
         self._cf = dict(zip(vocabulary, cf.tolist()))
         self._cf_by_ordinal = cf
@@ -192,11 +189,11 @@ class PositionalIndex:
         if docid not in self._lengths:
             raise UnknownDocumentError(f"unknown docid: {docid!r}")
 
-    def _span(self, docid: str, offsets: np.ndarray) -> slice:
-        """The slice that row ``offsets`` give docid's row, which is docid's place in the sorted docids."""
+    def _span(self, docid: str) -> slice:
+        """docid's slice of the stream; its row is its place in the sorted docids."""
         self._require_doc(docid)
         row = bisect.bisect_left(self._docids, docid)
-        return slice(*offsets[row:row + 2].tolist())
+        return slice(*self._starts[row:row + 2].tolist())
 
     def doc_length(self, docid: str) -> int:
         self._require_doc(docid)
@@ -226,10 +223,13 @@ class PositionalIndex:
         """The read-only float64 array of ``idf`` indexed by term ordinal."""
         return self._idf_by_ordinal
 
-    def doc_terms(self, docid: str) -> tuple[np.ndarray, np.ndarray]:
-        """The ascending term ordinals of docid and each one's tf, as read-only int32 views."""
-        span = self._span(docid, self._offsets)
-        return self._ordinals[span], self._counts[span]
+    def doc_terms(self, *docids: str) -> tuple[np.ndarray, np.ndarray]:
+        """Each of docids' distinct term ordinals, ascending, and their tfs, one docid after another."""
+        spans = [self._span(d) for d in docids]
+        tokens = np.concatenate([self._stream[:0], *map(self._stream.__getitem__, spans)])
+        n_terms = len(self._vocabulary)
+        _, tfs, _, ordinals = _runs(np.sort(_keys(tokens, [s.stop - s.start for s in spans], n_terms)), n_terms)
+        return ordinals, tfs
 
     def tf(self, term: str, docid: str) -> int:
         self._require_doc(docid)
@@ -275,7 +275,7 @@ class PositionalIndex:
 
     def doc_tokens(self, docid: str) -> tuple[str, ...]:
         """The analyzed token sequence of a document, mapped from its slice of the stream."""
-        return tuple(self.terms_at(self._stream[self._span(docid, self._starts)].tolist()))
+        return tuple(self.terms_at(self._stream[self._span(docid)].tolist()))
 
     def tokenized_doc(self, docid: str) -> TokenizedDocument:
         return TokenizedDocument(docid=docid, tokens=self.doc_tokens(docid))
@@ -343,52 +343,44 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 _ROW_CHUNK = 16
 
 
-def _keys(stream: np.ndarray, bounds: np.ndarray, n_terms: int) -> np.ndarray:
-    """The int64 key (row in chunk) * V + ordinal of each token in the rows whose offsets are ``bounds``."""
-    return np.repeat(np.arange(len(bounds) - 1), np.diff(bounds)) * n_terms + stream[bounds[0]:bounds[-1]]
+def _keys(tokens: np.ndarray, lengths, n_terms: int) -> np.ndarray:
+    """The int64 key row * V + ordinal of each token of rows laid end to end, ``lengths`` of them a row."""
+    return np.repeat(np.arange(len(lengths)), lengths) * n_terms + tokens
+
+
+def _runs(keys: np.ndarray, n_terms: int):
+    """The start, length (tf), row and ordinal of each run of equal keys in the sorted ``keys``."""
+    edges = np.ones(len(keys) + 1, dtype=bool)      # where each run starts, and the end
+    np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
+    bounds = np.flatnonzero(edges)
+    return bounds[:-1], np.diff(bounds), *np.divmod(keys[bounds[:-1]], n_terms)
 
 
 def _invert(stream: np.ndarray, starts: np.ndarray, docids: list, n_terms: int):
-    """The postings of each term (a list by ordinal), the CSR rows, and each term's cf.
+    """The postings of each term (a list by ordinal), and each term's cf.
 
     ``stream`` holds each docid's term ordinals in row order, row r's from
-    ``starts[r]`` to ``starts[r + 1]``. The CSR arrays are allocated once,
-    sized by each chunk's distinct keys. One pass slices a chunk of rows
-    out of the stream at a time: the chunk's tokens become int64 keys (row
-    in chunk) * V + ordinal, and one stable argsort groups each (document,
-    term) pair's tokens into a run, in position order. A run gives the
-    row's CSR entry (ordinal, count) and the posting: the shared (p,) tuple
-    when tf is 1, else the tuple of its positions. The temporaries stay the
+    ``starts[r]`` to ``starts[r + 1]``. One pass slices a chunk of rows out
+    of the stream at a time and groups its tokens into (document, term)
+    runs (``_runs``). A run gives the posting: the shared (p,) tuple when
+    tf is 1, else the tuple of its positions. The temporaries stay the
     size of a chunk, not of the corpus; cf is one ``np.bincount`` of the
     stream.
     """
     cf = np.bincount(stream, minlength=n_terms)     # before the postings grow: it copies the stream to int64
     singles = [(p,) for p in range(int(np.diff(starts).max(initial=0)))]
     by_ordinal = [{} for _ in range(n_terms)]
-    offsets = np.zeros(len(docids) + 1, dtype=np.int64)
-    chunks = [starts[start:start + _ROW_CHUNK + 1] for start in range(0, len(docids), _ROW_CHUNK)]
-    # The (document, term) pairs: the distinct keys of each chunk.
-    n_entries = sum(np.count_nonzero(np.diff(np.sort(_keys(stream, b, n_terms)), prepend=-1)) for b in chunks)
-    ordinals, counts = np.empty(n_entries, dtype=np.int32), np.empty(n_entries, dtype=np.int32)
-    for start, bounds in zip(itertools.count(0, _ROW_CHUNK), chunks):
+    for start in range(0, len(docids), _ROW_CHUNK):
         chunk_ids = docids[start:start + _ROW_CHUNK]
-        keys = _keys(stream, bounds, n_terms)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        row = keys // n_terms
-        positions = (order - (bounds[:-1] - bounds[0])[row]).tolist()
-        first = np.flatnonzero(np.diff(keys, prepend=-1))      # where each run starts
-        tfs = np.diff(first, append=len(keys))
-        run_row, run_ordinal = row[first], keys[first] % n_terms
+        bounds = starts[start:start + _ROW_CHUNK + 1]
+        keys = _keys(stream[bounds[0]:bounds[-1]], np.diff(bounds), n_terms)
+        order = np.argsort(keys, kind="stable")     # each run's tokens in position order
+        first, tfs, run_row, run_ordinal = _runs(keys[order], n_terms)
+        positions = (order - np.repeat(bounds[run_row] - bounds[0], tfs)).tolist()
         for docid, u, p, tf in zip(map(chunk_ids.__getitem__, run_row.tolist()), run_ordinal.tolist(),
                                    first.tolist(), tfs.tolist()):
             by_ordinal[u][docid] = singles[positions[p]] if tf == 1 else tuple(positions[p:p + tf])
-        filled = offsets[start]
-        ordinals[filled:filled + len(first)] = run_ordinal
-        counts[filled:filled + len(first)] = tfs
-        offsets[start + 1:start + 1 + len(chunk_ids)] = filled + np.cumsum(
-            np.bincount(run_row, minlength=len(chunk_ids)))
-    return by_ordinal, _read_only(offsets), _read_only(ordinals), _read_only(counts), _read_only(cf)
+    return by_ordinal, _read_only(cf)
 
 
 def build_index(corpus: list[Document], config: AnalyzerConfig = DEFAULT_CONFIG) -> PositionalIndex:

@@ -83,13 +83,13 @@ def generate_candidates(index: PositionalIndex, ranked: RankedList,
     over those documents. Sorted by salience descending, ties
     lexicographic, truncated to n_candidates.
 
-    Salience accumulates over term ordinals: for each top document in
-    rank order, ``acc[u] += tf * idf[u]`` from 0.0, from the index's
-    per-document (ordinal, count) arrays. Each term gets the same float
-    additions in the same order as one running sum per term would. Every
-    pool term has idf > 0, so the pool is the nonzero entries of acc,
-    ordered by ``np.lexsort((ordinal, -acc))``; ordinal order is the
-    terms' ``str`` order.
+    Salience accumulates over term ordinals: one ``doc_terms`` call gives
+    the top documents' (ordinal, tf) runs in rank order, and ``np.add.at``
+    adds each ``tf * idf[u]`` into ``acc[u]`` in that order, from 0.0, as
+    one running sum per term would. Every pool term has idf > 0, so the
+    pool is the nonzero entries of acc, ordered by
+    ``np.lexsort((ordinal, -acc))``; ordinal order is the terms' ``str``
+    order.
     """
     if len(ranked) == 0:
         raise ValueError("cannot generate candidates from an empty ranked list")
@@ -97,9 +97,8 @@ def generate_candidates(index: PositionalIndex, ranked: RankedList,
     _check_number("n_candidates", n_candidates, "[1, inf)", int)
     idf = index.idf_by_ordinal
     acc = np.zeros(len(idf))
-    for entry in ranked.entries[:top_k]:
-        ordinals, counts = index.doc_terms(entry.docid)
-        acc[ordinals] += counts * idf[ordinals]
+    ordinals, counts = index.doc_terms(*(entry.docid for entry in ranked.entries[:top_k]))
+    np.add.at(acc, ordinals, counts * idf[ordinals])
     pool = np.flatnonzero(acc)
     salience = acc[pool]
     top = np.lexsort((pool, -salience))[:n_candidates]

@@ -69,7 +69,8 @@ class ExplanationVector:
 @dataclass(frozen=True)
 class PointwiseParams:
     sampler: SamplerConfig = SamplerConfig()
-    kernel_width: float = field(default=0.25, metadata={"in": "(0, inf)"})
+    # width ** 2 and distance ** 2 / width ** 2, distance in [0, 1], stay finite and nonzero.
+    kernel_width: float = field(default=0.25, metadata={"in": "[1e-150, 1e150]"})
     ridge: float = field(default=1.0, metadata={"in": RIDGE_DOMAIN})
     n_terms: int = field(default=10, metadata={"in": "[1, inf)"})
     exs_variant: str = field(default="topk_binary", metadata={"choices": EXS_VARIANTS})

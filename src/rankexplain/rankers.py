@@ -414,14 +414,16 @@ def load_from_res(path: str) -> dict:
 def save_to_res(runs: dict, path: str) -> None:
     """Write runs in canonical TREC form: qids sorted, entries by rank.
 
-    A qid, docid or tag that ``load_from_res`` could not read back raises
-    ``ValueError`` before the file is opened.
+    A qid, docid, tag or score that ``load_from_res`` could not read back
+    raises ``ValueError`` before the file is opened.
     """
     for qid, ranked in runs.items():
         _check_id("qid", qid)
         _check_id("tag", ranked.tag)
         for entry in ranked.entries:
             _check_id("docid", entry.docid)
+            if not math.isfinite(entry.score):
+                raise ValueError(f"qid {qid!r} docid {entry.docid!r}: score must be finite, got {entry.score!r}")
     with open(path, "w", encoding="utf-8") as f:
         for qid in sorted(runs):
             ranked = runs[qid]

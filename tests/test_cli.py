@@ -109,6 +109,16 @@ def test_whitespace_ids_exit_1_before_a_run_file_is_written(workspace, tmp_path,
     assert not run_path.exists()
 
 
+def test_a_score_that_overflows_exits_1_before_a_run_file_is_written(workspace, tmp_path, capsys):
+    # A huge k1 overflows BM25's tf saturation to inf, which load_from_res would reject.
+    _, index_path, _ = workspace
+    run_path = tmp_path / "x.trec"
+    assert cli.run(["rank", "--index", str(index_path), "--topics", "demo", "--k1", "1e308",
+                    "--out", str(run_path)]) == 1
+    assert re.search(r"^error: qid '\S+' docid '\S+': score must be finite, got inf$", capsys.readouterr().err, re.M)
+    assert not run_path.exists()
+
+
 def test_index_empty_corpus_error(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
@@ -462,6 +472,12 @@ def test_unknown_keys_exit_2(workspace, tmp_path, capsys, command, source, key):
     pytest.param("rank", ["--k1", "-0.5"], None, "k1 must be in [0, inf), got -0.5",
                  id="k1-negative"),
     pytest.param("rank", ["--b", "7"], None, "b must be in [0, 1], got 7.0", id="b-above-1"),
+    pytest.param("pointwise", ["--kernel_width", "1e200"], None,
+                 "kernel_width must be in [1e-150, 1e150], got 1e+200", id="kernel-width-1e200"),
+    pytest.param("pointwise", ["--kernel_width", "1e-160"], None,
+                 "kernel_width must be in [1e-150, 1e150], got 1e-160", id="kernel-width-1e-160"),
+    pytest.param("pointwise", ["--kernel_width", "1e-300"], None,
+                 "kernel_width must be in [1e-150, 1e150], got 1e-300", id="kernel-width-1e-300"),
     pytest.param("rank", [], {"b": -0.25}, "b must be in [0, 1], got -0.25", id="b-negative"),
     pytest.param("pointwise", [], {"seed": 5}, "--seed flag", id="pointwise-seed-key"),
     pytest.param("listwise", [], {"seed": 5}, "--seed flag", id="listwise-seed-key"),

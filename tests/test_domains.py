@@ -88,7 +88,7 @@ def test_the_walk_finds_every_params_class():
 @pytest.mark.parametrize("cls,field", [pytest.param(cls, f, id=f"{cls.__name__}.{f.name}") for cls, f in NUMERIC])
 def test_every_declared_interval_is_well_formed(cls, field):
     interval = field.metadata["in"]
-    end = r"-?(?:inf|\d+(?:\.\d+)?)"
+    end = r"-?(?:inf|\d+(?:\.\d+)?(?:e-?\d+)?)"
     assert re.fullmatch(rf"[\[(]{end}, {end}[\])]", interval), interval
     lo, hi = (float(e) for e in interval[1:-1].split(","))
     assert lo < hi

@@ -319,29 +319,31 @@ def test_statistics_match_their_formulas():
         assert index.idf(term) == math.log(1.0 + (index.n_docs - df + 0.5) / (df + 0.5))
 
 
-# -- term ordinals and per-document (ordinal, count) arrays -----------------------
+# -- term ordinals, per-ordinal cf and idf, and per-document term counts ----------
 
 
 def frozen_arrays(index):
-    """The CSR rows (offsets, ordinals, counts) and the per-ordinal cf and idf."""
-    return index._offsets, index._ordinals, index._counts, index.cf_by_ordinal, index.idf_by_ordinal
+    """The per-ordinal cf and idf."""
+    return index.cf_by_ordinal, index.idf_by_ordinal
 
 
 def assert_arrays_describe_the_streams(index):
-    offsets, ordinals, counts, _, _ = frozen_arrays(index)
-    vocabulary = index.vocabulary
+    cf, idf = frozen_arrays(index)
+    vocabulary, docids = index.vocabulary, index.doc_ids()
     assert vocabulary == sorted(vocabulary)
-    assert (offsets.dtype, ordinals.dtype, counts.dtype) == (np.int64, np.int32, np.int32)
-    assert len(offsets) == index.n_docs + 1 and offsets[0] == 0
-    assert offsets[-1] == len(ordinals) == len(counts) == sum(map(index.df, vocabulary))
-    for row, docid in enumerate(index.doc_ids()):
+    assert (cf.dtype, idf.dtype) == (np.int64, np.float64)
+    assert cf.tolist() == [index.cf(t) for t in vocabulary]
+    assert cf.all() and int(cf.sum()) == index.total_tokens == sum(map(index.doc_length, docids))
+    assert idf.tolist() == [index.idf(t) for t in vocabulary]
+    assert (idf > 0).all()
+    for docid in docids:
         doc_ordinals, doc_counts = index.doc_terms(docid)
-        assert doc_ordinals.tolist() == ordinals[offsets[row]:offsets[row + 1]].tolist()
         assert (np.diff(doc_ordinals) > 0).all()
         assert dict(zip(index.terms_at(doc_ordinals), doc_counts.tolist())) == Counter(index.doc_tokens(docid))
         assert int(doc_counts.sum()) == index.doc_length(docid)
-    assert index.cf_by_ordinal.tolist() == [index.cf(t) for t in vocabulary]
-    assert index.idf_by_ordinal.tolist() == [index.idf(t) for t in vocabulary]
+    ordinals, counts = index.doc_terms(*docids)
+    assert len(ordinals) == len(counts) == sum(map(index.df, vocabulary))
+    assert np.bincount(ordinals, weights=counts, minlength=len(vocabulary)).tolist() == cf.tolist()
 
 
 @pytest.mark.parametrize("texts", [
@@ -377,7 +379,7 @@ def test_a_saved_and_reloaded_index_holds_equal_arrays(tmp_path):
 
 def test_the_arrays_are_read_only():
     index = build_index([Document("d1", "qq ww qq"), Document("d2", "ww zz")])
-    for array in (*frozen_arrays(index), *index.doc_terms("d1")):
+    for array in frozen_arrays(index):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
 
@@ -394,14 +396,16 @@ def test_candidates_name_an_unknown_docid():
     ranked = RankedList.from_entries("q", [RunEntry("d1", 1, 2.0), RunEntry("nope", 2, 1.0)])
     with pytest.raises(UnknownDocumentError, match="'nope'"):
         generate_candidates(index, ranked, top_k=2)
-    with pytest.raises(UnknownDocumentError, match="'nope'"):
-        index.doc_terms("nope")
+    for docids in (["nope"], ["d1", "nope"], ["d2", "d1", "nope", "d1"]):
+        with pytest.raises(UnknownDocumentError, match="'nope'"):
+            index.doc_terms(*docids)
 
 
 @pytest.mark.parametrize("docid", [5, None])
 def test_a_docid_that_is_not_a_string_is_unknown(docid):
     index = build_index([Document("d1", "qq ww qq"), Document("d2", "ww zz")])
-    for read in (index.doc_length, index.doc_terms, lambda d: index.tf_block(["qq"], [d])):
+    for read in (index.doc_length, index.doc_terms, lambda d: index.doc_terms("d1", d, "d2"),
+                 lambda d: index.tf_block(["qq"], [d])):
         with pytest.raises(UnknownDocumentError, match=repr(docid)):
             read(docid)
 

@@ -82,6 +82,26 @@ def test_candidates_sum_over_docs():
     assert cands["qq"] > cands["ww"] == pytest.approx(index.idf("ww"))
 
 
+def test_candidates_add_each_terms_contributions_in_rank_order():
+    # Found by search: with N = 7 and df = 3, qq's contributions 4, 5 and 6 times its
+    # idf round to a different last bit unless the rank-3 document's comes last.
+    texts = {"d3": "qq " * 4, "d1": "qq " * 5, "d2": "qq " * 6, **{f"d{i}": "ww" for i in range(4, 8)}}
+    index = build_index([Document(d, text) for d, text in texts.items()])
+    ranked = RankedList.from_entries("q", [RunEntry(d, r, 4.0 - r) for r, d in enumerate(["d3", "d1", "d2"], 1)])
+    idf = index.idf("qq")
+
+    def added(tfs):
+        total = 0.0
+        for tf in tfs:
+            total += tf * idf
+        return total
+
+    salience = {c.term: c.salience for c in generate_candidates(index, ranked, top_k=3)}["qq"]
+    assert salience == added([4, 5, 6])
+    for tfs in itertools.permutations([4, 5, 6]):
+        assert (added(tfs) == salience) == (tfs[-1] == 6), tfs
+
+
 def test_candidates_empty_list_error():
     index = build_index([Document("d1", "qq")])
     with pytest.raises(ValueError):

@@ -211,6 +211,15 @@ def test_locality_kernel_flattens_with_width(linear_fixture):
     assert max(kernel) / min(kernel) == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("width", [1e-150, 1e150])
+def test_the_kernel_is_computed_at_the_ends_of_the_width_domain(linear_fixture, width):
+    # A numpy overflow or divide-by-zero RuntimeWarning is an error under the pytest settings.
+    index, _, _ = linear_fixture
+    params = PointwiseParams(sampler=SamplerConfig(seed=1, rate=0.5), kernel_width=width)
+    *_, kernel = _perturbation_design(index, "target", params)
+    assert ((kernel >= 0.0) & (kernel <= 1.0)).all()
+
+
 # -- EXS targets ---------------------------------------------------------------
 
 

@@ -733,6 +733,18 @@ def test_built_and_reloaded_index_equal_the_dict_reference(corpus):
         assert_index_equals_reference(index, postings, streams)
 
 
+@PROPERTY_SETTINGS
+@given(st.data(), corpora())
+def test_doc_terms_of_a_docid_list_equal_each_documents_counted_tokens(data, corpus):
+    # Docids in a drawn (rank) order with repeats, from any chunk of inversion; some streams are empty.
+    index = build_index(corpus)
+    vocabulary = index.vocabulary
+    docids = data.draw(st.lists(st.sampled_from(index.doc_ids()), max_size=30))
+    expected = [(vocabulary.index(t), c) for d in docids for t, c in sorted(Counter(index.doc_tokens(d)).items())]
+    ordinals, counts = index.doc_terms(*docids)
+    assert list(zip(ordinals.tolist(), counts.tolist())) == expected
+
+
 # -- pointwise targets ---------------------------------------------------------
 
 

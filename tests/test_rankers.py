@@ -263,6 +263,15 @@ def test_save_to_res_rejects_an_id_that_is_not_a_string(tmp_path, kind, bad):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_save_to_res_rejects_a_score_it_could_not_read_back(tmp_path, bad):
+    path = tmp_path / "run.trec"
+    runs = {"q1": RankedList(qid="q1", entries=[RunEntry("d1", 1, bad)], tag="sys")}
+    with pytest.raises(ValueError, match=re.escape(f"qid 'q1' docid 'd1': score must be finite, got {bad!r}")):
+        save_to_res(runs, str(path))
+    assert not path.exists()
+
+
 def test_ranked_list_invariant_validation():
     with pytest.raises(ValueError, match="duplicate"):
         RankedList.from_entries("q", [RunEntry("a", 1, 2.0), RunEntry("a", 2, 1.0)])
