@@ -270,8 +270,22 @@ class PositionalIndex:
         return list(posting.get(docid, ()))
 
     def postings(self, term: str) -> dict:
-        """Mapping docid -> positions tuple for one term ({} when unseen)."""
+        """Mapping docid -> positions tuple for one term ({} when unseen).
+
+        It iterates in ascending docid order: ``_invert`` fills every
+        posting row by row, and rows follow the sorted docids.
+        """
         return dict(self._postings.get(term, {}))
+
+    def matching_docs(self, terms) -> list[str]:
+        """The docids holding any of terms, ascending.
+
+        Each posting's keys are already in docid order (see ``postings``),
+        so sorting their concatenation merges sorted runs.
+        """
+        postings = self._postings
+        return list(dict.fromkeys(sorted(itertools.chain.from_iterable(
+            postings.get(t, ()) for t in dict.fromkeys(terms)))))
 
     def doc_tokens(self, docid: str) -> tuple[str, ...]:
         """The analyzed token sequence of a document, mapped from its slice of the stream."""

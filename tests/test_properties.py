@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import os
+import re
 import tempfile
 import warnings
 from collections import Counter
@@ -624,6 +625,73 @@ def test_rank_does_not_depend_on_pool_order(data, built, ranker_spec):
         assert rank(index, sm, query, pool=other, depth=depth) == expected
 
 
+class FixedScores(Ranker):
+    """An opaque ranker that gives each docid one score, whatever the query."""
+
+    name = "fixed"
+
+    def __init__(self, scores):
+        self.scores = scores
+
+    def score(self, query, docid):
+        return self.scores[docid]
+
+    def score_tokens(self, query, tokens):
+        raise NotImplementedError
+
+
+# Ties, both zeros, an int zero and both infinities, beside any other finite float.
+SCORES = st.one_of(st.sampled_from([0, 0.0, -0.0, 1.5, -2.0, math.inf, -math.inf]), st.floats(allow_nan=False))
+
+
+def reference_entries(pairs, depth):
+    """(docid, rank, score repr) of the (docid, score) pairs by score descending, ties by docid."""
+    ordered = sorted(pairs, key=lambda p: (-p[1], p[0]))[:depth]
+    return [(d, i, repr(s)) for i, (d, s) in enumerate(ordered, start=1)]
+
+
+def entries_of(ranked):
+    return [(e.docid, e.rank, repr(e.score)) for e in ranked.entries]
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), indexes())
+def test_rank_and_from_scores_equal_the_sort_reference(data, built):
+    index, vocab = built
+    docids = index.doc_ids()
+    scores = {d: data.draw(SCORES) for d in docids}
+    ranker = FixedScores(scores)
+    query = Query.from_terms("q", data.draw(query_terms(vocab)))
+    pool = data.draw(st.lists(st.sampled_from(docids), unique=True))
+    depth = data.draw(st.integers(1, len(docids) + 2))
+    matching = set().union(*map(index.postings, query.terms))
+    assert entries_of(rank(index, ranker, query, depth=depth)) == \
+        reference_entries([(d, scores[d]) for d in matching], depth)
+    assert entries_of(rank(index, ranker, query, pool=pool, depth=depth)) == \
+        reference_entries([(d, scores[d]) for d in pool], depth)
+    # from_scores takes pairs in any order, and a docid may repeat.
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(docids), SCORES)))
+    for cut in (depth, None):
+        assert entries_of(RankedList.from_scores("q", pairs, depth=cut)) == reference_entries(pairs, cut)
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), indexes())
+def test_a_nan_score_raises_naming_the_first_such_docid(data, built):
+    index, _ = built
+    docids = index.doc_ids()
+    nan_docids = data.draw(st.lists(st.sampled_from(docids), min_size=1, unique=True))
+    scores = {d: math.nan if d in nan_docids else data.draw(SCORES) for d in docids}
+    ranker = FixedScores(scores)
+    message = re.escape(f"qid 'q': docid {min(nan_docids)!r} has a NaN score")
+    every_term = Query.from_terms("q", index.vocabulary)      # every document holds a term
+    for pool in (None, data.draw(st.permutations(docids))):
+        with pytest.raises(ValueError, match=message):
+            rank(index, ranker, every_term, pool=pool)
+    with pytest.raises(ValueError, match=message):
+        RankedList.from_scores("q", data.draw(st.permutations(list(scores.items()))))
+
+
 @PROPERTY_SETTINGS
 @given(indexes())
 def test_index_round_trip_keeps_statistics(built):
@@ -731,6 +799,27 @@ def test_built_and_reloaded_index_equal_the_dict_reference(corpus):
         loaded = PositionalIndex.load(path)
     for index in (built, loaded):
         assert_index_equals_reference(index, postings, streams)
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), corpora())
+def test_postings_and_matching_docs_run_in_docid_order(data, corpus):
+    # Drawn docids, so that the corpus order is not the sorted order ("d10" < "d9").
+    names = data.draw(st.lists(st.text("ab9Zé-", min_size=1, max_size=4), min_size=len(corpus),
+                               max_size=len(corpus), unique=True))
+    corpus = [Document(name, doc.text) for name, doc in zip(names, corpus)]
+    built = build_index(corpus)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "index.json")
+        built.save(path)
+        loaded = PositionalIndex.load(path)
+    terms = built.vocabulary + [OOV]
+    drawn = data.draw(st.lists(st.lists(st.sampled_from(terms), max_size=5), min_size=1, max_size=4))
+    for index in (built, loaded):
+        for term in terms:
+            assert list(index.postings(term)) == sorted(index.postings(term))
+        for query in drawn + [terms]:
+            assert index.matching_docs(query) == sorted(set().union(*map(index.postings, query)))
 
 
 @PROPERTY_SETTINGS

@@ -153,6 +153,14 @@ def test_rank_pool_permutation_invariant(cat_index):
     assert a == b
 
 
+def test_rank_rejects_a_pool_naming_a_docid_twice(cat_index):
+    ranker = BM25Ranker(cat_index)
+    query = Query.from_text(cat_index, "q", "cat dog")
+    with pytest.raises(ValueError, match="duplicate 'D1' in pool"):
+        rank(cat_index, ranker, query, pool=iter(["D1", "D2", "D1"]))
+    assert rank(cat_index, ranker, query, pool={"D1", "D2"}) == rank(cat_index, ranker, query, pool=["D2", "D1"])
+
+
 def test_rank_empty_candidates(cat_index):
     ranked = rank(cat_index, BM25Ranker(cat_index), Query.from_terms("q", ["zz"]))
     assert len(ranked) == 0
