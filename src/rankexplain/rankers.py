@@ -14,6 +14,7 @@ from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -174,35 +175,29 @@ def _exact_log(x: np.ndarray) -> np.ndarray:
     return np.array([math.log(v) for v in values.tolist()])[inverse].reshape(x.shape)
 
 
+_NO_POSTING = MappingProxyType({})     # the posting of a term absent from the index
+
+
 class _SparseRanker(Ranker):
     """Shared machinery: per-term scoring over tf and document length.
 
-    Each model writes its formula twice, in the same operation order:
-    ``_term_score`` for one (term, tf, length) and ``_term_block`` for a
-    (terms x columns) tf matrix and one length per column, with each
-    term's idf or cf taken once. The block serves ``term_rows``, and so
-    the preference matrices and the fidelity rows, and ``score_masked``
-    and ``score_tokens``; ``score`` and ``rank`` add one scalar
-    ``_term_score`` per query term. Both add term contributions left to
-    right from zero, so a query's rows summed in query-term order give
+    Each model writes its formula twice, in the same operation order.
+    ``score`` scores one document: it checks the docid and takes the
+    length part of the formula once, then adds one term at a time, each
+    tf read from the term's posting. ``_term_block`` scores a (terms x
+    columns) tf matrix with one length per column, each term's idf or cf
+    taken once; it serves ``term_rows``, and so the preference matrices
+    and the fidelity rows, and ``score_masked`` and ``score_tokens``. Both
+    add term contributions left to right from zero, a term that does not
+    count adding 0.0, so a query's rows summed in query-term order give
     ``score`` to the bit.
     """
 
     def __init__(self, index: PositionalIndex):
         self.index = index
 
-    def _term_score(self, term: str, tf: int, dl: int) -> float:
-        raise NotImplementedError
-
     def _term_block(self, terms: Sequence[str], tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def score(self, query: Query, docid: str) -> float:
-        dl = self.index.doc_length(docid)      # raises UnknownDocumentError for an unknown docid
-        total = 0
-        for t in query.terms:
-            total += self._term_score(t, self.index.tf(t, docid), dl)
-        return total
 
     def score_tokens(self, query: Query, tokens: Sequence[str]) -> float:
         return float(self.score_masked(query, tokens, np.ones((1, len(tokens)), dtype=bool))[0])
@@ -232,12 +227,18 @@ class BM25Ranker(_SparseRanker):
         self.k1 = k1
         self.b = b
 
-    def _term_score(self, term: str, tf: int, dl: int) -> float:
-        if tf == 0:
-            return 0.0
-        avgdl = self.index.avgdl
-        norm = 1.0 - self.b + self.b * (dl / avgdl) if avgdl > 0 else 1.0
-        return self.index.idf(term) * tf * (self.k1 + 1.0) / (tf + self.k1 * norm)
+    def score(self, query: Query, docid: str) -> float:
+        index = self.index
+        dl = index.doc_length(docid)      # raises UnknownDocumentError for an unknown docid
+        avgdl = index.avgdl
+        k1 = self.k1
+        k1_norm = k1 * (1.0 - self.b + self.b * (dl / avgdl) if avgdl > 0 else 1.0)
+        postings = index._postings
+        total = 0
+        for t in query.terms:
+            tf = len(postings.get(t, _NO_POSTING).get(docid, ()))
+            total += index.idf(t) * tf * (k1 + 1.0) / (tf + k1_norm) if tf else 0.0
+        return total
 
     def _term_block(self, terms: Sequence[str], tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
         idf = np.array([self.index.idf(t) for t in terms])
@@ -260,13 +261,17 @@ class LMJMRanker(_SparseRanker):
         RankerParams(jm_lambda=lam)  # checks it against RankerParams's declaration
         self.lam = lam
 
-    def _term_score(self, term: str, tf: int, dl: int) -> float:
-        cf = self.index.cf(term)
-        if cf == 0:
-            return 0.0
-        p_doc = tf / dl if dl > 0 else 0.0
-        p_coll = cf / self.index.total_tokens
-        return math.log((1.0 - self.lam) * p_doc + self.lam * p_coll)
+    def score(self, query: Query, docid: str) -> float:
+        index = self.index
+        dl = index.doc_length(docid)      # raises UnknownDocumentError for an unknown docid
+        lam, n = self.lam, index.total_tokens
+        postings = index._postings
+        total = 0
+        for t in query.terms:
+            cf = index.cf(t)
+            p_doc = len(postings[t].get(docid, ())) / dl if cf and dl > 0 else 0.0
+            total += math.log((1.0 - lam) * p_doc + lam * (cf / n)) if cf else 0.0
+        return total
 
     def _term_block(self, terms: Sequence[str], tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
         cf = np.array([self.index.cf(t) for t in terms], dtype=np.int64)
@@ -288,12 +293,17 @@ class LMDirRanker(_SparseRanker):
         RankerParams(dirichlet_mu=mu)  # checks it against RankerParams's declaration
         self.mu = mu
 
-    def _term_score(self, term: str, tf: int, dl: int) -> float:
-        cf = self.index.cf(term)
-        if cf == 0:
-            return 0.0
-        p_coll = cf / self.index.total_tokens
-        return math.log((tf + self.mu * p_coll) / (dl + self.mu))
+    def score(self, query: Query, docid: str) -> float:
+        index = self.index
+        dl = index.doc_length(docid)      # raises UnknownDocumentError for an unknown docid
+        mu, n = self.mu, index.total_tokens
+        dl_mu = dl + mu
+        postings = index._postings
+        total = 0
+        for t in query.terms:
+            cf = index.cf(t)
+            total += math.log((len(postings[t].get(docid, ())) + mu * (cf / n)) / dl_mu) if cf else 0.0
+        return total
 
     def _term_block(self, terms: Sequence[str], tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
         cf = np.array([self.index.cf(t) for t in terms], dtype=np.int64)

@@ -67,7 +67,7 @@ from rankexplain.perturb import (
     tfidf_sampler,
 )
 from rankexplain.pointwise import EXS_VARIANTS, PointwiseParams, _perturbation_design, exs_targets, fit_weighted_ridge
-from rankexplain.rankers import LMJMRanker, RankedList, RunEntry, _SparseRanker
+from rankexplain.rankers import BM25Ranker, LMDirRanker, LMJMRanker, RankedList, RunEntry, _SparseRanker
 from rankexplain.rng import XorShift64Star, block_random, block_u64
 
 from conftest import make_vocab, random_corpus
@@ -78,14 +78,17 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def indexes(draw, min_docs=1, prefixes=st.just("d")):
+def indexes(draw, min_docs=1, prefixes=st.just("d"), max_empty=0):
+    """A random index and its vocabulary; up to ``max_empty`` of its documents have no tokens."""
     seed = draw(st.integers(0, 2**64 - 1))
     n_docs = draw(st.integers(min_docs, 12))
     vocab = make_vocab(draw(st.integers(2, 12)))
     min_len = draw(st.integers(1, 6))
     max_len = draw(st.integers(min_len, 20))
-    corpus = random_corpus(XorShift64Star(seed), n_docs, vocab, min_len=min_len, max_len=max_len,
-                           prefix=draw(prefixes))
+    prefix = draw(prefixes)
+    corpus = random_corpus(XorShift64Star(seed), n_docs, vocab, min_len=min_len, max_len=max_len, prefix=prefix)
+    corpus += [Document(f"{prefix}e{i}", draw(st.sampled_from(["", "the of"])))
+               for i in range(draw(st.integers(0, max_empty)))]
     return build_index(corpus), vocab
 
 
@@ -133,14 +136,59 @@ def test_term_scores_equal_one_term_query_scores(data, built, ranker_spec):
     assert sm.term_rows(terms, docids).tolist() == expected
 
 
-def reference_term_scores(ranker, term, docids):
-    """A sparse ranker's ``term_rows`` row as first written: one scalar ``_term_score`` per document."""
+def reference_term_score(ranker, term, tf, dl):
+    """One term's contribution to a sparse ranker's score, from its tf and the document length.
+
+    Each model's formula in the library's operation order, with ``math.log``.
+    """
     index = ranker.index
-    return [ranker._term_score(term, index.tf(term, d), index.doc_length(d)) for d in docids]
+    if isinstance(ranker, BM25Ranker):
+        if tf == 0:
+            return 0.0
+        avgdl = index.avgdl
+        norm = 1.0 - ranker.b + ranker.b * (dl / avgdl) if avgdl > 0 else 1.0
+        return index.idf(term) * tf * (ranker.k1 + 1.0) / (tf + ranker.k1 * norm)
+    cf = index.cf(term)
+    if cf == 0:
+        return 0.0
+    p_coll = cf / index.total_tokens
+    if isinstance(ranker, LMJMRanker):
+        p_doc = tf / dl if dl > 0 else 0.0
+        return math.log((1.0 - ranker.lam) * p_doc + ranker.lam * p_coll)
+    assert isinstance(ranker, LMDirRanker)
+    return math.log((tf + ranker.mu * p_coll) / (dl + ranker.mu))
+
+
+def reference_term_scores(ranker, term, docids):
+    """A sparse ranker's ``term_rows`` row: one ``reference_term_score`` per document."""
+    index = ranker.index
+    return [reference_term_score(ranker, term, index.tf(term, d), index.doc_length(d)) for d in docids]
+
+
+def reference_score(ranker, query, docid):
+    """A sparse ranker's ``score``: the query terms' ``reference_term_score``, added left to right from 0."""
+    index = ranker.index
+    total = 0
+    for t in query.terms:
+        total += reference_term_score(ranker, t, index.tf(t, docid), index.doc_length(docid))
+    return total
 
 
 MODEL_PARAMS = [RankerParams(), RankerParams(k1=0.0, b=0.0, dirichlet_mu=0.5),
                 RankerParams(k1=3.0, b=1.0, jm_lambda=0.99, dirichlet_mu=2500.0)]
+
+
+@pytest.mark.parametrize("params", MODEL_PARAMS)
+@pytest.mark.parametrize("model", ["bm25", "lmjm", "lmdir"])
+@settings(max_examples=30, deadline=None)
+@given(st.data(), indexes(max_empty=2))
+def test_score_equals_the_reference_on_every_document(model, params, data, built):
+    index, vocab = built
+    sm = make_ranker(index, model, params)
+    # Repeated terms, a term absent from the collection, and no terms at all.
+    query = Query.from_terms("q", data.draw(query_terms(vocab)))
+    assert ([repr(sm.score(query, d)) for d in index.doc_ids()]
+            == [repr(reference_score(sm, query, d)) for d in index.doc_ids()])
 
 
 @pytest.mark.parametrize("params", MODEL_PARAMS)
@@ -1001,14 +1049,14 @@ def test_sampler_batches_equal_the_per_token_reference(data, built, kind, rate, 
 
 
 def reference_score_tokens(ranker, query, tokens):
-    """The sparse ``score_tokens`` the batch replaced: one ``_term_score`` per query term over a Counter.
+    """The sparse ``score_tokens`` the batch replaced: one ``reference_term_score`` per query term over a Counter.
 
     Added left to right from 0, as ``sum`` did before Python 3.12.
     """
     counts = Counter(tokens)
     total = 0
     for t in query.terms:
-        total += ranker._term_score(t, counts[t], len(tokens))
+        total += reference_term_score(ranker, t, counts[t], len(tokens))
     return total
 
 
@@ -1051,7 +1099,7 @@ def test_term_blocks_equal_term_scores_over_a_grid(model, params):
     tf, dl = (grid.ravel() for grid in np.meshgrid(np.arange(20), np.arange(2000)))
     terms = ["w00", OOV, "w39", "w00"]
     block_tf = np.stack([np.roll(tf, 7919 * k) for k in range(len(terms))])
-    expected = [[ranker._term_score(term, t, d) for t, d in zip(row.tolist(), dl.tolist())]
+    expected = [[reference_term_score(ranker, term, t, d) for t, d in zip(row.tolist(), dl.tolist())]
                 for term, row in zip(terms, block_tf)]
     assert ranker._term_block(terms, block_tf, dl).tolist() == expected
 

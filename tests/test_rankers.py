@@ -57,6 +57,14 @@ def test_bm25_unknown_docid(cat_index):
         BM25Ranker(cat_index).score(Query.from_terms("q", ["cat"]), "nope")
 
 
+@pytest.mark.parametrize("terms", [[], ["zzoov"], ["zzoov", "cat", "dog"]])
+@pytest.mark.parametrize("make", [BM25Ranker, LMJMRanker, LMDirRanker])
+def test_sparse_score_unknown_docid(cat_index, make, terms):
+    # No terms, only a term absent from the collection, and matching terms.
+    with pytest.raises(UnknownDocumentError, match="'nope'"):
+        make(cat_index).score(Query.from_terms("q", terms), "nope")
+
+
 @pytest.mark.parametrize("coefficients", [{}, {"cat": 2.0}])
 def test_linear_scorer_unknown_docid(cat_index, coefficients):
     with pytest.raises(UnknownDocumentError, match="'nope'"):
