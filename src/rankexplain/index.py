@@ -242,11 +242,16 @@ class PositionalIndex:
         """The (terms x docids) int64 matrix of tf, and the length of each of docids.
 
         Rows and columns follow the order of ``terms`` and ``docids``; both
-        may repeat. A term's row intersects its posting keys with the set of
-        docids, so it costs O(min(df, distinct docids)), not one lookup per
-        cell.
+        may repeat. Each length is one lookup in the docid -> length dict,
+        and the first unknown docid, in the order given, raises
+        UnknownDocumentError. A term's row intersects its posting keys with
+        the set of docids, so it costs O(min(df, distinct docids)), not one
+        lookup per cell.
         """
-        dl = np.array([self.doc_length(d) for d in docids], dtype=np.int64)
+        try:
+            dl = np.fromiter(map(self._lengths.__getitem__, docids), np.int64, len(docids))
+        except KeyError as exc:
+            raise UnknownDocumentError(f"unknown docid: {exc.args[0]!r}") from None
         column = dict(zip(docids, range(len(docids))))     # a repeated docid's last column
         hits, cols, counts = [], [], []
         for term in terms:

@@ -122,12 +122,14 @@ def sample_pairs(ranked: RankedList, strategy: str, count: int,
     consecutive slots, one per unit of weight: one slot, or for
     rank_gap_weighted as many as its gap. So row i starts at slot
     C(n, 2) - C(n - i, 2), or C(n + 1, 3) - C(n + 1 - i, 3) for gap
-    weights. A draw picks the k-th slot not yet drawn, with
-    k = randbelow(remaining) or int(random() * remaining), and takes the
-    pair that owns it. That is sampling from the full pool and removing
-    each drawn pair: the same RNG calls give the same pairs in the same
-    order. Cost: O(count**2 + count * log n) Python for every strategy.
-    Docids must be unique (ValueError otherwise).
+    weights. The row starts are tabled once, exact in int64, and a draw
+    picks the k-th slot not yet drawn, with k = randbelow(remaining) or
+    int(random() * remaining), and takes the pair that owns it: the row
+    by bisection on the table, the gap by arithmetic. That is sampling
+    from the full pool and removing each drawn pair: the same RNG calls
+    give the same pairs in the same order. Cost: O(n) for the table, then
+    O(count**2 + count * log n) Python for every strategy. Docids must be
+    unique (ValueError otherwise).
     """
     n = len(ranked)
     if n < 2:
@@ -140,18 +142,18 @@ def sample_pairs(ranked: RankedList, strategy: str, count: int,
     # With unique docids, "upper is in the top ceil(n/10)" is "row < cutoff".
     n_rows = math.ceil(n / 10) if strategy == "top_vs_rest" else n - 1
     weighted = int(strategy == "rank_gap_weighted")
-    slots = math.comb(n + weighted, 2 + weighted)
-
-    def row_start(i: int) -> int:
-        return slots - math.comb(n + weighted - i, 2 + weighted)
-
-    remaining = row_start(n_rows)
+    remaining = math.comb(n + weighted, 2 + weighted) - math.comb(n + weighted - n_rows, 2 + weighted)
     # The weighted draw takes the first remaining pair whose prefix weight
     # exceeds random() * remaining. Prefix weights are integers, so that is
     # the pair holding slot floor(random() * remaining), exactly while they
     # stay below 2**53; then random() * remaining < remaining too.
     if weighted and remaining >= 2 ** 53:
         raise ValueError(f"ranked list of {n} entries is too long for rank_gap_weighted")
+    # Row i holds n - 1 - i pairs, of weights 1 .. n - 1 - i when gap weighted.
+    # Any list that fits in memory keeps the unweighted starts far below 2**63.
+    pairs_in_row = np.arange(n - 1, n - 1 - n_rows, -1, dtype=np.int64)
+    widths = pairs_in_row * (pairs_in_row + 1) // 2 if weighted else pairs_in_row
+    row_start = np.concatenate(([0], np.cumsum(widths))).tolist()
     drawn: list[tuple[int, int]] = []     # sorted (first slot, width) runs already drawn
     chosen = []
     while remaining and len(chosen) < count:
@@ -161,8 +163,8 @@ def sample_pairs(ranked: RankedList, strategy: str, count: int,
             if first > k:
                 break
             k += width
-        i = bisect.bisect_right(range(n_rows), k, key=row_start) - 1
-        start = row_start(i)
+        i = bisect.bisect_right(row_start, k, 0, n_rows) - 1
+        start = row_start[i]
         if weighted:
             # Gap g owns in-row slots g(g-1)/2 .. g(g+1)/2 - 1.
             gap = (math.isqrt(8 * (k - start) + 1) + 1) // 2
@@ -220,8 +222,11 @@ def build_preference_matrix(index: PositionalIndex, simple_rankers: Sequence[Ran
                             pairs: Sequence[PreferencePair]) -> PreferenceMatrix:
     """Score every candidate as a one-term query against both pair sides.
 
-    One (candidates x docids) block per ranker; a NaN score gives entry 0.
-    The sparse rankers on ``index`` share one tf matrix, gathered once.
+    Each ranker scores one (candidates x docids) block; the sparse rankers
+    on ``index`` share one tf matrix, gathered once. The blocks are
+    stacked, each pair's upper and lower columns gathered once for all of
+    them, and one pass writes the signs into ``entries``: 1 where upper
+    scores higher, -1 where lower does, 0 on a tie or a NaN score.
     """
     matrix = PreferenceMatrix(
         rankers=[r.name for r in simple_rankers],
@@ -231,19 +236,20 @@ def build_preference_matrix(index: PositionalIndex, simple_rankers: Sequence[Ran
     )
     terms = matrix.terms
     docids = sorted({p.upper for p in pairs} | {p.lower for p in pairs})
-    column = {d: i for i, d in enumerate(docids)}
-    sides = np.array([[column[p.upper], column[p.lower]] for p in pairs])
+    column = dict(zip(docids, range(len(docids))))
     tf_block = None
-    for r, ranker in enumerate(simple_rankers):
+    blocks = []
+    for ranker in simple_rankers:
         if isinstance(ranker, _SparseRanker) and ranker.index is index:
             if tf_block is None:
                 tf_block = index.tf_block(terms, docids)
-            rows = ranker._term_block(terms, *tf_block)
+            blocks.append(ranker._term_block(terms, *tf_block))
         else:
-            rows = ranker.term_rows(terms, docids)
-        scores = rows[:, sides]                                 # (candidates, pairs, [upper, lower])
-        diff = scores[..., 0] - scores[..., 1]
-        matrix.entries[r] = (diff > 0).astype(np.int8) - (diff < 0)
+            blocks.append(ranker.term_rows(terms, docids))
+    scores = np.stack(blocks)                                   # (rankers, candidates, docids)
+    upper = scores[..., [column[p.upper] for p in pairs]]
+    lower = scores[..., [column[p.lower] for p in pairs]]
+    np.subtract(upper > lower, upper < lower, out=matrix.entries, dtype=np.int8)
     return matrix
 
 

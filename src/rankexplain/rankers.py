@@ -170,9 +170,13 @@ class Ranker(ABC):
 
 
 def _exact_log(x: np.ndarray) -> np.ndarray:
-    """``math.log`` of each entry; ``np.log`` may differ from it by one ulp."""
+    """``math.log`` of each entry; ``np.log`` may differ from it by one ulp.
+
+    Each distinct value's log is taken once, mapped at C level into a
+    float64 array, and scattered back through ``np.unique``'s inverse.
+    """
     values, inverse = np.unique(x, return_inverse=True)
-    return np.array([math.log(v) for v in values.tolist()])[inverse].reshape(x.shape)
+    return np.fromiter(map(math.log, values.tolist()), np.float64, len(values))[inverse].reshape(x.shape)
 
 
 _NO_POSTING = MappingProxyType({})     # the posting of a term absent from the index
@@ -188,9 +192,9 @@ class _SparseRanker(Ranker):
     columns) tf matrix with one length per column, each term's idf or cf
     taken once; it serves ``term_rows``, and so the preference matrices
     and the fidelity rows, and ``score_masked`` and ``score_tokens``. Both
-    add term contributions left to right from zero, a term that does not
+    add term contributions left to right from 0.0, a term that does not
     count adding 0.0, so a query's rows summed in query-term order give
-    ``score`` to the bit.
+    ``score`` to the bit, and a query with no terms scores 0.0.
     """
 
     def __init__(self, index: PositionalIndex):
@@ -234,7 +238,7 @@ class BM25Ranker(_SparseRanker):
         k1 = self.k1
         k1_norm = k1 * (1.0 - self.b + self.b * (dl / avgdl) if avgdl > 0 else 1.0)
         postings = index._postings
-        total = 0
+        total = 0.0
         for t in query.terms:
             tf = len(postings.get(t, _NO_POSTING).get(docid, ()))
             total += index.idf(t) * tf * (k1 + 1.0) / (tf + k1_norm) if tf else 0.0
@@ -266,7 +270,7 @@ class LMJMRanker(_SparseRanker):
         dl = index.doc_length(docid)      # raises UnknownDocumentError for an unknown docid
         lam, n = self.lam, index.total_tokens
         postings = index._postings
-        total = 0
+        total = 0.0
         for t in query.terms:
             cf = index.cf(t)
             p_doc = len(postings[t].get(docid, ())) / dl if cf and dl > 0 else 0.0
@@ -299,7 +303,7 @@ class LMDirRanker(_SparseRanker):
         mu, n = self.mu, index.total_tokens
         dl_mu = dl + mu
         postings = index._postings
-        total = 0
+        total = 0.0
         for t in query.terms:
             cf = index.cf(t)
             total += math.log((len(postings[t].get(docid, ())) + mu * (cf / n)) / dl_mu) if cf else 0.0

@@ -401,6 +401,19 @@ def test_candidates_name_an_unknown_docid():
             index.doc_terms(*docids)
 
 
+def test_tf_block_names_the_first_unknown_docid_in_the_order_given():
+    index = build_index([Document("d1", "qq ww qq"), Document("d2", "ww zz")])
+    for docids, first in ((["d1", "d1", "d2", "d2", "nope", "gone"], "nope"),
+                          (["d2", "gone", "d1", "nope"], "gone"),
+                          (["d1", "d2", "d1", None, "nope"], None),
+                          (["d2", 5, "d2", "nope"], 5)):
+        with pytest.raises(UnknownDocumentError) as raised:
+            index.tf_block(["qq", "ww"], docids)
+        assert raised.value.args == (f"unknown docid: {first!r}",)
+    tf, dl = index.tf_block(["qq"], [])
+    assert tf.shape == (1, 0) and tf.dtype == dl.dtype == np.int64 and dl.shape == (0,)
+
+
 @pytest.mark.parametrize("docid", [5, None])
 def test_a_docid_that_is_not_a_string_is_unknown(docid):
     index = build_index([Document("d1", "qq ww qq"), Document("d2", "ww zz")])
@@ -444,6 +457,7 @@ def test_ranking_and_explaining_never_walk_every_posting_list(source, tmp_path):
         index.save(tmp_path / "demo.idx")
         index = PositionalIndex.load(tmp_path / "demo.idx")
     index._postings = postings = ScanCountingDict(index._postings)
+    index._lengths = lengths = ScanCountingDict(index._lengths)
     bm25 = BM25Ranker(index)
     query = Query.from_text(index, "1", "thai daily life")
     ranked = rank(index, bm25, query, depth=8)
@@ -456,7 +470,7 @@ def test_ranking_and_explaining_never_walk_every_posting_list(source, tmp_path):
     all_preferences(index, query, di, dj)
     for name in DETAILED_AXIOMS:
         explain_details(name, index, query, di, dj)
-    assert postings.scans == 0
+    assert postings.scans == 0 and lengths.scans == 0
 
 
 def test_kept_token_streams_hold_one_object_per_term():

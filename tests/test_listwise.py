@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from rankexplain.listwise import (
     PreferenceMatrix,
     PreferencePair,
 )
+from rankexplain.rankers import Ranker
 from rankexplain.rng import XorShift64Star
 
 from conftest import hidden_intent_fixture
@@ -236,6 +238,36 @@ def test_matrix_formula_invariant(matrix_index):
             for p, pair in enumerate(pairs):
                 diff = ranker.score(q, pair.upper) - ranker.score(q, pair.lower)
                 assert matrix.entries[r, t, p] == (diff > 0) - (diff < 0)
+
+
+class TableRanker(Ranker):
+    """Scores a one-term query from a (term, docid) table."""
+
+    name = "table"
+
+    def __init__(self, table):
+        self.table = table
+
+    def score(self, query, docid):
+        return self.table[query.terms[0], docid]
+
+    def score_tokens(self, query, tokens):
+        raise NotImplementedError
+
+
+def test_matrix_signs_of_nan_and_inf_scores(matrix_index):
+    nan, inf = float("nan"), float("inf")
+    table = {("qq", "u"): nan, ("qq", "v"): 1.0, ("ww", "u"): inf, ("ww", "v"): inf,
+             ("ff", "u"): inf, ("ff", "v"): -inf, ("gg", "u"): -inf, ("gg", "v"): 0.0}
+    cands = [CandidateTerm(t, 1.0) for t in ("qq", "ww", "ff", "gg")]
+    pairs = [PreferencePair("u", "v", 1), PreferencePair("v", "u", 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        matrix = build_preference_matrix(matrix_index, [TableRanker(table), BM25Ranker(matrix_index)], cands, pairs)
+    # A NaN score and equal infinities give 0; the sparse ranker's layer is unaffected.
+    assert matrix.entries[0].tolist() == [[0, 0], [0, 0], [1, -1], [-1, 1]]
+    assert matrix.entries[1].tolist() == build_preference_matrix(
+        matrix_index, [BM25Ranker(matrix_index)], cands, pairs).entries[0].tolist()
 
 
 def test_matrix_validation(matrix_index):

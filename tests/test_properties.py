@@ -166,9 +166,9 @@ def reference_term_scores(ranker, term, docids):
 
 
 def reference_score(ranker, query, docid):
-    """A sparse ranker's ``score``: the query terms' ``reference_term_score``, added left to right from 0."""
+    """A sparse ranker's ``score``: the query terms' ``reference_term_score``, added left to right from 0.0."""
     index = ranker.index
-    total = 0
+    total = 0.0
     for t in query.terms:
         total += reference_term_score(ranker, t, index.tf(t, docid), index.doc_length(docid))
     return total

@@ -174,6 +174,16 @@ def test_rank_empty_candidates(cat_index):
     assert len(ranked) == 0
 
 
+@pytest.mark.parametrize("make", [BM25Ranker, LMJMRanker, LMDirRanker])
+def test_a_pool_ranked_empty_query_writes_float_zero_scores(cat_index, make, tmp_path):
+    ranker = make(cat_index)
+    ranked = rank(cat_index, ranker, Query.from_terms("q", []), pool=["D2", "D1"])
+    assert [repr(e.score) for e in ranked.entries] == ["0.0", "0.0"]
+    path = tmp_path / "run.trec"
+    save_to_res({"q": ranked}, str(path))
+    assert path.read_text() == f"q Q0 D1 1 0.0 {ranker.name}\nq Q0 D2 2 0.0 {ranker.name}\n"
+
+
 def test_rank_depth_validation(cat_index):
     with pytest.raises(ValueError):
         rank(cat_index, BM25Ranker(cat_index), Query.from_terms("q", ["cat"]), depth=0)
