@@ -43,7 +43,7 @@ print(f"jaccard@5 = {jaccard_at_k(a, b, 5):.4f}")
 
 # Correctness: does the explanation correlate with language-model
 # expansion weights from the top documents?
-truth = lmjm_ground_truth(index, query, bm25_list, top_n=3, lam=0.1, n_terms=10)
+truth = lmjm_ground_truth(index, query, bm25_list, top_n=3, jm_lambda=0.1, n_terms=10)
 print("\nexpansion ground truth:", truth.terms[:5])
 expl = lirme_explain(index, BM25Ranker(index), query, "T1",
                      PointwiseParams(sampler=SamplerConfig(seed=7)))

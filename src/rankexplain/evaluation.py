@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .index import PositionalIndex, _check_number, _check_unique, left_sum
-from .rankers import DEPTH_DOMAIN, LMJMRanker, Query, RankedList
+from .rankers import DEPTH_DOMAIN, LMJMRanker, Query, RankedList, RankerParams
 
 RBO_P_DOMAIN = "(0, 1)"      # of rbo's persistence p
 
@@ -138,7 +138,8 @@ class GroundTruthTerms:
 
 
 def lmjm_ground_truth(index: PositionalIndex, query: Query, ranked: RankedList,
-                      top_n: int = 10, lam: float = 0.1, n_terms: int = 10) -> GroundTruthTerms:
+                      top_n: int = 10, jm_lambda: float = RankerParams.jm_lambda,
+                      n_terms: int = 10) -> GroundTruthTerms:
     """Relevance-model style expansion weights from the top documents.
 
     weight(t) is proportional to the sum over the top_n documents of
@@ -148,13 +149,13 @@ def lmjm_ground_truth(index: PositionalIndex, query: Query, ranked: RankedList,
     and renormalized.
 
     The masses are one vector over term ordinals, and each top document's
-    vector of mixtures ``(1 - lam) * tf / dl + lam * cf / total_tokens``
+    vector of mixtures ``(1 - jm_lambda) * tf / dl + jm_lambda * cf / total_tokens``
     times its weight is added to it in rank order from 0.0, so each term's
     mass is the same float as its running scalar sum.
     """
     _check_number("top_n", top_n, f"[1, {len(ranked)}]", int)
     _check_number("n_terms", n_terms, "[1, inf)", int)
-    ranker = LMJMRanker(index, lam=lam)
+    ranker = LMJMRanker(index, RankerParams(jm_lambda=jm_lambda))
     cf, tokens = index.cf_by_ordinal, index.total_tokens
     p_coll = cf / tokens if tokens else np.zeros(len(cf))
     mass = np.zeros(len(p_coll))
@@ -163,7 +164,7 @@ def lmjm_ground_truth(index: PositionalIndex, query: Query, ranked: RankedList,
         ordinals, counts = index.doc_terms(docid)
         p_doc = np.zeros(len(p_coll))
         p_doc[ordinals] = counts / index.doc_length(docid)
-        mass += ((1.0 - lam) * p_doc + lam * p_coll) * doc_weight
+        mass += ((1.0 - jm_lambda) * p_doc + jm_lambda * p_coll) * doc_weight
     pool = np.flatnonzero(mass > 0.0)
     if not len(pool):
         raise ValueError("degenerate ground truth: all term weights are zero")

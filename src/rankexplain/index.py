@@ -84,7 +84,8 @@ def check_fields(obj) -> None:
     An int or float field (the type of its default) declares ``"in"``, an
     interval for ``_check_in``. An int field takes only an int; a float
     field an int or a float; neither takes a bool. A str field may declare
-    ``"choices"``, the values it takes.
+    ``"choices"``, the values it takes. A field whose default is a
+    dataclass takes only an instance of that class.
     """
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
@@ -92,6 +93,8 @@ def check_fields(obj) -> None:
             _check_number(f.name, value, f.metadata["in"], int if type(f.default) is int else (int, float))
         elif "choices" in f.metadata and value not in f.metadata["choices"]:
             raise ValueError(f"unknown {f.name} {value!r}; valid: {', '.join(f.metadata['choices'])}")
+        elif dataclasses.is_dataclass(f.default) and not isinstance(value, type(f.default)):
+            raise ValueError(f"{f.name} must be a {type(f.default).__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)

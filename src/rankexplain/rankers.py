@@ -185,7 +185,9 @@ _NO_POSTING = MappingProxyType({})     # the posting of a term absent from the i
 class _SparseRanker(Ranker):
     """Shared machinery: per-term scoring over tf and document length.
 
-    Each model writes its formula twice, in the same operation order.
+    Each model is built as ``cls(index, params)`` and reads its fields of
+    the :class:`RankerParams` ``self.params``; any other ``params`` is a
+    ValueError. Each model writes its formula twice, in the same operation order.
     ``score`` scores one document: it checks the docid and takes the
     length part of the formula once, then adds one term at a time, each
     tf read from the term's posting. ``_term_block`` scores a (terms x
@@ -197,8 +199,11 @@ class _SparseRanker(Ranker):
     ``score`` to the bit, and a query with no terms scores 0.0.
     """
 
-    def __init__(self, index: PositionalIndex):
+    def __init__(self, index: PositionalIndex, params: RankerParams = RankerParams()):
+        if not isinstance(params, RankerParams):
+            raise ValueError(f"params must be a RankerParams, got {params!r}")
         self.index = index
+        self.params = params
 
     def _term_block(self, terms: Sequence[str], tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -225,18 +230,13 @@ class _SparseRanker(Ranker):
 class BM25Ranker(_SparseRanker):
     name = "bm25"
 
-    def __init__(self, index: PositionalIndex, k1: float = 0.9, b: float = 0.4):
-        super().__init__(index)
-        RankerParams(k1=k1, b=b)  # checks both against RankerParams's declarations
-        self.k1 = k1
-        self.b = b
-
     def score(self, query: Query, docid: str) -> float:
         index = self.index
         dl = index.doc_length(docid)      # raises UnknownDocumentError for an unknown docid
         avgdl = index.avgdl
-        k1 = self.k1
-        k1_norm = k1 * (1.0 - self.b + self.b * (dl / avgdl) if avgdl > 0 else 1.0)
+        params = self.params
+        k1, b = params.k1, params.b
+        k1_norm = k1 * (1.0 - b + b * (dl / avgdl) if avgdl > 0 else 1.0)
         postings = index._postings
         total = 0.0
         for t in query.terms:
@@ -247,8 +247,9 @@ class BM25Ranker(_SparseRanker):
     def _term_block(self, terms: Sequence[str], tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
         idf = np.array([self.index.idf(t) for t in terms])
         avgdl = self.index.avgdl
-        norm = 1.0 - self.b + self.b * (dl / avgdl) if avgdl > 0 else 1.0
-        return np.divide(idf[:, None] * tf * (self.k1 + 1.0), tf + self.k1 * norm,
+        k1, b = self.params.k1, self.params.b
+        norm = 1.0 - b + b * (dl / avgdl) if avgdl > 0 else 1.0
+        return np.divide(idf[:, None] * tf * (k1 + 1.0), tf + k1 * norm,
                          out=np.zeros(tf.shape), where=tf > 0)
 
 
@@ -260,15 +261,10 @@ class LMJMRanker(_SparseRanker):
 
     name = "lmjm"
 
-    def __init__(self, index: PositionalIndex, lam: float = 0.1):
-        super().__init__(index)
-        RankerParams(jm_lambda=lam)  # checks it against RankerParams's declaration
-        self.lam = lam
-
     def score(self, query: Query, docid: str) -> float:
         index = self.index
         dl = index.doc_length(docid)      # raises UnknownDocumentError for an unknown docid
-        lam, n = self.lam, index.total_tokens
+        lam, n = self.params.jm_lambda, index.total_tokens
         postings = index._postings
         total = 0.0
         for t in query.terms:
@@ -280,10 +276,10 @@ class LMJMRanker(_SparseRanker):
     def _term_block(self, terms: Sequence[str], tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
         cf = np.array([self.index.cf(t) for t in terms], dtype=np.int64)
         seen = cf > 0
-        tf, p_coll = tf[seen], cf[seen, None] / self.index.total_tokens
+        lam, tf, p_coll = self.params.jm_lambda, tf[seen], cf[seen, None] / self.index.total_tokens
         p_doc = np.divide(tf, dl, out=np.zeros(tf.shape), where=dl > 0)
         out = np.zeros((len(terms), len(dl)))
-        out[seen] = _exact_log((1.0 - self.lam) * p_doc + self.lam * p_coll)
+        out[seen] = _exact_log((1.0 - lam) * p_doc + lam * p_coll)
         return out
 
 
@@ -292,15 +288,10 @@ class LMDirRanker(_SparseRanker):
 
     name = "lmdir"
 
-    def __init__(self, index: PositionalIndex, mu: float = 1000.0):
-        super().__init__(index)
-        RankerParams(dirichlet_mu=mu)  # checks it against RankerParams's declaration
-        self.mu = mu
-
     def score(self, query: Query, docid: str) -> float:
         index = self.index
         dl = index.doc_length(docid)      # raises UnknownDocumentError for an unknown docid
-        mu, n = self.mu, index.total_tokens
+        mu, n = self.params.dirichlet_mu, index.total_tokens
         dl_mu = dl + mu
         postings = index._postings
         total = 0.0
@@ -312,23 +303,21 @@ class LMDirRanker(_SparseRanker):
     def _term_block(self, terms: Sequence[str], tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
         cf = np.array([self.index.cf(t) for t in terms], dtype=np.int64)
         seen = cf > 0
-        p_coll = cf[seen, None] / self.index.total_tokens
+        mu, p_coll = self.params.dirichlet_mu, cf[seen, None] / self.index.total_tokens
         out = np.zeros((len(terms), len(dl)))
-        out[seen] = _exact_log((tf[seen] + self.mu * p_coll) / (dl + self.mu))
+        out[seen] = _exact_log((tf[seen] + mu * p_coll) / (dl + mu))
         return out
 
 
-SIMPLE_RANKERS = ("bm25", "lmjm", "lmdir")
+_SPARSE_RANKERS = {cls.name: cls for cls in (BM25Ranker, LMJMRanker, LMDirRanker)}
+SIMPLE_RANKERS = tuple(_SPARSE_RANKERS)
 
 
 def make_ranker(index: PositionalIndex, name: str, params: RankerParams = RankerParams()) -> Ranker:
-    if name == "bm25":
-        return BM25Ranker(index, k1=params.k1, b=params.b)
-    if name == "lmjm":
-        return LMJMRanker(index, lam=params.jm_lambda)
-    if name == "lmdir":
-        return LMDirRanker(index, mu=params.dirichlet_mu)
-    raise ValueError(f"unknown ranker {name!r}; valid: {', '.join(SIMPLE_RANKERS)}")
+    """The sparse ranker whose ``name`` is given, built over index from params."""
+    if name not in SIMPLE_RANKERS:
+        raise ValueError(f"unknown ranker {name!r}; valid: {', '.join(SIMPLE_RANKERS)}")
+    return _SPARSE_RANKERS[name](index, params)
 
 
 class LinearScorer(Ranker):

@@ -23,6 +23,8 @@ import operator
 
 import numpy as np
 
+from .index import _check_number
+
 _MASK64 = (1 << 64) - 1
 _XORSHIFT_MULT = 0x2545F4914F6CDD1D
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -39,7 +41,8 @@ class XorShift64Star:
     """xorshift64* generator with a splitmix64-seeded state."""
 
     def __init__(self, seed: int = 0):
-        state = _splitmix64(int(seed) & _MASK64)
+        _check_number("seed", seed, "(-inf, inf)", int)
+        state = _splitmix64(seed & _MASK64)
         self._state = state if state != 0 else 1
 
     def next_u64(self) -> int:
@@ -55,9 +58,9 @@ class XorShift64Star:
         return (self.next_u64() >> 11) * (2.0 ** -53)
 
     def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n). Modulo bias is negligible for n << 2**64."""
-        if n <= 0:
-            raise ValueError("n must be positive")
+        """Uniform integer in [0, n), n a positive int. Modulo bias is negligible for n << 2**64."""
+        if type(n) is not int or n <= 0:
+            raise ValueError(f"n must be a positive int, got {n!r}")
         return self.next_u64() % n
 
     def choice(self, seq):

@@ -106,6 +106,26 @@ def test_the_finite_ends_of_the_declared_domain_are_accepted(cls, name, value):
     assert getattr(cls(**ALONG.get(name, {}), **{name: value}), name) == value
 
 
+NESTED = [(cls, f) for cls in params_classes() for f in dataclasses.fields(cls) if dataclasses.is_dataclass(f.default)]
+
+
+def test_the_walk_finds_every_nested_params_field():
+    assert {f"{cls.__name__}.{f.name}" for cls, f in NESTED} >= {"PointwiseParams.sampler",
+                                                                 "ListwiseParams.ranker_params"}
+
+
+@pytest.mark.parametrize("cls,field", [pytest.param(cls, f, id=f"{cls.__name__}.{f.name}") for cls, f in NESTED])
+def test_a_nested_params_field_takes_only_an_instance_of_its_class(cls, field):
+    # The default's fields as a dict, a choice of one of its str fields, None,
+    # and an instance of another params class.
+    other = next(c for c in params_classes() if c is not type(field.default) and c is not cls)
+    for value in (dataclasses.asdict(field.default), "random", None, other()):
+        with pytest.raises(ValueError, match=f"^{field.name} must be a {type(field.default).__name__}, got "):
+            cls(**{field.name: value})
+    instance = type(field.default)()
+    assert getattr(cls(**{field.name: instance}), field.name) is instance
+
+
 def _argv(cls, tmp_path) -> list:
     """A command that reads ``cls``'s keys, with an index file that does not exist."""
     index = str(tmp_path / "missing.idx")
@@ -212,6 +232,13 @@ API_ARGUMENTS = [
     ("depth", lambda i, r, q, l, v: rx.RankedList.from_scores("q", [("d1", 1.0), ("d2", 0.5)], depth=v),
      [-1, 0, 1.5]),
     ("exs_k", lambda i, r, q, l, v: rx.pointwise.exs_targets([0.0], l, "rank_based", v), [0, -2, 1.5, True]),
+    ("jm_lambda", lambda i, r, q, l, v: rx.lmjm_ground_truth(i, q, l, top_n=1, jm_lambda=v), [0.0, 1.0, True, "x"]),
+    ("params", lambda i, r, q, l, v: rx.BM25Ranker(i, v), [{"k1": 1.2}, None, 1.2, rx.SamplerConfig()]),
+    ("params", lambda i, r, q, l, v: rx.LMJMRanker(i, v), [{"jm_lambda": 0.5}, 0.5]),
+    ("params", lambda i, r, q, l, v: rx.LMDirRanker(i, v), [{"dirichlet_mu": 10.0}, 10.0]),
+    ("params", lambda i, r, q, l, v: rx.make_ranker(i, "lmdir", v), [{"dirichlet_mu": 1.0}, "lmdir"]),
+    ("seed", lambda i, r, q, l, v: rx.XorShift64Star(v), [1.5, "3", True, None, 2.0 ** 70]),
+    ("n", lambda i, r, q, l, v: rx.XorShift64Star(0).randbelow(v), [2.5, 2.0, True, "3", None, 0, -1]),
 ]
 
 
@@ -221,3 +248,16 @@ API_ARGUMENTS = [
 def test_an_api_argument_of_the_wrong_type_is_rejected_by_name(name, call, value):
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
         call(*_api_fixture(), value)
+
+
+@pytest.mark.parametrize("seed,first_draws", [
+    (0, [8916199331640804048, 16032783972208265725]),
+    (1, [5424204624148110235, 15555979849632202484]),
+    (-5, [17836676427511113734, 14250789138592850559]),
+    (2 ** 64 + 1, [5424204624148110235, 15555979849632202484]),     # seeds are taken mod 2**64
+    (2 ** 70, [8916199331640804048, 16032783972208265725]),
+])
+def test_an_int_seed_keeps_its_stream(seed, first_draws):
+    rng = rx.XorShift64Star(seed)
+    assert [rng.next_u64(), rng.next_u64()] == first_draws
+    assert rx.XorShift64Star(seed).randbelow(10 ** 6) == first_draws[0] % 10 ** 6

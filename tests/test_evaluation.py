@@ -224,7 +224,7 @@ def test_ground_truth_top1_hand_value(gt_index):
     query = Query.from_terms("q", ["qq"])
     ranked = rank(gt_index, BM25Ranker(gt_index), query, pool=["d1"])
     lam = 0.5
-    truth = lmjm_ground_truth(gt_index, query, ranked, top_n=1, lam=lam, n_terms=10)
+    truth = lmjm_ground_truth(gt_index, query, ranked, top_n=1, jm_lambda=lam, n_terms=10)
     # with one document the exp(score) factor cancels in normalization:
     # weight(t) proportional to P_jm(t | d1)
     expected = {}
@@ -238,7 +238,7 @@ def test_ground_truth_top1_hand_value(gt_index):
 def test_ground_truth_absent_term_floor(gt_index):
     query = Query.from_terms("q", ["qq"])
     ranked = rank(gt_index, BM25Ranker(gt_index), query, pool=["d1"])
-    truth = lmjm_ground_truth(gt_index, query, ranked, top_n=1, lam=0.5, n_terms=10)
+    truth = lmjm_ground_truth(gt_index, query, ranked, top_n=1, jm_lambda=0.5, n_terms=10)
     # "yy" (cf 1) absent from d1 keeps only the collection floor and must
     # rank strictly below "qq" (cf 2, present in d1)
     assert truth.weights["yy"] < truth.weights["qq"]
@@ -249,7 +249,7 @@ def test_ground_truth_absent_term_floor(gt_index):
 def test_ground_truth_single_term(gt_index):
     query = Query.from_terms("q", ["qq"])
     ranked = rank(gt_index, BM25Ranker(gt_index), query, pool=["d1"])
-    truth = lmjm_ground_truth(gt_index, query, ranked, top_n=1, lam=0.5, n_terms=1)
+    truth = lmjm_ground_truth(gt_index, query, ranked, top_n=1, jm_lambda=0.5, n_terms=1)
     assert len(truth.weights) == 1
     assert sum(truth.weights.values()) == pytest.approx(1.0)
 

@@ -141,22 +141,22 @@ def reference_term_score(ranker, term, tf, dl):
 
     Each model's formula in the library's operation order, with ``math.log``.
     """
-    index = ranker.index
+    index, params = ranker.index, ranker.params
     if isinstance(ranker, BM25Ranker):
         if tf == 0:
             return 0.0
         avgdl = index.avgdl
-        norm = 1.0 - ranker.b + ranker.b * (dl / avgdl) if avgdl > 0 else 1.0
-        return index.idf(term) * tf * (ranker.k1 + 1.0) / (tf + ranker.k1 * norm)
+        norm = 1.0 - params.b + params.b * (dl / avgdl) if avgdl > 0 else 1.0
+        return index.idf(term) * tf * (params.k1 + 1.0) / (tf + params.k1 * norm)
     cf = index.cf(term)
     if cf == 0:
         return 0.0
     p_coll = cf / index.total_tokens
     if isinstance(ranker, LMJMRanker):
         p_doc = tf / dl if dl > 0 else 0.0
-        return math.log((1.0 - ranker.lam) * p_doc + ranker.lam * p_coll)
+        return math.log((1.0 - params.jm_lambda) * p_doc + params.jm_lambda * p_coll)
     assert isinstance(ranker, LMDirRanker)
-    return math.log((tf + ranker.mu * p_coll) / (dl + ranker.mu))
+    return math.log((tf + params.dirichlet_mu * p_coll) / (dl + params.dirichlet_mu))
 
 
 def reference_term_scores(ranker, term, docids):
@@ -189,6 +189,19 @@ def test_score_equals_the_reference_on_every_document(model, params, data, built
     query = Query.from_terms("q", data.draw(query_terms(vocab)))
     assert ([repr(sm.score(query, d)) for d in index.doc_ids()]
             == [repr(reference_score(sm, query, d)) for d in index.doc_ids()])
+
+
+@pytest.mark.parametrize("params", MODEL_PARAMS)
+@pytest.mark.parametrize("cls", [BM25Ranker, LMJMRanker, LMDirRanker])
+@settings(max_examples=20, deadline=None)
+@given(st.data(), indexes())
+def test_make_ranker_ranks_as_the_class_of_that_name(cls, params, data, built):
+    index, vocab = built
+    query = Query.from_terms("q", data.draw(query_terms(vocab)))
+    made, built_directly = make_ranker(index, cls.name, params), cls(index, params)
+    assert type(made) is cls and made.params is params
+    for pool in (None, index.doc_ids()):
+        assert repr(rank(index, made, query, pool)) == repr(rank(index, built_directly, query, pool))
 
 
 @pytest.mark.parametrize("params", MODEL_PARAMS)
@@ -359,7 +372,7 @@ def test_candidates_equal_the_full_sort_reference(data, built):
 
 def reference_lmjm_ground_truth(index, query, ranked, top_n, lam, n_terms):
     """``lmjm_ground_truth``'s weights from one scalar Jelinek-Mercer mixture per (term, top document)."""
-    ranker = LMJMRanker(index, lam=lam)
+    ranker = LMJMRanker(index, RankerParams(jm_lambda=lam))
     docids = ranked.docids[:top_n]
     doc_weights = [math.exp(ranker.score(query, d)) for d in docids]
     counts = [Counter(index.doc_tokens(d)) for d in docids]

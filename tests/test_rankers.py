@@ -17,9 +17,11 @@ from rankexplain import (
     build_index,
     load_from_res,
     load_topics,
+    make_ranker,
     rank,
     save_to_res,
 )
+from rankexplain.rankers import SIMPLE_RANKERS
 from rankexplain.index import UnknownDocumentError
 from rankexplain.rng import XorShift64Star
 
@@ -33,7 +35,7 @@ def cat_index():
 
 def test_bm25_hand_value(cat_index):
     # idf = ln(1 + 1.5/1.5) = ln 2; tf part = 2*2.2 / (2 + 1.2*1.15)
-    ranker = BM25Ranker(cat_index, k1=1.2, b=0.75)
+    ranker = BM25Ranker(cat_index, RankerParams(k1=1.2, b=0.75))
     query = Query.from_text(cat_index, "q", "cat")
     expected = math.log(2.0) * (2 * 2.2) / (2 + 1.2 * (0.25 + 0.75 * 3 / 2.5))
     assert ranker.score(query, "D1") == pytest.approx(expected)
@@ -81,7 +83,7 @@ def test_bm25_tf_monotone(cat_index):
 
 def test_lmjm_hand_value():
     index = build_index([Document("d1", "qq ww"), Document("d2", "ww zz")])
-    ranker = LMJMRanker(index, lam=0.5)
+    ranker = LMJMRanker(index, RankerParams(jm_lambda=0.5))
     query = Query.from_terms("q", ["qq"])
     assert ranker.score(query, "d1") == pytest.approx(math.log(0.5 * 0.5 + 0.5 * 0.25))
     assert ranker.score(query, "d2") == pytest.approx(math.log(0.125))
@@ -89,7 +91,7 @@ def test_lmjm_hand_value():
 
 def test_lm_oov_term_skipped():
     index = build_index([Document("d1", "qq ww")])
-    for ranker in (LMJMRanker(index, lam=0.5), LMDirRanker(index, mu=10)):
+    for ranker in (LMJMRanker(index, RankerParams(jm_lambda=0.5)), LMDirRanker(index, RankerParams(dirichlet_mu=10))):
         with_oov = ranker.score(Query.from_terms("q", ["qq", "nonexistent"]), "d1")
         without = ranker.score(Query.from_terms("q", ["qq"]), "d1")
         assert with_oov == without
@@ -104,7 +106,7 @@ def test_lm_identical_docs_equal_scores():
 
 def test_lmdir_hand_value():
     index = build_index([Document("d1", "qq ww"), Document("d2", "ww zz")])
-    ranker = LMDirRanker(index, mu=4.0)
+    ranker = LMDirRanker(index, RankerParams(dirichlet_mu=4.0))
     # cf(qq)=1, |C|=4 -> (1 + 4*0.25) / (2 + 4)
     assert ranker.score(Query.from_terms("q", ["qq"]), "d1") == pytest.approx(math.log(2.0 / 6.0))
 
@@ -112,25 +114,33 @@ def test_lmdir_hand_value():
 def test_lm_parameter_validation():
     index = build_index([Document("d1", "qq")])
     with pytest.raises(ValueError):
-        LMJMRanker(index, lam=0.0)
+        LMJMRanker(index, RankerParams(jm_lambda=0.0))
     with pytest.raises(ValueError):
-        LMJMRanker(index, lam=1.0)
+        LMJMRanker(index, RankerParams(jm_lambda=1.0))
     for mu in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match=re.escape("dirichlet_mu must be in (0, inf)")):
-            LMDirRanker(index, mu=mu)
+            LMDirRanker(index, RankerParams(dirichlet_mu=mu))
     for k1, b, name in ((-1.0, 0.0, "k1"), (-0.5, 0.4, "k1"), (math.nan, 0.4, "k1"),
                         (math.inf, 0.4, "k1"), (0.9, 7.0, "b"), (0.9, -0.1, "b"), (0.9, math.nan, "b")):
         with pytest.raises(ValueError, match=f"^{name} must be"):
-            BM25Ranker(index, k1=k1, b=b)
+            BM25Ranker(index, RankerParams(k1=k1, b=b))
     for bad in ({"jm_lambda": 0.0}, {"jm_lambda": 5.0}, {"dirichlet_mu": 0.0},
                 {"dirichlet_mu": math.nan}, {"dirichlet_mu": math.inf}, {"k1": -1.0, "b": 0.0},
                 {"k1": -0.5}, {"k1": math.nan}, {"k1": math.inf}, {"b": 7.0}, {"b": -0.1}, {"b": math.nan}):
         with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
             RankerParams(**bad)
     # The ends of each domain are accepted.
-    BM25Ranker(index, k1=0.0, b=0.0)
-    BM25Ranker(index, k1=1e300, b=1.0)
+    BM25Ranker(index, RankerParams(k1=0.0, b=0.0))
+    BM25Ranker(index, RankerParams(k1=1e300, b=1.0))
     RankerParams(k1=0.0, b=1.0, dirichlet_mu=1e-300)
+
+
+def test_make_ranker_names_the_sparse_models(cat_index):
+    assert SIMPLE_RANKERS == ("bm25", "lmjm", "lmdir")
+    assert [type(make_ranker(cat_index, name)) for name in SIMPLE_RANKERS] == [BM25Ranker, LMJMRanker, LMDirRanker]
+    for name in ("BM25", "linear", "", ["bm25"], None):
+        with pytest.raises(ValueError, match=re.escape(f"unknown ranker {name!r}; valid: bm25, lmjm, lmdir")):
+            make_ranker(cat_index, name)
 
 
 def test_rank_singleton_pool(cat_index):
@@ -148,7 +158,7 @@ def test_rank_tie_breaks_ascending_docid():
 
 
 def test_rank_from_bm25_example(cat_index):
-    ranked = rank(cat_index, BM25Ranker(cat_index, k1=1.2, b=0.75),
+    ranked = rank(cat_index, BM25Ranker(cat_index, RankerParams(k1=1.2, b=0.75)),
                   Query.from_text(cat_index, "q", "cat"))
     assert ranked.docids[0] == "D1"
 
