@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -48,14 +49,20 @@ def left_sum(values):
     return total
 
 
+@functools.cache
+def _interval(interval: str) -> tuple:
+    """The bounds of ``interval`` and whether its low and its high end are closed, parsed once per string."""
+    lo, hi = map(float, interval[1:-1].split(","))
+    return lo, hi, interval[0] == "[", interval[-1] == "]"
+
+
 def _check_in(name: str, value, interval: str) -> None:
     """Reject a value outside ``interval``, written in math notation: "(0, inf)", "[0, 1]".
 
     The test is two range comparisons, so NaN lies in no interval.
     """
-    lo, hi = map(float, interval[1:-1].split(","))
-    if not ((lo <= value if interval[0] == "[" else lo < value)
-            and (value <= hi if interval[-1] == "]" else value < hi)):
+    lo, hi, lo_closed, hi_closed = _interval(interval)
+    if not ((lo <= value if lo_closed else lo < value) and (value <= hi if hi_closed else value < hi)):
         raise ValueError(f"{name} must be in {interval}, got {value!r}")
 
 

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import rankers as _rankers
 from .analysis import _check_keys, _unique_keys
 from .evaluation import RBO_P_DOMAIN, _rbo_rows
 from .index import PositionalIndex, _check_number, _check_unique, check_fields
@@ -32,6 +33,7 @@ from .rankers import (
     Ranker,
     RankerParams,
     SIMPLE_RANKERS,
+    _LMRanker,
     _SparseRanker,
     make_ranker,
     rank,
@@ -227,6 +229,14 @@ def build_preference_matrix(index: PositionalIndex, simple_rankers: Sequence[Ran
     stacked, each pair's upper and lower columns gathered once for all of
     them, and one pass writes the signs into ``entries``: 1 where upper
     scores higher, -1 where lower does, 0 on a tie or a NaN score.
+
+    A language model's block is its likelihoods, the arguments of its
+    logs, since ln is monotone. Only cells whose two likelihoods differ by
+    no more than a relative 2**-30 take the sign of their ``_exact_log``
+    difference instead, which is 0 where the logs round equal. Outside
+    that band the logs differ by more than 2**-30 while one ulp of a log
+    is at most 2**-42 (|ln x| < 745 for every positive double), so they
+    order as their arguments do and the entries are those of the scores.
     """
     matrix = PreferenceMatrix(
         rankers=[r.name for r in simple_rankers],
@@ -239,18 +249,40 @@ def build_preference_matrix(index: PositionalIndex, simple_rankers: Sequence[Ran
     column = dict(zip(docids, range(len(docids))))
     tf_block = None
     blocks = []
-    for ranker in simple_rankers:
+    likelihood_rows = []
+    for r, ranker in enumerate(simple_rankers):
         if isinstance(ranker, _SparseRanker) and ranker.index is index:
             if tf_block is None:
                 tf_block = index.tf_block(terms, docids)
-            blocks.append(ranker._term_block(terms, *tf_block))
+            if isinstance(ranker, _LMRanker):
+                likelihood_rows.append(r)
+                blocks.append(ranker._likelihood_block(terms, *tf_block))
+            else:
+                blocks.append(ranker._term_block(terms, *tf_block))
         else:
             blocks.append(ranker.term_rows(terms, docids))
     scores = np.stack(blocks)                                   # (rankers, candidates, docids)
     upper = scores[..., [column[p.upper] for p in pairs]]
     lower = scores[..., [column[p.lower] for p in pairs]]
     np.subtract(upper > lower, upper < lower, out=matrix.entries, dtype=np.int8)
+    for r in likelihood_rows:
+        _sign_near_ties(upper[r], lower[r], matrix.entries[r])
     return matrix
+
+
+_NEAR_TIE = 2.0 ** -30       # the relative gap within which two likelihoods' logs decide their sign
+
+
+def _sign_near_ties(upper: np.ndarray, lower: np.ndarray, signs: np.ndarray) -> None:
+    """Write into ``signs`` the sign of the ``_exact_log`` difference of each near tie.
+
+    A near tie is a cell of the positive ``upper`` and ``lower`` that
+    differ by no more than ``_NEAR_TIE`` times the larger of the two.
+    """
+    near = (upper != lower) & (np.abs(upper - lower) <= _NEAR_TIE * np.maximum(upper, lower))
+    if near.any():
+        log_upper, log_lower = _rankers._exact_log(upper[near]), _rankers._exact_log(lower[near])
+        signs[near] = np.subtract(log_upper > log_lower, log_upper < log_lower, dtype=np.int8)
 
 
 def _coverage_explanation(method: str, layer: np.ndarray, matrix: PreferenceMatrix,

@@ -174,6 +174,9 @@ def _exact_log(x: np.ndarray) -> np.ndarray:
 
     Each distinct value's log is taken once, mapped at C level into a
     float64 array, and scattered back through ``np.unique``'s inverse.
+    It is the language models' ``_term_block``, so ``score_masked`` and
+    the fidelity rows pay it per cell. A preference matrix calls it only
+    on the likelihood pairs within a relative 2**-30 of each other.
     """
     values, inverse = np.unique(x, return_inverse=True)
     return np.fromiter(map(math.log, values.tolist()), np.float64, len(values))[inverse].reshape(x.shape)
@@ -192,11 +195,14 @@ class _SparseRanker(Ranker):
     length part of the formula once, then adds one term at a time, each
     tf read from the term's posting. ``_term_block`` scores a (terms x
     columns) tf matrix with one length per column, each term's idf or cf
-    taken once; it serves ``term_rows``, and so the preference matrices
-    and the fidelity rows, and ``score_masked`` and ``score_tokens``. Both
-    add term contributions left to right from 0.0, a term that does not
-    count adding 0.0, so a query's rows summed in query-term order give
-    ``score`` to the bit, and a query with no terms scores 0.0.
+    taken once; it serves ``term_rows``, and so the fidelity rows, and
+    ``score_masked`` and ``score_tokens``. Both add term contributions
+    left to right from 0.0, a term that does not count adding 0.0, so a
+    query's rows summed in query-term order give ``score`` to the bit,
+    and a query with no terms scores 0.0. A language model's
+    ``_term_block`` is the log of its ``_likelihood_block``; a preference
+    matrix compares the likelihoods instead and takes logs only where two
+    of them lie within a relative 2**-30 of each other.
     """
 
     def __init__(self, index: PositionalIndex, params: RankerParams = RankerParams()):
@@ -253,7 +259,24 @@ class BM25Ranker(_SparseRanker):
                          out=np.zeros(tf.shape), where=tf > 0)
 
 
-class LMJMRanker(_SparseRanker):
+class _LMRanker(_SparseRanker):
+    """A query log-likelihood model: each term adds the log of its smoothed p(t|d).
+
+    ``_likelihood_block`` writes the formula's argument, p(t|d) of each
+    (term, column) cell, and is 1.0 for a term the collection lacks, so
+    that term adds +0.0. ``_term_block`` is its ``_exact_log``. A
+    preference matrix compares the likelihoods themselves and takes the
+    log only at near ties (see ``listwise.build_preference_matrix``).
+    """
+
+    def _likelihood_block(self, terms: Sequence[str], tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _term_block(self, terms: Sequence[str], tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
+        return _exact_log(self._likelihood_block(terms, tf, dl))
+
+
+class LMJMRanker(_LMRanker):
     """Query log-likelihood with Jelinek-Mercer smoothing.
 
     Terms never seen in the collection are skipped.
@@ -273,17 +296,17 @@ class LMJMRanker(_SparseRanker):
             total += math.log((1.0 - lam) * p_doc + lam * (cf / n)) if cf else 0.0
         return total
 
-    def _term_block(self, terms: Sequence[str], tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
+    def _likelihood_block(self, terms: Sequence[str], tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
         cf = np.array([self.index.cf(t) for t in terms], dtype=np.int64)
         seen = cf > 0
         lam, tf, p_coll = self.params.jm_lambda, tf[seen], cf[seen, None] / self.index.total_tokens
         p_doc = np.divide(tf, dl, out=np.zeros(tf.shape), where=dl > 0)
-        out = np.zeros((len(terms), len(dl)))
-        out[seen] = _exact_log((1.0 - lam) * p_doc + lam * p_coll)
+        out = np.ones((len(terms), len(dl)))
+        out[seen] = (1.0 - lam) * p_doc + lam * p_coll
         return out
 
 
-class LMDirRanker(_SparseRanker):
+class LMDirRanker(_LMRanker):
     """Query log-likelihood with Dirichlet smoothing."""
 
     name = "lmdir"
@@ -300,12 +323,12 @@ class LMDirRanker(_SparseRanker):
             total += math.log((len(postings[t].get(docid, ())) + mu * (cf / n)) / dl_mu) if cf else 0.0
         return total
 
-    def _term_block(self, terms: Sequence[str], tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
+    def _likelihood_block(self, terms: Sequence[str], tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
         cf = np.array([self.index.cf(t) for t in terms], dtype=np.int64)
         seen = cf > 0
         mu, p_coll = self.params.dirichlet_mu, cf[seen, None] / self.index.total_tokens
-        out = np.zeros((len(terms), len(dl)))
-        out[seen] = _exact_log((tf[seen] + mu * p_coll) / (dl + mu))
+        out = np.ones((len(terms), len(dl)))
+        out[seen] = (tf[seen] + mu * p_coll) / (dl + mu)
         return out
 
 

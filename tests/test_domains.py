@@ -20,6 +20,7 @@ import pytest
 
 import rankexplain as rx
 from rankexplain import cli
+from rankexplain.index import _interval
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rankexplain"
@@ -104,6 +105,14 @@ def test_a_value_outside_the_declared_domain_is_rejected(cls, name, value):
 @pytest.mark.parametrize("cls,name,value", _cases(inside))
 def test_the_finite_ends_of_the_declared_domain_are_accepted(cls, name, value):
     assert getattr(cls(**ALONG.get(name, {}), **{name: value}), name) == value
+
+
+def test_each_declared_interval_is_parsed_once():
+    rx.RankerParams()
+    before = _interval.cache_info()
+    rx.RankerParams(k1=2.0)
+    after = _interval.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + len(dataclasses.fields(rx.RankerParams)))
 
 
 NESTED = [(cls, f) for cls in params_classes() for f in dataclasses.fields(cls) if dataclasses.is_dataclass(f.default)]

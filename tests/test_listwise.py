@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import re
 import warnings
 
@@ -30,6 +31,7 @@ from rankexplain import (
     sample_pairs,
     show_matrix,
 )
+from rankexplain import rankers
 from rankexplain.index import UnknownDocumentError
 from rankexplain.listwise import (
     CandidateTerm,
@@ -268,6 +270,70 @@ def test_matrix_signs_of_nan_and_inf_scores(matrix_index):
     assert matrix.entries[0].tolist() == [[0, 0], [0, 0], [1, -1], [-1, 1]]
     assert matrix.entries[1].tolist() == build_preference_matrix(
         matrix_index, [BM25Ranker(matrix_index)], cands, pairs).entries[0].tolist()
+
+
+class FixedLikelihoodRanker(LMDirRanker):
+    """A language model whose likelihood block is a fixed (terms x docids) table."""
+
+    def __init__(self, index, table):
+        super().__init__(index)
+        self.table = np.asarray(table, dtype=np.float64)
+
+    def _likelihood_block(self, terms, tf, dl):
+        return self.table
+
+
+def log_sign(a, b):
+    log_a, log_b = math.log(a), math.log(b)
+    return (log_a > log_b) - (log_a < log_b)
+
+
+def near_tie_cases():
+    """(a, b) likelihood pairs: equal, adjacent doubles, and relative gaps of 2**-31 and 2**-29."""
+    cases = []
+    for x in np.geomspace(1e-300, 1.0, 40).tolist() + [2.0 ** -1030, 0.5, 1.0]:
+        up, down = np.nextafter(x, np.inf).item(), np.nextafter(x, 0.0).item()
+        cases += [(x, x), (up, x), (x, up), (down, x), (x * (1 + 2.0 ** -31), x), (x, x * (1 + 2.0 ** -29))]
+    return cases
+
+
+def test_matrix_signs_of_near_tie_likelihoods(matrix_index):
+    cases = near_tie_cases()
+    # Some adjacent doubles have equal logs, so the rule must take logs to give them 0.
+    assert any(a != b and math.log(a) == math.log(b) for a, b in cases)
+    # Others inside the 2**-30 band have unequal logs, so calling every near tie a tie fails too.
+    assert any(a != b and abs(a - b) <= 2.0 ** -30 * max(a, b) and log_sign(a, b) != 0 for a, b in cases)
+    cands = [CandidateTerm(f"t{k}", 1.0) for k in range(len(cases))]
+    pairs = [PreferencePair("u", "v", 1), PreferencePair("v", "u", 1)]
+    matrix = build_preference_matrix(
+        matrix_index, [FixedLikelihoodRanker(matrix_index, cases), BM25Ranker(matrix_index)], cands, pairs)
+    assert matrix.entries[0].tolist() == [[log_sign(a, b), log_sign(b, a)] for a, b in cases]
+
+
+def test_matrix_takes_logs_only_of_near_ties(matrix_index, monkeypatch):
+    sizes = []
+
+    def counting_log(x):
+        sizes.append(np.size(x))
+        return exact_log(x)
+
+    exact_log = rankers._exact_log
+    monkeypatch.setattr(rankers, "_exact_log", counting_log)
+    pairs = [PreferencePair("u", "v", 1), PreferencePair("u", "x", 2), PreferencePair("x", "v", 1)]
+    cands = [CandidateTerm(t, 1.0) for t in ("qq", "ww", "ff", "gg", "hh", "kk")]
+    sparse = [LMJMRanker(matrix_index), LMDirRanker(matrix_index), BM25Ranker(matrix_index)]
+    matrix = build_preference_matrix(matrix_index, sparse, cands, pairs)
+    assert sizes == []
+    assert matrix.entries.any()
+    # Three near ties among ten cells: only their six likelihoods go through a log.
+    x = 0.25
+    cases = [(x, x), (x, np.nextafter(x, 1.0)), (x * (1 + 2.0 ** -31), x), (x, x * (1 - 2.0 ** -31)),
+             (x, 2 * x), (x, x * (1 + 2.0 ** -29))] + [(0.5, 0.125)] * 4
+    matrix = build_preference_matrix(matrix_index, [FixedLikelihoodRanker(matrix_index, cases)],
+                                     [CandidateTerm(f"t{k}", 1.0) for k in range(len(cases))],
+                                     [PreferencePair("u", "v", 1)])
+    assert sizes == [3, 3]
+    assert matrix.entries[0, :, 0].tolist() == [log_sign(a, b) for a, b in cases]
 
 
 def test_matrix_validation(matrix_index):

@@ -1106,15 +1106,19 @@ def test_term_blocks_equal_term_scores_over_a_grid(model, params):
     # math.log in the last bit on roughly one argument in 10,000 here, so
     # this catches a block formula that takes np.log. Each row holds its
     # own shift of the grid's tf, and the terms' idf and cf differ, so a
-    # per-term constant broadcast along the columns fails.
+    # per-term constant broadcast along the columns fails. Bit patterns are
+    # compared, since == takes -0.0 for 0.0: the OOV row and BM25's tf = 0
+    # cells must be +0.0.
     index = build_index(random_corpus(XorShift64Star(7), 30, make_vocab(40), min_len=50, max_len=300))
     ranker = make_ranker(index, model, params)
     tf, dl = (grid.ravel() for grid in np.meshgrid(np.arange(20), np.arange(2000)))
     terms = ["w00", OOV, "w39", "w00"]
     block_tf = np.stack([np.roll(tf, 7919 * k) for k in range(len(terms))])
-    expected = [[reference_term_score(ranker, term, t, d) for t, d in zip(row.tolist(), dl.tolist())]
-                for term, row in zip(terms, block_tf)]
-    assert ranker._term_block(terms, block_tf, dl).tolist() == expected
+    expected = np.array([[reference_term_score(ranker, term, t, d) for t, d in zip(row.tolist(), dl.tolist())]
+                         for term, row in zip(terms, block_tf)])
+    block = ranker._term_block(terms, block_tf, dl)
+    assert block.dtype == np.float64
+    assert np.array_equal(block.view(np.uint64), expected.view(np.uint64))
 
 
 @PROPERTY_SETTINGS
