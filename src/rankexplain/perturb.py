@@ -22,7 +22,7 @@ import numpy as np
 
 from .analysis import TokenizedDocument
 from .index import PositionalIndex, check_fields, left_sum
-from .rng import XorShift64Star, block_random, block_u64
+from .rng import XorShift64Star, block_u64
 
 SAMPLER_KINDS = ("random", "masking", "tfidf")
 
@@ -84,9 +84,18 @@ def _check_doc(doc: TokenizedDocument) -> None:
 
 def _bernoulli_samples(probs: list[float], n_samples: int, rng: XorShift64Star,
                        uniform_fallback: bool = False) -> PerturbationBatch:
-    """Remove position p of a sample when its draw falls below probs[p]."""
-    draws = block_random(rng, n_samples * len(probs)).reshape(n_samples, len(probs))
-    return PerturbationBatch(~(draws < np.array(probs)), uniform_fallback)
+    """Remove position p of a sample when its draw falls below probs[p].
+
+    The test is ``random() < probs[p]``, made on integers: random() is
+    k * 2**-53 for k the draw's 53 high bits, and p * 2**53 is exact for p
+    in [0, 1], so k * 2**-53 < p exactly when k < ceil(p * 2**53). The
+    (samples x positions) block of draws is shifted to k in place and
+    compared with those thresholds; no float is made from a draw.
+    """
+    thresholds = np.ceil(np.array(probs) * 2.0 ** 53).astype(np.uint64)
+    draws = block_u64(rng, n_samples * len(probs)).reshape(n_samples, len(probs))
+    draws >>= 11
+    return PerturbationBatch(draws >= thresholds, uniform_fallback)
 
 
 def random_sampler(doc: TokenizedDocument, config: SamplerConfig,

@@ -120,8 +120,9 @@ def fit_weighted_ridge(X, y, sample_weights, ridge: float,
     _check_unique("feature_names", feature_names)
 
     A = np.hstack([X, np.ones((n, 1))])
-    penalty = np.diag([ridge] * d + [0.0])
-    G = A.T @ (w[:, None] * A) + penalty
+    G = A.T @ (w[:, None] * A)
+    G += 0.0    # a GEMM of tiny negatives can underflow to -0.0; every zero the solve sees is +0.0
+    G.reshape(-1)[:d * (d + 2):d + 2] += ridge  # the first d diagonal entries; the intercept's is unpenalized
     rhs = A.T @ (w * y)
     solver = "normal_equations"
     if ridge == 0.0:
@@ -152,7 +153,10 @@ def _perturbation_design(index: PositionalIndex, docid: str, params: PointwisePa
 
     Returns the document's tokens, the (samples x positions) kept matrix,
     the sorted distinct terms, the presence matrix X (samples x terms) and
-    each sample's kernel weight.
+    each sample's kernel weight. X[s, j] is 1.0 when some position of term
+    j survives in sample s: the kept columns, grouped by term, are packed
+    8 samples to a byte, each term's bytes are ORed, and the result is
+    unpacked to one 0.0/1.0 row per sample.
     """
     doc = index.tokenized_doc(docid)
     terms = doc.distinct_terms()
@@ -162,8 +166,9 @@ def _perturbation_design(index: PositionalIndex, docid: str, params: PointwisePa
     feature = {t: j for j, t in enumerate(terms)}
     column = np.array([feature[t] for t in doc.tokens])     # feature held at each position
     order = np.argsort(column, kind="stable")                 # positions grouped by feature
-    X = np.logical_or.reduceat(kept[:, order], np.searchsorted(column[order], np.arange(len(terms))),
-                               axis=1).astype(float)
+    packed = np.packbits(kept[:, order], axis=0)              # 8 samples to a byte, per position
+    present = np.bitwise_or.reduceat(packed, np.searchsorted(column[order], np.arange(len(terms))), axis=1)
+    X = np.unpackbits(present, axis=0, count=len(kept)).astype(float)
     distances = 1.0 - kept.sum(axis=1) / len(doc.tokens)
     kernel = np.exp(-(distances ** 2) / (params.kernel_width ** 2))
     return doc.tokens, kept, terms, X, kernel

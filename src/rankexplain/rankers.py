@@ -128,8 +128,19 @@ class RankerParams:
 
     k1: float = field(default=0.9, metadata={"in": "[0, inf)"})
     b: float = field(default=0.4, metadata={"in": "[0, 1]"})
-    jm_lambda: float = field(default=0.1, metadata={"in": "(0, 1)"})
-    dirichlet_mu: float = field(default=1000.0, metadata={"in": "(0, inf)"})
+    # The lower ends keep every smoothed p(t|d) of an indexed term above 0.0, so its
+    # log is finite, for indexes and documents under 2**63 tokens. Such a term has
+    # cf >= 1 of n < 2**63 tokens, so p_coll = cf / n rounds to at least 2**-63.
+    # Rounding is monotone, so each computed value is at least the double below
+    # that bounds its exact value, and any value >= 2**-1074 (the least positive
+    # double) rounds to a positive double.
+    # - JM: p >= lam * p_coll >= 1e-280 * 2**-63, about 1e-299.
+    # - Dirichlet: p = (tf + mu * p_coll) / (dl + mu). The numerator is at least
+    #   mu * 2**-63, and dl + mu is at most 2**64, or 2 * mu when mu > 2**63. So
+    #   p >= 1e-280 * 2**-127, about 6e-319, or p >= 2**-64.
+    # Far smaller values, such as 5e-324, can make p 0.0, whose log raises.
+    jm_lambda: float = field(default=0.1, metadata={"in": "[1e-280, 1)"})
+    dirichlet_mu: float = field(default=1000.0, metadata={"in": "[1e-280, inf)"})
 
     def __post_init__(self):
         check_fields(self)

@@ -6,14 +6,18 @@ The generator is Marsaglia's xorshift64* (64-bit state, period 2**64 - 1);
 seeds are expanded through splitmix64 so that small or zero seeds still
 start from well-mixed state.
 
-:func:`block_u64` and :func:`block_random` draw the next n values of the
-same stream at once. The stream is cut into lanes of m = 2**a consecutive
-states. The state step is linear over GF(2), so 2**k steps are one fixed
-64 x 64 bit matrix applied to the state (Haramoto et al., "Efficient jump
-ahead for F2-linear random number generators", INFORMS J. Computing 2008);
-jump-ahead by such matrices reaches each lane's first state. The lanes are
-then stepped together, one shift-xor step of all of them at a time. A
-block equals n scalar draws and leaves the generator where they would.
+:func:`block_u64` draws the next n values of the same stream at once, as
+uint64. ``random()`` is a draw's 53 high bits times 2**-53, so a caller
+that asks ``random() < p`` can compare those bits with an integer
+threshold instead (see ``perturb._bernoulli_samples``). The stream is cut
+into lanes of m = 2**a consecutive states. The state step is linear over
+GF(2), so 2**k steps are one fixed 64 x 64 bit matrix applied to the
+state (Haramoto et al., "Efficient jump ahead for F2-linear random number
+generators", INFORMS J. Computing 2008). Jump-ahead by such matrices,
+kept as one table per state byte and applied with one look-up of each
+byte and an XOR, reaches each lane's first state. The lanes are then
+stepped together, one shift-xor step of all of them at a time. A block
+equals n scalar draws and leaves the generator where they would.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .index import _check_number
 _MASK64 = (1 << 64) - 1
 _XORSHIFT_MULT = 0x2545F4914F6CDD1D
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+_ROW_STARTS = np.arange(0, 8 * 256, 256)[:, None]     # where row b of a flat (8, 256) table starts
 
 
 def _splitmix64(z: int) -> int:
@@ -76,12 +81,13 @@ class XorShift64Star:
 
 
 def _jump(table: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """The linear map whose byte tables are ``table``, applied to each of states."""
+    """The linear map whose byte tables are ``table``, applied to each of states.
+
+    One ``take`` on the flat table reads the (8 x states) entries, byte b
+    of each state indexing row b; one XOR reduction over the 8 folds them.
+    """
     state_bytes = states.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-    out = table[0].take(state_bytes[:, 0])
-    for b in range(1, 8):
-        out ^= table[b].take(state_bytes[:, b])
-    return out
+    return np.bitwise_xor.reduce(table.reshape(-1).take(state_bytes.T + _ROW_STARTS), axis=0)
 
 
 @functools.cache
@@ -145,8 +151,3 @@ def block_u64(rng: XorShift64Star, n: int) -> np.ndarray:
         x ^= shifted
     rng._state = int(grid[(n - 1) % m, (n - 1) // m])
     return np.multiply(grid.T, np.uint64(_XORSHIFT_MULT), order="C").reshape(-1)[:n]   # wraps mod 2**64
-
-
-def block_random(rng: XorShift64Star, n: int) -> np.ndarray:
-    """The next n ``rng.random()`` values as a float64 array."""
-    return (block_u64(rng, n) >> 11).astype(np.float64) * (2.0 ** -53)

@@ -2,7 +2,7 @@
 
 A scalar draw (``random``, ``randbelow`` or ``next_u64``) costs a Python
 call per token or per window; the samplers take one block of the stream
-per batch instead (``rng.block_random``, ``rng.block_u64``). This walks
+per batch instead (``rng.block_u64``). This walks
 perturb.py's syntax tree for any reference to a scalar draw, so a
 per-token loop cannot come back unnoticed.
 """
@@ -29,12 +29,12 @@ def test_perturb_makes_no_scalar_draw():
 
 
 def test_the_walk_finds_every_scalar_draw():
-    source = ("from .rng import block_random\n"
+    source = ("from .rng import block_u64\n"
               "def f(rng, probs):\n"
               "    return [0 if rng.random() < p else 1 for p in probs]\n"
               "def g(rng, n):\n"
               "    draw = rng.randbelow\n"
-              "    return [draw(n), block_random(rng, n)]\n"
+              "    return [draw(n), block_u64(rng, n)]\n"
               "def h(next_u64):\n"
               "    return next_u64()\n")
     assert scalar_draws(source) == [(3, "random"), (5, "randbelow"), (8, "next_u64")]

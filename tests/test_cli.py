@@ -463,10 +463,14 @@ def test_unknown_keys_exit_2(workspace, tmp_path, capsys, command, source, key):
     pytest.param("listwise", ["--all", "--n_pairs", "0"], None, "n_pairs", id="zero-pairs"),
     pytest.param("listwise", ["--m_min", "4", "--m_max", "3"], None, "m_min <= m_max",
                  id="m-min-above-m-max"),
-    pytest.param("rank", ["--jm_lambda", "5"], None, "jm_lambda must be in (0, 1)",
+    pytest.param("rank", ["--jm_lambda", "5"], None, "jm_lambda must be in [1e-280, 1)",
                  id="jm-lambda-out-of-range"),
-    pytest.param("rank", ["--dirichlet_mu", "0"], None, "dirichlet_mu must be in (0, inf), got 0.0",
+    pytest.param("rank", ["--dirichlet_mu", "0"], None, "dirichlet_mu must be in [1e-280, inf), got 0.0",
                  id="dirichlet-mu-not-positive"),
+    pytest.param("rank", ["--jm_lambda", "5e-324"], None, "jm_lambda must be in [1e-280, 1), got 5e-324",
+                 id="jm-lambda-underflows"),
+    pytest.param("rank", ["--dirichlet_mu", "5e-324"], None,
+                 "dirichlet_mu must be in [1e-280, inf), got 5e-324", id="dirichlet-mu-underflows"),
     pytest.param("rank", ["--k1", "-1", "--b", "0"], None, "k1 must be in [0, inf), got -1.0",
                  id="k1-minus-1-b-0"),
     pytest.param("rank", ["--k1", "-0.5"], None, "k1 must be in [0, inf), got -0.5",

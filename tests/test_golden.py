@@ -182,12 +182,14 @@ def test_outputs_other_than_pointwise_do_not_depend_on_the_blas_kernel():
 
 @other_kernels_only
 def test_block_draws_do_not_depend_on_the_numpy_loops():
-    # The non-pointwise golden cases draw no block, so the draws are checked here.
+    # The non-pointwise golden cases draw no block, so the draws, the threshold
+    # compare and the packed presence design are checked here.
     stdout = rerun_under_other_kernels(
         "tests/test_properties.py",
         "test_block_draws_equal_the_scalar_stream or test_op_sized_blocks_equal_the_scalar_stream"
-        " or test_sampler_batches_equal_the_per_token_reference")
-    assert "4 passed" in stdout
+        " or test_sampler_batches_equal_the_per_token_reference or test_bernoulli_samples_at_exact_thresholds"
+        " or test_perturbation_design_equals_per_sample_derivation")
+    assert "7 passed" in stdout
 
 
 def main() -> None:

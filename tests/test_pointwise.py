@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -87,6 +88,21 @@ def test_ridge_matches_oracle_on_random_systems():
         assert np.allclose(got, beta, atol=1e-9)
 
 
+@pytest.mark.parametrize("X,y,w,ridge", [
+    # Products of the 1e-170 entries underflow, so the Gram matrix holds -0.0 off its diagonal.
+    ([[1e-170, -1e-160], [1e-170, -1e-170]], [1e-170, -1e-170], [1.0, 0.0], 0.5),
+    ([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]], [0.3, -1.2, 2.5, 0.7],
+     [1.0, 0.5, 0.25, 0.8], 1.0),
+])
+def test_ridge_solves_the_normal_equations_with_a_diagonal_penalty_to_the_bit(X, y, w, ridge):
+    X, y, w = np.array(X), np.array(y), np.array(w)
+    A = np.hstack([X, np.ones((len(X), 1))])
+    G = A.T @ (w[:, None] * A) + np.diag([ridge] * X.shape[1] + [0.0])
+    beta = np.linalg.solve(G, A.T @ (w * y))
+    fit = fit_weighted_ridge(X, y, w, ridge)
+    assert np.array([*fit.weights.values(), fit.intercept]).tobytes() == beta.tobytes()
+
+
 def test_ridge_zero_weights_error():
     with pytest.raises(ValueError, match="zero"):
         fit_weighted_ridge([[1.0]], [1.0], [0.0], 1.0)
@@ -120,6 +136,25 @@ def test_ridge_rejects_repeated_feature_names(names, repeated):
 def test_ridge_domain_is_the_one_pointwise_params_declares():
     ridge = next(f for f in dataclasses.fields(PointwiseParams) if f.name == "ridge")
     assert ridge.metadata["in"] is RIDGE_DOMAIN
+
+
+def test_ridge_fit_temporaries_stay_within_its_design_copies_and_one_gram_matrix():
+    # A 200 x 170 presence design: the fit holds A = [X, 1] and the weighted w * A
+    # while the GEMM writes G = A.T @ (w * A); no other (d+1)-square array may be alive then.
+    gen = np.random.default_rng(3)
+    n, d = 200, 170
+    X = (gen.random((n, d)) < 0.7).astype(float)
+    y, w = gen.normal(size=n), np.exp(-gen.random(n) ** 2)
+    names = [f"t{i}" for i in range(d)]
+    fit_weighted_ridge(X, y, w, 1.0, feature_names=names)     # warm numpy's caches outside the trace
+    tracemalloc.start()
+    try:
+        fit_weighted_ridge(X, y, w, 1.0, feature_names=names)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    design, gram = n * (d + 1) * 8, (d + 1) ** 2 * 8
+    assert peak <= 2 * design + gram + 16 * 1024, (peak, 2 * design + gram)
 
 
 def test_ridge_rank_deficient_min_norm_flagged():

@@ -60,6 +60,7 @@ from rankexplain.analysis import TokenizedDocument, tokenize
 from rankexplain.perturb import (
     SAMPLER_KINDS,
     SamplerConfig,
+    _bernoulli_samples,
     _masking_window_count,
     draw_samples,
     masking_sampler,
@@ -68,7 +69,7 @@ from rankexplain.perturb import (
 )
 from rankexplain.pointwise import EXS_VARIANTS, PointwiseParams, _perturbation_design, exs_targets, fit_weighted_ridge
 from rankexplain.rankers import BM25Ranker, LMDirRanker, LMJMRanker, RankedList, RunEntry, _SparseRanker
-from rankexplain.rng import XorShift64Star, block_random, block_u64
+from rankexplain.rng import XorShift64Star, block_u64
 
 from conftest import make_vocab, random_corpus
 
@@ -984,8 +985,6 @@ def test_block_draws_equal_the_scalar_stream(n, seed):
     block, scalar = XorShift64Star(seed), XorShift64Star(seed)
     assert block_u64(block, n).tolist() == [scalar.next_u64() for _ in range(n)]
     assert block._state == scalar._state
-    assert block_random(block, n).tolist() == [scalar.random() for _ in range(n)]
-    assert block._state == scalar._state
 
 
 # The sizes a doc-explain op draws (200 samples of 160-280 tokens), each side
@@ -1007,6 +1006,24 @@ def test_op_sized_blocks_equal_the_scalar_stream(seed):
         assert block_u64(block, n).tolist() == values[:n], n
         assert block._state == states[n], n
     assert block_u64(XorShift64Star(seed), np.int64(300)).tolist() == values[:300]
+
+
+@pytest.mark.parametrize("seed", [1, 2**64 - 1])
+def test_bernoulli_samples_at_exact_thresholds(seed):
+    # Position i's p is row 0's own draw at i, either neighbour of it, 0.0, 1.0
+    # or 0.25, whose p * 2**53 is whole; random() < p decides every cell, so
+    # row 0 sits exactly on (or one ulp off) each threshold. Below 0.5 the
+    # upper neighbour of a draw is no whole multiple of 2**-53, so ceil matters.
+    n_samples, n = 3, 24
+    rng = XorShift64Star(seed)
+    row0 = [rng.random() for _ in range(n)]
+    assert any(d < 0.5 for d in row0) and any(d >= 0.5 for d in row0)
+    for probs in (row0, [math.nextafter(d, 0.0) for d in row0], [math.nextafter(d, 1.0) for d in row0],
+                  [0.0] * n, [1.0] * n, [0.25] * n):
+        batch = _bernoulli_samples(probs, n_samples, XorShift64Star(seed))
+        scalar = XorShift64Star(seed)
+        assert batch.kept.tolist() == [[not scalar.random() < p for p in probs] for _ in range(n_samples)]
+    assert _bernoulli_samples(row0, 1, XorShift64Star(seed)).kept.all()
 
 
 def reference_samples(doc, index, config, rng):

@@ -1,6 +1,7 @@
 import re
 import math
 
+import numpy as np
 import pytest
 
 from rankexplain import (
@@ -118,7 +119,7 @@ def test_lm_parameter_validation():
     with pytest.raises(ValueError):
         LMJMRanker(index, RankerParams(jm_lambda=1.0))
     for mu in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match=re.escape("dirichlet_mu must be in (0, inf)")):
+        with pytest.raises(ValueError, match=re.escape("dirichlet_mu must be in [1e-280, inf)")):
             LMDirRanker(index, RankerParams(dirichlet_mu=mu))
     for k1, b, name in ((-1.0, 0.0, "k1"), (-0.5, 0.4, "k1"), (math.nan, 0.4, "k1"),
                         (math.inf, 0.4, "k1"), (0.9, 7.0, "b"), (0.9, -0.1, "b"), (0.9, math.nan, "b")):
@@ -132,7 +133,44 @@ def test_lm_parameter_validation():
     # The ends of each domain are accepted.
     BM25Ranker(index, RankerParams(k1=0.0, b=0.0))
     BM25Ranker(index, RankerParams(k1=1e300, b=1.0))
-    RankerParams(k1=0.0, b=1.0, dirichlet_mu=1e-300)
+    RankerParams(k1=0.0, b=1.0, jm_lambda=1e-280, dirichlet_mu=1e-280)
+
+
+def test_lm_smoothing_lower_ends_score_finite():
+    index = build_index([Document("d1", "qq rr"), Document("d2", "rr ss tt"), Document("d3", "")])
+    query = Query.from_terms("q", ["qq", "ss", "zz"])
+    tokens = ["rr", "ss", "tt"]
+    kept = [[True, True, True], [True, False, True], [False, False, False]]
+    for ranker in (LMJMRanker(index, RankerParams(jm_lambda=1e-280)),
+                   LMDirRanker(index, RankerParams(dirichlet_mu=1e-280))):
+        scores = [ranker.score(query, docid) for docid in ("d1", "d2", "d3")]
+        scores += [e.score for e in rank(index, ranker, query, depth=3).entries]
+        scores += ranker.score_masked(query, tokens, kept).tolist()
+        assert all(math.isfinite(s) for s in scores), ranker.name
+
+
+class _HugeIndex:
+    """One indexed term, of cf 1, in a collection of 2**63 - 1 tokens."""
+
+    total_tokens = 2**63 - 1
+
+    def cf(self, term):
+        return 1
+
+
+def test_lm_smoothing_lower_ends_keep_likelihoods_positive_up_to_2_63_tokens():
+    tf, dl = np.zeros((1, 3), dtype=np.int64), np.array([0, 1, 2**63 - 1])
+    for ranker in (LMJMRanker(_HugeIndex(), RankerParams(jm_lambda=1e-280)),
+                   LMDirRanker(_HugeIndex(), RankerParams(dirichlet_mu=1e-280)),
+                   LMDirRanker(_HugeIndex(), RankerParams(dirichlet_mu=2.0**64)),
+                   LMDirRanker(_HugeIndex(), RankerParams(dirichlet_mu=1.7e308))):
+        assert (ranker._likelihood_block(["t"], tf, dl) > 0.0).all(), ranker.params
+
+
+def test_underflowing_lm_smoothing_is_a_value_error_naming_the_field():
+    for field in ("jm_lambda", "dirichlet_mu"):
+        with pytest.raises(ValueError, match=f"^{field} must be in \\[1e-280, .*got 5e-324$"):
+            RankerParams(**{field: 5e-324})
 
 
 def test_make_ranker_names_the_sparse_models(cat_index):
