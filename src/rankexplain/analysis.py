@@ -136,12 +136,5 @@ class TokenizedDocument:
     docid: str
     tokens: tuple[str, ...] = field(default_factory=tuple)
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
     def distinct_terms(self) -> list[str]:
         return sorted(set(self.tokens))
-
-
-def analyze(docid: str, text: str, config: AnalyzerConfig = DEFAULT_CONFIG) -> TokenizedDocument:
-    return TokenizedDocument(docid=docid, tokens=tuple(tokenize(text, config)))

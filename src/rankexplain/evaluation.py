@@ -143,7 +143,9 @@ def lmjm_ground_truth(index: PositionalIndex, query: Query, ranked: RankedList,
     """Relevance-model style expansion weights from the top documents.
 
     weight(t) is proportional to the sum over the top_n documents of
-    P_jm(t | D) * exp(query log-likelihood of D); a term absent from all
+    P_jm(t | D) * exp(query log-likelihood of D); each exp is taken of
+    the log-likelihood minus the top_n's largest, so a long query's
+    likelihoods do not all underflow to 0.0. A term absent from all
     top documents keeps only its smoothed collection floor, so it never
     outweighs an equally frequent present term. The top n_terms are kept
     and renormalized.
@@ -159,8 +161,11 @@ def lmjm_ground_truth(index: PositionalIndex, query: Query, ranked: RankedList,
     cf, tokens = index.cf_by_ordinal, index.total_tokens
     p_coll = cf / tokens if tokens else np.zeros(len(cf))
     mass = np.zeros(len(p_coll))
-    for docid in ranked.docids[:top_n]:
-        doc_weight = math.exp(ranker.score(query, docid))
+    top = ranked.docids[:top_n]
+    scores = [ranker.score(query, docid) for docid in top]
+    top_score = max(scores)
+    for docid, score in zip(top, scores):
+        doc_weight = math.exp(score - top_score)
         ordinals, counts = index.doc_terms(docid)
         p_doc = np.zeros(len(p_coll))
         p_doc[ordinals] = counts / index.doc_length(docid)

@@ -212,12 +212,6 @@ class PreferenceMatrix:
     def consensus(self) -> np.ndarray:
         return np.sign(self.entries.sum(axis=0)).astype(np.int8)
 
-    def entry(self, term: str, pair: PreferencePair, ranker: str) -> int:
-        r = self.rankers.index(ranker)
-        t = self.terms.index(term)
-        p = self.pairs.index(pair)
-        return int(self.entries[r, t, p])
-
 
 def build_preference_matrix(index: PositionalIndex, simple_rankers: Sequence[Ranker],
                             candidates: Sequence[CandidateTerm],
@@ -680,9 +674,6 @@ def explain_listwise(index: PositionalIndex, query: Query, ranked: RankedList,
 class BatchResult:
     explanations: dict
     errors: dict
-
-    def __len__(self) -> int:
-        return len(self.explanations)
 
 
 def explain_all(index: PositionalIndex, topics: dict, runs: dict,

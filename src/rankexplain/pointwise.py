@@ -47,12 +47,6 @@ class ExplanationVector:
     def terms(self) -> list[str]:
         return [t for t, _ in self.entries]
 
-    def weight(self, term: str) -> float:
-        for t, w in self.entries:
-            if t == term:
-                return w
-        return 0.0
-
     def top_terms(self, m: int) -> list[str]:
         return [t for t, _ in self.entries[:m]]
 

@@ -13,7 +13,6 @@ import math
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -76,18 +75,6 @@ class RankedList:
             prev_score = entry.score
         return cls(qid=qid, entries=list(entries), tag=tag)
 
-    @classmethod
-    def from_scores(cls, qid: str, scored: Iterable[tuple[str, float]], depth: Optional[int] = None,
-                    tag: str = "rankexplain") -> "RankedList":
-        """Sort by score descending, ties by ascending docid, truncate.
-
-        A NaN score raises ValueError naming the qid and its docid.
-        """
-        if depth is not None:
-            _check_number("depth", depth, DEPTH_DOMAIN, int)
-        pairs = sorted(scored, key=itemgetter(0))       # stable: a repeated docid keeps its order
-        return cls(qid=qid, entries=_by_score(qid, [d for d, _ in pairs], [s for _, s in pairs], depth), tag=tag)
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -96,8 +83,7 @@ class RankedList:
         return [e.docid for e in self.entries]
 
     def score_at(self, rank: int) -> float:
-        if not 1 <= rank <= len(self.entries):
-            raise ValueError(f"rank {rank} outside 1..{len(self.entries)}")
+        _check_number("rank", rank, f"[1, {len(self.entries)}]", int)
         return self.entries[rank - 1].score
 
 
@@ -374,7 +360,7 @@ class LinearScorer(Ranker):
 
     def score_tokens(self, query: Query, tokens: Sequence[str]) -> float:
         counts = Counter(tokens)
-        return left_sum(c * counts[t] for t, c in self.coefficients.items())
+        return float(left_sum(c * counts[t] for t, c in self.coefficients.items()))
 
 
 class HiddenIntentRanker(Ranker):

@@ -261,8 +261,7 @@ def test_criterion_4_pointwise_linear_recovery():
                 n_terms=5)
             expl = lirme_explain(index, scorer, query, "target", params)
             if set(expl.terms) == set(truth) and all(
-                math.copysign(1, expl.weight(t)) == math.copysign(1, coeffs[t])
-                for t in expl.terms
+                math.copysign(1, w) == math.copysign(1, coeffs[t]) for t, w in expl.entries
             ):
                 hits += 1
         assert hits >= 19, f"recovered in only {hits}/20 trials"

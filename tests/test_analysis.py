@@ -13,7 +13,7 @@ from rankexplain.analysis import (
     DEFAULT_CONFIG,
     ENGLISH_STOPWORDS,
     AnalyzerConfig,
-    analyze,
+    TokenizedDocument,
     tokenize,
 )
 from rankexplain.datasets import demo_corpus_path
@@ -155,8 +155,8 @@ def test_measure_of_porters_examples():
         assert [stem._cv_pattern(w).count("vc") for w in words] == [m] * len(words)
 
 
-def test_analyze_positions_are_token_indices():
-    doc = analyze("x", "the cat sat on the mat")
+def test_tokenized_positions_are_token_indices():
+    doc = TokenizedDocument("x", tuple(tokenize("the cat sat on the mat")))
     # stopwords removed before positions are assigned
     assert doc.tokens == ("cat", "sat", "mat")
     assert doc.distinct_terms() == ["cat", "mat", "sat"]

@@ -222,7 +222,7 @@ API_ARGUMENTS = [
     ("weight of hidden term 'cat'", lambda i, r, q, l, v: rx.HiddenIntentRanker(r, [("cat", v)]),
      ["x", None, True]),
     ("coefficient of 'cat'", lambda i, r, q, l, v: rx.LinearScorer(i, {"cat": v}), ["x", None, True]),
-    ("depth", lambda i, r, q, l, v: rx.rank(i, r, q, depth=v), [2.5, True, "3"]),
+    ("depth", lambda i, r, q, l, v: rx.rank(i, r, q, depth=v), [2.5, True, "3", 0, -1]),
     ("k", lambda i, r, q, l, v: rx.jaccard_at_k(["a"], ["b"], k=v), [1.5, True, "2"]),
     ("p", lambda i, r, q, l, v: rx.rbo(["a"], ["a"], p=v), ["x", None, True]),
     ("ground-truth weight of 'cat'", lambda i, r, q, l, v: rx.GroundTruthTerms({"cat": v}), ["x", True]),
@@ -238,8 +238,7 @@ API_ARGUMENTS = [
      [-1, True, 2.5]),
     ("m_max", lambda i, r, q, l, v: rx.bfs_explain(i, r, q, l, [rx.CandidateTerm("bird", 1.0)], m_max=v),
      [-2, 1.5, "1"]),
-    ("depth", lambda i, r, q, l, v: rx.RankedList.from_scores("q", [("d1", 1.0), ("d2", 0.5)], depth=v),
-     [-1, 0, 1.5]),
+    ("rank", lambda i, r, q, l, v: l.score_at(v), [True, 1.0, "1", 0, 3]),
     ("exs_k", lambda i, r, q, l, v: rx.pointwise.exs_targets([0.0], l, "rank_based", v), [0, -2, 1.5, True]),
     ("jm_lambda", lambda i, r, q, l, v: rx.lmjm_ground_truth(i, q, l, top_n=1, jm_lambda=v), [0.0, 1.0, True, "x"]),
     ("params", lambda i, r, q, l, v: rx.BM25Ranker(i, v), [{"k1": 1.2}, None, 1.2, rx.SamplerConfig()]),
@@ -257,6 +256,16 @@ API_ARGUMENTS = [
 def test_an_api_argument_of_the_wrong_type_is_rejected_by_name(name, call, value):
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
         call(*_api_fixture(), value)
+
+
+# README's "Removed, each with its replacement" list names each of these.
+@pytest.mark.parametrize("owner,name", [
+    (rx.analysis, "analyze"), (rx.RankedList, "from_scores"), (rx.ExplanationVector, "weight"),
+    (rx.PreferenceMatrix, "entry"), (rx.listwise.BatchResult, "__len__"), (rx.TokenizedDocument, "__len__"),
+    (rx.Ranker, "term_scores"), (rx.LMJMRanker, "term_probability"), (rx.PositionalIndex, "doc_term_counts"),
+], ids=lambda x: getattr(x, "__name__", x))
+def test_a_removed_name_stays_removed(owner, name):
+    assert not hasattr(owner, name)
 
 
 @pytest.mark.parametrize("seed,first_draws", [

@@ -8,6 +8,7 @@ from rankexplain import (
     BM25Ranker,
     Document,
     GroundTruthTerms,
+    LMJMRanker,
     Query,
     build_index,
     jaccard_at_k,
@@ -342,3 +343,16 @@ def test_consistency_rejects_m_below_one(m):
     e2 = ExplanationVector(entries=[("aa", 3.0), ("bb", 2.0), ("dd", 1.0)])
     with pytest.raises(ValueError, match=re.escape(f"m must be in [1, inf), got {m}")):
         pointwise_consistency([e1, e2], m=m)
+
+
+def test_ground_truth_of_a_long_query_does_not_underflow(demo_index):
+    terms = demo_index.doc_tokens(demo_index.doc_ids()[0])
+    short, long = Query.from_terms("q", terms), Query.from_terms("q", terms * 12)
+    ranked = rank(demo_index, BM25Ranker(demo_index), short, depth=6)
+    # The long query's log-likelihoods lie far below log of the smallest float,
+    # so every exp of one alone is 0.0; each is taken relative to the top_n's largest.
+    assert max(LMJMRanker(demo_index).score(long, d) for d in ranked.docids) < -800
+    # At top_n=1 the one document's weight is exp(0) == 1.0 for both queries.
+    assert list(lmjm_ground_truth(demo_index, long, ranked, top_n=1).weights.items()) == \
+        list(lmjm_ground_truth(demo_index, short, ranked, top_n=1).weights.items())
+    assert len(lmjm_ground_truth(demo_index, long, ranked, top_n=6).weights) == 10

@@ -208,12 +208,10 @@ def test_matrix_entries(matrix_index):
     pairs = [PreferencePair("u", "v", 1)]
     cands = [CandidateTerm("qq", 2.0), CandidateTerm("kk", 1.0), CandidateTerm("ww", 1.5)]
     matrix = build_preference_matrix(matrix_index, [BM25Ranker(matrix_index)], cands, pairs)
-    # qq present only in upper -> +1 (monotone scorer)
-    assert matrix.entry("qq", pairs[0], "bm25") == 1
-    # kk absent from both -> 0
-    assert matrix.entry("kk", pairs[0], "bm25") == 0
+    # qq present only in upper -> +1 (monotone scorer); kk absent from both -> 0;
     # ww: equal tf, equal length -> same score -> 0
-    assert matrix.entry("ww", pairs[0], "bm25") == 0
+    assert matrix.rankers == ["bm25"] and matrix.terms == ["qq", "kk", "ww"] and matrix.pairs == pairs
+    assert matrix.entries[:, :, 0].tolist() == [[1, 0, 0]]
 
 
 def test_matrix_consensus_sign_of_sum():

@@ -112,6 +112,12 @@ def query_terms(vocab, min_size=0):
     return st.lists(st.sampled_from(vocab + [OOV]), min_size=min_size, max_size=5)
 
 
+def reference_run(pairs, depth):
+    """``RunEntry``s of the (docid, score) pairs by score descending, ties by ascending docid, cut to ``depth``."""
+    ordered = sorted(pairs, key=lambda p: (-p[1], p[0]))[:depth]
+    return [RunEntry(d, i, s) for i, (d, s) in enumerate(ordered, start=1)]
+
+
 def reference_fidelity(index, sm, query, ranked, p, terms):
     """The unoptimized evaluation: expand the query, re-rank the pool, take RBO.
 
@@ -225,8 +231,8 @@ class ReferenceFidelityEvaluator:
     """The scalar evaluator that ``FidelityEvaluator.batch`` replaced.
 
     Per call: add a sparse ranker's cached rows in expanded-query order,
-    build a ``RankedList`` through ``from_scores`` and take ``quadratic_rbo``,
-    capped at 1, over the docids; any other ranker re-ranks through ``rank``.
+    order the docids by ``reference_run`` and take ``quadratic_rbo``,
+    capped at 1, over them; any other ranker re-ranks through ``rank``.
     """
 
     def __init__(self, index, sm, query, ranked, p=0.9, terms=()):
@@ -242,15 +248,14 @@ class ReferenceFidelityEvaluator:
     def _rerank(self, expanded):
         if self._rows is None:
             q_exp = Query.from_terms(self.query.qid, expanded)
-            return rank(self.index, self.sm, q_exp, pool=self.pool, depth=len(self.ranked))
+            return rank(self.index, self.sm, q_exp, pool=self.pool, depth=len(self.ranked)).docids
         missing = [term for term in dict.fromkeys(expanded) if term not in self._rows]
         if missing:
             self._rows.update(zip(missing, self.sm.term_rows(missing, self._docids)))
         totals = np.zeros(len(self._docids))
         for term in expanded:
             totals += self._rows[term]
-        return RankedList.from_scores(self.query.qid, zip(self._docids, totals.tolist()),
-                                      depth=len(self.ranked), tag=self.sm.name)
+        return [e.docid for e in reference_run(zip(self._docids, totals.tolist()), len(self.ranked))]
 
     def __call__(self, terms):
         expanded = list(self.query.terms)
@@ -258,9 +263,9 @@ class ReferenceFidelityEvaluator:
             if t not in expanded:
                 expanded.append(t)
         approx = self._rerank(expanded)
-        assert set(approx.docids) == self.pool, "re-ranking escaped the pool"
+        assert set(approx) == self.pool, "re-ranking escaped the pool"
         self.calls += 1
-        return min(1.0, quadratic_rbo(approx.docids, self.ranked.docids, self.p))
+        return min(1.0, quadratic_rbo(approx, self.ranked.docids, self.p))
 
 
 def reference_greedy_explain(index, sm, query, ranked, candidates, m_max=10, p=0.9):
@@ -334,8 +339,7 @@ def test_fidelity_evaluator_equals_reference(data, built, ranker_spec, list_mode
         assert evaluate(terms) == fidelity
         # The summed rows are rank's scores to the bit, not only the same order.
         totals = evaluate._totals([expanded])[0].tolist()
-        assert RankedList.from_scores(query.qid, zip(evaluate._docids, totals),
-                                      depth=len(ranked), tag=sm.name).entries == approx.entries
+        assert reference_run(zip(evaluate._docids, totals), len(ranked)) == approx.entries
 
 
 def reference_candidates(index, ranked, top_k, n_candidates):
@@ -375,7 +379,9 @@ def reference_lmjm_ground_truth(index, query, ranked, top_n, lam, n_terms):
     """``lmjm_ground_truth``'s weights from one scalar Jelinek-Mercer mixture per (term, top document)."""
     ranker = LMJMRanker(index, RankerParams(jm_lambda=lam))
     docids = ranked.docids[:top_n]
-    doc_weights = [math.exp(ranker.score(query, d)) for d in docids]
+    log_likelihoods = [ranker.score(query, d) for d in docids]
+    top = max(log_likelihoods)
+    doc_weights = [math.exp(s - top) for s in log_likelihoods]
     counts = [Counter(index.doc_tokens(d)) for d in docids]
     raw = {}
     for term in index.vocabulary:
@@ -706,19 +712,14 @@ class FixedScores(Ranker):
 SCORES = st.one_of(st.sampled_from([0, 0.0, -0.0, 1.5, -2.0, math.inf, -math.inf]), st.floats(allow_nan=False))
 
 
-def reference_entries(pairs, depth):
-    """(docid, rank, score repr) of the (docid, score) pairs by score descending, ties by docid."""
-    ordered = sorted(pairs, key=lambda p: (-p[1], p[0]))[:depth]
-    return [(d, i, repr(s)) for i, (d, s) in enumerate(ordered, start=1)]
-
-
-def entries_of(ranked):
-    return [(e.docid, e.rank, repr(e.score)) for e in ranked.entries]
+def entries_of(entries):
+    """(docid, rank, score repr) of each entry, so two lists compare by their scores' bits."""
+    return [(e.docid, e.rank, repr(e.score)) for e in entries]
 
 
 @PROPERTY_SETTINGS
 @given(st.data(), indexes())
-def test_rank_and_from_scores_equal_the_sort_reference(data, built):
+def test_rank_equals_the_sort_reference(data, built):
     index, vocab = built
     docids = index.doc_ids()
     scores = {d: data.draw(SCORES) for d in docids}
@@ -727,14 +728,10 @@ def test_rank_and_from_scores_equal_the_sort_reference(data, built):
     pool = data.draw(st.lists(st.sampled_from(docids), unique=True))
     depth = data.draw(st.integers(1, len(docids) + 2))
     matching = set().union(*map(index.postings, query.terms))
-    assert entries_of(rank(index, ranker, query, depth=depth)) == \
-        reference_entries([(d, scores[d]) for d in matching], depth)
-    assert entries_of(rank(index, ranker, query, pool=pool, depth=depth)) == \
-        reference_entries([(d, scores[d]) for d in pool], depth)
-    # from_scores takes pairs in any order, and a docid may repeat.
-    pairs = data.draw(st.lists(st.tuples(st.sampled_from(docids), SCORES)))
-    for cut in (depth, None):
-        assert entries_of(RankedList.from_scores("q", pairs, depth=cut)) == reference_entries(pairs, cut)
+    assert entries_of(rank(index, ranker, query, depth=depth).entries) == \
+        entries_of(reference_run([(d, scores[d]) for d in matching], depth))
+    assert entries_of(rank(index, ranker, query, pool=pool, depth=depth).entries) == \
+        entries_of(reference_run([(d, scores[d]) for d in pool], depth))
 
 
 @PROPERTY_SETTINGS
@@ -750,8 +747,6 @@ def test_a_nan_score_raises_naming_the_first_such_docid(data, built):
     for pool in (None, data.draw(st.permutations(docids))):
         with pytest.raises(ValueError, match=message):
             rank(index, ranker, every_term, pool=pool)
-    with pytest.raises(ValueError, match=message):
-        RankedList.from_scores("q", data.draw(st.permutations(list(scores.items()))))
 
 
 @PROPERTY_SETTINGS

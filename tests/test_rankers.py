@@ -222,7 +222,10 @@ def test_rank_empty_candidates(cat_index):
     assert len(ranked) == 0
 
 
-@pytest.mark.parametrize("make", [BM25Ranker, LMJMRanker, LMDirRanker])
+@pytest.mark.parametrize("make", [
+    BM25Ranker, LMJMRanker, LMDirRanker,
+    pytest.param(lambda index: LinearScorer(index, {}), id="linear-no-terms"),
+    pytest.param(lambda index: LinearScorer(index, {"zz": 2}), id="linear-int-coefficient")])
 def test_a_pool_ranked_empty_query_writes_float_zero_scores(cat_index, make, tmp_path):
     ranker = make(cat_index)
     ranked = rank(cat_index, ranker, Query.from_terms("q", []), pool=["D2", "D1"])
