@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .index import PositionalIndex, _check_number, _check_unique, left_sum
+from .index import PositionalIndex, _check_number, _check_rank, _check_unique, left_sum
 from .rankers import DEPTH_DOMAIN, LMJMRanker, Query, RankedList, RankerParams
 
 RBO_P_DOMAIN = "(0, 1)"      # of rbo's persistence p
@@ -155,7 +155,7 @@ def lmjm_ground_truth(index: PositionalIndex, query: Query, ranked: RankedList,
     times its weight is added to it in rank order from 0.0, so each term's
     mass is the same float as its running scalar sum.
     """
-    _check_number("top_n", top_n, f"[1, {len(ranked)}]", int)
+    _check_rank("top_n", top_n, len(ranked))
     _check_number("n_terms", n_terms, "[1, inf)", int)
     ranker = LMJMRanker(index, RankerParams(jm_lambda=jm_lambda))
     cf, tokens = index.cf_by_ordinal, index.total_tokens

@@ -9,6 +9,12 @@ stream and a term's df the length of its posting list. The index is
 immutable: the collection statistics (total tokens, avgdl, and each
 indexed term's cf and idf) are computed at construction, and nothing is
 written after that.
+
+An index file (format version 3) is one line of sorted compact JSON, the
+header, with the analyzer config, the vocabulary, the docids and each
+document's length, then the token stream as raw little-endian int32, 4
+bytes a token. So ``save`` writes the stream's bytes and ``load`` reads
+them back with ``np.frombuffer``; no token passes through JSON.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 
 from .analysis import AnalyzerConfig, DEFAULT_CONFIG, TokenizedDocument, _Analyzer, _check_keys, _unique_keys
 
-_INDEX_FORMAT_VERSION = 2
+_INDEX_FORMAT_VERSION = 3
 
 
 def _check_id(kind: str, value: str, where: str = "") -> None:
@@ -66,11 +72,26 @@ def _check_in(name: str, value, interval: str) -> None:
         raise ValueError(f"{name} must be in {interval}, got {value!r}")
 
 
-def _check_number(name: str, value, interval: str, number=(int, float)) -> None:
-    """Reject a bool, a value not of type ``number`` (int, or int or float) and one outside ``interval``."""
+def _check_type(name: str, value, number) -> None:
+    """Reject a bool and a value not of type ``number`` (int, or int or float)."""
     if not isinstance(value, number) or isinstance(value, bool):
         raise ValueError(f"{name} must be {'an int' if number is int else 'a number'}, got {value!r}")
+
+
+def _check_number(name: str, value, interval: str, number=(int, float)) -> None:
+    """Reject a bool, a value not of type ``number`` (int, or int or float) and one outside ``interval``."""
+    _check_type(name, value, number)
     _check_in(name, value, interval)
+
+
+def _check_rank(name: str, value, n: int) -> None:
+    """Reject a bool, a non-int and an int outside [1, n], with ``_check_number``'s messages.
+
+    The bounds are compared directly, so ``_interval`` keeps no entry per n.
+    """
+    _check_type(name, value, int)
+    if not 1 <= value <= n:
+        raise ValueError(f"{name} must be in [1, {n}], got {value!r}")
 
 
 def _check_unique(name: str, items) -> set:
@@ -128,11 +149,11 @@ class PositionalIndex:
     (``_starts``) and a docid -> length dict; ``doc_tokens`` maps a row's
     slice through the vocabulary, and ``doc_terms`` sorts rows' (row,
     ordinal) keys into (ordinal, count) runs. Building and loading call the
-    same constructor with the lengths, the ordinals and the vocabulary,
-    and it inverts the stream in one pass, a chunk of documents at a time
-    (``_invert``). Each (document, term) pair gives a posting, whose
-    positions are a tuple; a posting of one position holds the (p,) tuple
-    shared by every such posting. ``cf_by_ordinal`` and ``idf_by_ordinal``
+    same constructor with the lengths, the int32 array of ordinals and the
+    vocabulary. It keeps the array as it is, and inverts it in one pass, a
+    chunk of documents at a time (``_invert``). Each (document, term) pair
+    gives a posting, whose positions are a tuple; a posting of one position
+    holds the (p,) tuple shared by every such posting. ``cf_by_ordinal`` and ``idf_by_ordinal``
     hold cf (one count over the stream) and idf per ordinal, read-only.
     Candidate generation adds ``tf * idf`` over these ordinals for the top
     documents in rank order, from 0.0, and the LM ground truth adds its
@@ -140,15 +161,15 @@ class PositionalIndex:
     """
 
     def __init__(self, lengths: dict, stream, vocabulary: list, config: AnalyzerConfig):
-        """Index the documents of ``lengths`` (docid -> length), whose term ordinals ``stream`` yields.
+        """Index the documents of ``lengths`` (docid -> length), whose term ordinals ``stream`` holds.
 
-        ``lengths`` runs in sorted docid order, and ``stream`` yields each
-        document's ordinals into the sorted ``vocabulary`` in that order. It
-        is read once, into the int32 array that is the index's only copy of
-        the documents.
+        ``lengths`` runs in sorted docid order, and ``stream`` holds each
+        document's ordinals into the sorted ``vocabulary`` in that order. An
+        int32 array is kept as it is, made read-only, as the index's only
+        copy of the documents; anything else is copied into one.
         """
         self._lengths = lengths
-        self._stream = _read_only(np.fromiter(stream, dtype=np.int32, count=sum(lengths.values())))
+        self._stream = _read_only(np.asarray(stream, dtype=np.int32))
         self.config = config
         self._vocabulary = vocabulary
         self._docids = docids = list(lengths)
@@ -311,54 +332,58 @@ class PositionalIndex:
 
     # -- serialization ---------------------------------------------------
 
-    def to_dict(self) -> dict:
-        # The lists share one int object per ordinal; the stream's ``tolist`` would make one per token.
-        shared, starts = np.array(range(len(self._vocabulary)), dtype=object), self._starts.tolist()
-        return {
-            "version": _INDEX_FORMAT_VERSION,
-            "config": self.config.to_dict(),
-            "vocabulary": list(self._vocabulary),
-            "docs": {d: shared[self._stream[lo:hi]].tolist() for d, lo, hi in zip(self._docids, starts, starts[1:])},
-        }
-
     def save(self, path: str) -> None:
-        """Write ``to_dict()`` as sorted compact JSON."""
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n")
+        """Write the header line, sorted compact JSON, then the stream as little-endian int32."""
+        header = {"config": self.config.to_dict(), "docids": self._docids, "lengths": list(self._lengths.values()),
+                  "version": _INDEX_FORMAT_VERSION, "vocabulary": self._vocabulary}
+        with open(path, "wb") as f:
+            f.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii") + b"\n")
+            f.write(self._stream.astype("<i4", copy=False).tobytes())
 
     @classmethod
-    def from_dict(cls, data: dict) -> "PositionalIndex":
-        """Read ``to_dict``'s output back; anything else raises ValueError."""
+    def load(cls, path: str) -> "PositionalIndex":
+        """Read ``save``'s file back; anything else raises ValueError."""
+        with open(path, "rb") as f:
+            header, body = f.readline(), f.read()
+        if not header.endswith(b"\n"):
+            raise ValueError("index file has no header line: it must start with a JSON object and a newline")
+        data = json.loads(header.decode("utf-8"), object_pairs_hook=_unique_keys)
         if type(data) is dict and "version" in data:
             version = data["version"]
             if type(version) is not int or version != _INDEX_FORMAT_VERSION:
                 raise ValueError(f"unsupported index format version: {version!r}; "
                                  f"rebuild the index with `rankexplain index`")
-        _check_keys("index", data, {"version", "config", "vocabulary", "docs"})
+        _check_keys("index", data, {"version", "config", "vocabulary", "docids", "lengths"})
         config = AnalyzerConfig.from_dict(data["config"])
-        vocabulary, docs = data["vocabulary"], data["docs"]
+        vocabulary, docids, lengths = data["vocabulary"], data["docids"], data["lengths"]
         if (type(vocabulary) is not list or any(type(t) is not str for t in vocabulary)
                 or any(a >= b for a, b in itertools.pairwise(vocabulary))):
             raise ValueError("index vocabulary must be a strictly ascending list of strings")
-        if type(docs) is not dict:
-            raise ValueError("index docs must be a JSON object")
-        for d, stream in docs.items():
+        if type(docids) is not list:
+            raise ValueError("index docids must be a list of strings")
+        for d in docids:
             _check_id("docid", d)
-            if type(stream) is not list or stream and (set(map(type, stream)) != {int}
-                                                       or min(stream) < 0 or max(stream) >= len(vocabulary)):
-                raise ValueError(f"docid {d!r}: the stream must be a list of term ordinals, "
-                                 f"ints in [0, {len(vocabulary)})")
-        lengths = {d: len(docs[d]) for d in sorted(docs)}
-        index = cls(lengths, itertools.chain.from_iterable(map(docs.__getitem__, lengths)), vocabulary, config)
+        for a, b in itertools.pairwise(docids):
+            if a >= b:
+                raise ValueError(f"index docids must be strictly ascending; {b!r} follows {a!r}")
+        if (type(lengths) is not list or len(lengths) != len(docids)
+                or lengths and (set(map(type, lengths)) != {int} or min(lengths) < 0)):
+            raise ValueError("index lengths must be a list of ints >= 0, one per docid")
+        total = sum(lengths)
+        if len(body) != 4 * total:
+            raise ValueError(f"index body must hold {4 * total} bytes, the int32 ordinals of "
+                             f"{total} tokens; it holds {len(body)}")
+        stream = np.frombuffer(body, dtype="<i4")
+        outside = np.flatnonzero((stream < 0) | (stream >= len(vocabulary)))
+        if len(outside):
+            d = docids[bisect.bisect_right(list(itertools.accumulate(lengths)), int(outside[0]))]
+            raise ValueError(f"docid {d!r}: the stream must be a list of term ordinals, "
+                             f"ints in [0, {len(vocabulary)})")
+        index = cls(dict(zip(docids, lengths)), stream, vocabulary, config)
         if not index.cf_by_ordinal.all():
             unused = vocabulary[int(np.argmin(index.cf_by_ordinal))]
             raise ValueError(f"index vocabulary term {unused!r} occurs in no document")
         return index
-
-    @classmethod
-    def load(cls, path: str) -> "PositionalIndex":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f, object_pairs_hook=_unique_keys))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -391,10 +416,11 @@ def _invert(stream: np.ndarray, starts: np.ndarray, docids: list, n_terms: int):
     ``stream`` holds each docid's term ordinals in row order, row r's from
     ``starts[r]`` to ``starts[r + 1]``. One pass slices a chunk of rows out
     of the stream at a time and groups its tokens into (document, term)
-    runs (``_runs``). A run gives the posting: the shared (p,) tuple when
-    tf is 1, else the tuple of its positions. The temporaries stay the
-    size of a chunk, not of the corpus; cf is one ``np.bincount`` of the
-    stream.
+    runs (``_runs``) by one sort of their keys, each made unique by the
+    token's place in the chunk, which ``divmod`` then recovers. A run gives
+    the posting: the shared (p,) tuple when tf is 1, else the tuple of its
+    positions. The temporaries stay the size of a chunk, not of the corpus;
+    cf is one ``np.bincount`` of the stream.
     """
     cf = np.bincount(stream, minlength=n_terms)     # before the postings grow: it copies the stream to int64
     singles = [(p,) for p in range(int(np.diff(starts).max(initial=0)))]
@@ -402,9 +428,11 @@ def _invert(stream: np.ndarray, starts: np.ndarray, docids: list, n_terms: int):
     for start in range(0, len(docids), _ROW_CHUNK):
         chunk_ids = docids[start:start + _ROW_CHUNK]
         bounds = starts[start:start + _ROW_CHUNK + 1]
-        keys = _keys(stream[bounds[0]:bounds[-1]], np.diff(bounds), n_terms)
-        order = np.argsort(keys, kind="stable")     # each run's tokens in position order
-        first, tfs, run_row, run_ordinal = _runs(keys[order], n_terms)
+        n = int(bounds[-1] - bounds[0])
+        # Unique keys, so a plain sort puts each run's tokens in position order.
+        keys, order = np.divmod(np.sort(_keys(stream[bounds[0]:bounds[-1]], np.diff(bounds), n_terms) * n
+                                        + np.arange(n)), n)
+        first, tfs, run_row, run_ordinal = _runs(keys, n_terms)
         positions = (order - np.repeat(bounds[run_row] - bounds[0], tfs)).tolist()
         for docid, u, p, tf in zip(map(chunk_ids.__getitem__, run_row.tolist()), run_ordinal.tolist(),
                                    first.tolist(), tfs.tolist()):
@@ -433,7 +461,8 @@ def build_index(corpus: list[Document], config: AnalyzerConfig = DEFAULT_CONFIG)
     lengths = {d: len(doc_tokens[d]) for d in sorted(doc_tokens)}
     # Popping each document's terms as its ordinals are read frees them one by one.
     terms = itertools.chain.from_iterable(map(doc_tokens.pop, lengths))
-    return PositionalIndex(lengths, map(ordinal.__getitem__, terms), list(ordinal), config)
+    stream = np.fromiter(map(ordinal.__getitem__, terms), dtype=np.int32, count=sum(lengths.values()))
+    return PositionalIndex(lengths, stream, list(ordinal), config)
 
 
 def read_corpus_jsonl(path: str) -> list[Document]:

@@ -26,7 +26,7 @@ import numpy as np
 from . import rankers as _rankers
 from .analysis import _check_keys, _unique_keys
 from .evaluation import RBO_P_DOMAIN, _rbo_rows
-from .index import PositionalIndex, _check_number, _check_unique, check_fields
+from .index import PositionalIndex, _check_number, _check_rank, _check_unique, check_fields
 from .rankers import (
     Query,
     RankedList,
@@ -95,7 +95,7 @@ def generate_candidates(index: PositionalIndex, ranked: RankedList,
     """
     if len(ranked) == 0:
         raise ValueError("cannot generate candidates from an empty ranked list")
-    _check_number("top_k", top_k, f"[1, {len(ranked)}]", int)
+    _check_rank("top_k", top_k, len(ranked))
     _check_number("n_candidates", n_candidates, "[1, inf)", int)
     idf = index.idf_by_ordinal
     acc = np.zeros(len(idf))

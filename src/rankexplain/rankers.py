@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .index import PositionalIndex, _check_id, _check_number, _check_unique, check_fields, left_sum
+from .index import PositionalIndex, _check_id, _check_number, _check_rank, _check_unique, check_fields, left_sum
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ class RankedList:
         return [e.docid for e in self.entries]
 
     def score_at(self, rank: int) -> float:
-        _check_number("rank", rank, f"[1, {len(self.entries)}]", int)
+        _check_rank("rank", rank, len(self.entries))
         return self.entries[rank - 1].score
 
 

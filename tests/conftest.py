@@ -1,3 +1,7 @@
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from rankexplain import Document, build_index, read_corpus_jsonl
@@ -17,6 +21,27 @@ def random_corpus(rng: XorShift64Star, n_docs, vocab, min_len=5, max_len=30, pre
         tokens = [vocab[rng.randbelow(len(vocab))] for _ in range(length)]
         docs.append(Document(docid=f"{prefix}{i:03d}", text=" ".join(tokens)))
     return docs
+
+
+def index_state(index) -> tuple:
+    """What an index file holds: the config, the vocabulary and each document's tokens in docid order.
+
+    Two indexes with equal states hold equal postings and statistics: the
+    constructor computes every one of them from these.
+    """
+    return index.config, index.vocabulary, [(d, index.doc_tokens(d)) for d in index.doc_ids()]
+
+
+def read_index_file(path) -> tuple[dict, bytes]:
+    """The header of an index file, parsed, and its body."""
+    header, _, body = Path(path).read_bytes().partition(b"\n")
+    return json.loads(header), body
+
+
+def index_file_bytes(header, ordinals) -> bytes:
+    """An index file: ``header`` as a JSON line, then ``ordinals`` (ints, or bytes as they are) as int32."""
+    body = ordinals if isinstance(ordinals, bytes) else np.array(ordinals, dtype="<i4").tobytes()
+    return json.dumps(header).encode() + b"\n" + body
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ from rankexplain.datasets import demo_corpus_path
 from rankexplain.rng import XorShift64Star
 from rankexplain.stem import porter_stem
 
-from conftest import make_vocab, random_corpus
+from conftest import index_state, make_vocab, random_corpus
 
 
 def reference_tokenize(text, config):
@@ -173,7 +173,7 @@ def test_tokenize_equals_reference_chain(text, config):
 def test_build_index_equals_reference_chain(seed, n_docs, max_len, config):
     vocab = make_vocab(4) + STOCK_WORDS
     corpus = random_corpus(XorShift64Star(seed), n_docs, vocab, min_len=0, max_len=max_len)
-    assert build_index(corpus, config).to_dict() == reference_index(corpus, config).to_dict()
+    assert index_state(build_index(corpus, config)) == index_state(reference_index(corpus, config))
 
 
 def test_build_index_stems_each_distinct_word_once(monkeypatch):
@@ -191,7 +191,7 @@ def test_build_index_stems_each_distinct_word_once(monkeypatch):
                 if w not in ENGLISH_STOPWORDS}
     index = build_index(corpus)
     assert sorted(calls) == sorted(distinct)
-    assert index.to_dict() == reference_index(corpus).to_dict()
+    assert index_state(index) == index_state(reference_index(corpus))
     build_index(corpus)
     assert len(calls) == 2 * len(distinct)
     tokenize("runs runs RUNS")

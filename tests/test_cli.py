@@ -4,6 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rankexplain import cli
@@ -22,6 +23,8 @@ from rankexplain import (
     read_corpus_jsonl,
 )
 from rankexplain.datasets import demo_corpus_path
+
+from conftest import index_file_bytes, read_index_file
 
 
 @pytest.fixture(scope="module")
@@ -56,11 +59,19 @@ def test_index_parse_failure_exit_code(tmp_path, capsys):
     assert ":1" in capsys.readouterr().err
 
 
+# Each case maps a valid index file's header to a malformed one; the body stays.
 _MALFORMED_INDEX = {
     "top-level-list": lambda data: [data],
-    "no-docs": lambda data: {key: value for key, value in data.items() if key != "docs"},
+    "no-docids": lambda data: {key: value for key, value in data.items() if key != "docids"},
+    "no-lengths": lambda data: {key: value for key, value in data.items() if key != "lengths"},
     "vocabulary-descending": lambda data: {**data, "vocabulary": data["vocabulary"][::-1]},
-    "stream-not-list": lambda data: {**data, "docs": {**data["docs"], "T1": "0 1"}},
+    "lengths-not-list": lambda data: {**data, "lengths": "3 1"},
+    "lengths-bool": lambda data: {**data, "lengths": [True, *data["lengths"][1:]]},
+    "lengths-float": lambda data: {**data, "lengths": [float(data["lengths"][0]), *data["lengths"][1:]]},
+    "lengths-negative": lambda data: {**data, "lengths": [-1, sum(data["lengths"][:2]) + 1, *data["lengths"][2:]]},
+    "lengths-one-short": lambda data: {**data, "lengths": data["lengths"][:-1]},
+    "docids-unsorted": lambda data: {**data, "docids": data["docids"][::-1]},
+    "docids-repeated": lambda data: {**data, "docids": data["docids"][:1] + data["docids"][:-1]},
     "config-not-object": lambda data: {**data, "config": 5},
     "pattern-does-not-compile": lambda data: {**data, "config": {**data["config"], "token_pattern": "("}},
     "lowercase-string": lambda data: {**data, "config": {**data["config"], "lowercase": "no"}},
@@ -68,16 +79,38 @@ _MALFORMED_INDEX = {
     "pattern-capture-groups": lambda data: {**data, "config": {**data["config"], "token_pattern": "(a)(b)"}},
 }
 
+# Each case maps a valid index file's header line and body to the bytes of a malformed file.
+_MALFORMED_INDEX_BYTES = {
+    "body-truncated": lambda line, body: line + body[:-1],
+    "body-trailing-bytes": lambda line, body: line + body + b"\0\0\0\0",
+    "header-without-newline": lambda line, body: line[:-1],
+    "header-not-utf-8": lambda line, body: b"\xff" + line + body,
+}
 
-@pytest.mark.parametrize("case", sorted(_MALFORMED_INDEX))
-def test_malformed_index_file_exits_1(workspace, tmp_path, capsys, case):
-    _, index_path, _ = workspace
-    bad = tmp_path / "bad.idx"
-    bad.write_text(json.dumps(_MALFORMED_INDEX[case](json.loads(index_path.read_text()))))
+
+def _assert_the_index_file_exits_1(bad: Path, capsys):
     assert cli.run(["explain", "pointwise", "--index", str(bad), "--topics", "demo",
                     "--qid", "1", "--docid", "T1"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_INDEX))
+def test_malformed_index_file_exits_1(workspace, tmp_path, capsys, case):
+    _, index_path, _ = workspace
+    header, body = read_index_file(index_path)
+    bad = tmp_path / "bad.idx"
+    bad.write_bytes(index_file_bytes(_MALFORMED_INDEX[case](header), body))
+    _assert_the_index_file_exits_1(bad, capsys)
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_INDEX_BYTES))
+def test_malformed_index_file_bytes_exit_1(workspace, tmp_path, capsys, case):
+    _, index_path, _ = workspace
+    line, _, body = index_path.read_bytes().partition(b"\n")
+    bad = tmp_path / "bad.idx"
+    bad.write_bytes(_MALFORMED_INDEX_BYTES[case](line + b"\n", body))
+    _assert_the_index_file_exits_1(bad, capsys)
 
 
 @pytest.mark.parametrize("line,field", [
@@ -127,14 +160,24 @@ def test_index_empty_corpus_error(tmp_path):
 
 def test_index_file_with_an_ordinal_past_the_vocabulary_exits_1(workspace, tmp_path, capsys):
     _, index_path, _ = workspace
-    data = json.loads(index_path.read_text())
-    docid = sorted(data["docs"])[1]
-    data["docs"][docid][-1] = len(data["vocabulary"])
+    header, body = read_index_file(index_path)
+    docid = header["docids"][1]
+    ordinals = np.frombuffer(body, dtype="<i4").copy()
+    ordinals[sum(header["lengths"][:2]) - 1] = len(header["vocabulary"])      # the last token of docid
     bad = tmp_path / "bad.idx"
-    bad.write_text(json.dumps(data))
+    bad.write_bytes(index_file_bytes(header, ordinals.tolist()))
     assert cli.run(["rank", "--index", str(bad), "--topics", "demo",
                     "--out", str(tmp_path / "x.trec")]) == 1
     assert capsys.readouterr().err.startswith(f"error: docid {docid!r}: the stream must be a list of term ordinals")
+
+
+def test_version_2_index_file_exits_1_asking_for_a_rebuild(tmp_path, capsys):
+    old = tmp_path / "old.idx"
+    old.write_text('{"config":{"lowercase":true,"stem":true,"stopwords":[],"token_pattern":"[a-z]+"},'
+                   '"docs":{"a":[0]},"version":2,"vocabulary":["appl"]}\n')
+    assert cli.run(["rank", "--index", str(old), "--topics", "demo", "--out", str(tmp_path / "x.trec")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: unsupported index format version: 2; rebuild the index with `rankexplain index`\n"
 
 
 def test_version_1_index_file_exits_1_asking_for_a_rebuild(tmp_path, capsys):

@@ -115,6 +115,23 @@ def test_each_declared_interval_is_parsed_once():
     assert (after.misses, after.hits) == (before.misses, before.hits + len(dataclasses.fields(rx.RankerParams)))
 
 
+def test_a_check_against_a_list_length_parses_no_interval_per_length():
+    index, ranker, query, ranked = _api_fixture()
+    rx.lmjm_ground_truth(index, query, ranked, top_n=1)
+    rx.generate_candidates(index, ranked, top_k=1)
+    before = _interval.cache_info().currsize
+    entries = [rx.RunEntry(f"d{i}", i + 1, 1.0) for i in range(2000)]
+    for n in range(1, 2001):
+        ranked_n = rx.RankedList("q", entries[:n])
+        assert ranked_n.score_at(n) == 1.0
+        with pytest.raises(ValueError, match=re.escape(f"rank must be in [1, {n}], got {n + 1}")):
+            ranked_n.score_at(n + 1)
+    for n in range(1, len(ranked) + 1):
+        rx.lmjm_ground_truth(index, query, rx.RankedList("q", ranked.entries[:n]), top_n=n)
+        rx.generate_candidates(index, rx.RankedList("q", ranked.entries[:n]), top_k=n)
+    assert _interval.cache_info().currsize == before
+
+
 NESTED = [(cls, f) for cls in params_classes() for f in dataclasses.fields(cls) if dataclasses.is_dataclass(f.default)]
 
 
@@ -263,6 +280,7 @@ def test_an_api_argument_of_the_wrong_type_is_rejected_by_name(name, call, value
     (rx.analysis, "analyze"), (rx.RankedList, "from_scores"), (rx.ExplanationVector, "weight"),
     (rx.PreferenceMatrix, "entry"), (rx.listwise.BatchResult, "__len__"), (rx.TokenizedDocument, "__len__"),
     (rx.Ranker, "term_scores"), (rx.LMJMRanker, "term_probability"), (rx.PositionalIndex, "doc_term_counts"),
+    (rx.PositionalIndex, "to_dict"), (rx.PositionalIndex, "from_dict"),
 ], ids=lambda x: getattr(x, "__name__", x))
 def test_a_removed_name_stays_removed(owner, name):
     assert not hasattr(owner, name)

@@ -34,7 +34,7 @@ from rankexplain.listwise import LISTWISE_METHODS
 from rankexplain.perturb import SamplerConfig
 from rankexplain.rng import XorShift64Star
 
-from conftest import make_vocab, random_corpus
+from conftest import index_file_bytes, index_state, make_vocab, random_corpus, read_index_file
 
 
 def test_single_doc_statistics():
@@ -130,20 +130,21 @@ def test_serialization_roundtrip_bit_equal(tmp_path):
     build_index(corpus).save(str(p2))
     assert p1.read_bytes() == p2.read_bytes()
     loaded = PositionalIndex.load(str(p1))
-    assert loaded.to_dict() == index.to_dict()
+    assert index_state(loaded) == index_state(index)
     assert loaded.avgdl == index.avgdl
     p3 = tmp_path / "c.idx"
     loaded.save(str(p3))
     assert p3.read_bytes() == p1.read_bytes()
 
 
-def test_saved_file_holds_the_vocabulary_and_each_documents_term_ordinals(tmp_path):
+def test_saved_file_holds_a_header_line_and_each_documents_term_ordinals_as_int32(tmp_path):
     config = AnalyzerConfig(stopwords=frozenset({"the"}))
     index = build_index([Document("d2", "the"), Document("d1", "ww qq, ww")], config)
     index.save(tmp_path / "x.idx")
-    assert (tmp_path / "x.idx").read_text() == (
-        '{"config":{"lowercase":true,"stem":true,"stopwords":["the"],"token_pattern":"[0-9A-Za-z]+"},'
-        '"docs":{"d1":[1,0,1],"d2":[]},"version":2,"vocabulary":["qq","ww"]}\n')
+    assert (tmp_path / "x.idx").read_bytes() == (
+        b'{"config":{"lowercase":true,"stem":true,"stopwords":["the"],"token_pattern":"[0-9A-Za-z]+"},'
+        b'"docids":["d1","d2"],"lengths":[3,0],"version":3,"vocabulary":["qq","ww"]}\n'
+        b"\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00")
 
 
 def test_read_corpus_jsonl_errors(tmp_path):
@@ -187,45 +188,78 @@ def test_demo_corpus_loads(demo_index):
     assert demo_index.has_doc("T1")
 
 
-def _index_data(vocabulary, docs):
-    return {"version": 2, "config": build_index([]).config.to_dict(), "vocabulary": vocabulary, "docs": docs}
+def _header(vocabulary, docs, **keys):
+    """A version-3 header for ``docs`` (docid -> term ordinals), with ``keys`` set on top."""
+    return {"version": 3, "config": build_index([]).config.to_dict(), "vocabulary": vocabulary,
+            "docids": list(docs), "lengths": [len(v) for v in docs.values()], **keys}
+
+
+def _load(tmp_path, data: bytes):
+    path = tmp_path / "x.idx"
+    path.write_bytes(data)
+    return PositionalIndex.load(path)
 
 
 STREAMS = "the stream must be a list of term ordinals, ints in [0, 2)"
+LENGTHS = "index lengths must be a list of ints >= 0, one per docid"
 
 
-@pytest.mark.parametrize("vocabulary,docs,message", [
-    pytest.param(["pear", "appl"], {"a": [0, 1]}, "vocabulary must be a strictly ascending list",
+@pytest.mark.parametrize("header,ordinals,message", [
+    pytest.param(_header(["pear", "appl"], {"a": [0, 1]}), [0, 1], "vocabulary must be a strictly ascending list",
                  id="vocabulary-descending"),
-    pytest.param(["appl", "appl"], {"a": [0, 1]}, "vocabulary must be a strictly ascending list",
+    pytest.param(_header(["appl", "appl"], {"a": [0, 1]}), [0, 1], "vocabulary must be a strictly ascending list",
                  id="vocabulary-repeated"),
-    pytest.param(["appl", 5], {"a": [0, 1]}, "vocabulary must be a strictly ascending list of strings",
+    pytest.param(_header(["appl", 5], {"a": [0, 1]}), [0, 1], "vocabulary must be a strictly ascending list of strings",
                  id="vocabulary-non-string"),
-    pytest.param({"appl": 0}, {"a": [0]}, "vocabulary must be a strictly ascending list",
+    pytest.param(_header({"appl": 0}, {"a": [0]}), [0], "vocabulary must be a strictly ascending list",
                  id="vocabulary-object"),
-    pytest.param(["appl", "pear"], [[0, 1]], "index docs must be a JSON object", id="docs-list"),
-    pytest.param(["appl", "pear"], {"a": [0, True]}, f"docid 'a': {STREAMS}", id="ordinal-bool"),
-    pytest.param(["appl", "pear"], {"a": [0, 1.0]}, f"docid 'a': {STREAMS}", id="ordinal-float"),
-    pytest.param(["appl", "pear"], {"a": [-1, 0]}, f"docid 'a': {STREAMS}", id="ordinal-negative"),
-    pytest.param(["appl", "pear"], {"a": [0, 2]}, f"docid 'a': {STREAMS}", id="ordinal-past-vocabulary"),
-    pytest.param(["appl", "pear"], {"a": [2**64]}, f"docid 'a': {STREAMS}", id="ordinal-huge"),
-    pytest.param(["appl", "pear"], {"a": [0], "b": "01"}, f"docid 'b': {STREAMS}", id="stream-string"),
-    pytest.param(["appl", "pear"], {"a": {"0": 1}}, f"docid 'a': {STREAMS}", id="stream-object"),
-    pytest.param(["appl", "pear"], {"a b": [0, 1]}, "docid 'a b' is empty or contains whitespace",
+    pytest.param(_header(["appl", "pear"], {}, docids={"a": 2}, lengths=[2]), [0, 1],
+                 "index docids must be a list of strings", id="docids-object"),
+    pytest.param(_header(["appl", "pear"], {"a": [-1, 0]}), [-1, 0], f"docid 'a': {STREAMS}", id="ordinal-negative"),
+    pytest.param(_header(["appl", "pear"], {"a": [0, 2]}), [0, 2], f"docid 'a': {STREAMS}",
+                 id="ordinal-past-vocabulary"),
+    pytest.param(_header(["appl", "pear"], {"a": [0, 1], "b": [], "c": [1, 2]}), [0, 1, 1, 2], f"docid 'c': {STREAMS}",
+                 id="ordinal-past-vocabulary-after-an-empty-document"),
+    pytest.param(_header(["appl", "pear"], {"a": [0, 1]}), [0, 2**31 - 1], f"docid 'a': {STREAMS}",
+                 id="ordinal-huge"),
+    pytest.param(_header(["appl", "pear"], {"a b": [0, 1]}), [0, 1], "docid 'a b' is empty or contains whitespace",
                  id="whitespace-docid"),
-    pytest.param(["appl", "pear"], {"": [0, 1]}, "docid '' is empty or contains whitespace",
+    pytest.param(_header(["appl", "pear"], {"": [0, 1]}), [0, 1], "docid '' is empty or contains whitespace",
                  id="empty-docid"),
-    pytest.param(["appl", "kiwi", "pear"], {"a": [0, 2]}, "vocabulary term 'kiwi' occurs in no document",
-                 id="unused-term"),
+    pytest.param(_header(["appl", "pear"], {"a": [0, 1]}, docids=[5]), [0, 1], "docid must be a string, got 5",
+                 id="docid-non-string"),
+    pytest.param(_header(["appl", "pear"], {"b": [0], "a": [1]}), [0, 1],
+                 "index docids must be strictly ascending; 'a' follows 'b'", id="docids-unsorted"),
+    pytest.param(_header(["appl", "pear"], {"a": [0, 1]}, docids=["a", "a"], lengths=[1, 1]), [0, 1],
+                 "index docids must be strictly ascending; 'a' follows 'a'", id="docids-repeated"),
+    pytest.param(_header(["appl", "kiwi", "pear"], {"a": [0, 2]}), [0, 2],
+                 "vocabulary term 'kiwi' occurs in no document", id="unused-term"),
+    pytest.param(_header(["appl", "pear"], {"a": [0], "b": [1]}, lengths=[True, 1]), [0, 1], LENGTHS,
+                 id="lengths-bool"),
+    pytest.param(_header(["appl", "pear"], {"a": [0], "b": [1]}, lengths=[1.0, 1]), [0, 1], LENGTHS,
+                 id="lengths-float"),
+    pytest.param(_header(["appl", "pear"], {"a": [0], "b": [1]}, lengths=[-1, 3]), [0, 1], LENGTHS,
+                 id="lengths-negative"),
+    pytest.param(_header(["appl", "pear"], {"a": [0], "b": [1]}, lengths=[2]), [0, 1], LENGTHS,
+                 id="lengths-fewer-than-docids"),
+    pytest.param(_header(["appl", "pear"], {"a": [0], "b": [1]}, lengths=[1, 1, 0]), [0, 1], LENGTHS,
+                 id="lengths-more-than-docids"),
+    pytest.param(_header(["appl", "pear"], {"a": [0], "b": [1]}, lengths="11"), [0, 1], LENGTHS,
+                 id="lengths-string"),
+    pytest.param(_header(["appl", "pear"], {"a": [0, 1]}), b"\0\0\0\0\1\0\0",
+                 "index body must hold 8 bytes, the int32 ordinals of 2 tokens; it holds 7", id="body-truncated"),
+    pytest.param(_header(["appl", "pear"], {"a": [0, 1]}), [0, 1, 1],
+                 "index body must hold 8 bytes, the int32 ordinals of 2 tokens; it holds 12",
+                 id="body-trailing-bytes"),
 ])
-def test_from_dict_rejects_a_malformed_vocabulary_or_stream(vocabulary, docs, message):
+def test_load_rejects_a_malformed_vocabulary_docids_lengths_or_stream(tmp_path, header, ordinals, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        PositionalIndex.from_dict(_index_data(vocabulary, docs))
+        _load(tmp_path, index_file_bytes(header, ordinals))
 
 
 def _with(key, value):
-    """A valid index dict with ``key`` (a top-level key, or "config.KEY") set to ``value``."""
-    data = _index_data(["appl"], {"a": [0]})
+    """A valid index header with ``key`` (a top-level key, or "config.KEY") set to ``value``."""
+    data = _header(["appl"], {"a": [0]})
     where, _, key = key.rpartition(".")
     (data[where] if where else data)[key] = value
     return data
@@ -239,15 +273,19 @@ def _without(key):
 
 
 @pytest.mark.parametrize("data,message", [
-    pytest.param([], "index must be a JSON object with keys config, docs, version, vocabulary",
+    pytest.param([], "index must be a JSON object with keys config, docids, lengths, version, vocabulary",
                  id="top-level-list"),
-    pytest.param(_without("docs"), "index has no key 'docs'", id="no-docs"),
+    pytest.param(_without("docids"), "index has no key 'docids'", id="no-docids"),
+    pytest.param(_without("lengths"), "index has no key 'lengths'", id="no-lengths"),
     pytest.param(_without("vocabulary"), "index has no key 'vocabulary'", id="no-vocabulary"),
     pytest.param(_without("version"), "index has no key 'version'", id="no-version"),
     pytest.param(_with("extra", 1), "index has an unknown key 'extra'", id="unknown-key"),
     pytest.param(_with("version", True), "unsupported index format version: True", id="version-bool"),
-    pytest.param(_with("version", 2.0), "unsupported index format version: 2.0", id="version-float"),
-    pytest.param(_with("version", 3), "unsupported index format version: 3", id="version-3"),
+    pytest.param(_with("version", 3.0), "unsupported index format version: 3.0", id="version-float"),
+    pytest.param(_with("version", 4), "unsupported index format version: 4", id="version-4"),
+    pytest.param({"config": {}, "docs": {"a": [0]}, "version": 2, "vocabulary": ["appl"]},
+                 "unsupported index format version: 2; rebuild the index with `rankexplain index`",
+                 id="version-2"),
     pytest.param({"version": 1, "config": {}, "doc_length": {"a": 1}, "postings": {"appl": {"a": [0]}}},
                  "unsupported index format version: 1; rebuild the index with `rankexplain index`",
                  id="version-1"),
@@ -272,9 +310,22 @@ def _without(key):
                  "analyzer config 'token_pattern' '(?P<word>[a-z]+)' has capture groups",
                  id="pattern-named-group"),
 ])
-def test_from_dict_rejects_malformed_index_or_config(data, message):
+def test_load_rejects_a_malformed_header_or_config(tmp_path, data, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        PositionalIndex.from_dict(data)
+        _load(tmp_path, index_file_bytes(data, [0]))
+
+
+@pytest.mark.parametrize("data,message", [
+    pytest.param(b"", "index file has no header line", id="empty-file"),
+    pytest.param(json.dumps(_header(["appl"], {"a": []})).encode(), "index file has no header line",
+                 id="header-without-newline"),
+    pytest.param(b"\xff" + index_file_bytes(_header(["appl"], {"a": [0]}), [0]), "can't decode byte 0xff",
+                 id="header-not-utf-8"),
+    pytest.param(b"not json\n", "Expecting value", id="header-not-json"),
+])
+def test_load_rejects_a_file_without_a_utf_8_json_header_line(tmp_path, data, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _load(tmp_path, data)
 
 
 def test_capture_groups_are_rejected_before_any_text_is_analyzed():
@@ -292,7 +343,7 @@ def test_a_pattern_matching_the_empty_string_puts_no_empty_term_in_an_index_or_q
     assert "" not in index.vocabulary
     assert (index.doc_length("d1"), index.doc_length("d2")) == (2, 0)
     index.save(tmp_path / "x.idx")
-    assert PositionalIndex.load(tmp_path / "x.idx").to_dict() == index.to_dict()
+    assert index_state(PositionalIndex.load(tmp_path / "x.idx")) == index_state(index)
     assert Query.from_text(index, "q", "ab  cd").terms == ("ab", "cd")
 
 
@@ -302,10 +353,11 @@ def test_a_pattern_matching_the_empty_string_puts_no_empty_term_in_an_index_or_q
     [Document("d1", "the of"), Document("d2", "qq ww qq")],
     random_corpus(XorShift64Star(9), 12, make_vocab(10)),
 ])
-def test_from_dict_accepts_built_index(corpus):
+def test_load_accepts_a_saved_built_index(tmp_path, corpus):
     index = build_index(corpus)
-    loaded = PositionalIndex.from_dict(index.to_dict())
-    assert loaded.to_dict() == index.to_dict()
+    index.save(tmp_path / "x.idx")
+    loaded = PositionalIndex.load(tmp_path / "x.idx")
+    assert index_state(loaded) == index_state(index)
     assert loaded.avgdl == index.avgdl
     assert [loaded.idf(t) for t in index.vocabulary] == [index.idf(t) for t in index.vocabulary]
 
@@ -487,35 +539,41 @@ def test_the_index_keeps_one_int32_stream_in_docid_order(tmp_path):
     docs = {"d0": [], "d1": [1, 0, 1], "d10": [0], "d2": [2, 1, 2]}     # ordinals into ee, qq, ww
     path = tmp_path / "x.idx"
     built.save(path)
-    data = json.loads(path.read_text())
-    assert data["vocabulary"] == ["ee", "qq", "ww"] and list(data["docs"].items()) == list(docs.items())
-    path.write_text(json.dumps({**data, "docs": dict(reversed(docs.items()))}))
-    shuffled = PositionalIndex.load(path)
-    for index in (built, PositionalIndex.from_dict(data), shuffled):
+    header, body = read_index_file(path)
+    assert header["vocabulary"] == ["ee", "qq", "ww"]
+    assert (header["docids"], header["lengths"]) == (list(docs), list(map(len, docs.values())))
+    assert body == np.array([u for d in docs for u in docs[d]], dtype="<i4").tobytes()
+    for index in (built, PositionalIndex.load(path)):
         stream = index._stream
         assert stream.dtype == np.int32 and stream.nbytes == 4 * index.total_tokens
         assert not stream.flags.writeable
         assert stream.tolist() == [u for d in sorted(docs) for u in docs[d]]
-        assert list(index.to_dict()["docs"].items()) == list(docs.items())
         for docid, ordinals in docs.items():
-            assert index.doc_tokens(docid) == tuple(data["vocabulary"][u] for u in ordinals)
+            assert index.doc_tokens(docid) == tuple(header["vocabulary"][u] for u in ordinals)
             assert index.doc_length(docid) == len(ordinals)
-    assert shuffled.to_dict() == built.to_dict()
 
 
-def test_an_index_file_with_a_repeated_docid_does_not_load(tmp_path):
-    # Plain json would drop d1's first stream and load.
+def test_the_constructor_keeps_an_int32_stream_as_it_is():
+    stream = np.array([1, 0, 1], dtype=np.int32)
+    index = PositionalIndex({"d1": 3}, stream, ["qq", "ww"], AnalyzerConfig())
+    assert index._stream is stream and not stream.flags.writeable
+
+
+def test_an_index_file_with_a_repeated_header_key_does_not_load(tmp_path):
+    # Plain json would keep the second lengths and load.
     path = tmp_path / "x.idx"
-    path.write_text('{"config":{"lowercase":true,"stem":true,"stopwords":[],"token_pattern":"[a-z]+"},'
-                    '"docs":{"d1":[0],"d1":[0,1],"d2":[1]},"version":2,"vocabulary":["qq","ww"]}\n')
-    with pytest.raises(ValueError, match="repeated key 'd1'"):
+    path.write_bytes(b'{"config":{"lowercase":true,"stem":true,"stopwords":[],"token_pattern":"[a-z]+"},'
+                     b'"docids":["d1"],"lengths":[2],"lengths":[1],"version":3,"vocabulary":["qq"]}\n'
+                     b"\0\0\0\0")
+    with pytest.raises(ValueError, match="repeated key 'lengths'"):
         PositionalIndex.load(path)
 
 
-def test_one_position_postings_share_their_tuple():
+def test_one_position_postings_share_their_tuple(tmp_path):
     # Most postings hold one position; a tuple each would cost 48 bytes per posting.
     built = build_index([Document("d1", "qq ww qq"), Document("d2", "ww qq")])
-    for index in (built, PositionalIndex.from_dict(built.to_dict())):
+    built.save(tmp_path / "x.idx")
+    for index in (built, PositionalIndex.load(tmp_path / "x.idx")):
         assert index.postings("ww")["d1"] is index.postings("qq")["d2"]
         assert index.postings("ww") == {"d1": (1,), "d2": (0,)} and index.postings("qq")["d1"] == (0, 2)
 

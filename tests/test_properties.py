@@ -13,6 +13,7 @@ import json
 import math
 import os
 import re
+import struct
 import tempfile
 import warnings
 from collections import Counter
@@ -45,6 +46,7 @@ from rankexplain import (
 )
 from rankexplain import AggregatedAxiom, aggregate_preference, axiom_preference, explain_details, listwise
 from rankexplain.axioms import AGGREGATION_MODES, AXIOM_NAMES, DETAILED_AXIOMS, DetailsTable, all_preferences
+from rankexplain import index as index_module
 from rankexplain.index import left_sum
 from rankexplain.listwise import (
     PAIR_STRATEGIES,
@@ -71,7 +73,7 @@ from rankexplain.pointwise import EXS_VARIANTS, PointwiseParams, _perturbation_d
 from rankexplain.rankers import BM25Ranker, LMDirRanker, LMJMRanker, RankedList, RunEntry, _SparseRanker
 from rankexplain.rng import XorShift64Star, block_u64
 
-from conftest import make_vocab, random_corpus
+from conftest import index_state, make_vocab, random_corpus
 
 OOV = "zzoov"
 
@@ -750,11 +752,14 @@ def test_a_nan_score_raises_naming_the_first_such_docid(data, built):
 
 
 @PROPERTY_SETTINGS
-@given(indexes())
-def test_index_round_trip_keeps_statistics(built):
+@given(indexes(min_docs=0, max_empty=2))
+def test_save_then_load_equals_the_built_index(built):
     index, vocab = built
-    loaded = PositionalIndex.from_dict(index.to_dict())
-    assert loaded.to_dict() == index.to_dict()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "index.idx")
+        index.save(path)
+        loaded = PositionalIndex.load(path)
+    assert index_state(loaded) == index_state(index)
     assert loaded.avgdl == index.avgdl
     for term in vocab + [OOV]:
         assert (loaded.df(term), loaded.cf(term), loaded.idf(term)) == \
@@ -785,19 +790,27 @@ def test_kept_token_streams_equal_the_posting_scan(built):
             assert copy.doc_length(docid) == len(expected)
 
 
+def reference_index_file(index: PositionalIndex) -> bytes:
+    """Version 3 of the index file, from the public accessors: a JSON header line, then each token as int32."""
+    vocabulary, docids = index.vocabulary, index.doc_ids()
+    header = {"config": index.config.to_dict(), "docids": docids, "lengths": list(map(index.doc_length, docids)),
+              "version": 3, "vocabulary": vocabulary}
+    ordinal = {term: u for u, term in enumerate(vocabulary)}
+    ordinals = [ordinal[t] for d in docids for t in index.doc_tokens(d)]
+    return (json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8") \
+        + struct.pack(f"<{len(ordinals)}i", *ordinals)
+
+
 @PROPERTY_SETTINGS
-@given(indexes(min_docs=0, prefixes=st.sampled_from(["d", "dé-", '"q\\', "\u2603"])))
+@given(indexes(min_docs=0, prefixes=st.sampled_from(["d", "dé-", '"q\\', "\u2603"]), max_empty=2))
 def test_save_writes_the_reference_bytes(built):
     index, _ = built
     with tempfile.TemporaryDirectory() as tmp:
-        saved, reference = os.path.join(tmp, "saved.json"), os.path.join(tmp, "reference.json")
+        saved = os.path.join(tmp, "saved.idx")
         index.save(saved)
-        with open(reference, "w", encoding="utf-8") as f:
-            json.dump(index.to_dict(), f, sort_keys=True, separators=(",", ":"))
-            f.write("\n")
-        with open(saved, "rb") as f, open(reference, "rb") as g:
-            assert f.read() == g.read()
-        assert PositionalIndex.load(saved).to_dict() == index.to_dict()
+        with open(saved, "rb") as f:
+            assert f.read() == reference_index_file(index)
+        assert index_state(PositionalIndex.load(saved)) == index_state(index)
 
 
 def reference_inversion(corpus) -> tuple:
@@ -856,6 +869,34 @@ def test_built_and_reloaded_index_equal_the_dict_reference(corpus):
         loaded = PositionalIndex.load(path)
     for index in (built, loaded):
         assert_index_equals_reference(index, postings, streams)
+
+
+def reference_invert(stream, starts, docids, n_terms):
+    """``index._invert`` as it was before its sort took unique keys: a stable argsort of each chunk's keys."""
+    cf = np.bincount(stream, minlength=n_terms)
+    singles = [(p,) for p in range(int(np.diff(starts).max(initial=0)))]
+    by_ordinal = [{} for _ in range(n_terms)]
+    for start in range(0, len(docids), index_module._ROW_CHUNK):
+        chunk_ids = docids[start:start + index_module._ROW_CHUNK]
+        bounds = starts[start:start + index_module._ROW_CHUNK + 1]
+        keys = index_module._keys(stream[bounds[0]:bounds[-1]], np.diff(bounds), n_terms)
+        order = np.argsort(keys, kind="stable")
+        first, tfs, run_row, run_ordinal = index_module._runs(keys[order], n_terms)
+        positions = (order - np.repeat(bounds[run_row] - bounds[0], tfs)).tolist()
+        for docid, u, p, tf in zip(map(chunk_ids.__getitem__, run_row.tolist()), run_ordinal.tolist(),
+                                   first.tolist(), tfs.tolist()):
+            by_ordinal[u][docid] = singles[positions[p]] if tf == 1 else tuple(positions[p:p + tf])
+    return by_ordinal, cf
+
+
+@PROPERTY_SETTINGS
+@given(corpora())
+def test_the_inversion_equals_the_stable_argsort_reference(corpus):
+    index = build_index(corpus)
+    args = index._stream, index._starts, index.doc_ids(), len(index.vocabulary)
+    (by_ordinal, cf), (expected, expected_cf) = index_module._invert(*args), reference_invert(*args)
+    assert [list(p.items()) for p in by_ordinal] == [list(p.items()) for p in expected]
+    assert cf.tolist() == expected_cf.tolist()
 
 
 @PROPERTY_SETTINGS
