@@ -26,6 +26,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -135,8 +136,20 @@ class UnknownDocumentError(KeyError):
     """Raised when a docid is not part of the index."""
 
 
+class _Term:
+    """One term's postings (docid -> positions tuple), cf and idf: 56 bytes, where a NamedTuple takes 72."""
+
+    __slots__ = ("postings", "cf", "idf")
+
+    def __init__(self, postings: dict, cf: int, idf: float):
+        self.postings, self.cf, self.idf = postings, cf, idf
+
+
+_UNSEEN = _Term(MappingProxyType({}), 0, 0.0)     # the record of a term absent from the index
+
+
 class PositionalIndex:
-    """Term -> postings mapping with per-document positions, and each document's term ordinals.
+    """Term -> record of postings with per-document positions, and each document's term ordinals.
 
     Positions are indices into the post-analysis token stream (stopwords
     removed before position assignment), so proximity values are measured
@@ -153,8 +166,9 @@ class PositionalIndex:
     vocabulary. It keeps the array as it is, and inverts it in one pass, a
     chunk of documents at a time (``_invert``). Each (document, term) pair
     gives a posting, whose positions are a tuple; a posting of one position
-    holds the (p,) tuple shared by every such posting. ``cf_by_ordinal`` and ``idf_by_ordinal``
-    hold cf (one count over the stream) and idf per ordinal, read-only.
+    holds the (p,) tuple shared by every such posting. ``_terms`` maps each
+    term to its ``_Term`` (postings, cf, idf), one lookup for a scalar
+    reader; ``cf_by_ordinal`` and ``idf_by_ordinal`` repeat cf and idf by ordinal.
     Candidate generation adds ``tf * idf`` over these ordinals for the top
     documents in rank order, from 0.0, and the LM ground truth adds its
     mass vectors the same way.
@@ -175,15 +189,14 @@ class PositionalIndex:
         self._docids = docids = list(lengths)
         self._starts = _read_only(np.concatenate(([0], np.cumsum(list(lengths.values()), dtype=np.int64))))
         by_ordinal, cf = _invert(self._stream, self._starts, docids, len(vocabulary))
-        self._postings = dict(zip(vocabulary, by_ordinal))     # term -> {docid: (pos, ...)}
-        self._cf = dict(zip(vocabulary, cf.tolist()))
         self._cf_by_ordinal = cf
         self._total_tokens = int(cf.sum())
         n = len(docids)
         self._avgdl = self._total_tokens / n if n else 0.0
-        idf = [math.log(1.0 + (n - df + 0.5) / (df + 0.5)) if df else 0.0 for df in map(len, by_ordinal)]
-        self._idf = dict(zip(vocabulary, idf))
+        idf_of = {df: math.log(1.0 + (n - df + 0.5) / (df + 0.5)) if df else 0.0 for df in set(map(len, by_ordinal))}
+        idf = [idf_of[len(posting)] for posting in by_ordinal]     # the terms of one df share one float
         self._idf_by_ordinal = _read_only(np.array(idf, dtype=np.float64))
+        self._terms = dict(zip(vocabulary, map(_Term, by_ordinal, cf.tolist(), idf)))
 
     # -- statistics ------------------------------------------------------
 
@@ -216,25 +229,23 @@ class PositionalIndex:
     def has_doc(self, docid: str) -> bool:
         return docid in self._lengths
 
-    def _require_doc(self, docid: str) -> None:
-        if docid not in self._lengths:
-            raise UnknownDocumentError(f"unknown docid: {docid!r}")
-
     def _span(self, docid: str) -> slice:
         """docid's slice of the stream; its row is its place in the sorted docids."""
-        self._require_doc(docid)
+        self.doc_length(docid)      # raises UnknownDocumentError for an unknown docid
         row = bisect.bisect_left(self._docids, docid)
         return slice(*self._starts[row:row + 2].tolist())
 
     def doc_length(self, docid: str) -> int:
-        self._require_doc(docid)
-        return self._lengths[docid]
+        try:
+            return self._lengths[docid]
+        except KeyError:
+            raise UnknownDocumentError(f"unknown docid: {docid!r}") from None
 
     def df(self, term: str) -> int:
-        return len(self._postings.get(term, ()))
+        return len(self._terms.get(term, _UNSEEN).postings)
 
     def cf(self, term: str) -> int:
-        return self._cf.get(term, 0)
+        return self._terms.get(term, _UNSEEN).cf
 
     def idf(self, term: str) -> float:
         """ln(1 + (N - df + 0.5) / (df + 0.5)); 0 for unseen terms.
@@ -242,7 +253,7 @@ class PositionalIndex:
         Always positive for indexed terms, which avoids negative-idf
         pathologies on tiny corpora.
         """
-        return self._idf.get(term, 0.0)
+        return self._terms.get(term, _UNSEEN).idf
 
     @property
     def cf_by_ordinal(self) -> np.ndarray:
@@ -263,11 +274,8 @@ class PositionalIndex:
         return ordinals, tfs
 
     def tf(self, term: str, docid: str) -> int:
-        self._require_doc(docid)
-        posting = self._postings.get(term)
-        if posting is None:
-            return 0
-        return len(posting.get(docid, ()))
+        self.doc_length(docid)      # raises UnknownDocumentError for an unknown docid
+        return len(self._terms.get(term, _UNSEEN).postings.get(docid, ()))
 
     def tf_block(self, terms, docids) -> tuple[np.ndarray, np.ndarray]:
         """The (terms x docids) int64 matrix of tf, and the length of each of docids.
@@ -286,7 +294,7 @@ class PositionalIndex:
         column = dict(zip(docids, range(len(docids))))     # a repeated docid's last column
         hits, cols, counts = [], [], []
         for term in terms:
-            posting = self._postings.get(term, {})
+            posting = self._terms.get(term, _UNSEEN).postings
             shared = posting.keys() & column.keys()
             hits.append(len(shared))
             cols.extend(map(column.__getitem__, shared))
@@ -299,11 +307,8 @@ class PositionalIndex:
 
     def positions(self, term: str, docid: str) -> list[int]:
         """Strictly increasing positions of term in docid; [] when absent."""
-        self._require_doc(docid)
-        posting = self._postings.get(term)
-        if posting is None:
-            return []
-        return list(posting.get(docid, ()))
+        self.doc_length(docid)      # raises UnknownDocumentError for an unknown docid
+        return list(self._terms.get(term, _UNSEEN).postings.get(docid, ()))
 
     def postings(self, term: str) -> dict:
         """Mapping docid -> positions tuple for one term ({} when unseen).
@@ -311,7 +316,7 @@ class PositionalIndex:
         It iterates in ascending docid order: ``_invert`` fills every
         posting row by row, and rows follow the sorted docids.
         """
-        return dict(self._postings.get(term, {}))
+        return dict(self._terms.get(term, _UNSEEN).postings)
 
     def matching_docs(self, terms) -> list[str]:
         """The docids holding any of terms, ascending.
@@ -319,9 +324,9 @@ class PositionalIndex:
         Each posting's keys are already in docid order (see ``postings``),
         so sorting their concatenation merges sorted runs.
         """
-        postings = self._postings
+        records = self._terms
         return list(dict.fromkeys(sorted(itertools.chain.from_iterable(
-            postings.get(t, ()) for t in dict.fromkeys(terms)))))
+            records.get(t, _UNSEEN).postings for t in dict.fromkeys(terms)))))
 
     def doc_tokens(self, docid: str) -> tuple[str, ...]:
         """The analyzed token sequence of a document, mapped from its slice of the stream."""
@@ -347,7 +352,10 @@ class PositionalIndex:
             header, body = f.readline(), f.read()
         if not header.endswith(b"\n"):
             raise ValueError("index file has no header line: it must start with a JSON object and a newline")
-        data = json.loads(header.decode("utf-8"), object_pairs_hook=_unique_keys)
+        try:
+            data = json.loads(header.decode("utf-8"), object_pairs_hook=_unique_keys)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"index header is not a UTF-8 JSON line: {exc}") from exc
         if type(data) is dict and "version" in data:
             version = data["version"]
             if type(version) is not int or version != _INDEX_FORMAT_VERSION:

@@ -85,6 +85,7 @@ _MALFORMED_INDEX_BYTES = {
     "body-trailing-bytes": lambda line, body: line + body + b"\0\0\0\0",
     "header-without-newline": lambda line, body: line[:-1],
     "header-not-utf-8": lambda line, body: b"\xff" + line + body,
+    "header-not-json": lambda line, body: b"not json\n" + body,
 }
 
 

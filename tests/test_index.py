@@ -319,9 +319,10 @@ def test_load_rejects_a_malformed_header_or_config(tmp_path, data, message):
     pytest.param(b"", "index file has no header line", id="empty-file"),
     pytest.param(json.dumps(_header(["appl"], {"a": []})).encode(), "index file has no header line",
                  id="header-without-newline"),
-    pytest.param(b"\xff" + index_file_bytes(_header(["appl"], {"a": [0]}), [0]), "can't decode byte 0xff",
+    pytest.param(b"\xff" + index_file_bytes(_header(["appl"], {"a": [0]}), [0]),
+                 "index header is not a UTF-8 JSON line: 'utf-8' codec can't decode byte 0xff",
                  id="header-not-utf-8"),
-    pytest.param(b"not json\n", "Expecting value", id="header-not-json"),
+    pytest.param(b"not json\n", "index header is not a UTF-8 JSON line: Expecting value", id="header-not-json"),
 ])
 def test_load_rejects_a_file_without_a_utf_8_json_header_line(tmp_path, data, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -508,7 +509,7 @@ def test_ranking_and_explaining_never_walk_every_posting_list(source, tmp_path):
     if source == "loaded":
         index.save(tmp_path / "demo.idx")
         index = PositionalIndex.load(tmp_path / "demo.idx")
-    index._postings = postings = ScanCountingDict(index._postings)
+    index._terms = terms = ScanCountingDict(index._terms)
     index._lengths = lengths = ScanCountingDict(index._lengths)
     bm25 = BM25Ranker(index)
     query = Query.from_text(index, "1", "thai daily life")
@@ -522,7 +523,7 @@ def test_ranking_and_explaining_never_walk_every_posting_list(source, tmp_path):
     all_preferences(index, query, di, dj)
     for name in DETAILED_AXIOMS:
         explain_details(name, index, query, di, dj)
-    assert postings.scans == 0 and lengths.scans == 0
+    assert terms.scans == 0 and lengths.scans == 0
 
 
 def test_kept_token_streams_hold_one_object_per_term():
@@ -576,6 +577,39 @@ def test_one_position_postings_share_their_tuple(tmp_path):
     for index in (built, PositionalIndex.load(tmp_path / "x.idx")):
         assert index.postings("ww")["d1"] is index.postings("qq")["d2"]
         assert index.postings("ww") == {"d1": (1,), "d2": (0,)} and index.postings("qq")["d1"] == (0, 2)
+
+
+def test_terms_of_one_df_share_their_idf_float(tmp_path):
+    # Most terms have df 1; a float each would cost 24 bytes per term.
+    built = build_index([Document("d1", "qq ww ee"), Document("d2", "ww rr")])
+    built.save(tmp_path / "x.idx")
+    for index in (built, PositionalIndex.load(tmp_path / "x.idx")):
+        assert index.idf("qq") is index.idf("ee") is index.idf("rr") != index.idf("ww")
+
+
+def _foreign_term_readers(path: Path) -> set:
+    """The (class, function) around each ``x._terms`` of a module whose x is not ``self``."""
+    readers = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                walk(child, scope + (child.name,))
+            else:
+                if isinstance(child, ast.Attribute) and child.attr == "_terms" and not (
+                        isinstance(child.value, ast.Name) and child.value.id == "self"):
+                    readers.add((path.name, *scope[:2]))
+                walk(child, scope)
+
+    walk(ast.parse(path.read_text(encoding="utf-8")), ())
+    return readers
+
+
+def test_only_the_sparse_scores_read_the_index_term_records():
+    # The record layout is private to the index and to these three per-document loops.
+    readers = set().union(*map(_foreign_term_readers, INDEX_SOURCE.parent.glob("*.py")))
+    assert readers == {("rankers.py", "BM25Ranker", "score"), ("rankers.py", "LMJMRanker", "score"),
+                       ("rankers.py", "LMDirRanker", "score")}
 
 
 def test_the_scan_counter_sees_a_walk():

@@ -840,6 +840,8 @@ def assert_index_equals_reference(index, postings, streams):
         for ps in index.postings(term).values():
             if len(ps) == 1:
                 assert singles.setdefault(ps[0], ps) is ps
+    for u, term in enumerate(vocabulary):      # the record's scalars and the ordinal arrays agree
+        assert (index.cf_by_ordinal[u], index.idf_by_ordinal[u]) == (index.cf(term), index.idf(term))
     for docid, tokens in streams.items():
         assert index.doc_tokens(docid) == tokens
         counted = sorted(Counter(tokens).items())
