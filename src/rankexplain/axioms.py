@@ -40,10 +40,10 @@ def _sign(x: float) -> int:
     return (x > 0) - (x < 0)
 
 
-def _comparable(a: float, b: float, slack: float = COMPARABILITY_SLACK) -> bool:
+def _comparable(a: float, b: float) -> bool:
     if a == b:
         return True
-    return abs(a - b) <= slack * max(a, b)
+    return abs(a - b) <= COMPARABILITY_SLACK * max(a, b)
 
 
 def pair_average_distance(positions_a: Sequence[int], positions_b: Sequence[int]) -> float:
@@ -309,12 +309,6 @@ def axiom_preference(axiom_name: str, index: PositionalIndex, query: Query,
     if fn is None:
         raise ValueError(f"unknown axiom {axiom_name!r}; valid: {', '.join(AXIOM_NAMES)}")
     return fn(*_views(index, query, di, dj))
-
-
-def all_preferences(index: PositionalIndex, query: Query, di: str, dj: str) -> dict:
-    """Evaluate every axiom once on the pair's ``DocStats``."""
-    si, sj = _views(index, query, di, dj)
-    return {name: fn(si, sj) for name, fn in AXIOMS.items()}
 
 
 # -- explain_details --------------------------------------------------------

@@ -254,8 +254,10 @@ def cmd_explain_pairwise(args, extras) -> int:
     for name in names:
         if name not in AXIOM_NAMES:
             raise UsageError(f"unknown axiom {name!r}; valid: {', '.join(AXIOM_NAMES)}")
-    if args.weights and not args.aggregate:
-        raise UsageError("--weights needs --aggregate")
+    if not names or len(set(names)) < len(names):
+        raise UsageError(f"--axioms takes one or more distinct axiom names, got {args.axioms!r}")
+    if args.weights and args.aggregate != "weighted_sum_sign":
+        raise UsageError("--weights needs --aggregate weighted_sum_sign")
     if args.format == "text" and not args.details:
         raise UsageError("--format text needs --details; preferences are JSON")
     if args.aggregate:
@@ -398,11 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_pair = kinds.add_parser("pairwise", parents=[explain], allow_abbrev=False,
                               help="axiom preferences between two documents")
     p_pair.add_argument("--docs", required=True, help="docid pair D1,D2")
-    p_pair.add_argument("--axioms", default="TFC1,PROX1", help="comma-separated axiom names")
+    p_pair.add_argument("--axioms", default="TFC1,PROX1", help="comma-separated distinct axiom names")
     output = p_pair.add_mutually_exclusive_group()
     output.add_argument("--details", action="store_true", help="emit the detailed axiom table")
     output.add_argument("--aggregate", help=f"aggregate mode: {', '.join(AGGREGATION_MODES)}")
-    p_pair.add_argument("--weights", help="comma-separated aggregation weights, one per axiom")
+    p_pair.add_argument("--weights", help="comma-separated weights, one per axiom, for weighted_sum_sign")
     p_pair.add_argument("--format", default="json", choices=("text", "json"), help="of the --details table")
     p_pair.set_defaults(func=cmd_explain_pairwise)
 

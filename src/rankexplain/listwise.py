@@ -279,6 +279,11 @@ def _sign_near_ties(upper: np.ndarray, lower: np.ndarray, signs: np.ndarray) -> 
         signs[near] = np.subtract(log_upper > log_lower, log_upper < log_lower, dtype=np.int8)
 
 
+def _candidate_order(candidates: Sequence[CandidateTerm]) -> list[int]:
+    """Candidate indices by higher salience, then term; stable, so duplicates keep index order."""
+    return sorted(range(len(candidates)), key=lambda t: (-candidates[t].salience, candidates[t].term))
+
+
 def _coverage_explanation(method: str, layer: np.ndarray, matrix: PreferenceMatrix,
                           m_min: int, m_max: int, qid: str = "") -> ListwiseExplanation:
     """Greedy maximum coverage over one entry layer (terms x pairs).
@@ -291,8 +296,7 @@ def _coverage_explanation(method: str, layer: np.ndarray, matrix: PreferenceMatr
     """
     ListwiseParams(m_min=m_min, m_max=m_max)  # checks both against their declarations
     cands = matrix.candidates
-    # Stable, so duplicate candidates stay in index order; argmax takes the first maximum.
-    left = sorted(range(len(layer)), key=lambda t: (-cands[t].salience, cands[t].term))
+    left = _candidate_order(cands)      # argmax takes the first maximum
     running = np.zeros(layer.shape[1], dtype=np.int64)
     selected: list[int] = []
     evaluations = 0
@@ -418,8 +422,14 @@ class FidelityEvaluator:
         return self.batch([terms])[0]
 
 
-def _candidate_order(candidates: Sequence[CandidateTerm]) -> list[CandidateTerm]:
-    return sorted(candidates, key=lambda c: (-c.salience, c.term))
+def _search_terms(candidates: Sequence[CandidateTerm], ranked: RankedList, m_max: int) -> list[str]:
+    """Check the arguments greedy and bfs share; the candidates' terms in ``_candidate_order``."""
+    _check_number("m_max", m_max, "[0, inf)", int)
+    if not candidates:
+        raise ValueError("no candidate terms to search over")
+    if len(ranked) < 2:
+        raise ValueError("ranked list must have at least 2 entries")
+    return [candidates[t].term for t in _candidate_order(candidates)]
 
 
 def _better(fidelity: float, size: int, terms: tuple, best: tuple) -> bool:
@@ -436,18 +446,13 @@ def greedy_explain(index: PositionalIndex, sm: Ranker, query: Query, ranked: Ran
     largest fidelity improvement and stops when no candidate improves
     fidelity or m_max terms were taken.
     """
-    _check_number("m_max", m_max, "[0, inf)", int)
-    if not candidates:
-        raise ValueError("no candidate terms to search over")
-    if len(ranked) < 2:
-        raise ValueError("ranked list must have at least 2 entries")
-    ordered = _candidate_order(candidates)
-    evaluate = FidelityEvaluator(index, sm, query, ranked, p, [c.term for c in ordered])
+    order = _search_terms(candidates, ranked, m_max)
+    evaluate = FidelityEvaluator(index, sm, query, ranked, p, order)
     selected: list[str] = []
     current = evaluate(selected)
     while len(selected) < m_max:
         # Each round scores every unselected candidate as one batch; the first best wins.
-        left = [c.term for c in ordered if c.term not in selected]
+        left = [term for term in order if term not in selected]
         fids = evaluate.batch([selected + [term] for term in left])
         best = max(range(len(left)), key=fids.__getitem__, default=None)
         if best is None or fids[best] <= current:
@@ -475,13 +480,8 @@ def bfs_explain(index: PositionalIndex, sm: Ranker, query: Query, ranked: Ranked
     set seen, preferring, on fidelity ties, fewer terms and then
     lexicographic order.
     """
-    _check_number("m_max", m_max, "[0, inf)", int)
-    if not candidates:
-        raise ValueError("no candidate terms to search over")
-    if len(ranked) < 2:
-        raise ValueError("ranked list must have at least 2 entries")
+    order = _search_terms(candidates, ranked, m_max)
     ListwiseParams(eval_budget=eval_budget)  # checks it against its declaration
-    order = [c.term for c in _candidate_order(candidates)]
     evaluate = FidelityEvaluator(index, sm, query, ranked, p, order)
     baseline = evaluate(())
     evaluate.calls = 0

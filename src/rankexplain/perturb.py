@@ -72,10 +72,6 @@ class PerturbationBatch(Sequence):
     def __getitem__(self, i: int) -> PerturbedSample:
         return PerturbedSample(self.kept[operator.index(i)], self.uniform_fallback)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, PerturbationBatch) and self.uniform_fallback == other.uniform_fallback
-                and np.array_equal(self.kept, other.kept))
-
 
 def _check_doc(doc: TokenizedDocument) -> None:
     if len(doc.tokens) == 0:

@@ -25,7 +25,6 @@ from .index import (_UNSEEN, PositionalIndex, _check_id, _check_number, _check_r
 @dataclass(frozen=True)
 class Query:
     qid: str
-    text: str
     terms: tuple[str, ...]
 
     @classmethod
@@ -33,12 +32,12 @@ class Query:
         """Analyze text with the index's own config."""
         from .analysis import tokenize
 
-        return cls(qid=qid, text=text, terms=tuple(tokenize(text, index.config)))
+        return cls(qid=qid, terms=tuple(tokenize(text, index.config)))
 
     @classmethod
     def from_terms(cls, qid: str, terms: Sequence[str]) -> "Query":
         """Wrap already-analyzed terms (used for expanded queries)."""
-        return cls(qid=qid, text=" ".join(terms), terms=tuple(terms))
+        return cls(qid=qid, terms=tuple(terms))
 
 
 class RunEntry(NamedTuple):
@@ -424,8 +423,9 @@ def load_from_res(path: str) -> dict:
     """Parse a TREC run file into {qid: RankedList}.
 
     Lines are ``qid Q0 docid rank score tag`` separated by whitespace.
-    Malformed lines, non-finite scores, duplicate (qid, docid) pairs and
-    rank gaps are rejected with the offending line number where available.
+    Malformed lines, non-finite scores, duplicate (qid, docid) pairs, rank
+    gaps and a qid whose lines carry different tags are rejected with the
+    offending line number where available.
     """
     raw: dict[str, list[RunEntry]] = {}
     tags: dict[str, str] = {}
@@ -448,8 +448,9 @@ def load_from_res(path: str) -> dict:
             if (qid, docid) in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate (qid, docid) pair ({qid}, {docid})")
             seen.add((qid, docid))
+            if tags.setdefault(qid, tag) != tag:
+                raise ValueError(f"{path}:{lineno}: qid {qid} has tag {tag!r}, but an earlier line has {tags[qid]!r}")
             raw.setdefault(qid, []).append(RunEntry(docid, rank_v, score_v))
-            tags.setdefault(qid, tag)
     runs: dict[str, RankedList] = {}
     for qid, entries in raw.items():
         runs[qid] = RankedList.from_entries(qid, entries, tag=tags[qid])

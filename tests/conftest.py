@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rankexplain import Document, build_index, read_corpus_jsonl
+from rankexplain.axioms import AXIOM_NAMES, axiom_preference
 from rankexplain.datasets import demo_corpus_path
 from rankexplain.rng import XorShift64Star
 
@@ -21,6 +22,11 @@ def random_corpus(rng: XorShift64Star, n_docs, vocab, min_len=5, max_len=30, pre
         tokens = [vocab[rng.randbelow(len(vocab))] for _ in range(length)]
         docs.append(Document(docid=f"{prefix}{i:03d}", text=" ".join(tokens)))
     return docs
+
+
+def axiom_preferences(index, query, di, dj) -> dict:
+    """Each axiom's preference for the pair (di, dj), by name."""
+    return {name: axiom_preference(name, index, query, di, dj) for name in AXIOM_NAMES}
 
 
 def index_state(index) -> tuple:

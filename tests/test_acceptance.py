@@ -39,12 +39,12 @@ from rankexplain import (
     spearman_rho,
 )
 from rankexplain import cli
-from rankexplain.axioms import AXIOM_NAMES, DetailsTable, all_preferences, axiom_preference
+from rankexplain.axioms import AXIOM_NAMES, DetailsTable, axiom_preference
 from rankexplain.listwise import FidelityEvaluator, intent_exs_explain
 from rankexplain.pointwise import ExplanationVector
 from rankexplain.rng import XorShift64Star
 
-from conftest import hidden_intent_fixture, make_vocab, random_corpus
+from conftest import axiom_preferences, hidden_intent_fixture, make_vocab, random_corpus
 
 
 @contextmanager
@@ -226,8 +226,8 @@ def test_criterion_3_axiom_cases_and_antisymmetry():
                 query = Query.from_terms("q", terms)
                 d1 = ids[rng.randbelow(len(ids))]
                 d2 = ids[rng.randbelow(len(ids))]
-                fwd = all_preferences(index, query, d1, d2)
-                bwd = all_preferences(index, query, d2, d1)
+                fwd = axiom_preferences(index, query, d1, d2)
+                bwd = axiom_preferences(index, query, d2, d1)
                 for name in AXIOM_NAMES:
                     assert fwd[name] == -bwd[name], (name, d1, d2, terms)
                 triples += 1

@@ -16,11 +16,11 @@ from rankexplain import (
     render_details,
 )
 from rankexplain import axioms
-from rankexplain.axioms import AXIOM_NAMES, DETAILED_AXIOMS, DetailsTable, all_preferences
+from rankexplain.axioms import AXIOM_NAMES, DETAILED_AXIOMS, DetailsTable
 from rankexplain.index import UnknownDocumentError
 from rankexplain.rng import XorShift64Star
 
-from conftest import make_vocab, random_corpus
+from conftest import axiom_preferences, make_vocab, random_corpus
 
 
 def mini_index(*texts):
@@ -204,8 +204,8 @@ def test_antisymmetry_random_triples():
             query = Query.from_terms("q", terms)
             d1 = ids[rng.randbelow(len(ids))]
             d2 = ids[rng.randbelow(len(ids))]
-            forward = all_preferences(index, query, d1, d2)
-            backward = all_preferences(index, query, d2, d1)
+            forward = axiom_preferences(index, query, d1, d2)
+            backward = axiom_preferences(index, query, d2, d1)
             for name in AXIOM_NAMES:
                 assert forward[name] == -backward[name], (name, d1, d2, terms)
 
@@ -380,7 +380,7 @@ def test_aggregate_antisymmetry_and_scale_invariance():
 
 
 def _all_outputs(index, query, di, dj):
-    return (all_preferences(index, query, di, dj),
+    return (axiom_preferences(index, query, di, dj),
             [explain_details(name, index, query, di, dj) for name in DETAILED_AXIOMS])
 
 
@@ -411,7 +411,7 @@ def test_an_unknown_docid_raises_every_time_and_stores_nothing():
 
 def test_the_memo_is_freed_with_its_index():
     index = mini_index("qq ww", "ww qq")
-    all_preferences(index, Query.from_terms("q", ["qq", "ww"]), "d1", "d2")
+    axiom_preferences(index, Query.from_terms("q", ["qq", "ww"]), "d1", "d2")
     alive = weakref.ref(index)
     n_memos = len(axioms._memos)
     del index

@@ -544,8 +544,15 @@ def test_unknown_keys_exit_2(workspace, tmp_path, capsys, command, source, key):
                  "must be finite", id="weights-nan"),
     pytest.param("pairwise", ["--aggregate", "weighted_sum_sign", "--weights", "1,inf"], None,
                  "must be finite", id="weights-inf"),
-    pytest.param("pairwise", ["--aggregate", "majority", "--weights", "1,2,3"], None,
+    pytest.param("pairwise", ["--aggregate", "weighted_sum_sign", "--weights", "1,2,3"], None,
                  "must match --axioms in length", id="weights-length"),
+    # majority reads no weight, so weights with it would change nothing
+    pytest.param("pairwise", ["--aggregate", "majority", "--weights", "5,-9"], None,
+                 "--weights needs --aggregate weighted_sum_sign", id="weights-with-majority"),
+    pytest.param("pairwise", ["--axioms", ","], None, "--axioms takes one or more distinct axiom names",
+                 id="axioms-naming-none"),
+    pytest.param("pairwise", ["--axioms", "TFC1, TFC1"], None, "--axioms takes one or more distinct axiom names",
+                 id="axioms-repeated"),
     pytest.param("pairwise", ["--weights", "1,2"], None, "--weights needs --aggregate",
                  id="weights-without-aggregate"),
     pytest.param("pairwise", ["--format", "text"], None, "--format text needs --details",

@@ -27,14 +27,14 @@ from rankexplain import (
     rank,
 )
 from rankexplain.analysis import AnalyzerConfig, tokenize
-from rankexplain.axioms import DETAILED_AXIOMS, all_preferences
+from rankexplain.axioms import DETAILED_AXIOMS
 from rankexplain.datasets import demo_corpus_path
 from rankexplain.index import read_corpus_jsonl
 from rankexplain.listwise import LISTWISE_METHODS
 from rankexplain.perturb import SamplerConfig
 from rankexplain.rng import XorShift64Star
 
-from conftest import index_file_bytes, index_state, make_vocab, random_corpus, read_index_file
+from conftest import axiom_preferences, index_file_bytes, index_state, make_vocab, random_corpus, read_index_file
 
 
 def test_single_doc_statistics():
@@ -520,7 +520,7 @@ def test_ranking_and_explaining_never_walk_every_posting_list(source, tmp_path):
     params = PointwiseParams(sampler=SamplerConfig(n_samples=20), exs_k=2)
     lirme_explain(index, bm25, query, di, params)
     exs_explain(index, bm25, query, di, params, ranked)
-    all_preferences(index, query, di, dj)
+    axiom_preferences(index, query, di, dj)
     for name in DETAILED_AXIOMS:
         explain_details(name, index, query, di, dj)
     assert terms.scans == 0 and lengths.scans == 0

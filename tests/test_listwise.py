@@ -452,6 +452,30 @@ def test_greedy_coverage_against_bruteforce_bound():
 # -- direct search -------------------------------------------------------------------
 
 
+def test_every_explainer_takes_tied_candidates_in_one_order(monkeypatch):
+    # Listed out of term order, with two salience ties: higher salience first, then term.
+    candidates = [CandidateTerm("tc", 1.0), CandidateTerm("td", 2.0), CandidateTerm("tb", 1.0),
+                  CandidateTerm("ta", 2.0)]
+    expected = ["ta", "td", "tb", "tc"]
+    # Each term covers a pair of its own, so every round's gains tie and the order decides.
+    pairs = [PreferencePair(f"u{j}", f"l{j}", 1) for j in range(4)]
+    for names, explain in ((["bm25"], intent_exs_explain), (["bm25", "lmjm"], multiplex_explain)):
+        entries = np.stack([np.eye(4, dtype=np.int8)] * len(names))
+        matrix = PreferenceMatrix(rankers=names, candidates=candidates, pairs=pairs, entries=entries)
+        assert explain(matrix, m_min=4, m_max=4).terms == expected
+    # The direct searches score every single-term set in their first batch after the baseline.
+    batches = []
+    batch = FidelityEvaluator.batch
+    monkeypatch.setattr(FidelityEvaluator, "batch",
+                        lambda self, sets: batches.append([list(s) for s in sets]) or batch(self, sets))
+    index = build_index([Document("d1", "ta tb qq"), Document("d2", "tc td qq"), Document("d3", "qq")])
+    ranked = rank(index, BM25Ranker(index), Query.from_terms("q", ["qq"]), depth=3)
+    for search in (greedy_explain, bfs_explain):
+        batches.clear()
+        search(index, BM25Ranker(index), Query.from_terms("q", ["qq"]), ranked, candidates, m_max=1)
+        assert batches[1] == [[term] for term in expected]
+
+
 def bruteforce_best(evaluate, terms, m_max):
     best = (evaluate(()), 0, ())
     for size in range(1, m_max + 1):

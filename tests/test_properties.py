@@ -45,7 +45,7 @@ from rankexplain import (
     spearman_rho,
 )
 from rankexplain import AggregatedAxiom, aggregate_preference, axiom_preference, explain_details, listwise
-from rankexplain.axioms import AGGREGATION_MODES, AXIOM_NAMES, DETAILED_AXIOMS, DetailsTable, all_preferences
+from rankexplain.axioms import AGGREGATION_MODES, AXIOM_NAMES, DETAILED_AXIOMS, DetailsTable
 from rankexplain import index as index_module
 from rankexplain.index import left_sum
 from rankexplain.listwise import (
@@ -1113,7 +1113,8 @@ def test_sampler_batches_equal_the_per_token_reference(data, built, kind, rate, 
     assert [s.uniform_fallback for s in batch] == [fallback] * n_samples
     assert batch.uniform_fallback == fallback
     assert rng._state == reference_rng._state
-    assert batch == draw_samples(doc, config, index=index)
+    again = draw_samples(doc, config, index=index)
+    assert np.array_equal(again.kept, batch.kept) and again.uniform_fallback == batch.uniform_fallback
 
 
 def reference_score_tokens(ranker, query, tokens):
@@ -1355,7 +1356,6 @@ def test_doc_stats_axioms_equal_the_per_call_reference(built, weights):
     children = tuple(zip(AXIOM_NAMES, weights))
     for di, dj in itertools.permutations(index.doc_ids(), 2):
         expected = reference_axioms(index, query, di, dj)
-        assert all_preferences(index, query, di, dj) == expected
         assert {name: axiom_preference(name, index, query, di, dj) for name in AXIOM_NAMES} == expected
         for mode in AGGREGATION_MODES:
             total = left_sum(expected[n] * w for n, w in children) if mode == "weighted_sum_sign" \

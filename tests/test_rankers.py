@@ -272,6 +272,14 @@ def test_load_duplicate_doc_error(tmp_path):
         load_from_res(str(path))
 
 
+def test_load_rejects_a_qid_whose_lines_carry_different_tags(tmp_path):
+    # Keeping the first tag would make save_to_res write it on every line of q1.
+    path = tmp_path / "run.trec"
+    path.write_text("q1 Q0 a 1 2.0 runA\nq2 Q0 c 1 3.0 runB\nq1 Q0 b 2 1.0 runB\n")
+    with pytest.raises(ValueError, match="run.trec:3: qid q1 has tag 'runB', but an earlier line has 'runA'"):
+        load_from_res(str(path))
+
+
 def test_load_malformed_line_number(tmp_path):
     path = tmp_path / "run.trec"
     path.write_text("1 Q0 a 1 2.0 sys\n1 Q0 b oops\n")
