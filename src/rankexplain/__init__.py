@@ -40,8 +40,6 @@ from .listwise import (
     generate_candidates,
     greedy_explain,
     intent_exs_explain,
-    matrix_from_json,
-    matrix_to_json,
     multiplex_explain,
     sample_pairs,
     show_matrix,

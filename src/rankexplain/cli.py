@@ -307,6 +307,10 @@ def cmd_explain_listwise(args, extras) -> int:
         queries = [_query_for(args, index, topics)]
     if args.run:
         runs = load_from_res(args.run)
+        missing = [query.qid for query in queries if query.qid not in runs]
+        if missing:
+            raise DataNotFoundError(f"qid{'s' * (len(missing) > 1)} {', '.join(map(repr, missing))} "
+                                    f"not in run {args.run}")
     else:
         ranker = make_ranker(index, args.model or "bm25", lw.ranker_params)
         runs = {query.qid: rank(index, ranker, query, depth=depth) for query in queries}
@@ -321,8 +325,6 @@ def cmd_explain_listwise(args, extras) -> int:
         _emit("\n".join(lines), args.out)
         return EXIT_OK
     query, = queries
-    if query.qid not in runs:
-        raise DataNotFoundError(f"qid {query.qid!r} not in run")
     expl = explain_listwise(index, query, runs[query.qid], lw)
     _emit(json.dumps(expl.as_dict(), separators=(",", ":")), args.out)
     return EXIT_OK

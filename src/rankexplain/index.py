@@ -135,6 +135,8 @@ class Document:
 class UnknownDocumentError(KeyError):
     """Raised when a docid is not part of the index."""
 
+    __str__ = Exception.__str__      # KeyError's would quote the message
+
 
 class _Term:
     """One term's postings (docid -> positions tuple), cf and idf: 56 bytes, where a NamedTuple takes 72."""

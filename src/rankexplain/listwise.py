@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -24,7 +23,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rankers as _rankers
-from .analysis import _check_keys, _unique_keys
 from .evaluation import RBO_P_DOMAIN, _rbo_rows
 from .index import PositionalIndex, _check_number, _check_rank, _check_unique, check_fields
 from .rankers import (
@@ -552,59 +550,6 @@ def show_matrix(matrix: PreferenceMatrix, pair_filter: Optional[PreferencePair] 
         cells = [_GLYPHS[int(layer[t, p])].rjust(widths[p]) for p in range(len(pairs))]
         lines.append(f"{term:<{term_w}}  " + "  ".join(cells))
     return "\n".join(lines)
-
-
-def matrix_to_json(matrix: PreferenceMatrix) -> str:
-    return json.dumps(
-        {
-            "rankers": list(matrix.rankers),
-            "pairs": [
-                {"upper": p.upper, "lower": p.lower, "rank_gap": p.rank_gap}
-                for p in matrix.pairs
-            ],
-            "terms": matrix.terms,
-            "salience": [c.salience for c in matrix.candidates],
-            "entries": matrix.entries.tolist(),
-        },
-        separators=(",", ":"),
-    )
-
-
-def _nested_lists(items, shape: tuple) -> bool:
-    """Whether ``items`` is lists nested to ``shape``, whatever their leaves."""
-    return not shape or (type(items) is list and len(items) == shape[0]
-                         and all(_nested_lists(x, shape[1:]) for x in items))
-
-
-def matrix_from_json(text: str) -> PreferenceMatrix:
-    """Read ``matrix_to_json``'s output back; anything else raises ValueError."""
-    data = json.loads(text, object_pairs_hook=_unique_keys)
-    _check_keys("preference matrix", data, {"rankers", "pairs", "terms", "salience", "entries"})
-    rankers, terms, salience = data["rankers"], data["terms"], data["salience"]
-    for key in ("rankers", "terms"):
-        if type(data[key]) is not list or not all(type(x) is str for x in data[key]):
-            raise ValueError(f"preference matrix {key!r} must be a list of strings")
-    if type(salience) is not list or len(salience) != len(terms):
-        raise ValueError(f"preference matrix 'salience' must be a list of {len(terms)} numbers, one per term")
-    for t, sal in zip(terms, salience):
-        _check_number(f"salience of {t!r}", sal, "(-inf, inf)")
-    if type(data["pairs"]) is not list:
-        raise ValueError("preference matrix 'pairs' must be a list")
-    pairs = []
-    for pair in data["pairs"]:
-        _check_keys("preference pair", pair, {"upper", "lower", "rank_gap"})
-        upper, lower, gap = pair["upper"], pair["lower"], pair["rank_gap"]
-        if type(upper) is not str or type(lower) is not str:
-            raise ValueError(f"preference pair upper and lower must be docids, got {upper!r} and {lower!r}")
-        _check_number("rank_gap", gap, "[1, inf)", int)
-        pairs.append(PreferencePair(upper, lower, gap))
-    entries, shape = data["entries"], (len(rankers), len(terms), len(pairs))
-    if not _nested_lists(entries, shape):
-        raise ValueError(f"preference matrix entries must be lists nested to shape {shape}")
-    if not all(type(e) is int and -1 <= e <= 1 for layer in entries for row in layer for e in row):
-        raise ValueError("preference matrix entries must be -1, 0 or 1")
-    return PreferenceMatrix(rankers, [CandidateTerm(t, sal) for t, sal in zip(terms, salience)],
-                            pairs, np.array(entries, dtype=np.int8))
 
 
 # -- batch driver ------------------------------------------------------------

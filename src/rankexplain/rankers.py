@@ -50,9 +50,9 @@ class RunEntry(NamedTuple):
 class RankedList:
     """Ordered (docid, rank, score) entries for one query.
 
-    Ranks are 1..n with no gaps, scores are non-increasing with rank and
-    docids are unique; the constructor path through :meth:`from_entries`
-    enforces all three.
+    Ranks are 1..n with no gaps, scores are non-NaN and non-increasing
+    with rank, and docids are unique; the constructor path through
+    :meth:`from_entries` enforces all of these.
     """
 
     qid: str
@@ -70,6 +70,8 @@ class RankedList:
             if entry.docid in seen:
                 raise ValueError(f"qid {qid!r}: duplicate docid {entry.docid!r}")
             seen.add(entry.docid)
+            if math.isnan(entry.score):
+                raise ValueError(f"qid {qid!r}: docid {entry.docid!r} has a NaN score")
             if prev_score is not None and entry.score > prev_score:
                 raise ValueError(f"qid {qid!r}: scores must be non-increasing with rank (rank {entry.rank})")
             prev_score = entry.score

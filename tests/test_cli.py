@@ -248,6 +248,68 @@ def test_explain_missing_qid_exit_3(workspace):
                     "--topics", "demo", "--qid", "99"]) == 3
 
 
+def _run_without(run_path: Path, qids: set, tmp_path: Path, extra: str = "") -> Path:
+    """A copy of the run file at ``run_path`` without the lines of ``qids``, plus ``extra``."""
+    part = tmp_path / "part.trec"
+    part.write_text("".join(line for line in run_path.read_text().splitlines(keepends=True)
+                            if line.split()[0] not in qids) + extra)
+    return part
+
+
+@pytest.mark.parametrize("mode,missing", [
+    pytest.param(["--all"], "qids '3', '5'", id="all"),
+    pytest.param(["--qid", "3"], "qid '3'", id="qid"),
+])
+def test_listwise_topics_missing_from_the_run_exit_3_before_any_explanation(
+        workspace, tmp_path, capsys, monkeypatch, mode, missing):
+    # Exit 3 is "requested data not found", with --all as with --qid.
+    _, index_path, run_path = workspace
+    part = _run_without(run_path, {"3", "5"}, tmp_path)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an explanation ran")
+    monkeypatch.setattr(cli, "explain_all", unreachable)
+    monkeypatch.setattr(cli, "explain_listwise", unreachable)
+    assert cli.run(["explain", "listwise", "--index", str(index_path), "--run", str(part),
+                    "--topics", "demo", *mode]) == 3
+    assert capsys.readouterr() == ("", f"not found: {missing} not in run {part}\n")
+
+
+def test_an_unknown_docid_in_a_run_is_reported_without_quotes(workspace, tmp_path, capsys):
+    # KeyError's str would quote the message: not found: "unknown docid: 'ZZ9'".
+    _, index_path, run_path = workspace
+    part = _run_without(run_path, {"1"}, tmp_path, "1 Q0 ZZ9 1 2.0 t\n1 Q0 A1 2 1.0 t\n")
+    argv = ["explain", "listwise", "--index", str(index_path), "--run", str(part), "--topics", "demo",
+            "--n_candidates", "15", "--m_min", "1", "--m_max", "2"]
+    assert cli.run(argv + ["--qid", "1"]) == 3
+    assert capsys.readouterr() == ("", "not found: unknown docid: 'ZZ9'\n")
+    assert cli.run(argv + ["--all"]) == 0
+    first = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert first == {"qid": "1", "error": "UnknownDocumentError: unknown docid: 'ZZ9'"}
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param("1\tcat\n2 dog\n", ":2: expected qid<TAB>query text", id="no-tab"),
+    pytest.param("1\tcat\n2\tdog\n1\tmouse\n", ":3: duplicate qid '1'", id="repeated-qid"),
+])
+def test_a_malformed_topics_file_exits_1_naming_the_line(workspace, tmp_path, capsys, text, message):
+    _, index_path, _ = workspace
+    topics, run_path = tmp_path / "topics.tsv", tmp_path / "x.trec"
+    topics.write_text(text)
+    assert cli.run(["rank", "--index", str(index_path), "--topics", str(topics), "--out", str(run_path)]) == 1
+    assert capsys.readouterr().err == f"error: {topics}{message}\n"
+    assert not run_path.exists()
+
+
+@pytest.mark.parametrize("line", ["1 Q0 b two 1.0 t", "1 Q0 b 2 high t"], ids=["rank", "score"])
+def test_a_non_numeric_rank_or_score_exits_1_naming_the_line(workspace, tmp_path, capsys, line):
+    _, _, run_path = workspace
+    bad = tmp_path / "bad.trec"
+    bad.write_text(f"1 Q0 a 1 2.0 t\n{line}\n")
+    assert cli.run(["eval", "rbo", str(bad), str(run_path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {bad}:2: bad rank or score field\n")
+
+
 def test_explain_pairwise_details_text(workspace, capsys):
     _, index_path, _ = workspace
     assert cli.run(["explain", "pairwise", "--index", str(index_path),

@@ -283,6 +283,8 @@ def test_an_api_argument_of_the_wrong_type_is_rejected_by_name(name, call, value
     (rx.Ranker, "term_scores"), (rx.LMJMRanker, "term_probability"), (rx.PositionalIndex, "doc_term_counts"),
     (rx.PositionalIndex, "to_dict"), (rx.PositionalIndex, "from_dict"), (rx.axioms, "all_preferences"),
     (rx.Query.from_terms("q", ["a"]), "text"), (rx.PerturbationBatch, "__eq__"),
+    (rx, "matrix_to_json"), (rx, "matrix_from_json"),
+    (rx.listwise, "matrix_to_json"), (rx.listwise, "matrix_from_json"),
 ], ids=lambda x: x if isinstance(x, str) else getattr(x, "__name__", type(x).__name__))
 def test_a_removed_name_stays_removed(owner, name):
     assert getattr(owner, name, None) is getattr(object, name, None)

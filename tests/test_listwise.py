@@ -1,5 +1,5 @@
+import dataclasses
 import itertools
-import json
 import math
 import re
 import warnings
@@ -24,8 +24,6 @@ from rankexplain import (
     generate_candidates,
     greedy_explain,
     intent_exs_explain,
-    matrix_from_json,
-    matrix_to_json,
     multiplex_explain,
     rank,
     sample_pairs,
@@ -634,83 +632,30 @@ def test_show_matrix_unknown_pair():
         show_matrix(matrix, pair_filter=PreferencePair("zz", "yy", 1))
 
 
-def test_matrix_json_roundtrip():
-    rng = XorShift64Star(12)
-    layer = [[rng.randbelow(3) - 1 for _ in range(5)] for _ in range(4)]
-    matrix = make_matrix(layer)
-    restored = matrix_from_json(matrix_to_json(matrix))
-    assert restored.rankers == matrix.rankers
-    assert restored.pairs == matrix.pairs
-    assert restored.terms == matrix.terms
-    assert np.array_equal(restored.entries, matrix.entries)
-    assert json.loads(matrix_to_json(matrix))["entries"] == matrix.entries.tolist()
-
-
-def _edited_json(**changes) -> str:
-    """The JSON of a 1-ranker, 2-term, 2-pair matrix with ``changes``; a None value drops the key."""
-    data = json.loads(matrix_to_json(make_matrix([[1, -1], [0, 1]])))
-    data.update(changes)
-    return json.dumps({k: v for k, v in data.items() if v is not None})
+def _zeros(*shape):
+    return np.zeros(shape, dtype=np.int8)
 
 
 @pytest.mark.parametrize("changes,message", [
-    pytest.param({"entries": [[[1, 2], [0, 1]]]}, "-1, 0 or 1", id="entry-2"),
-    pytest.param({"entries": [[[1, -2], [0, 1]]]}, "-1, 0 or 1", id="entry-minus-2"),
-    pytest.param({"pairs": [], "entries": [[[], []]]}, "at least one pair", id="no-pairs"),
-    pytest.param({"rankers": [], "entries": []}, "at least one ranker", id="no-rankers"),
-    pytest.param({"terms": [], "salience": [], "entries": [[]]}, "at least one candidate", id="no-terms"),
-    pytest.param({"entries": [[[1, -1]]]}, "shape (1, 2, 2)", id="too-few-rows"),
-    pytest.param({"rankers": ["bm25", "lmjm"]}, "shape (2, 2, 2)", id="too-few-layers"),
-    pytest.param({"entries": [[[1, 300], [0, 1]]]}, "-1, 0 or 1", id="entry-300"),
-    pytest.param({"entries": [[[1, 1.5], [0, 1]]]}, "-1, 0 or 1", id="entry-float"),
-    pytest.param({"entries": [[[1, True], [0, 1]]]}, "-1, 0 or 1", id="entry-true"),
-    pytest.param({"entries": [[[1, "1"], [0, 1]]]}, "-1, 0 or 1", id="entry-string"),
-    pytest.param({"entries": [[[1, [1]], [0, 1]]]}, "-1, 0 or 1", id="entry-list"),
-    pytest.param({"entries": 1}, "shape (1, 2, 2)", id="entries-not-a-list"),
-    pytest.param({"entries": None}, "has no key 'entries'", id="missing-entries"),
-    pytest.param({"extra": 1}, "unknown key 'extra'", id="unknown-key"),
-    pytest.param({"pairs": [{"upper": "a", "lower": "b", "rank_gap": "x"}] * 2}, "rank_gap must be an int",
-                 id="rank-gap-string"),
-    pytest.param({"pairs": [{"upper": "a", "lower": "b", "rank_gap": True}] * 2}, "rank_gap must be an int",
-                 id="rank-gap-true"),
-    pytest.param({"pairs": [{"upper": "a", "lower": "b", "rank_gap": 0}] * 2}, "rank_gap must be in [1, inf)",
-                 id="rank-gap-0"),
-    pytest.param({"pairs": [{"upper": "a", "lower": "b"}] * 2}, "has no key 'rank_gap'", id="pair-missing-key"),
-    pytest.param({"pairs": [{"upper": "a", "lower": "b", "rank_gap": 1, "x": 0}] * 2}, "unknown key 'x'",
-                 id="pair-unknown-key"),
-    pytest.param({"pairs": [["a", "b", 1]] * 2}, "preference pair must be a JSON object", id="pair-a-list"),
-    pytest.param({"pairs": [{"upper": 1, "lower": "b", "rank_gap": 1}] * 2}, "must be docids", id="upper-an-int"),
-    pytest.param({"salience": [0.5]}, "list of 2 numbers", id="two-terms-one-salience"),
-    pytest.param({"salience": [0.5, "x"]}, "salience of 't01' must be a number", id="salience-string"),
-    pytest.param({"salience": [0.5, float("nan")]}, "salience of 't01' must be in (-inf, inf)", id="salience-nan"),
-    pytest.param({"terms": ["t0", 1]}, "'terms' must be a list of strings", id="term-an-int"),
-    pytest.param({"rankers": "bm25"}, "'rankers' must be a list of strings", id="rankers-a-string"),
+    pytest.param({"rankers": [], "entries": _zeros(0, 2, 2)}, "at least one ranker", id="no-rankers"),
+    pytest.param({"candidates": [], "entries": _zeros(1, 0, 2)}, "at least one candidate", id="no-candidates"),
+    # Without a pair the coverage explainers would divide by zero.
+    pytest.param({"pairs": [], "entries": _zeros(1, 2, 0)}, "at least one pair", id="no-pairs"),
+    pytest.param({"entries": _zeros(1, 1, 2)}, "shape (1, 2, 2)", id="too-few-rows"),
+    pytest.param({"entries": _zeros(2, 2, 2)}, "shape (1, 2, 2)", id="too-many-layers"),
+    pytest.param({"entries": _zeros(1, 2, 3)}, "shape (1, 2, 2)", id="too-many-pairs"),
+    pytest.param({"entries": _zeros(2, 2)}, "shape (1, 2, 2)", id="two-dimensional"),
+    pytest.param({"entries": np.zeros((1, 2, 2), dtype=np.int64)}, "int8", id="int64"),
+    pytest.param({"entries": np.zeros((1, 2, 2))}, "int8", id="float64"),
+    pytest.param({"entries": np.zeros((1, 2, 2), dtype=bool)}, "int8", id="bool"),
+    pytest.param({"entries": [[[0, 0], [0, 0]]]}, "int8", id="nested-lists"),
+    # show_matrix would raise KeyError on an entry outside -1, 0 and 1.
+    *(pytest.param({"entries": np.array([[[1, v], [0, -1]]], dtype=np.int8)}, "-1, 0 or 1", id=f"entry-{v}")
+      for v in (2, -2, 127, -128)),
 ])
-def test_matrix_from_json_rejects_what_a_matrix_cannot_hold(changes, message):
-    # At the parent these loaded; show_matrix then raised KeyError: 2, and an
-    # empty pair list divided by zero in the coverage explainers.
+def test_preference_matrix_rejects_what_it_cannot_hold(changes, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        matrix_from_json(_edited_json(**changes))
-
-
-def test_matrix_from_json_rejects_a_repeated_key():
-    # Plain json would keep the last "rankers" and load the matrix.
-    text = matrix_to_json(make_matrix([[1, -1], [0, 1]]))
-    with pytest.raises(ValueError, match="repeated key 'rankers'"):
-        matrix_from_json('{"rankers": ["x"], ' + text.lstrip()[1:])
-
-
-def test_matrix_from_json_rejects_what_is_not_an_object():
-    with pytest.raises(ValueError, match="preference matrix must be a JSON object"):
-        matrix_from_json("[]")
-
-
-def test_preference_matrix_requires_an_int8_array():
-    matrix = make_matrix([[1, 0]])
-    with pytest.raises(ValueError, match="int8"):
-        PreferenceMatrix(matrix.rankers, matrix.candidates, matrix.pairs, matrix.entries.astype(np.int64))
-    with pytest.raises(ValueError, match="int8"):
-        PreferenceMatrix(matrix.rankers, matrix.candidates, matrix.pairs, matrix.entries.tolist())
+        dataclasses.replace(make_matrix([[1, -1], [0, 1]]), **changes)
 
 
 # -- batch ------------------------------------------------------------------------------

@@ -362,10 +362,37 @@ def test_ranked_list_invariant_validation():
         RankedList.from_entries("q", [RunEntry("a", 1, 2.0), RunEntry("a", 2, 1.0)])
 
 
+def test_ranked_list_rejects_a_nan_score():
+    # 7.0 > nan is False, so the order check alone would pass the rising scores 5, nan, 7.
+    with pytest.raises(ValueError, match=re.escape("qid 'q': docid 'b' has a NaN score")):
+        RankedList.from_entries("q", [RunEntry("a", 1, 5.0), RunEntry("b", 2, math.nan), RunEntry("c", 3, 7.0)])
+    entries = [RunEntry("a", 1, math.inf), RunEntry("b", 2, 0.0), RunEntry("c", 3, -math.inf)]
+    assert RankedList.from_entries("q", entries).entries == entries
+
+
+@pytest.mark.parametrize("line", ["1 Q0 b two 1.0 t", "1 Q0 b 2 high t"], ids=["rank", "score"])
+def test_load_rejects_a_non_numeric_rank_or_score(tmp_path, line):
+    path = tmp_path / "run.trec"
+    path.write_text(f"1 Q0 a 1 2.0 t\n{line}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: bad rank or score field")):
+        load_from_res(str(path))
+
+
 def test_load_topics(tmp_path):
     path = tmp_path / "topics.tsv"
     path.write_text("1\tcat dog\n2\tmouse\n")
     assert load_topics(str(path)) == {"1": "cat dog", "2": "mouse"}
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1\tcat\n2 dog\n", "topics.tsv:2: expected qid<TAB>query text"),
+    ("1\tcat\n2\tdog\n1\tmouse\n", "topics.tsv:3: duplicate qid '1'"),
+], ids=["no-tab", "repeated-qid"])
+def test_load_topics_rejects_a_line_without_a_tab_or_a_repeated_qid(tmp_path, text, message):
+    path = tmp_path / "topics.tsv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_topics(str(path))
 
 
 @pytest.mark.parametrize("qid", ["", "q 1", " q1", "q1\u00a0"])
