@@ -23,7 +23,7 @@ import json
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -34,10 +34,6 @@ COMPARABILITY_SLACK = 0.1
 MEMO_CAPACITY = 256         # DocStats kept per index; the oldest is evicted first
 
 _INF = math.inf
-
-
-def _sign(x: float) -> int:
-    return (x > 0) - (x < 0)
 
 
 def _comparable(a: float, b: float) -> bool:
@@ -220,6 +216,11 @@ def _lnc1(si: DocStats, sj: DocStats) -> int:
     return _prefer_smaller(si.dl, sj.dl)
 
 
+def _either_way(condition, si: DocStats, sj: DocStats) -> int:
+    """+1 when ``condition(si, sj)`` holds, -1 when ``condition(sj, si)`` does; the two never both hold."""
+    return condition(si, sj) - condition(sj, si)
+
+
 def _tf_lnc_condition(sa: DocStats, sb: DocStats) -> bool:
     diffs = [sa.tf[t] - sb.tf[t] for t in sa.terms]
     if any(d < 0 for d in diffs) or not any(d > 0 for d in diffs):
@@ -227,26 +228,10 @@ def _tf_lnc_condition(sa: DocStats, sb: DocStats) -> bool:
     return sa.dl <= sb.dl + sum(diffs)
 
 
-def _tf_lnc(si: DocStats, sj: DocStats) -> int:
-    if _tf_lnc_condition(si, sj):
-        return 1
-    if _tf_lnc_condition(sj, si):
-        return -1
-    return 0
-
-
 def _lb1_condition(sa: DocStats, sb: DocStats) -> bool:
     if not (set(sb.matched) < set(sa.matched)):
         return False
     return all(_comparable(sa.tf[t], sb.tf[t]) for t in sb.matched)
-
-
-def _lb1(si: DocStats, sj: DocStats) -> int:
-    if _lb1_condition(si, sj):
-        return 1
-    if _lb1_condition(sj, si):
-        return -1
-    return 0
 
 
 def _and(si: DocStats, sj: DocStats) -> int:
@@ -289,8 +274,8 @@ AXIOMS = {
     "TFC3": _tfc3,
     "TDC": _tdc,
     "LNC1": _lnc1,
-    "TF_LNC": _tf_lnc,
-    "LB1": _lb1,
+    "TF_LNC": partial(_either_way, _tf_lnc_condition),
+    "LB1": partial(_either_way, _lb1_condition),
     "PROX1": _prox1,
     "PROX2": _prox2,
     "PROX3": _prox3,
@@ -455,19 +440,13 @@ class AggregatedAxiom:
         for name, weight in self.children:
             if name not in AXIOMS:
                 raise ValueError(f"unknown axiom {name!r}; valid: {', '.join(AXIOM_NAMES)}")
-            label = f"weight for {name!r}"
-            if isinstance(weight, float) and not math.isfinite(weight):
-                raise ValueError(f"{label} must be finite")
-            _check_number(label, weight, "(-inf, inf)")
+            _check_number(f"weight for {name!r}", weight, "(-inf, inf)")
 
 
 def aggregate_preference(agg: AggregatedAxiom, index: PositionalIndex, query: Query,
                          di: str, dj: str) -> int:
-    """Combine child preferences: sign of weighted sum, or simple majority."""
+    """Combine child preferences: sign of their weighted sum, or of their plain sum (simple majority)."""
     si, sj = _views(index, query, di, dj)
-    prefs = [(AXIOMS[name](si, sj), weight) for name, weight in agg.children]
-    if agg.mode == "weighted_sum_sign":
-        return _sign(left_sum(p * w for p, w in prefs))
-    plus = sum(1 for p, _ in prefs if p == 1)
-    minus = sum(1 for p, _ in prefs if p == -1)
-    return _sign(plus - minus)
+    weighted = agg.mode == "weighted_sum_sign"
+    total = left_sum(AXIOMS[name](si, sj) * (weight if weighted else 1) for name, weight in agg.children)
+    return _prefer_larger(total, 0)

@@ -23,6 +23,7 @@ from .analysis import _unique_keys
 from .axioms import (
     AGGREGATION_MODES,
     AXIOM_NAMES,
+    DETAILED_AXIOMS,
     AggregatedAxiom,
     aggregate_preference,
     axiom_preference,
@@ -61,7 +62,7 @@ class DataNotFoundError(Exception):
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if not text.endswith("\n"):
+    if text and not text.endswith("\n"):
         text += "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as f:
@@ -229,8 +230,6 @@ def cmd_explain_pointwise(args, extras) -> int:
     topics = _topics(args)
     index = PositionalIndex.load(args.index)
     query = _query_for(args, index, topics)
-    if not index.has_doc(args.docid):
-        raise DataNotFoundError(f"docid {args.docid!r} not in index")
     ranker = make_ranker(index, args.model, ranker_params)
     if args.method == "lirme":
         expl = lirme_explain(index, ranker, query, args.docid, pw)
@@ -254,6 +253,8 @@ def cmd_explain_pairwise(args, extras) -> int:
     for name in names:
         if name not in AXIOM_NAMES:
             raise UsageError(f"unknown axiom {name!r}; valid: {', '.join(AXIOM_NAMES)}")
+        if args.details and name not in DETAILED_AXIOMS:
+            raise UsageError(f"axiom {name!r} has no detailed view; valid: {', '.join(DETAILED_AXIOMS)}")
     if not names or len(set(names)) < len(names):
         raise UsageError(f"--axioms takes one or more distinct axiom names, got {args.axioms!r}")
     if args.weights and args.aggregate != "weighted_sum_sign":
@@ -271,9 +272,6 @@ def cmd_explain_pairwise(args, extras) -> int:
     topics = _topics(args)
     index = PositionalIndex.load(args.index)
     query = _query_for(args, index, topics)
-    for d in (d1, d2):
-        if not index.has_doc(d):
-            raise DataNotFoundError(f"docid {d!r} not in index")
     if args.details:
         blocks = []
         for name in names:
@@ -316,15 +314,13 @@ def cmd_explain_listwise(args, extras) -> int:
         runs = {query.qid: rank(index, ranker, query, depth=depth) for query in queries}
     if args.all:
         batch = explain_all(index, topics, runs, lw)
-        lines = []
-        for qid in sorted(topics):
-            if qid in batch.explanations:
-                lines.append(json.dumps(batch.explanations[qid].as_dict(), separators=(",", ":")))
-            else:
-                lines.append(json.dumps({"qid": qid, "error": batch.errors[qid]}, separators=(",", ":")))
-        _emit("\n".join(lines), args.out)
+        records = [batch.explanations[qid].as_dict() if qid in batch.explanations
+                   else {"qid": qid, "error": batch.errors[qid]} for qid in sorted(topics)]
+        _emit("\n".join(json.dumps(record, separators=(",", ":")) for record in records), args.out)
         return EXIT_OK
     query, = queries
+    if not len(runs[query.qid]):
+        raise DataNotFoundError(f"no document matches qid {query.qid!r}")
     expl = explain_listwise(index, query, runs[query.qid], lw)
     _emit(json.dumps(expl.as_dict(), separators=(",", ":")), args.out)
     return EXIT_OK

@@ -69,36 +69,31 @@ def rbo(list_a: Sequence, list_b: Sequence, p: float) -> float:
     return _rbo_rows(np.fromiter(map(depth_b.get, list_a[:k], itertools.repeat(k)), np.intp, k)[None], p)[0]
 
 
-def _intersection_orders(list_a: Sequence, list_b: Sequence):
+def _shared_ranks(list_a: Sequence, list_b: Sequence) -> np.ndarray:
+    """The items both lists hold, in list_a's order, each given as its 0-based rank among them in list_b."""
     common = _check_unique("list_a", list_a) & _check_unique("list_b", list_b)
     if len(common) < 2:
         raise ValueError("undefined correlation: intersection has fewer than 2 items")
-    order_a = [x for x in list_a if x in common]
-    order_b = [x for x in list_b if x in common]
-    return order_a, order_b
+    rank_b = dict(zip(filter(common.__contains__, list_b), itertools.count()))
+    return np.fromiter(map(rank_b.__getitem__, filter(common.__contains__, list_a)), np.intp, len(common))
 
 
 def kendall_tau(list_a: Sequence, list_b: Sequence) -> float:
     """(concordant - discordant) / (n choose 2) over the shared items."""
-    order_a, order_b = _intersection_orders(list_a, list_b)
-    pos_b = {x: i for i, x in enumerate(order_b)}
-    n = len(order_a)
-    concordant = discordant = 0
-    for i, j in itertools.combinations(range(n), 2):
-        if pos_b[order_a[i]] < pos_b[order_a[j]]:
-            concordant += 1
-        else:
-            discordant += 1
-    return (concordant - discordant) / (n * (n - 1) / 2)
+    ranks = _shared_ranks(list_a, list_b)
+    n = len(ranks)
+    pairs = n * (n - 1) // 2
+    # One row per item: the later items ranked before it in list_b, an exact int count.
+    discordant = sum(int(np.count_nonzero(ranks[i + 1:] < ranks[i])) for i in range(n - 1))
+    return (pairs - 2 * discordant) / pairs
 
 
 def spearman_rho(list_a: Sequence, list_b: Sequence) -> float:
     """1 - 6 * sum d_i^2 / (n (n^2 - 1)) over intersection ranks."""
-    order_a, order_b = _intersection_orders(list_a, list_b)
-    pos_b = {x: i for i, x in enumerate(order_b)}
-    n = len(order_a)
-    d_sq = sum((i - pos_b[x]) ** 2 for i, x in enumerate(order_a))
-    return 1.0 - 6.0 * d_sq / (n * (n * n - 1))
+    ranks = _shared_ranks(list_a, list_b)
+    n = len(ranks)
+    d = np.arange(n) - ranks
+    return 1.0 - 6.0 * int(d @ d) / (n * (n * n - 1))
 
 
 def jaccard_at_k(list_a: Sequence, list_b: Sequence, k: int) -> float:

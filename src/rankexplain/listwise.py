@@ -430,11 +430,6 @@ def _search_terms(candidates: Sequence[CandidateTerm], ranked: RankedList, m_max
     return [candidates[t].term for t in _candidate_order(candidates)]
 
 
-def _better(fidelity: float, size: int, terms: tuple, best: tuple) -> bool:
-    """Canonical preference: fidelity, then fewer terms, then lexicographic."""
-    return (-fidelity, size, terms) < (-best[0], best[1], best[2])
-
-
 def greedy_explain(index: PositionalIndex, sm: Ranker, query: Query, ranked: RankedList,
                    candidates: Sequence[CandidateTerm], m_max: int = 10,
                    p: float = 0.9) -> ListwiseExplanation:
@@ -483,9 +478,8 @@ def bfs_explain(index: PositionalIndex, sm: Ranker, query: Query, ranked: Ranked
     evaluate = FidelityEvaluator(index, sm, query, ranked, p, order)
     baseline = evaluate(())
     evaluate.calls = 0
-    best = (baseline, 0, ())
-    frontier: list[tuple[float, int, tuple]] = []
-    heapq.heappush(frontier, (-baseline, 0, ()))
+    best = (-baseline, 0, ())               # the smallest key (-fidelity, size, terms) seen
+    frontier = [best]
     seen = {()}
     exhausted = False
     while frontier and not exhausted:
@@ -506,14 +500,14 @@ def bfs_explain(index: PositionalIndex, sm: Ranker, query: Query, ranked: Ranked
                 break
             children.append(child)
         for child, fid in zip(children, evaluate.batch(children)):
-            if _better(fid, len(child), child, best):
-                best = (fid, len(child), child)
-            heapq.heappush(frontier, (-fid, len(child), child))
+            key = (-fid, len(child), child)
+            best = min(best, key)
+            heapq.heappush(frontier, key)
     return ListwiseExplanation(
         qid=query.qid,
         method="bfs",
         terms=list(best[2]),
-        fidelity={f"rbo@{p:g}": best[0]},
+        fidelity={f"rbo@{p:g}": -best[0]},
         evaluations_used=evaluate.calls,
         diagnostics={"baseline": baseline},
     )

@@ -269,5 +269,6 @@ def explanation_from_json(text: str) -> ExplanationVector:
             raise ValueError(f"explanation term must be a string, got {term!r}")
         _check_number(f"weight of {term!r}", weight, "(-inf, inf)")
         entries.append((term, weight))
+    _check_unique("explanation terms", [term for term, _ in entries])
     return ExplanationVector(entries=entries, qid=data["qid"], docid=data["docid"],
                              method=data["method"], params=data["params"])

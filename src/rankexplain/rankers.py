@@ -442,9 +442,12 @@ def load_from_res(path: str) -> dict:
             qid, _q0, docid, rank_s, score_s, tag = fields
             try:
                 rank_v = int(rank_s)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: rank must be an integer, got {rank_s!r}") from None
+            try:
                 score_v = float(score_s)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad rank or score field") from exc
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: score must be a number, got {score_s!r}") from None
             if not math.isfinite(score_v):
                 raise ValueError(f"{path}:{lineno}: score must be finite, got {score_s!r}")
             if (qid, docid) in seen:

@@ -24,6 +24,14 @@ def random_corpus(rng: XorShift64Star, n_docs, vocab, min_len=5, max_len=30, pre
     return docs
 
 
+def json_lines(text: str) -> list:
+    """The records of JSON-lines output: every line ends in a newline, parses, and none is blank."""
+    *lines, last = text.split("\n")
+    assert last == "", f"JSON-lines output does not end in a newline: {text[-40:]!r}"
+    assert all(line.strip() for line in lines), f"JSON-lines output holds a blank line: {text!r}"
+    return [json.loads(line) for line in lines]
+
+
 def axiom_preferences(index, query, di, dj) -> dict:
     """Each axiom's preference for the pair (di, dj), by name."""
     return {name: axiom_preference(name, index, query, di, dj) for name in AXIOM_NAMES}

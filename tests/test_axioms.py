@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import re
 import weakref
 
 import pytest
@@ -354,8 +355,9 @@ def test_aggregate_validation():
         AggregatedAxiom(children=())
     with pytest.raises(ValueError, match="unknown axiom"):
         AggregatedAxiom(children=(("NOPE", 1.0),))
-    with pytest.raises(ValueError, match="finite"):
-        AggregatedAxiom(children=(("TFC1", float("nan")),))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=re.escape(f"weight for 'TFC1' must be in (-inf, inf), got {bad!r}")):
+            AggregatedAxiom(children=(("TFC1", bad),))
 
 
 def test_aggregate_antisymmetry_and_scale_invariance():

@@ -24,7 +24,7 @@ from rankexplain import (
 )
 from rankexplain.datasets import demo_corpus_path
 
-from conftest import index_file_bytes, read_index_file
+from conftest import index_file_bytes, json_lines, read_index_file
 
 
 @pytest.fixture(scope="module")
@@ -235,10 +235,22 @@ def test_explain_pointwise_exs(workspace, capsys):
     assert payload["method"] == "exs:topk_binary"
 
 
-def test_explain_missing_doc_exit_3(workspace):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["pointwise", "--qid", "1", "--docid", "NOPE", "--method", "lirme"], id="pointwise-lirme"),
+    pytest.param(["pointwise", "--qid", "1", "--docid", "NOPE", "--method", "exs", "--exs_k", "5"],
+                 id="pointwise-exs"),
+    pytest.param(["pairwise", "--qid", "2", "--docs", "B1,NOPE"], id="pairwise"),
+    pytest.param(["pairwise", "--qid", "2", "--docs", "NOPE,B2", "--details"], id="pairwise-details"),
+    pytest.param(["pairwise", "--qid", "2", "--docs", "B1,NOPE", "--aggregate", "majority"],
+                 id="pairwise-aggregate"),
+])
+def test_an_unknown_docid_exits_3_naming_it(workspace, capsys, argv):
+    # The library's UnknownDocumentError, raised on the first read of the docid, maps to exit 3.
     _, index_path, _ = workspace
-    assert cli.run(["explain", "pointwise", "--index", str(index_path),
-                    "--method", "lirme", "--query", "thai", "--docid", "NOPE"]) == 3
+    assert cli.run(["explain", argv[0], "--index", str(index_path), "--topics", "demo", *argv[1:]]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("not found: ") and "'NOPE'" in err
 
 
 def test_explain_missing_qid_exit_3(workspace):
@@ -284,7 +296,7 @@ def test_an_unknown_docid_in_a_run_is_reported_without_quotes(workspace, tmp_pat
     assert cli.run(argv + ["--qid", "1"]) == 3
     assert capsys.readouterr() == ("", "not found: unknown docid: 'ZZ9'\n")
     assert cli.run(argv + ["--all"]) == 0
-    first = json.loads(capsys.readouterr().out.splitlines()[0])
+    first = json_lines(capsys.readouterr().out)[0]
     assert first == {"qid": "1", "error": "UnknownDocumentError: unknown docid: 'ZZ9'"}
 
 
@@ -301,13 +313,16 @@ def test_a_malformed_topics_file_exits_1_naming_the_line(workspace, tmp_path, ca
     assert not run_path.exists()
 
 
-@pytest.mark.parametrize("line", ["1 Q0 b two 1.0 t", "1 Q0 b 2 high t"], ids=["rank", "score"])
-def test_a_non_numeric_rank_or_score_exits_1_naming_the_line(workspace, tmp_path, capsys, line):
+@pytest.mark.parametrize("line, message", [
+    ("1 Q0 b two 1.0 t", "rank must be an integer, got 'two'"),
+    ("1 Q0 b 2 high t", "score must be a number, got 'high'"),
+], ids=["rank", "score"])
+def test_a_non_numeric_rank_or_score_exits_1_naming_the_line(workspace, tmp_path, capsys, line, message):
     _, _, run_path = workspace
     bad = tmp_path / "bad.trec"
     bad.write_text(f"1 Q0 a 1 2.0 t\n{line}\n")
     assert cli.run(["eval", "rbo", str(bad), str(run_path)]) == 1
-    assert capsys.readouterr() == ("", f"error: {bad}:2: bad rank or score field\n")
+    assert capsys.readouterr() == ("", f"error: {bad}:2: {message}\n")
 
 
 def test_explain_pairwise_details_text(workspace, capsys):
@@ -380,10 +395,32 @@ def test_explain_listwise_all(workspace, capsys):
                     "--method", "multiplex", "--run", str(run_path),
                     "--topics", "demo", "--all", "--n_pairs", "10",
                     "--n_candidates", "20", "--m_min", "1", "--m_max", "3"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 5
-    payloads = [json.loads(line) for line in lines]
+    payloads = json_lines(capsys.readouterr().out)
     assert [p["qid"] for p in payloads] == ["1", "2", "3", "4", "5"]
+
+
+def test_listwise_over_an_empty_ranked_list_exits_3_and_records_the_error_under_all(workspace, tmp_path, capsys):
+    # No demo document holds the query's one term, so its ranked list is empty: requested data not found.
+    _, index_path, _ = workspace
+    topics = tmp_path / "topics.tsv"
+    topics.write_text("1\tzzzqqq\n")
+    argv = ["explain", "listwise", "--index", str(index_path), "--topics", str(topics)]
+    assert cli.run([*argv, "--qid", "1"]) == 3
+    assert capsys.readouterr() == ("", "not found: no document matches qid '1'\n")
+    assert cli.run([*argv, "--all"]) == 0
+    assert json_lines(capsys.readouterr().out) == [
+        {"qid": "1", "error": "ValueError: cannot generate candidates from an empty ranked list"}]
+
+
+def test_listwise_all_over_no_topic_writes_nothing(workspace, tmp_path, capsys):
+    _, index_path, _ = workspace
+    topics, out = tmp_path / "topics.tsv", tmp_path / "out.jsonl"
+    topics.write_text("")
+    argv = ["explain", "listwise", "--index", str(index_path), "--topics", str(topics), "--all"]
+    assert cli.run(argv) == 0
+    assert capsys.readouterr() == ("", "")
+    assert cli.run([*argv, "--out", str(out)]) == 0
+    assert json_lines(out.read_text()) == []
 
 
 def test_eval_run_against_itself(workspace, capsys):
@@ -600,12 +637,15 @@ def test_unknown_keys_exit_2(workspace, tmp_path, capsys, command, source, key):
                  id="unknown-axiom"),
     pytest.param("pairwise", ["--aggregate", "bogus"], None, "unknown mode 'bogus'",
                  id="unknown-aggregate"),
+    pytest.param("pairwise", ["--details", "--axioms", "PROX1,TFC3"], None,
+                 "axiom 'TFC3' has no detailed view; valid: PROX1, PROX2, PROX3, PROX4, PROX5, TFC1, TDC",
+                 id="details-without-a-view"),
     pytest.param("pairwise", ["--aggregate", "weighted_sum_sign", "--weights", "a,b"], None,
                  "could not convert string to float: 'a'", id="weights-not-numbers"),
     pytest.param("pairwise", ["--aggregate", "weighted_sum_sign", "--weights", "nan,1"], None,
-                 "must be finite", id="weights-nan"),
+                 "weight for 'TFC1' must be in (-inf, inf), got nan", id="weights-nan"),
     pytest.param("pairwise", ["--aggregate", "weighted_sum_sign", "--weights", "1,inf"], None,
-                 "must be finite", id="weights-inf"),
+                 "weight for 'PROX1' must be in (-inf, inf), got inf", id="weights-inf"),
     pytest.param("pairwise", ["--aggregate", "weighted_sum_sign", "--weights", "1,2,3"], None,
                  "must match --axioms in length", id="weights-length"),
     # majority reads no weight, so weights with it would change nothing

@@ -27,6 +27,8 @@ import pytest
 from rankexplain import cli
 from rankexplain.axioms import AXIOM_NAMES
 
+from conftest import json_lines
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 SAMPLER_KINDS = ("random", "masking", "tfidf")
@@ -148,6 +150,11 @@ def test_cli_output_matches_golden(outputs, name):
 
 def test_every_golden_file_has_a_case():
     assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted(name for name, _ in CASES)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CASES if name.endswith(".jsonl")])
+def test_json_lines_golden_files_hold_one_record_per_line(name):
+    assert json_lines((GOLDEN_DIR / name).read_text(encoding="utf-8"))
 
 
 # An OpenBLAS core type and numpy loops other than the ones picked by default.

@@ -362,6 +362,10 @@ def _explanation_json(**changes) -> str:
                  "weight of 'aa' must be in (-inf, inf), got nan", id="weight-nan"),
     pytest.param(_explanation_json(terms=[{"term": "aa", "weight": -math.inf}]),
                  "weight of 'aa' must be in (-inf, inf), got -inf", id="weight-minus-inf"),
+    # pointwise_correctness reads the entries into a dict, so a second 'aa' would replace the first.
+    pytest.param(_explanation_json(terms=[{"term": "aa", "weight": 1.0}, {"term": "bb", "weight": 0.5},
+                                          {"term": "aa", "weight": -2.0}]),
+                 "duplicate 'aa' in explanation terms", id="repeated-term"),
 ])
 def test_explanation_from_json_rejects_what_as_dict_does_not_write(text, message):
     # Only what as_dict writes loads; anything else is a ValueError naming the key at fault.

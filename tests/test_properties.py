@@ -74,6 +74,7 @@ from rankexplain.rankers import BM25Ranker, LMDirRanker, LMJMRanker, RankedList,
 from rankexplain.rng import XorShift64Star, block_u64
 
 from conftest import index_state, make_vocab, random_corpus
+from test_acceptance import rho_oracle, tau_oracle
 
 OOV = "zzoov"
 
@@ -1419,6 +1420,17 @@ def test_rank_correlations_symmetric_and_in_range(shared, extra, n):
         value = measure(a, b)
         assert value == measure(b, a)
         assert -1.0 <= value <= 1.0
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), st.integers(2, 300), st.integers(2, 300), st.integers(0, 100))
+def test_rank_correlations_equal_the_oracles_on_long_partly_shared_lists(data, n_a, n_b, spare):
+    # Criterion 1 reaches 12 items; here each list holds up to 300, some of them not in the other.
+    a = data.draw(st.permutations(range(max(n_a, n_b) + spare)))[:n_a]
+    b = data.draw(st.permutations(range(max(n_a, n_b) + spare)))[:n_b]
+    assume(len(set(a) & set(b)) >= 2)
+    assert kendall_tau(a, b) == tau_oracle(a, b)
+    assert spearman_rho(a, b) == rho_oracle(a, b)
 
 
 # -- pair sampling -------------------------------------------------------------

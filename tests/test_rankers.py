@@ -370,11 +370,14 @@ def test_ranked_list_rejects_a_nan_score():
     assert RankedList.from_entries("q", entries).entries == entries
 
 
-@pytest.mark.parametrize("line", ["1 Q0 b two 1.0 t", "1 Q0 b 2 high t"], ids=["rank", "score"])
-def test_load_rejects_a_non_numeric_rank_or_score(tmp_path, line):
+@pytest.mark.parametrize("line, message", [
+    ("1 Q0 b two 1.0 t", "rank must be an integer, got 'two'"),
+    ("1 Q0 b 2 high t", "score must be a number, got 'high'"),
+], ids=["rank", "score"])
+def test_load_rejects_a_non_numeric_rank_or_score(tmp_path, line, message):
     path = tmp_path / "run.trec"
     path.write_text(f"1 Q0 a 1 2.0 t\n{line}\n")
-    with pytest.raises(ValueError, match=re.escape(f"{path}:2: bad rank or score field")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
         load_from_res(str(path))
 
 
