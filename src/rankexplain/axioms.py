@@ -24,7 +24,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, partial
-from operator import itemgetter
+from operator import ge, itemgetter
 from typing import Optional, Sequence
 
 from .index import PositionalIndex, _check_number, left_sum
@@ -43,18 +43,32 @@ def _comparable(a: float, b: float) -> bool:
 
 
 def pair_average_distance(positions_a: Sequence[int], positions_b: Sequence[int]) -> float:
-    """Mean absolute position difference over all occurrence pairs."""
-    total = sum(abs(pa - pb) for pa in positions_a for pb in positions_b)
+    """Mean absolute position difference over all occurrence pairs.
+
+    One merge of the sorted lists: a position ``pa`` with ``k`` positions
+    of b below it, summing to ``below``, is ``k * pa - below`` from them
+    and ``above - (len(b) - k) * pa`` from the rest. The total stays an
+    exact int, so the mean is that of the pairwise sum.
+    """
+    b = sorted(positions_b)
+    total, k, below, above = 0, 0, 0, sum(b)
+    for pa in sorted(positions_a):
+        while k < len(b) and b[k] < pa:
+            below += b[k]
+            above -= b[k]
+            k += 1
+        total += k * pa - below + above - (len(b) - k) * pa
     return total / (len(positions_a) * len(positions_b))
 
 
 class DocStats:
     """What the axioms read of one document, for the distinct query terms.
 
-    ``dl``, each term's positions and tf, the matched terms (in query
-    order), ``sum_tf`` and each term's idf are read on construction, which
-    raises ``UnknownDocumentError`` for an unknown docid. Everything else
-    is computed on first read and kept. Distances are differences of
+    ``dl``, each term's positions, ``tf`` (each term's count, a tuple in
+    term order), the matched terms (in query order), ``sum_tf`` and each
+    term's idf are read on construction, which raises
+    ``UnknownDocumentError`` for an unknown docid. Everything else is
+    computed on first read and kept. Distances are differences of
     analyzed-token positions.
     """
 
@@ -62,15 +76,15 @@ class DocStats:
         self.terms = terms
         self.dl = index.doc_length(docid)
         self.positions = {t: index.positions(t, docid) for t in terms}
-        self.tf = {t: len(p) for t, p in self.positions.items()}
-        self.matched = [t for t in terms if self.tf[t]]
-        self.sum_tf = sum(self.tf.values())
+        self.tf = tuple(map(len, self.positions.values()))
+        self.matched = [t for t, tf in zip(terms, self.tf) if tf]
+        self.sum_tf = sum(self.tf)
         self._idf = [index.idf(t) for t in terms]
 
     @cached_property
     def tdc_weight(self) -> float:
         """``tf * idf`` summed over the query terms, left to right."""
-        return left_sum(self.tf[t] * idf for t, idf in zip(self.terms, self._idf))
+        return left_sum(tf * idf for tf, idf in zip(self.tf, self._idf))
 
     @cached_property
     def pair_averages(self) -> dict:
@@ -148,35 +162,34 @@ class DocStats:
         return min(b[0] - a[-1] for a, b in zip(runs, runs[1:])), total / len(self._events)
 
 
-_memos: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_memos: dict = {}       # id(index) -> {(query terms, docid): DocStats}
 
 
-def _doc_stats(index: PositionalIndex, terms: tuple[str, ...], docid: str) -> DocStats:
-    """The memoized ``DocStats`` of docid for terms.
+def _views(index: PositionalIndex, query: Query, di: str, dj: str) -> tuple[DocStats, DocStats]:
+    """The memoized ``DocStats`` of di and dj for the query's terms.
 
     Each index has its own memo of at most ``MEMO_CAPACITY`` entries, keyed
-    by (terms, docid) and evicted oldest first; it is freed with the
-    index. This is safe because an index does not change after
+    by (query terms, docid) and evicted oldest first; a finalizer drops it
+    with the index. This is safe because an index does not change after
     construction. An unknown docid raises and stores nothing. The memo
     takes no lock: the library is single-threaded, as its random number
     generator is.
     """
-    key = (terms, docid)
-    memo = _memos.get(index)
-    if memo is not None and key in memo:
-        return memo[key]
-    stats = DocStats(index, terms, docid)
+    memo = _memos.get(id(index)) or {}
+    return (memo.get((query.terms, di)) or _new_stats(index, query.terms, di),
+            memo.get((query.terms, dj)) or _new_stats(index, query.terms, dj))
+
+
+def _new_stats(index: PositionalIndex, terms: tuple[str, ...], docid: str) -> DocStats:
+    stats = DocStats(index, tuple(dict.fromkeys(terms)), docid)    # distinct, in first-occurrence order
+    memo = _memos.get(id(index))
     if memo is None:
-        memo = _memos[index] = {}
+        memo = _memos[id(index)] = {}
+        weakref.finalize(index, _memos.pop, id(index), None)
     elif len(memo) >= MEMO_CAPACITY:
         del memo[next(iter(memo))]
-    memo[key] = stats
+    memo[terms, docid] = stats
     return stats
-
-
-def _views(index: PositionalIndex, query: Query, di: str, dj: str) -> tuple[DocStats, DocStats]:
-    terms = tuple(dict.fromkeys(query.terms))       # distinct, in first-occurrence order
-    return _doc_stats(index, terms, di), _doc_stats(index, terms, dj)
 
 
 def _prefer_smaller(a: float, b: float) -> int:
@@ -222,16 +235,15 @@ def _either_way(condition, si: DocStats, sj: DocStats) -> int:
 
 
 def _tf_lnc_condition(sa: DocStats, sb: DocStats) -> bool:
-    diffs = [sa.tf[t] - sb.tf[t] for t in sa.terms]
-    if any(d < 0 for d in diffs) or not any(d > 0 for d in diffs):
-        return False
-    return sa.dl <= sb.dl + sum(diffs)
+    # Every tf at least sb's and one larger: with no tf smaller, one is larger iff sum_tf is.
+    return (sa.sum_tf > sb.sum_tf and all(map(ge, sa.tf, sb.tf))
+            and sa.dl <= sb.dl + sa.sum_tf - sb.sum_tf)
 
 
 def _lb1_condition(sa: DocStats, sb: DocStats) -> bool:
     if not (set(sb.matched) < set(sa.matched)):
         return False
-    return all(_comparable(sa.tf[t], sb.tf[t]) for t in sb.matched)
+    return all(_comparable(a, b) for a, b in zip(sa.tf, sb.tf) if b)      # over sb.matched
 
 
 def _and(si: DocStats, sj: DocStats) -> int:
@@ -363,7 +375,7 @@ def explain_details(axiom_name: str, index: PositionalIndex, query: Query,
         raise ValueError(f"axiom {axiom_name!r} has no detailed view; valid: {', '.join(DETAILED_AXIOMS)}")
     si, sj = _views(index, query, di, dj)
     terms = si.terms
-    tf_rows = [(t, si.tf[t], sj.tf[t]) for t in terms]
+    tf_rows = list(zip(terms, si.tf, sj.tf))
     pair_rows = []
     if axiom_name.startswith("PROX"):
         for pair in itertools.combinations(terms, 2):
@@ -413,12 +425,13 @@ def render_details(table: DetailsTable, fmt: str = "text") -> str:
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}; valid: text, json")
     header = f"Query: {' '.join(table.query_terms)}  [axiom: {table.axiom}]"
-    label_w = max(len(r[0]) for r in rows)
-    col_w = max(max(len(r[1]), len(r[2])) for r in rows)
+    labels, left, right = zip(*rows)
+    label_w = max(map(len, labels))
+    col_w = max(max(map(len, left)), max(map(len, right)))
     lines = [header]
     for label, a, b in rows:
-        lines.append(f"{label:<{label_w}}  {a:>{col_w}}  {b:>{col_w}}")
-    lines.append(f"{'preference':<{label_w}}  {table.preference:+d}")
+        lines.append(f"{label.ljust(label_w)}  {a.rjust(col_w)}  {b.rjust(col_w)}")
+    lines.append(f"{'preference'.ljust(label_w)}  {table.preference:+d}")
     return "\n".join(lines)
 
 

@@ -319,8 +319,8 @@ def cmd_explain_listwise(args, extras) -> int:
         _emit("\n".join(json.dumps(record, separators=(",", ":")) for record in records), args.out)
         return EXIT_OK
     query, = queries
-    if not len(runs[query.qid]):
-        raise DataNotFoundError(f"no document matches qid {query.qid!r}")
+    if len(runs[query.qid]) < 2:
+        raise DataNotFoundError(f"fewer than 2 ranked documents for qid {query.qid!r}")
     expl = explain_listwise(index, query, runs[query.qid], lw)
     _emit(json.dumps(expl.as_dict(), separators=(",", ":")), args.out)
     return EXIT_OK

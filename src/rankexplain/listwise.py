@@ -133,7 +133,7 @@ def sample_pairs(ranked: RankedList, strategy: str, count: int,
     """
     n = len(ranked)
     if n < 2:
-        raise ValueError("no pairs: ranked list has fewer than 2 entries")
+        raise ValueError("ranked list has fewer than 2 entries")
     _check_number("count", count, "[1, inf)", int)
     if strategy not in PAIR_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; valid: {', '.join(PAIR_STRATEGIES)}")
@@ -426,7 +426,7 @@ def _search_terms(candidates: Sequence[CandidateTerm], ranked: RankedList, m_max
     if not candidates:
         raise ValueError("no candidate terms to search over")
     if len(ranked) < 2:
-        raise ValueError("ranked list must have at least 2 entries")
+        raise ValueError("ranked list has fewer than 2 entries")
     return [candidates[t].term for t in _candidate_order(candidates)]
 
 

@@ -27,17 +27,21 @@ class Query:
     qid: str
     terms: tuple[str, ...]
 
+    def __post_init__(self):
+        # A tuple, whatever sequence was passed: the axioms' memo keys on it.
+        object.__setattr__(self, "terms", tuple(self.terms))
+
     @classmethod
     def from_text(cls, index: PositionalIndex, qid: str, text: str) -> "Query":
         """Analyze text with the index's own config."""
         from .analysis import tokenize
 
-        return cls(qid=qid, terms=tuple(tokenize(text, index.config)))
+        return cls(qid=qid, terms=tokenize(text, index.config))
 
     @classmethod
     def from_terms(cls, qid: str, terms: Sequence[str]) -> "Query":
         """Wrap already-analyzed terms (used for expanded queries)."""
-        return cls(qid=qid, terms=tuple(terms))
+        return cls(qid=qid, terms=terms)
 
 
 class RunEntry(NamedTuple):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import json
 import re
@@ -14,6 +15,8 @@ from rankexplain import (
     axiom_preference,
     build_index,
     explain_details,
+    make_ranker,
+    rank,
     render_details,
 )
 from rankexplain import axioms
@@ -388,14 +391,22 @@ def _all_outputs(index, query, di, dj):
 
 def test_cold_warm_and_fresh_index_give_equal_results():
     corpus = random_corpus(XorShift64Star(5), 4, make_vocab(5), min_len=3, max_len=20)
-    index = build_index(corpus)
-    query = Query.from_terms("q", ["w00", "w01", "w00", "w03"])
-    assert axioms._memos.get(index) is None
-    cold = _all_outputs(index, query, "d000", "d001")
-    assert len(axioms._memos[index]) == 2
-    warm = _all_outputs(index, query, "d000", "d001")
-    fresh = _all_outputs(build_index(corpus), query, "d000", "d001")
-    assert cold == warm == fresh
+    for terms in (["w00", "w01", "w00", "w03"], ["w00", "w01", "w03"]):    # repeated, then distinct
+        index = build_index(corpus)
+        query = Query.from_terms("q", terms)
+        assert axioms._memos.get(id(index)) is None
+        cold = _all_outputs(index, query, "d000", "d001")
+        assert len(axioms._memos[id(index)]) == 2
+        warm = _all_outputs(index, query, "d000", "d001")
+        fresh = _all_outputs(build_index(corpus), query, "d000", "d001")
+        assert cold == warm == fresh
+
+
+def test_a_query_built_from_a_list_holds_a_tuple_and_gives_the_same_preferences():
+    query = Query("q", ["qq", "ww"])
+    assert query.terms == ("qq", "ww")
+    assert axiom_preferences(mini_index("qq ww qq", "ww ff"), query, "d1", "d2") \
+        == axiom_preferences(mini_index("qq ww qq", "ww ff"), Query.from_terms("q", ("qq", "ww")), "d1", "d2")
 
 
 def test_an_unknown_docid_raises_every_time_and_stores_nothing():
@@ -404,11 +415,11 @@ def test_an_unknown_docid_raises_every_time_and_stores_nothing():
     for _ in range(2):
         with pytest.raises(UnknownDocumentError):
             axiom_preference("PROX1", index, query, "nope", "d1")
-        assert axioms._memos.get(index) is None
+        assert axioms._memos.get(id(index)) is None
     for _ in range(2):
         with pytest.raises(UnknownDocumentError):
             explain_details("PROX1", index, query, "d1", "nope")
-        assert list(axioms._memos[index]) == [(("qq", "ww"), "d1")]
+        assert list(axioms._memos[id(index)]) == [(("qq", "ww"), "d1")]
 
 
 def test_the_memo_is_freed_with_its_index():
@@ -427,8 +438,8 @@ def test_the_memo_holds_at_most_its_capacity_and_evicts_the_oldest_first():
     queries = [Query.from_terms("q", ["qq", f"x{k}"]) for k in range(axioms.MEMO_CAPACITY)]
     for query in queries:
         axiom_preference("TFC1", index, query, "d1", "d2")
-        assert len(axioms._memos[index]) <= axioms.MEMO_CAPACITY
-    memo = axioms._memos[index]
+        assert len(axioms._memos[id(index)]) <= axioms.MEMO_CAPACITY
+    memo = axioms._memos[id(index)]
     assert len(memo) == axioms.MEMO_CAPACITY
     assert (("qq", "x0"), "d1") not in memo and (("qq", "x0"), "d2") not in memo
     assert list(memo)[-1] == (("qq", f"x{axioms.MEMO_CAPACITY - 1}"), "d2")
@@ -439,7 +450,38 @@ def test_indexes_with_the_same_docids_do_not_share_stats():
     second = mini_index("ww ff ff ff qq", "qq qq ww")
     query = Query.from_terms("q", ["qq", "ww"])
     before = _all_outputs(second, query, "d1", "d2")
-    axioms._memos.pop(second)
+    axioms._memos.pop(id(second))
     _all_outputs(first, query, "d1", "d2")
     assert _all_outputs(second, query, "d1", "d2") == before
     assert _all_outputs(first, query, "d1", "d2") != before
+
+
+# -- the pairwise outputs at doc-explain's scale -----------------------------------
+
+
+PAIRWISE_DIGEST = "77186e77004e3816d01ddfb4bbdb9f765ff9a31bf83ce07e75d702445f61b8a3"
+
+
+def test_pairwise_outputs_at_doc_explain_scale_keep_their_digest():
+    # doc-explain's shape: 300 documents of 150-400 tokens, 4-term queries and
+    # the adjacent pairs of a top-20 bm25 list. No float here passes through
+    # BLAS, so the digest holds on every machine.
+    rng = XorShift64Star(37)
+    vocab = make_vocab(800)
+    index = build_index(random_corpus(rng, 300, vocab, min_len=150, max_len=400))
+    ranker = make_ranker(index, "bm25")
+    weighted = AggregatedAxiom(children=tuple((name, 1.0 + i % 3) for i, name in enumerate(AXIOM_NAMES)))
+    majority = AggregatedAxiom(children=tuple((name, 1.0) for name in AXIOM_NAMES), mode="majority")
+    digest = hashlib.sha256()
+    for t in range(10):
+        query = Query.from_terms(f"q{t}", [vocab[rng.randbelow(len(vocab))] for _ in range(4)])
+        docids = rank(index, ranker, query, depth=20).docids
+        for di, dj in zip(docids, docids[1:]):
+            record = [axiom_preferences(index, query, di, dj),
+                      aggregate_preference(weighted, index, query, di, dj),
+                      aggregate_preference(majority, index, query, di, dj)]
+            for name in DETAILED_AXIOMS:
+                table = explain_details(name, index, query, di, dj)
+                record += [render_details(table), render_details(table, "json")]
+            digest.update(f"{query.qid} {di} {dj} {record!r}\n".encode())
+    assert digest.hexdigest() == PAIRWISE_DIGEST

@@ -406,10 +406,29 @@ def test_listwise_over_an_empty_ranked_list_exits_3_and_records_the_error_under_
     topics.write_text("1\tzzzqqq\n")
     argv = ["explain", "listwise", "--index", str(index_path), "--topics", str(topics)]
     assert cli.run([*argv, "--qid", "1"]) == 3
-    assert capsys.readouterr() == ("", "not found: no document matches qid '1'\n")
+    assert capsys.readouterr() == ("", "not found: fewer than 2 ranked documents for qid '1'\n")
     assert cli.run([*argv, "--all"]) == 0
     assert json_lines(capsys.readouterr().out) == [
         {"qid": "1", "error": "ValueError: cannot generate candidates from an empty ranked list"}]
+
+
+@pytest.mark.parametrize("method", ["multiplex", "intent_exs", "greedy", "bfs"])
+def test_listwise_over_a_one_document_list_exits_3_and_records_the_error_under_all(workspace, tmp_path, capsys,
+                                                                                    method):
+    # 'absorb' occurs in one demo document, so its ranked list is too short to explain.
+    _, index_path, _ = workspace
+    topics, run_path = tmp_path / "topics.tsv", tmp_path / "one.trec"
+    topics.write_text("1\tabsorb\n")
+    assert cli.run(["rank", "--index", str(index_path), "--topics", str(topics), "--out", str(run_path)]) == 0
+    assert len(load_from_res(str(run_path))["1"]) == 1
+    argv = ["explain", "listwise", "--index", str(index_path), "--topics", str(topics), "--method", method]
+    capsys.readouterr()
+    for source in ([], ["--run", str(run_path)]):
+        assert cli.run([*argv, *source, "--qid", "1"]) == 3
+        assert capsys.readouterr() == ("", "not found: fewer than 2 ranked documents for qid '1'\n")
+        assert cli.run([*argv, *source, "--all"]) == 0
+        assert json_lines(capsys.readouterr().out) == [
+            {"qid": "1", "error": "ValueError: ranked list has fewer than 2 entries"}]
 
 
 def test_listwise_all_over_no_topic_writes_nothing(workspace, tmp_path, capsys):

@@ -137,7 +137,7 @@ def test_uniform_exhausts_all_pairs():
 
 
 def test_pairs_errors():
-    with pytest.raises(ValueError, match="no pairs"):
+    with pytest.raises(ValueError, match="^ranked list has fewer than 2 entries$"):
         sample_pairs(ranked_of(1), "uniform", 1, XorShift64Star(0))
     with pytest.raises(ValueError, match="count"):
         sample_pairs(ranked_of(3), "uniform", 0, XorShift64Star(0))

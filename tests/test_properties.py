@@ -45,7 +45,8 @@ from rankexplain import (
     spearman_rho,
 )
 from rankexplain import AggregatedAxiom, aggregate_preference, axiom_preference, explain_details, listwise
-from rankexplain.axioms import AGGREGATION_MODES, AXIOM_NAMES, DETAILED_AXIOMS, DetailsTable
+from rankexplain.axioms import (AGGREGATION_MODES, AXIOM_NAMES, DETAILED_AXIOMS, DetailsTable, details_rows,
+                               pair_average_distance, render_details)
 from rankexplain import index as index_module
 from rankexplain.index import left_sum
 from rankexplain.listwise import (
@@ -1231,9 +1232,13 @@ def _ref_lb1_condition(va, vb):
     return sb < sa and all(_ref_comparable(va.tf[t], vb.tf[t]) for t in sb)
 
 
+def _ref_pair_average_distance(positions_a, positions_b):
+    """The double loop ``pair_average_distance`` was first written as."""
+    return sum(abs(pa - pb) for pa in positions_a for pb in positions_b) / (len(positions_a) * len(positions_b))
+
+
 def _ref_pair_averages(view):
-    return {(ta, tb): sum(abs(pa - pb) for pa in view.positions[ta] for pb in view.positions[tb])
-            / (len(view.positions[ta]) * len(view.positions[tb]))
+    return {(ta, tb): _ref_pair_average_distance(view.positions[ta], view.positions[tb])
             for ta, tb in itertools.combinations(view.matched, 2)}
 
 
@@ -1365,6 +1370,65 @@ def test_doc_stats_axioms_equal_the_per_call_reference(built, weights):
                 == (total > 0) - (total < 0)
         for axiom in DETAILED_AXIOMS:
             assert explain_details(axiom, index, query, di, dj) == reference_details(axiom, index, query, di, dj)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(0, 10**6), max_size=40), st.lists(st.integers(0, 10**6), max_size=40),
+       st.integers(0, 3))
+def test_pair_average_distance_equals_the_double_loop(positions_a, positions_b, bound):
+    # Small bounds draw repeated and shared positions; positions arrive in any order.
+    if bound:
+        positions_a = [p % (bound * 4) for p in positions_a]
+        positions_b = [p % (bound * 4) for p in positions_b]
+    if not positions_a or not positions_b:
+        for fn in (pair_average_distance, _ref_pair_average_distance):
+            with pytest.raises(ZeroDivisionError):
+                fn(positions_a, positions_b)
+        return
+    assert pair_average_distance(positions_a, positions_b) \
+        == _ref_pair_average_distance(positions_a, positions_b)
+
+
+def _ref_render_details(table, fmt="text"):
+    """``render_details`` as it was written with nested f-string padding."""
+    rows = details_rows(table)
+    if fmt == "json":
+        return json.dumps({"axiom": table.axiom, "rows": [{"label": l, "d1": a, "d2": b} for l, a, b in rows],
+                           "preference": table.preference}, separators=(",", ":"))
+    header = f"Query: {' '.join(table.query_terms)}  [axiom: {table.axiom}]"
+    label_w = max(len(r[0]) for r in rows)
+    col_w = max(max(len(r[1]), len(r[2])) for r in rows)
+    lines = [header]
+    for label, a, b in rows:
+        lines.append(f"{label:<{label_w}}  {a:>{col_w}}  {b:>{col_w}}")
+    lines.append(f"{'preference':<{label_w}}  {table.preference:+d}")
+    return "\n".join(lines)
+
+
+@st.composite
+def details_tables(draw):
+    """Tables of any shape: labels and cells of varied widths, None cells, both signs."""
+    words = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+    distance = st.one_of(st.none(), st.floats(-1e6, 1e6), st.floats(-1e-3, 1e-3))
+    terms = draw(st.lists(words, max_size=5))
+    count = st.integers(-10**7, 10**7)
+    return DetailsTable(
+        axiom=draw(st.sampled_from(DETAILED_AXIOMS)),
+        query_terms=terms,
+        doc_ids=(draw(words), draw(words)),
+        tf_rows=[(t, draw(count), draw(count)) for t in terms],
+        pair_rows=[(pair, draw(distance), draw(distance)) for pair in itertools.combinations(terms, 2)],
+        num_pairs=(draw(count), draw(count)),
+        total_avg_dist=(draw(distance), draw(distance)),
+        preference=draw(st.integers(-1, 1)),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(details_tables())
+def test_render_details_equals_the_f_string_renderer(table):
+    for fmt in ("text", "json"):
+        assert render_details(table, fmt) == _ref_render_details(table, fmt)
 
 
 # -- rank measures -------------------------------------------------------------
