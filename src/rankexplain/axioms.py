@@ -43,21 +43,8 @@ def _comparable(a: float, b: float) -> bool:
 
 
 def pair_average_distance(positions_a: Sequence[int], positions_b: Sequence[int]) -> float:
-    """Mean absolute position difference over all occurrence pairs.
-
-    One merge of the sorted lists: a position ``pa`` with ``k`` positions
-    of b below it, summing to ``below``, is ``k * pa - below`` from them
-    and ``above - (len(b) - k) * pa`` from the rest. The total stays an
-    exact int, so the mean is that of the pairwise sum.
-    """
-    b = sorted(positions_b)
-    total, k, below, above = 0, 0, 0, sum(b)
-    for pa in sorted(positions_a):
-        while k < len(b) and b[k] < pa:
-            below += b[k]
-            above -= b[k]
-            k += 1
-        total += k * pa - below + above - (len(b) - k) * pa
+    """Mean absolute position difference over all occurrence pairs."""
+    total = sum(abs(pa - pb) for pa in positions_a for pb in positions_b)
     return total / (len(positions_a) * len(positions_b))
 
 
@@ -175,9 +162,9 @@ def _views(index: PositionalIndex, query: Query, di: str, dj: str) -> tuple[DocS
     takes no lock: the library is single-threaded, as its random number
     generator is.
     """
-    memo = _memos.get(id(index)) or {}
-    return (memo.get((query.terms, di)) or _new_stats(index, query.terms, di),
-            memo.get((query.terms, dj)) or _new_stats(index, query.terms, dj))
+    terms = query.terms
+    si = (_memos.get(id(index)) or {}).get((terms, di)) or _new_stats(index, terms, di)
+    return si, _memos[id(index)].get((terms, dj)) or _new_stats(index, terms, dj)     # the memo exists now
 
 
 def _new_stats(index: PositionalIndex, terms: tuple[str, ...], docid: str) -> DocStats:

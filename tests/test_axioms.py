@@ -445,6 +445,22 @@ def test_the_memo_holds_at_most_its_capacity_and_evicts_the_oldest_first():
     assert list(memo)[-1] == (("qq", f"x{axioms.MEMO_CAPACITY - 1}"), "d2")
 
 
+def test_a_pair_of_one_document_builds_its_stats_once(monkeypatch):
+    built = []
+
+    class CountingStats(axioms.DocStats):
+        def __init__(self, index, terms, docid):
+            built.append(docid)
+            super().__init__(index, terms, docid)
+
+    monkeypatch.setattr(axioms, "DocStats", CountingStats)
+    index = mini_index("qq ww", "ww ff")
+    query = Query.from_terms("q", ["qq", "ww"])
+    axiom_preferences(index, query, "d1", "d1")
+    assert built == ["d1"]
+    assert list(axioms._memos[id(index)]) == [(("qq", "ww"), "d1")]
+
+
 def test_indexes_with_the_same_docids_do_not_share_stats():
     first = mini_index("qq ff ww", "qq ww")
     second = mini_index("ww ff ff ff qq", "qq qq ww")

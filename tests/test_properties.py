@@ -46,7 +46,7 @@ from rankexplain import (
 )
 from rankexplain import AggregatedAxiom, aggregate_preference, axiom_preference, explain_details, listwise
 from rankexplain.axioms import (AGGREGATION_MODES, AXIOM_NAMES, DETAILED_AXIOMS, DetailsTable, details_rows,
-                               pair_average_distance, render_details)
+                               render_details)
 from rankexplain import index as index_module
 from rankexplain.index import left_sum
 from rankexplain.listwise import (
@@ -1232,13 +1232,9 @@ def _ref_lb1_condition(va, vb):
     return sb < sa and all(_ref_comparable(va.tf[t], vb.tf[t]) for t in sb)
 
 
-def _ref_pair_average_distance(positions_a, positions_b):
-    """The double loop ``pair_average_distance`` was first written as."""
-    return sum(abs(pa - pb) for pa in positions_a for pb in positions_b) / (len(positions_a) * len(positions_b))
-
-
 def _ref_pair_averages(view):
-    return {(ta, tb): _ref_pair_average_distance(view.positions[ta], view.positions[tb])
+    return {(ta, tb): sum(abs(pa - pb) for pa in view.positions[ta] for pb in view.positions[tb])
+            / (len(view.positions[ta]) * len(view.positions[tb]))
             for ta, tb in itertools.combinations(view.matched, 2)}
 
 
@@ -1370,23 +1366,6 @@ def test_doc_stats_axioms_equal_the_per_call_reference(built, weights):
                 == (total > 0) - (total < 0)
         for axiom in DETAILED_AXIOMS:
             assert explain_details(axiom, index, query, di, dj) == reference_details(axiom, index, query, di, dj)
-
-
-@PROPERTY_SETTINGS
-@given(st.lists(st.integers(0, 10**6), max_size=40), st.lists(st.integers(0, 10**6), max_size=40),
-       st.integers(0, 3))
-def test_pair_average_distance_equals_the_double_loop(positions_a, positions_b, bound):
-    # Small bounds draw repeated and shared positions; positions arrive in any order.
-    if bound:
-        positions_a = [p % (bound * 4) for p in positions_a]
-        positions_b = [p % (bound * 4) for p in positions_b]
-    if not positions_a or not positions_b:
-        for fn in (pair_average_distance, _ref_pair_average_distance):
-            with pytest.raises(ZeroDivisionError):
-                fn(positions_a, positions_b)
-        return
-    assert pair_average_distance(positions_a, positions_b) \
-        == _ref_pair_average_distance(positions_a, positions_b)
 
 
 def _ref_render_details(table, fmt="text"):
